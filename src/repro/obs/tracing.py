@@ -306,8 +306,8 @@ class KernelObserver:
     queue depth onto a counter track every ``queue_sample_interval``
     events — both derived purely from simulated state, so an observed
     run's telemetry is deterministic.  The kernel only calls these
-    hooks when an observer is attached; the unobserved dispatch loop
-    is untouched (see ``Simulator.run``).
+    hooks when an observer is attached; unobserved, the dispatch loop
+    pays one ``None`` check per event (see ``Simulator.run``).
     """
 
     __slots__ = ("_scope", "_events", "_runs", "_interval", "_seen",

@@ -12,9 +12,9 @@ this from source text; this module tests it on a real execution:
    with SHA-256 — invariant under *legal* same-instant reordering)
    plus a digest of captured stdout and the scenario's return value;
 2. re-run with :attr:`Simulator._perturb` seeded so the kernel
-   shuffles the order of unordered same-instant events (heap
-   tie-breaks and now-bucket insertion positions) — every ordering it
-   picks is one the happens-before relation allows;
+   shuffles the order of unordered same-instant events (a random
+   high field above each queue entry's sequence number) — every
+   ordering it picks is one the happens-before relation allows;
 3. diff the digests.  Any difference is an **S903** order-divergence
    finding, localised to the first simulation instant whose digest
    differs.

@@ -9,7 +9,7 @@ happens-before relation the kernel guarantees:
   kernel's ``(time, sequence)`` total order makes this unconditional.
 * **Scheduling edges.**  The task that calls ``at`` / ``after`` /
   ``call_at`` / ``call_after`` / ``schedule_batch`` happens-before the
-  scheduled callback (including now-bucket FIFO entries, which the
+  scheduled callback (including same-instant entries, which the
   kernel dispatches after their scheduler by construction).
 * **Synchronization edges.**  The task that registered an
   :class:`~repro.sim.signal.Event` waiter or

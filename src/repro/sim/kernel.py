@@ -23,20 +23,10 @@ but the kernel counts them and lazily compacts the heap when more
 than half of it is dead, so missions that schedule-and-cancel in a
 loop do not grow the queue without bound.
 
-**Now-bucket fast path.**  Dense event storms — a controller that
-reacts to an event by scheduling more work *at the same instant*
-(zero-delay waits, combinational ripple) — would pay a heap push and
-pop per event even though every one of them fires at the current
-time.  While :meth:`run` is dispatching, events scheduled exactly at
-``now`` are therefore diverted to a plain FIFO list (a one-slot time
-wheel), consumed with a cursor instead of heap sifts.  Ordering stays
-exactly the historical (time, sequence) total order: every entry
-already queued for ``now`` predates (has a lower sequence number
-than) every bucket entry, so the dispatch loop prefers the drain
-stack / heap head while its timestamp equals ``now`` and only then
-consumes the bucket in FIFO order.  The bucket is always empty
-outside :meth:`run`; if a callback raises, the remnant is merged back
-into the heap so no event is lost.
+Every event, including one scheduled mid-run at the current instant,
+goes onto the heap: an event scheduled while ``now`` is dispatching
+carries a higher sequence number than everything already queued for
+``now``, so the ``(time, sequence)`` order alone fires it after them.
 """
 
 from __future__ import annotations
@@ -88,36 +78,29 @@ class Simulator:
         #: empty outside :meth:`run`; new events scheduled while
         #: running land on the heap and interleave by (time, seq).
         self._drain: List[_Entry] = []
-        #: Same-instant FIFO (the "now bucket"): events scheduled at
-        #: exactly ``now`` while :meth:`run` dispatches land here and
-        #: are consumed with :attr:`_bucket_pos` as a cursor — no heap
-        #: traffic for same-timestamp storms.  Empty outside ``run``.
-        self._bucket: List[_Entry] = []
-        self._bucket_pos = 0
         self._running = False
         self._cancelled_in_queue = 0
-        self._cancelled_in_bucket = 0
         #: Optional kernel observer (``repro.obs.KernelObserver``
         #: protocol: ``run_started``/``event_fired``/``run_finished``).
-        #: ``run()`` selects a separate dispatch loop when one is
-        #: attached, so the unobserved hot path carries no per-event
-        #: branch for it.
+        #: The dispatch loop calls ``event_fired`` after each event
+        #: when one is attached.
         self.observer = None
         #: Optional dynamic sanitizer (``repro.sanitize`` protocol:
         #: ``on_schedule(sim, time_ps, callback, kind) -> callback``).
         #: Consulted at *scheduling* time only — it wraps callbacks to
-        #: observe execution, so the dispatch loops stay untouched.
+        #: observe execution, so the dispatch loop stays untouched.
         self.sanitizer = None
         #: Optional ``random.Random`` enabling seeded tie-break
         #: perturbation (``repro.sanitize.determinism``).  When set,
-        #: same-instant event order is legally shuffled: heap entries
-        #: get a randomised high field above the unique sequence
-        #: number, now-bucket entries insert at a random not-yet-
-        #: consumed position.  Cross-instant order, uniqueness of the
+        #: every entry gets a randomised high field above its unique
+        #: sequence number, which legally shuffles same-instant event
+        #: order.  Cross-instant order, uniqueness of the
         #: ``(time, seq)`` prefix, and the scheduler-before-scheduled
-        #: guarantee are all preserved — only the FIFO tie-break among
-        #: unordered same-time events varies.  ``None`` (the default)
-        #: keeps the historical deterministic scheduling order.
+        #: guarantee (a callback has fired before anything it
+        #: schedules is queued) are all preserved — only the FIFO
+        #: tie-break among unordered same-time events varies.  ``None``
+        #: (the default) keeps the historical deterministic scheduling
+        #: order.
         self._perturb = None
         if _construction_hook is not None:
             _construction_hook(self)
@@ -131,9 +114,7 @@ class Simulator:
     def pending_events(self) -> int:
         """Number of live (not cancelled) events still queued."""
         return (len(self._queue) + len(self._drain)
-                - self._cancelled_in_queue
-                + len(self._bucket) - self._bucket_pos
-                - self._cancelled_in_bucket)
+                - self._cancelled_in_queue)
 
     def at(self, time_ps: int, callback: Callback) -> "ScheduledEvent":
         """Schedule ``callback`` at absolute time ``time_ps``."""
@@ -147,23 +128,9 @@ class Simulator:
                                                   callback, "at")
         handle = ScheduledEvent(time_ps, callback, self)
         sequence = self._sequence
-        perturb = self._perturb
-        if self._running and time_ps == self._now:
-            handle.in_bucket = True
-            entry = (time_ps, sequence, handle, callback)
-            if perturb is None:
-                self._bucket.append(entry)
-            else:
-                # Any not-yet-consumed slot is a legal position: the
-                # cursor has already moved past the running entry.
-                self._bucket.insert(
-                    perturb.randint(self._bucket_pos, len(self._bucket)),
-                    entry)
-        else:
-            if perturb is not None:
-                sequence = (perturb.getrandbits(32) << 40) | sequence
-            heapq.heappush(self._queue,
-                           (time_ps, sequence, handle, callback))
+        if self._perturb is not None:
+            sequence = (self._perturb.getrandbits(32) << 40) | sequence
+        heapq.heappush(self._queue, (time_ps, sequence, handle, callback))
         self._sequence += 1
         return handle
 
@@ -189,20 +156,9 @@ class Simulator:
             callback = self.sanitizer.on_schedule(self, time_ps,
                                                   callback, "call_at")
         sequence = self._sequence
-        perturb = self._perturb
-        if self._running and time_ps == self._now:
-            entry = (time_ps, sequence, None, callback)
-            if perturb is None:
-                self._bucket.append(entry)
-            else:
-                self._bucket.insert(
-                    perturb.randint(self._bucket_pos, len(self._bucket)),
-                    entry)
-        else:
-            if perturb is not None:
-                sequence = (perturb.getrandbits(32) << 40) | sequence
-            heapq.heappush(self._queue,
-                           (time_ps, sequence, None, callback))
+        if self._perturb is not None:
+            sequence = (self._perturb.getrandbits(32) << 40) | sequence
+        heapq.heappush(self._queue, (time_ps, sequence, None, callback))
         self._sequence += 1
 
     def call_after(self, delay_ps: int, callback: Callback) -> None:
@@ -251,25 +207,6 @@ class Simulator:
                 f"is already {self._now} ps"
             )
         self._sequence += len(entries)
-        count = len(entries)
-        if self._running:
-            # Mid-run, same-instant entries take the now bucket (their
-            # sequence numbers already order them after everything
-            # queued, so FIFO append preserves the total order).
-            now = self._now
-            same_instant = [entry for entry in entries if entry[0] == now]
-            if same_instant:
-                if perturb is None:
-                    self._bucket.extend(same_instant)
-                else:
-                    for entry in same_instant:
-                        self._bucket.insert(
-                            perturb.randint(self._bucket_pos,
-                                            len(self._bucket)),
-                            entry)
-                entries = [entry for entry in entries if entry[0] != now]
-                if not entries:
-                    return count
         queue = self._queue
         if queue or self._running:
             # Mid-run the drain loop holds an alias to the queue list,
@@ -279,7 +216,7 @@ class Simulator:
         else:
             self._queue = entries
             heapq.heapify(self._queue)
-        return count
+        return len(entries)
 
     def run(self, until_ps: Optional[int] = None) -> int:
         """Run events until the queue drains or ``until_ps`` is reached.
@@ -295,80 +232,32 @@ class Simulator:
         if observer is not None:
             observer.run_started(self._now, self.pending_events)
         try:
-            if observer is None:
-                self._drain_loop(until_ps)
-            else:
-                self._drain_loop_observed(until_ps, observer)
+            self._drain_loop(until_ps, observer)
             if until_ps is not None and until_ps > self._now:
                 self._now = until_ps
         finally:
-            queue = self._queue
             drain = self._drain
-            bucket = self._bucket
-            dirty = False
             if drain:
-                queue.extend(drain)
+                self._queue.extend(drain)
                 drain.clear()
-                dirty = True
-            if bucket:
-                # Only reachable when a callback raised mid-storm: the
-                # unconsumed remnant goes back on the heap so the
-                # events survive (the bucket is a run-local structure).
-                for entry in bucket[self._bucket_pos:]:
-                    handle = entry[2]
-                    if handle is not None:
-                        handle.in_bucket = False
-                    queue.append(entry)
-                bucket.clear()
-                self._bucket_pos = 0
-                self._cancelled_in_queue += self._cancelled_in_bucket
-                self._cancelled_in_bucket = 0
-                dirty = True
-            if dirty:
-                heapq.heapify(queue)
+                heapq.heapify(self._queue)
             self._running = False
             if observer is not None:
                 observer.run_finished(self._now, self.pending_events)
         return self._now
 
-    def _drain_loop(self, until_ps: Optional[int]) -> None:
-        """The unobserved dispatch loop — the kernel's hot path."""
+    def _drain_loop(self, until_ps: Optional[int], observer) -> None:
+        """The dispatch loop — the kernel's hot path.
+
+        With an observer attached, ``event_fired`` receives the
+        post-dispatch queue depth after each event; the observer
+        decides how often to materialise it into a counter track.
+        """
         queue = self._queue
         drain = self._drain
-        bucket = self._bucket
         pop = heapq.heappop
         while True:
-            if bucket:
-                # Same-instant storm: anything already queued for the
-                # current instant predates every bucket entry, so the
-                # drain stack / heap head wins while its timestamp
-                # equals ``now``; then the bucket drains FIFO.  No
-                # ``until_ps`` check — every candidate fires at ``now``.
-                now = self._now
-                if drain and drain[-1][0] == now:
-                    if queue and queue[0] < drain[-1]:
-                        entry = pop(queue)
-                    else:
-                        entry = drain.pop()
-                elif queue and queue[0][0] == now:
-                    entry = pop(queue)
-                else:
-                    pos = self._bucket_pos
-                    entry = bucket[pos]
-                    pos += 1
-                    if pos == len(bucket):
-                        bucket.clear()
-                        pos = 0
-                    self._bucket_pos = pos
-                    handle = entry[2]
-                    if handle is not None:
-                        if handle.cancelled:
-                            self._cancelled_in_bucket -= 1
-                            continue
-                        handle.fired = True
-                    entry[3]()
-                    continue
-            elif drain:
+            if drain:
                 entry = drain[-1]
                 if queue and queue[0] < entry:
                     # A callback scheduled something earlier than
@@ -399,83 +288,10 @@ class Simulator:
                 handle.fired = True
             self._now = entry[0]
             entry[3]()
-
-    def _drain_loop_observed(self, until_ps: Optional[int],
-                             observer) -> None:
-        """:meth:`_drain_loop` plus an observer hook after each event.
-
-        A structural duplicate of the fast loop (kept in lockstep —
-        any dispatch change must land in both) so attaching telemetry
-        costs the unobserved path nothing.  ``event_fired`` receives
-        the post-dispatch queue depth; the observer decides how often
-        to materialise it into a counter track.
-        """
-        queue = self._queue
-        drain = self._drain
-        bucket = self._bucket
-        pop = heapq.heappop
-        while True:
-            if bucket:
-                now = self._now
-                if drain and drain[-1][0] == now:
-                    if queue and queue[0] < drain[-1]:
-                        entry = pop(queue)
-                    else:
-                        entry = drain.pop()
-                elif queue and queue[0][0] == now:
-                    entry = pop(queue)
-                else:
-                    pos = self._bucket_pos
-                    entry = bucket[pos]
-                    pos += 1
-                    if pos == len(bucket):
-                        bucket.clear()
-                        pos = 0
-                    self._bucket_pos = pos
-                    handle = entry[2]
-                    if handle is not None:
-                        if handle.cancelled:
-                            self._cancelled_in_bucket -= 1
-                            continue
-                        handle.fired = True
-                    entry[3]()
-                    observer.event_fired(
-                        self._now,
-                        len(queue) + len(drain) - self._cancelled_in_queue
-                        + len(bucket) - self._bucket_pos
-                        - self._cancelled_in_bucket)
-                    continue
-            elif drain:
-                entry = drain[-1]
-                if queue and queue[0] < entry:
-                    entry = queue[0]
-                    if until_ps is not None and entry[0] > until_ps:
-                        break
-                    pop(queue)
-                else:
-                    if until_ps is not None and entry[0] > until_ps:
-                        break
-                    drain.pop()
-            elif queue:
-                queue.sort()
-                drain.extend(reversed(queue))
-                queue.clear()
-                continue
-            else:
-                break
-            handle = entry[2]
-            if handle is not None:
-                if handle.cancelled:
-                    self._cancelled_in_queue -= 1
-                    continue
-                handle.fired = True
-            self._now = entry[0]
-            entry[3]()
-            observer.event_fired(
-                self._now,
-                len(queue) + len(drain) - self._cancelled_in_queue
-                + len(bucket) - self._bucket_pos
-                - self._cancelled_in_bucket)
+            if observer is not None:
+                observer.event_fired(
+                    self._now,
+                    len(queue) + len(drain) - self._cancelled_in_queue)
 
     def run_until_idle(self) -> int:
         """Drain every pending event; convenience alias of :meth:`run`."""
@@ -483,12 +299,13 @@ class Simulator:
 
     def step(self) -> bool:
         """Execute the single next event.  Returns ``False`` when idle."""
-        while self._queue or self._drain:
-            if self._drain and not (self._queue
-                                    and self._queue[0] < self._drain[-1]):
-                time_ps, _seq, handle, callback = self._drain.pop()
-            else:
-                time_ps, _seq, handle, callback = heapq.heappop(self._queue)
+        if self._running:
+            raise SimulationError(
+                "simulator is already running (reentrant step)")
+        # Outside run() the drain stack is always empty: run() merges
+        # it back into the heap on exit.
+        while self._queue:
+            time_ps, _seq, handle, callback = heapq.heappop(self._queue)
             if handle is not None:
                 if handle.cancelled:
                     self._cancelled_in_queue -= 1
@@ -499,19 +316,13 @@ class Simulator:
             return True
         return False
 
-    def _note_cancelled(self, handle: "ScheduledEvent") -> None:
+    def _note_cancelled(self) -> None:
         """Bookkeeping hook called by :meth:`ScheduledEvent.cancel`.
 
         When more than half of a non-trivial queue is dead weight, the
         heap is rebuilt without the cancelled entries (lazy
         compaction), bounding memory for schedule-and-cancel loops.
-        Bucket-resident handles only bump their own counter — the
-        bucket drains within the current instant, so it never needs
-        compaction.
         """
-        if handle.in_bucket:
-            self._cancelled_in_bucket += 1
-            return
         self._cancelled_in_queue += 1
         queue = self._queue
         drain = self._drain
@@ -531,8 +342,7 @@ class Simulator:
 class ScheduledEvent:
     """Handle returned by :meth:`Simulator.at`; supports cancellation."""
 
-    __slots__ = ("time_ps", "_callback", "cancelled", "fired", "_sim",
-                 "in_bucket")
+    __slots__ = ("time_ps", "_callback", "cancelled", "fired", "_sim")
 
     def __init__(self, time_ps: int, callback: Callback,
                  sim: Optional[Simulator] = None) -> None:
@@ -541,10 +351,6 @@ class ScheduledEvent:
         self.cancelled = False
         self.fired = False
         self._sim = sim
-        #: True while the entry lives in the kernel's now bucket (set
-        #: by :meth:`Simulator.at`, cleared if merged back to the heap)
-        #: so cancellation bookkeeping hits the right counter.
-        self.in_bucket = False
 
     def cancel(self) -> None:
         """Prevent the event from firing (no-op if it already fired)."""
@@ -552,16 +358,10 @@ class ScheduledEvent:
             return
         self.cancelled = True
         if self._sim is not None:
-            self._sim._note_cancelled(self)
+            self._sim._note_cancelled()
 
     def fire(self) -> None:
         if self.cancelled or self.fired:
             return
         self.fired = True
         self._callback()
-
-    def __lt__(self, other: "ScheduledEvent") -> bool:
-        # heapq compares tuples element-wise; the sequence number always
-        # breaks ties before reaching the handle, but heapq still
-        # requires the entries to be orderable on some platforms.
-        return self.time_ps < other.time_ps

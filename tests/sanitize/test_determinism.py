@@ -125,6 +125,26 @@ def test_perturbation_seeds_change_tie_break_order():
             baseline = tuple(order)
     assert len(permutations) > 1
 
+    # Same-instant children scheduled from inside a running callback
+    # are shuffled too, but never ahead of the parent that made them.
+    permutations = set()
+    for seed in range(8):
+        sim = Simulator()
+        sim._perturb = random.Random(seed)
+        order = []
+
+        def parent():
+            order.append("parent")
+            for label in "abcde":
+                sim.call_at(sim.now,
+                            lambda label=label: order.append(label))
+
+        sim.call_at(50, parent)
+        sim.run()
+        assert order[0] == "parent"
+        permutations.add(tuple(order))
+    assert len(permutations) > 1
+
 
 def test_perturbation_never_reorders_across_instants():
     import random

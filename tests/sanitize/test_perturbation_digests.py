@@ -2,7 +2,7 @@
 
 Satellite of the sanitizer PR: the Fig. 5 bandwidth scenarios (mode i
 preloaded and mode ii compressed) are digest-pinned elsewhere; here we
-re-run them under seeded now-bucket/heap tie-break perturbation on
+re-run them under seeded same-instant tie-break perturbation on
 every available backend and require byte-identical event-stream and
 output digests — i.e. the models' results depend only on orderings
 the kernel actually guarantees.

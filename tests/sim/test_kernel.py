@@ -252,6 +252,17 @@ def test_events_scheduled_mid_run_interleave_with_drain(sim):
     assert order == ["wedge-now", 1, 2, "wedged", 3, 4, 5]
 
 
+def test_step_inside_run_rejected(sim):
+    def inner():
+        with pytest.raises(SimulationError):
+            sim.step()
+
+    sim.at(5, inner)
+    sim.at(6, lambda: None)
+    sim.run()
+    assert sim.pending_events == 0
+
+
 def test_cancel_during_run_skips_event(sim):
     fired = []
     victim = sim.at(20, lambda: fired.append("victim"))
@@ -261,11 +272,11 @@ def test_cancel_during_run_skips_event(sim):
     assert fired == ["after"]
 
 
-# -- now-bucket fast path ----------------------------------------------
-# Events scheduled at exactly ``now`` while run() dispatches divert to
-# a FIFO bucket instead of the heap.  The tests below pin the ordering
-# contract: heap/drain entries at the current instant predate every
-# bucket entry, and within the bucket scheduling order is fire order.
+# -- same-instant events scheduled mid-run -----------------------------
+# Events scheduled at exactly ``now`` while run() dispatches.  The tests
+# below pin the ordering contract: entries already queued for the
+# current instant fire before every one scheduled mid-run, and among
+# those scheduling order is fire order.
 
 
 def test_same_instant_storm_fires_fifo(sim):
@@ -275,7 +286,7 @@ def test_same_instant_storm_fires_fifo(sim):
         order.append("head")
         for label in "abc":
             sim.at(10, lambda label=label: order.append(label))
-        # Cascade: a bucket callback appending more same-instant work.
+        # Cascade: a same-instant callback appending more of them.
         sim.at(10, lambda: sim.at(10, lambda: order.append("tail")))
 
     sim.at(10, storm)
@@ -285,13 +296,13 @@ def test_same_instant_storm_fires_fifo(sim):
     assert sim.pending_events == 0
 
 
-def test_pre_queued_same_time_precedes_bucket(sim):
+def test_pre_queued_same_time_precedes_mid_run_scheduled(sim):
     order = []
 
     def first():
         order.append("first")
-        # Lands in the bucket, but the pre-queued "second" at the same
-        # instant carries a lower sequence and must fire before it.
+        # Scheduled for the current instant, but the pre-queued
+        # "second" carries a lower sequence and must fire before it.
         sim.at(10, lambda: order.append("bucketed"))
 
     sim.at(10, first)
@@ -300,7 +311,7 @@ def test_pre_queued_same_time_precedes_bucket(sim):
     assert order == ["first", "second", "bucketed"]
 
 
-def test_bucket_respects_until_bound(sim):
+def test_same_instant_mid_run_respects_until_bound(sim):
     order = []
 
     def storm():
@@ -318,7 +329,7 @@ def test_bucket_respects_until_bound(sim):
     assert order == ["now", "same-instant", "next-instant"]
 
 
-def test_cancel_inside_bucket(sim):
+def test_cancel_same_instant_mid_run(sim):
     order = []
 
     def storm():
@@ -333,7 +344,7 @@ def test_cancel_inside_bucket(sim):
     assert sim.pending_events == 0
 
 
-def test_pending_events_counts_bucket_mid_run(sim):
+def test_pending_events_counts_same_instant_mid_run(sim):
     depths = []
 
     def storm():
@@ -342,7 +353,7 @@ def test_pending_events_counts_bucket_mid_run(sim):
 
     sim.at(10, storm)
     sim.run()
-    # Each bucket callback sees the ones still queued behind it.
+    # Each same-instant callback sees the ones still queued behind it.
     assert depths == [2, 1, 0]
 
 
@@ -364,7 +375,7 @@ def test_schedule_batch_partitions_same_instant_mid_run(sim):
     assert order == ["head", "bucket-a", "bucket-b", "heap"]
 
 
-def test_exception_merges_bucket_remnant_into_queue(sim):
+def test_exception_keeps_same_instant_remnant_queued(sim):
     order = []
 
     def storm():
@@ -377,11 +388,11 @@ def test_exception_merges_bucket_remnant_into_queue(sim):
     sim.at(10, storm)
     with pytest.raises(RuntimeError):
         sim.run()
-    # The undispatched bucket entries survive the abort on the heap...
+    # The undispatched same-instant entries survive the abort...
     assert sim.pending_events == 2
     sim.run()
     # ...and fire later in their original FIFO order, minus the
-    # cancellation recorded while they sat in the bucket.
+    # cancellation recorded before the abort.
     assert order == ["survivor-a", "survivor-b"]
     assert sim.pending_events == 0
 
@@ -425,6 +436,6 @@ def test_observed_drain_matches_unobserved_for_storm():
     assert observed_order == plain_order
     assert len(observed.observer.fired) == len(plain_order)
     # Depth reported to the observer is the true pending count after
-    # each dispatch, bucket share included.
+    # each dispatch.
     assert [depth for _, depth in observed.observer.fired] == \
         [5, 4, 3, 2, 1, 0]
