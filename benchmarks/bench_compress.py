@@ -2,10 +2,10 @@
 
 Times ``compress`` and ``decompress`` for every kernelised codec
 (X-MatchPRO, LZ77, Huffman, RLE) over the payload of a generated
-partial bitstream, under each requested accel backend (pure, numpy,
-and the compiled native extension when built), and verifies on the
-fly that the compressed streams are byte-identical across backends —
-a throughput number measured on diverging outputs is meaningless.
+partial bitstream, under each requested accel backend (pure, and the
+compiled native extension when built), and verifies on the fly that
+the compressed streams are byte-identical across backends — a
+throughput number measured on diverging outputs is meaningless.
 
 Standalone on purpose (pytest imports this module when collecting
 ``benchmarks/`` but finds no tests): the CI smoke job and the
@@ -15,9 +15,8 @@ committed ``BENCH_compress.json`` both come from::
         --backend all --output BENCH_compress.json
 
 ``--quick`` shrinks the payload and repeats for a smoke-level run;
-``--backend all`` times every *installed* backend, so it works on a
-numpy-free or toolchain-free install; ``--backend both`` is the
-historical pure+numpy pair.
+``--backend all`` times every *available* backend, so it works on a
+toolchain-free install.
 """
 
 from __future__ import annotations
@@ -111,17 +110,7 @@ def resolve_backends(choice: str) -> Optional[List[str]]:
     """Map the ``--backend`` flag to installed backends (None: usage
     error, already reported)."""
     if choice == "all":
-        return (["pure"]
-                + (["numpy"] if accel.numpy_available() else [])
-                + (["native"] if accel.native_available() else []))
-    if choice == "both":
-        # Historical pure+numpy pair; degrades to pure-only rather
-        # than failing on a numpy-free install.
-        return ["pure"] + (["numpy"] if accel.numpy_available() else [])
-    if choice == "numpy" and not accel.numpy_available():
-        print("numpy backend requested but numpy is not installed",
-              file=sys.stderr)
-        return None
+        return accel.available_backends()
     if choice == "native" and not accel.native_available():
         print("native backend requested but the extension is not "
               "built (python -m repro.accel._native.build)",
@@ -132,9 +121,7 @@ def resolve_backends(choice: str) -> Optional[List[str]]:
 
 def main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--backend",
-                        choices=("pure", "numpy", "native", "both",
-                                 "all"),
+    parser.add_argument("--backend", choices=("pure", "native", "all"),
                         default="all")
     parser.add_argument("--quick", action="store_true",
                         help="small payload, fewer repeats (CI smoke)")

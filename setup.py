@@ -2,7 +2,7 @@ from setuptools import setup, find_packages
 
 # The compiled accel kernels are strictly optional: only wire the
 # cffi build hook in when cffi is importable, so a base install never
-# needs a C toolchain and degrades to the numpy/pure backends.
+# needs a C toolchain and degrades to the pure backend.
 try:
     import cffi  # noqa: F401
     cffi_kwargs = {

@@ -9,11 +9,9 @@ implementations:
 
 * :mod:`repro.accel.pure` — tuned stdlib Python, always available,
   and the semantic reference;
-* :mod:`repro.accel.numpy_backend` — vectorised numpy, used
-  automatically when numpy is importable;
 * :mod:`repro.accel.native_backend` — compiled C (cffi) for the
-  sequential loops numpy cannot vectorise, used automatically when
-  the optional extension is built (``pip install .[native]`` or
+  kernels where C measurably wins, used automatically when the
+  optional extension is built (``pip install .[native]`` or
   ``python -m repro.accel._native.build``).
 
 The backends are **byte-identical**: every golden digest, cache key
@@ -22,16 +20,14 @@ choice is purely a speed decision and never enters sweep cache keys.
 
 Selection precedence: an explicit :func:`select` (the CLI's
 ``--backend`` flag) wins over the ``REPRO_BACKEND`` environment
-variable, which wins over auto-detection (native if built, else numpy
-if importable, else pure).  Kernel dispatches record
-``accel.<backend>.<kernel>.calls`` /
+variable, which wins over auto-detection (native if built, else
+pure).  Kernel dispatches record ``accel.<backend>.<kernel>.calls`` /
 ``.bytes`` counters in the active :mod:`repro.obs` metrics registry,
 so an observed run shows which backend served it and how much data
 each kernel moved.
 
-numpy itself may only be imported inside this package (lint rule
-A601); everything else goes through the dispatch functions below or
-through :func:`active` for per-call-site inner loops.
+Everything outside this package goes through the dispatch functions
+below or through :func:`active` for per-call-site inner loops.
 """
 
 from __future__ import annotations
@@ -67,7 +63,6 @@ __all__ = [
     "lz77_tokens",
     "match_lengths",
     "native_available",
-    "numpy_available",
     "record",
     "rle_decode",
     "rle_records",
@@ -81,20 +76,11 @@ __all__ = [
 ]
 
 BACKEND_ENV = "REPRO_BACKEND"
-_BACKEND_NAMES = ("pure", "numpy", "native")
+_BACKEND_NAMES = ("pure", "native")
 
 _forced: Optional[str] = None       # select()/CLI override, resolved name
 _active: Optional[ModuleType] = None
 _active_name = "pure"
-
-
-def numpy_available() -> bool:
-    """True when the numpy backend could be loaded."""
-    try:
-        import numpy  # noqa: F401  (availability probe only)
-    except ImportError:
-        return False
-    return True
 
 
 def native_available() -> bool:
@@ -109,8 +95,6 @@ def native_available() -> bool:
 def available_backends() -> List[str]:
     """Backend names loadable in this environment, pure first."""
     names = ["pure"]
-    if numpy_available():
-        names.append("numpy")
     if native_available():
         names.append("native")
     return names
@@ -119,15 +103,6 @@ def available_backends() -> List[str]:
 def _load(name: str) -> ModuleType:
     if name == "pure":
         return pure
-    if name == "numpy":
-        try:
-            from repro.accel import numpy_backend
-        except ImportError as exc:
-            raise AccelError(
-                "backend 'numpy' requested but numpy is not installed "
-                "(pip install repro-uparc[accel])"
-            ) from exc
-        return numpy_backend
     if name == "native":
         try:
             from repro.accel import native_backend
@@ -160,12 +135,7 @@ def _resolve() -> ModuleType:
                 )
             name = env
     if name is None:
-        if native_available():
-            name = "native"
-        elif numpy_available():
-            name = "numpy"
-        else:
-            name = "pure"
+        name = "native" if native_available() else "pure"
     module = _load(name)
     _active = module
     _active_name = name
@@ -181,7 +151,7 @@ def active() -> ModuleType:
 
 
 def backend_name() -> str:
-    """Resolved backend name (``pure``, ``numpy`` or ``native``)."""
+    """Resolved backend name (``pure`` or ``native``)."""
     if _active is None:
         _resolve()
     return _active_name
@@ -192,9 +162,9 @@ def select(name: Optional[str]) -> str:
 
     ``None`` or ``"auto"`` clears any previous force and re-runs the
     normal precedence (environment variable, then auto-detection).
-    Requesting ``"numpy"`` without numpy installed, or ``"native"``
-    without the compiled extension built, raises
-    :class:`~repro.errors.AccelError`.
+    An unknown name or environment value, or ``"native"`` without the
+    compiled extension built, raises :class:`~repro.errors.AccelError`
+    and leaves the previous selection in place.
     """
     global _forced, _active
     if name not in (None, "auto") and name not in _BACKEND_NAMES:
@@ -202,9 +172,14 @@ def select(name: Optional[str]) -> str:
             f"unknown accel backend {name!r}; "
             f"choose from {('auto',) + _BACKEND_NAMES}"
         )
+    saved = (_forced, _active, _active_name)
     _forced = None if name in (None, "auto") else name
     _active = None
-    return backend_name()
+    try:
+        return backend_name()
+    except AccelError:
+        _restore(saved)
+        raise
 
 
 @contextmanager

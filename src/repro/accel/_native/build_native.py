@@ -46,6 +46,13 @@ int64_t uparc_lz77_tokens(const uint8_t *data, size_t len,
                           int min_match, int max_chain,
                           uint64_t *values, uint8_t *widths,
                           int32_t *head, int32_t *prev);
+int64_t uparc_synthesize_payload(const uint8_t *kinds,
+                                 const uint32_t *values,
+                                 const uint32_t *lengths, size_t op_count,
+                                 size_t frame_words, uint8_t *out,
+                                 size_t cap_words);
+int64_t uparc_rle_records(const uint8_t *data, size_t word_count,
+                          uint8_t *out);
 int uparc_xmatch_decode(const uint8_t *body, size_t body_len,
                         int64_t output_length, int capacity,
                         uint8_t **out_ptr, int64_t *out_len,

@@ -1,4 +1,4 @@
-"""Compiled-C backend for the sequential datapath kernels.
+"""Compiled-C backend for the datapath kernels.
 
 Byte-identical to :mod:`repro.accel.pure` by construction — the C
 kernels in ``repro/accel/_native/uparc_kernels.c`` port the reference
@@ -13,12 +13,12 @@ tuned pure form wins (the FFI call plus buffer setup costs ~1 µs).
 Importing this module requires the compiled extension
 (``python -m repro.accel._native.build`` or the ``native`` install
 extra); :func:`repro.accel.native_available` probes for it and the
-selection logic falls back to numpy/pure when it is missing.
+selection logic falls back to pure when it is missing.
 
-Kernels with no sequential carried state (``synthesize_payload``, the
-run scans, ``match_lengths``…) delegate to the numpy backend when
-numpy is importable and to pure otherwise: the native backend never
-*loses* to auto-detection's next-best choice.
+Kernels with no C form (the word-run scans, word packing, frame
+chunking, ``match_lengths``, the Huffman code table) forward to pure:
+on every measured workload they are either never called under this
+backend or already as fast as a C port would make them.
 """
 
 from __future__ import annotations
@@ -31,11 +31,6 @@ from repro.accel._native import _uparc_native
 from repro.accel.plan import SynthesisPlan
 from repro.errors import CorruptStreamError
 
-try:
-    from repro.accel import numpy_backend as _vector
-except ImportError:  # pragma: no cover - exercised on no-numpy installs
-    _vector = pure  # type: ignore[assignment]
-
 name = "native"
 
 ffi = _uparc_native.ffi
@@ -45,13 +40,13 @@ _lib.uparc_init()
 # Below these sizes the pure kernels win (the crossover sentinels in
 # tests/accel/test_crossover.py pin the ordering on both sides);
 # outputs are identical either way, so the cutovers only affect speed.
-# The FFI call itself costs well under 1 µs, so most cutovers sit far
-# lower than the numpy backend's: the measured crossovers are 2-8
-# elements for everything except the kernels that pay a fixed Python-
-# side conversion per call (huffman_pack converts two 256-entry code
-# tables; lz77_tokens allocates its 128 KB hash-head array) and
-# rle_decode, whose pure form does one bulk ``word * run`` per record
-# and only loses once the stream holds a few dozen records.
+# The FFI call itself costs well under 1 µs, so the measured
+# crossovers are 2-16 elements for everything except the kernels that
+# pay a fixed Python-side conversion per call (huffman_pack converts
+# two 256-entry code tables; lz77_tokens allocates its 128 KB
+# hash-head array) and rle_decode, whose pure form does one bulk
+# ``word * run`` per record and only loses once the stream holds a few
+# dozen records.
 _CRC_MIN_BYTES = 4
 _BITPACK_MIN_TOKENS = 8
 _HUFF_PACK_MIN_BYTES = 128
@@ -61,6 +56,12 @@ _XMATCH_DEC_MIN_BYTES = 8
 _LZ77_DEC_MIN_BYTES = 8
 _HUFF_DEC_MIN_BYTES = 8
 _RLE_DEC_MIN_BYTES = 64
+_SYNTH_MIN_WORDS = 16
+_RLE_MIN_WORDS = 2
+
+# The C synthesis kernel reads the plan's array("I") values and
+# lengths as uint32_t, which only holds where that typecode is 4 bytes.
+_PLAN_ITEMS_ARE_32_BIT = array("I").itemsize == 4
 
 # Decoder status codes, mirroring uparc_kernels.c.
 _OK = 0
@@ -139,49 +140,68 @@ def crc32c(data: bytes, crc: int = 0) -> int:
                              len(data), crc & 0xFFFFFFFF)
 
 
-# -- kernels without sequential carried state ---------------------------
-# The vector (or pure) forms already are the fastest known shapes;
-# porting them to C would duplicate work for no measured gain.
+# -- pure forwarders ----------------------------------------------------
+# No measured workload gains from a C form of these (see the module
+# docstring); they stay defs so the backend mirrors every pure kernel.
 
 
 def words_to_bytes(words: Sequence[int]) -> bytes:
-    return _vector.words_to_bytes(words)
+    return pure.words_to_bytes(words)
 
 
 def bytes_to_words(data: bytes) -> List[int]:
-    return _vector.bytes_to_words(data)
-
-
-def synthesize_payload(plan: SynthesisPlan) -> bytes:
-    return _vector.synthesize_payload(plan)
+    return pure.bytes_to_words(data)
 
 
 def equal_word_runs(data: bytes, word_count: int) -> List[int]:
-    return _vector.equal_word_runs(data, word_count)
+    return pure.equal_word_runs(data, word_count)
 
 
 def zero_word_runs(data: bytes,
                    word_count: int) -> Tuple[List[int], List[int]]:
-    return _vector.zero_word_runs(data, word_count)
+    return pure.zero_word_runs(data, word_count)
 
 
 def match_lengths(data: bytes, candidates: Sequence[int],
                   position: int, limit: int) -> List[int]:
-    return _vector.match_lengths(data, candidates, position, limit)
+    return pure.match_lengths(data, candidates, position, limit)
 
 
 def chunk_words(block: Sequence[int], offset: int,
                 frame_words: int) -> Tuple[List[List[int]], List[int]]:
-    return _vector.chunk_words(block, offset, frame_words)
+    return pure.chunk_words(block, offset, frame_words)
 
 
 def huffman_code_table(frequencies: Sequence[int]
                        ) -> Tuple[List[int], List[int]]:
-    return _vector.huffman_code_table(frequencies)
+    return pure.huffman_code_table(frequencies)
+
+
+# -- word streams -------------------------------------------------------
+
+
+def synthesize_payload(plan: SynthesisPlan) -> bytes:
+    if plan.total_words < _SYNTH_MIN_WORDS or not _PLAN_ITEMS_ARE_32_BIT:
+        return pure.synthesize_payload(plan)
+    out = ffi.new("uint8_t[]", 4 * plan.total_words)
+    written = _lib.uparc_synthesize_payload(
+        ffi.from_buffer("uint8_t[]", plan.kinds),
+        ffi.from_buffer("uint32_t[]", plan.values),
+        ffi.from_buffer("uint32_t[]", plan.lengths),
+        min(len(plan.kinds), len(plan.values), len(plan.lengths)),
+        plan.frame_words, out, plan.total_words)
+    if written < 0:  # a COPY before the first frame: pure's slice rules
+        return pure.synthesize_payload(plan)
+    return bytes(ffi.buffer(out, 4 * written))
 
 
 def rle_records(data: bytes, word_count: int) -> bytes:
-    return _vector.rle_records(data, word_count)
+    if word_count < _RLE_MIN_WORDS or 4 * word_count > len(data):
+        return pure.rle_records(data, word_count)
+    out = ffi.new("uint8_t[]", 5 * word_count + 8)
+    written = _lib.uparc_rle_records(
+        ffi.from_buffer("uint8_t[]", data), word_count, out)
+    return bytes(ffi.buffer(out, written))
 
 
 # -- bit packing --------------------------------------------------------
@@ -219,7 +239,7 @@ def bitpack(values: Sequence[int], widths: Sequence[int]) -> bytes:
 def huffman_pack(data: bytes, codes: Sequence[int],
                  lengths: Sequence[int]) -> bytes:
     if len(data) < _HUFF_PACK_MIN_BYTES or max(lengths) > 64:
-        return _vector.huffman_pack(data, codes, lengths)
+        return pure.huffman_pack(data, codes, lengths)
     out = ffi.new("uint8_t[]", 8 * len(data) + 1)
     written = _lib.uparc_huffman_pack(
         ffi.from_buffer("uint8_t[]", data), len(data),
@@ -234,7 +254,7 @@ def huffman_pack(data: bytes, codes: Sequence[int],
 def xmatch_tokens(data: bytes, word_count: int,
                   capacity: int) -> "pure.TokenStream":
     if word_count < _XMATCH_MIN_WORDS or not 2 <= capacity <= 64:
-        return _vector.xmatch_tokens(data, word_count, capacity)
+        return pure.xmatch_tokens(data, word_count, capacity)
     values = ffi.new("uint64_t[]", word_count + 8)
     widths = ffi.new("uint8_t[]", word_count + 8)
     count = _lib.uparc_xmatch_tokens(
@@ -250,8 +270,8 @@ def lz77_tokens(data: bytes, window_bits: int, length_bits: int,
     # (match token past 64 bits) only exist in property tests.
     if (length < _LZ77_MIN_BYTES or min_match > 8 or min_match < 1
             or window_bits + length_bits + 1 > 64):
-        return _vector.lz77_tokens(data, window_bits, length_bits,
-                                   min_match, max_chain)
+        return pure.lz77_tokens(data, window_bits, length_bits,
+                                min_match, max_chain)
     values = ffi.new("uint64_t[]", length + 1)
     widths = ffi.new("uint8_t[]", length + 1)
     head = ffi.new("int32_t[]", 1 << 15)

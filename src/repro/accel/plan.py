@@ -10,8 +10,9 @@ the planner records one op per run into this container, and
 bytes.
 
 Ops live in ``array`` typed arrays rather than Python lists so the
-numpy backend can view them zero-copy (``np.frombuffer``); the pure
-backend just iterates them.  Two op kinds cover the whole mixture:
+native backend can hand them to C zero-copy (``ffi.from_buffer``);
+the pure backend just iterates them.  Two op kinds cover the whole
+mixture:
 
 * ``FILL``  — ``length`` repetitions of ``value`` (zero runs, motif
   runs, and single texture/LUT words are all fills);

@@ -1,6 +1,6 @@
 """Pure-Python reference backend for the datapath kernels.
 
-Every kernel here is the *definition* of its operation: the numpy
+Every kernel here is the *definition* of its operation: the native
 backend must reproduce these outputs byte-for-byte, and the
 cross-backend equivalence tests enforce that.  The implementations are
 the tuned stdlib forms that previously lived inline in the bitstream
@@ -29,8 +29,8 @@ from repro.accel.plan import COPY, SynthesisPlan
 name = "pure"
 
 #: Token stream: parallel typed arrays of (value, bit-width) pairs.
-#: ``array("Q")`` values / ``array("B")`` widths — the numpy backend
-#: views both zero-copy, the same trick :class:`SynthesisPlan` uses.
+#: ``array("Q")`` values / ``array("B")`` widths, the same typed-array
+#: layout :class:`SynthesisPlan` uses.
 TokenStream = Tuple["array", "array"]
 
 _POLY_REFLECTED = 0x82F63B78  # CRC-32C (Castagnoli), reflected form
@@ -318,20 +318,8 @@ def xmatch_tokens(data: bytes, word_count: int,
     ``BitWriter`` stream.  Long zero-run tokens are split across array
     entries (the bit stream is a plain concatenation, so the split is
     invisible); every width is <= 58 bits.
-    """
-    words = list(struct.unpack(">%dI" % word_count,
-                               data[:word_count * 4]))
-    starts, lengths = zero_word_runs(data, word_count)
-    return _xmatch_scan(words, dict(zip(starts, lengths)), capacity)
 
-
-def _xmatch_scan(words: List[int], zero_runs: Dict[int, int],
-                 capacity: int) -> TokenStream:
-    """The X-MatchPRO coding loop over pre-scanned zero runs.
-
-    Shared with the numpy backend, which passes vectorised zero-run
-    positions; everything here is the semantic reference.  Two
-    scan-level collapses keep the hot loop short:
+    Two scan-level collapses keep the hot loop short:
 
     * a repeated non-zero word is a full match at location 0 with a
       move-to-front no-op, so a run of equal words is a run of
@@ -341,6 +329,10 @@ def _xmatch_scan(words: List[int], zero_runs: Dict[int, int],
       scan finds every matching byte of every entry at once — a miss
       (the most common token) is detected without a per-entry loop.
     """
+    words = list(struct.unpack(">%dI" % word_count,
+                               data[:word_count * 4]))
+    starts, lengths = zero_word_runs(data, word_count)
+    zero_runs = dict(zip(starts, lengths))
     values = array("Q")
     widths = array("B")
     av = values.append
@@ -352,8 +344,7 @@ def _xmatch_scan(words: List[int], zero_runs: Dict[int, int],
     rep = _XM_REP
     m7f = _XM_M7F
     hi = _XM_HI
-    word_count = len(words)
-    packed = 0          # dictionary entry l at bits [32l, 32l + 32)
+    packed = 0         # dictionary entry l at bits [32l, 32l + 32)
     members = set()     # entries are always distinct (see _insert)
     size = 0
     ibits = 1
@@ -636,15 +627,10 @@ def rle_records(data: bytes, word_count: int) -> bytes:
     for longer runs — the exact record emission of
     :class:`repro.compress.rle.RleCodec`.
     """
-    return _rle_emit(data, equal_word_runs(data, word_count))
-
-
-def _rle_emit(data: bytes, runs: List[int]) -> bytes:
-    """Emit RLE records for pre-scanned equal-word runs."""
     out = bytearray()
     literals: List[bytes] = []
     index = 0
-    for run in runs:
+    for run in equal_word_runs(data, word_count):
         word = data[index * 4:index * 4 + 4]
         index += run
         if run >= _RLE_MIN_RUN:
@@ -687,8 +673,8 @@ def _rle_flush_literals(out: bytearray, literals: List[bytes]) -> None:
 #
 # The decompress loops of the four decompressor-library codecs.  They
 # are sequential by construction (every token's position depends on
-# every previous token), so the numpy backend delegates all four here
-# and the native backend is where they go fast.  Each kernel decodes
+# every previous token); the native backend runs the same state
+# machines in C.  Each kernel decodes
 # the *body* of a stream — header parsing and final length policy stay
 # in the codec — and raises :class:`~repro.errors.CorruptStreamError`
 # with the codec's historical messages at the historical points of

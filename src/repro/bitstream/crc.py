@@ -15,8 +15,8 @@ the shift-register level; any fixed convention preserves the checked
 property — detection of corrupted/mis-sequenced writes.)
 
 The byte-level folding is a :mod:`repro.accel` kernel: the pure
-backend keeps the slicing-by-8 table walk, the numpy backend folds
-64-byte chunks in parallel.  Both are bit-identical; this CRC runs
+backend keeps the slicing-by-8 table walk, the native backend runs
+the same tables in C.  Both are bit-identical; this CRC runs
 over every FDRI word of every simulated reconfiguration, so it
 dominates sweep time and is worth accelerating.
 """

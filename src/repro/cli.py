@@ -248,11 +248,11 @@ def build_parser() -> argparse.ArgumentParser:
         description="Regenerate the UPaRC paper's tables and figures.",
     )
     parser.add_argument(
-        "--backend", choices=("auto", "pure", "numpy", "native"),
+        "--backend", choices=("auto", "pure", "native"),
         default=None,
         help="datapath backend (default: auto — native when built, "
-             "else numpy when installed, else pure Python; outputs "
-             "are byte-identical whichever runs). The REPRO_BACKEND "
+             "else pure Python; outputs are byte-identical whichever "
+             "runs). The REPRO_BACKEND "
              "environment variable sets the same choice with lower "
              "precedence.")
     subparsers = parser.add_subparsers(dest="command", required=True)

@@ -11,7 +11,6 @@ Rule families:
 * ``P4xx`` (:mod:`repro.lint.rules.sweepsafety`) — process-safety of
   sweep workers, grids, and digest inputs.
 * ``C5xx`` (:mod:`repro.lint.rules.cachekeys`) — cache-key purity.
-* ``A6xx`` (:mod:`repro.lint.rules.accel`) — accelerator containment.
 * ``R7xx`` (:mod:`repro.lint.rules.races`) — scheduled-callback and
   sim-process order races, over the effect summaries.
 * ``B8xx`` (:mod:`repro.lint.rules.backend`) — accel backend-contract
@@ -19,7 +18,6 @@ Rule families:
 """
 
 from repro.lint.rules import (  # noqa: F401
-    accel,
     backend,
     cachekeys,
     determinism,

@@ -1,7 +1,7 @@
 """B-rules: accel backend-contract conformance.
 
 The datapath backend contract (``repro.accel``) is: ``pure.py`` is
-the semantic reference, ``numpy_backend.py`` mirrors every public
+the semantic reference, ``native_backend.py`` mirrors every public
 kernel signature byte-for-byte, the package ``__init__`` exposes one
 dispatch function per kernel that records observability counters, and
 *nobody else* imports a backend module directly — backend selection
@@ -10,10 +10,9 @@ equivalence guarantee silently stops covering the code that bypassed
 it.
 
 These rules verify the contract structurally, and generically: any
-package that contains both a ``pure`` and a ``numpy_backend``
-submodule is held to it, which is what lets the fixture packages (and
-the future codec backends of ROADMAP item 2) be checked by the exact
-code that checks ``repro.accel``.
+package that contains both a ``pure`` and a ``native_backend``
+submodule is held to it, which is what lets the fixture packages be
+checked by the exact code that checks ``repro.accel``.
 """
 
 from __future__ import annotations
@@ -29,11 +28,8 @@ from repro.lint.summaries import FunctionSummary, ModuleSummary
 #: The semantic-reference submodule every backend package must have.
 PURE = "pure"
 #: Registered implementation submodules that mirror the reference.
-#: ``native_backend`` is the ROADMAP phase-3 native backend — listed
-#: now so its package is held to the contract from its first commit.
-NUMPY = "numpy_backend"
 NATIVE = "native_backend"
-IMPL_BACKENDS = (NUMPY, NATIVE)
+IMPL_BACKENDS = (NATIVE,)
 
 
 def is_backend_package(index, pkg: str) -> bool:
@@ -47,9 +43,9 @@ def is_backend_package(index, pkg: str) -> bool:
 def backend_package_of(index, module_name: str) -> Optional[str]:
     """The backend package a module belongs to, if any.
 
-    ``pkg.pure`` / ``pkg.numpy_backend`` / ``pkg.native_backend`` /
-    ``pkg`` itself all map to ``pkg`` when the index knows the pure
-    reference plus at least one implementation submodule.
+    ``pkg.pure`` / ``pkg.native_backend`` / ``pkg`` itself all map to
+    ``pkg`` when the index knows the pure reference plus at least one
+    implementation submodule.
     """
     candidates = [module_name]
     head, _, tail = module_name.rpartition(".")

@@ -1,21 +1,18 @@
-"""Crossover sentinels: impl backends delegate exactly as measured.
+"""Crossover sentinels: the native backend delegates exactly as measured.
 
-Every numpy/native kernel either carries a size threshold below which
-the pure implementation wins, or delegates permanently because its
-fixed per-call overhead (list/bytes -> ndarray conversion for numpy,
-FFI argument shaping for native) never pays for itself.  These tests
-wrap the pure kernels in call recorders and pin the dispatch decision:
+Every native kernel either carries a size threshold below which the
+pure implementation wins, or forwards to pure permanently because no
+C form has been measured to pay for itself.  These tests wrap the pure
+kernels in call recorders and pin the dispatch decision:
 
 * below its crossover a kernel hands the call to pure,
-* at/above the crossover it takes the accelerated path (pure
-  untouched),
-* the permanent delegates (``chunk_words``, ``words_to_bytes``,
+* at/above the crossover it takes the C path (pure untouched),
+* the permanent forwarders (``chunk_words``, ``words_to_bytes``,
   ``huffman_code_table``, ``match_lengths``) hand over at *every*
-  size — the regression this file exists to prevent is a backend
-  being selected at a size where it loses.
+  size on every available backend — the regression this file exists
+  to prevent is a backend being selected at a size where it loses.
 
-Each backend's section skips cleanly when that backend is not
-installed.
+The native section skips cleanly when the extension is not built.
 """
 
 # The sentinel wrappers must patch the pure module directly, and the
@@ -28,19 +25,9 @@ from repro import accel
 from repro.accel import pure
 from repro.accel.plan import SynthesisPlan
 
-requires_numpy = pytest.mark.skipif(not accel.numpy_available(),
-                                    reason="numpy backend not installed")
 requires_native = pytest.mark.skipif(
     not accel.native_available(),
     reason="native extension not built")
-
-
-@pytest.fixture
-def numpy_backend():
-    if not accel.numpy_available():
-        pytest.skip("numpy backend not installed")
-    from repro.accel import numpy_backend
-    return numpy_backend
 
 
 @pytest.fixture
@@ -62,6 +49,13 @@ def _sentinel(monkeypatch, name):
 
     monkeypatch.setattr(pure, name, wrapper)
     return calls
+
+
+def _every_backend():
+    """Each available backend module in turn."""
+    for name in accel.available_backends():
+        with accel.using(name):
+            yield accel.active()
 
 
 def _plan(words):
@@ -96,46 +90,10 @@ _RLE_DATA = bytes(range(256)) * 2
 _RLE_RECORDS = pure.rle_records(_RLE_DATA, 128)
 
 # (pure kernel name, below-crossover args, at/above-crossover args):
-# args are passed identically to the impl kernel and to the pure
+# args are passed identically to the native kernel and to the pure
 # reference, so the above-crossover result can be checked against
-# pure without trusting the recorder.
-_NUMPY_CASES = [
-    ("crc32c",
-     (b"\x5a" * 100, 0),
-     (_BIG_DATA, 0)),
-    ("bytes_to_words",
-     (b"\x5a" * 100,),
-     (_BIG_DATA,)),
-    ("synthesize_payload",
-     (_plan(41),),
-     (_plan(4920),)),
-    ("equal_word_runs",
-     (b"\x11" * 64, 16),
-     (_BIG_DATA, 4608)),
-    ("zero_word_runs",
-     (b"\x00" * 64, 16),
-     (_BIG_DATA, 4608)),
-    ("bitpack",
-     ([1] * 8, [8] * 8),
-     (list(range(64)), [8] * 64)),
-    ("xmatch_tokens",
-     (b"\xab\xcd\xef\x01" * 16, 16, 8),
-     (_BIG_DATA, 4608, 8)),
-    ("lz77_tokens",
-     (b"\x42" * 100, 8, 4, 3, 8),
-     (_BIG_DATA, 8, 4, 3, 8)),
-    ("huffman_pack",
-     (bytes(value & 7 for value in range(100)),
-      _HUFF_CODES, _HUFF_LENGTHS),
-     (bytes(value & 7 for value in range(2048)),
-      _HUFF_CODES, _HUFF_LENGTHS)),
-    ("rle_records",
-     (b"\x11\x22\x33\x44" * 16, 16),
-     (_BIG_DATA, 4608)),
-]
-
-# The native FFI call costs well under a microsecond, so its cutovers
-# sit far below numpy's — the below-crossover inputs here are tiny.
+# pure without trusting the recorder.  The FFI call costs well under a
+# microsecond, so the below-crossover inputs here are tiny.
 _NATIVE_CASES = [
     ("crc32c",
      (b"\x5a" * 2, 0),
@@ -143,6 +101,12 @@ _NATIVE_CASES = [
     ("bitpack",
      ([1] * 4, [8] * 4),
      (list(range(64)), [8] * 64)),
+    ("synthesize_payload",
+     (_plan(8),),
+     (_plan(16),)),
+    ("rle_records",
+     (b"\x11\x22\x33\x44", 1),
+     (b"\x11\x22\x33\x44" * 2, 2)),
     ("xmatch_tokens",
      (b"\xab\xcd\xef\x01", 1, 8),
      (b"\xab\xcd\xef\x01" * 16, 16, 8)),
@@ -183,14 +147,6 @@ def _check_crossover(backend, monkeypatch, name, below_args, above_args):
     assert got_above == want_above
 
 
-@pytest.mark.parametrize("name,below_args,above_args", _NUMPY_CASES,
-                         ids=[case[0] for case in _NUMPY_CASES])
-def test_numpy_kernel_crossover(numpy_backend, monkeypatch,
-                                name, below_args, above_args):
-    _check_crossover(numpy_backend, monkeypatch, name, below_args,
-                     above_args)
-
-
 @pytest.mark.parametrize("name,below_args,above_args", _NATIVE_CASES,
                          ids=[case[0] for case in _NATIVE_CASES])
 def test_native_kernel_crossover(native_backend, monkeypatch,
@@ -211,15 +167,6 @@ def test_native_lz77_crossover(native_backend, monkeypatch):
                      (_BIG_DATA, 8, 4, 3, 8))
 
 
-def test_numpy_lz77_wide_match_window_delegates(numpy_backend,
-                                                monkeypatch):
-    # min_match > 8 exceeds the vectorised prefix-hash width, so the
-    # kernel must hand even large payloads back to pure.
-    calls = _sentinel(monkeypatch, "lz77_tokens")
-    numpy_backend.lz77_tokens(_BIG_DATA, 8, 6, 9, 8)
-    assert calls
-
-
 @requires_native
 def test_native_guard_delegations(native_backend, monkeypatch):
     # Layouts outside the C kernels' fixed-width assumptions must fall
@@ -238,49 +185,66 @@ def test_native_guard_delegations(native_backend, monkeypatch):
         pure.bitpack([1 << 70, 1], [71, 1])
     assert calls
 
+    # A COPY before the first frame reads before the start of the
+    # output, which only pure's list-slice rules define.
+    calls = _sentinel(monkeypatch, "synthesize_payload")
+    plan = SynthesisPlan(41)
+    plan.copy_previous(8)
+    plan.fill(7, 64)
+    native_backend.synthesize_payload(plan)
+    assert calls
+
+    # A word count past the end of the data is pure's to interpret.
+    calls = _sentinel(monkeypatch, "rle_records")
+    native_backend.rle_records(b"\x11\x22\x33\x44" * 4, 8)
+    assert calls
+
 
 @pytest.mark.parametrize("size", [0, 3, 16, 256, 4096])
-def test_chunk_words_delegates_at_every_size(numpy_backend,
-                                             monkeypatch, size):
-    # Regression sentinel: vectorised chunking lost to the pure
-    # implementation at every measured size (the list -> ndarray
-    # conversion dominates), so the numpy backend must never select
-    # its own path for this kernel.
+def test_chunk_words_delegates_at_every_size(monkeypatch, size):
+    # Regression sentinel: chunking a Python list is answered by the
+    # pure reference on every backend — the list -> buffer conversion
+    # costs more than any compiled or vectorised form saves.
     calls = _sentinel(monkeypatch, "chunk_words")
-    numpy_backend.chunk_words(list(range(size)), 0, 41)
-    assert calls, f"chunk_words must delegate to pure at size {size}"
+    for backend in _every_backend():
+        calls.clear()
+        backend.chunk_words(list(range(size)), 0, 41)
+        assert calls, \
+            f"{backend.name} chunk_words must delegate at size {size}"
 
 
 @pytest.mark.parametrize("size", [0, 8, 512, 8192])
-def test_words_to_bytes_delegates_at_every_size(numpy_backend,
-                                                monkeypatch, size):
+def test_words_to_bytes_delegates_at_every_size(monkeypatch, size):
     calls = _sentinel(monkeypatch, "words_to_bytes")
-    numpy_backend.words_to_bytes([0x01020304] * size)
-    assert calls, f"words_to_bytes must delegate to pure at size {size}"
+    for backend in _every_backend():
+        calls.clear()
+        backend.words_to_bytes([0x01020304] * size)
+        assert calls, \
+            f"{backend.name} words_to_bytes must delegate at size {size}"
 
 
-def test_huffman_code_table_always_delegates(numpy_backend, monkeypatch):
+def test_huffman_code_table_always_delegates(monkeypatch):
     # The input is a fixed 256-bin histogram; the heap build is too
-    # small for vectorisation to ever pay.
+    # small for a compiled form to ever pay.
     calls = _sentinel(monkeypatch, "huffman_code_table")
     histogram = [0] * 256
     histogram[0] = 90
     histogram[7] = 10
-    numpy_backend.huffman_code_table(histogram)
-    assert calls
+    for backend in _every_backend():
+        calls.clear()
+        backend.huffman_code_table(histogram)
+        assert calls, backend.name
 
 
 @pytest.mark.parametrize("work", [(3, 8), (64, 512)],
                          ids=["small", "large"])
-def test_match_lengths_always_delegates(numpy_backend, monkeypatch,
-                                        work):
-    # Permanent delegate since the native backend landed: the pure
-    # form's early-limit break beats the full candidate matrix on
-    # chain-shaped inputs at every measured size (0.07-0.16x for the
-    # vector form), so the one-time 1.08x best case no longer earns a
-    # threshold.
+def test_match_lengths_always_delegates(monkeypatch, work):
+    # The pure form's early-limit break usually ends the scan at the
+    # first candidate on the LZ chain walk's same-prefix candidate
+    # lists, so every backend answers with it at every size.
     count, limit = work
     calls = _sentinel(monkeypatch, "match_lengths")
-    numpy_backend.match_lengths(_BIG_DATA, list(range(count)), 8192,
-                                limit)
-    assert calls, "match_lengths must delegate to pure at every size"
+    for backend in _every_backend():
+        calls.clear()
+        backend.match_lengths(_BIG_DATA, list(range(count)), 8192, limit)
+        assert calls, f"{backend.name} match_lengths must delegate"

@@ -1,13 +1,12 @@
-"""Cross-backend equivalence: every impl backend is byte-identical to pure.
+"""Cross-backend equivalence: the native backend is byte-identical to pure.
 
 The pure backend is the semantic reference; these property tests pin
-every other *available* backend (numpy, and native when the compiled
-extension is built) to it bit-for-bit on randomised inputs.  Impl
-kernels delegate to pure below their size crossovers, so the fixture
-zeroes every threshold — each case exercises the accelerated code even
-on hypothesis-sized payloads.  Backends that are not installed are
-skipped per-parameter, so the suite degrades cleanly on a base
-install.
+the native backend (when the compiled extension is built) to it
+bit-for-bit on randomised inputs.  Native kernels delegate to pure
+below their size crossovers, so the fixture zeroes every threshold —
+each case exercises the C code even on hypothesis-sized payloads.
+Without the extension every case skips, so the suite degrades cleanly
+on a base install.
 """
 
 # The equivalence suite is the one place that must reach the backend
@@ -27,25 +26,12 @@ from repro.errors import CorruptStreamError
 from repro.units import DataSize
 
 
-def _impl_backends():
-    names = []
-    if accel.numpy_available():
-        names.append("numpy")
-    if accel.native_available():
-        names.append("native")
-    return names
-
-
-@pytest.fixture(autouse=True, params=["numpy", "native"])
+@pytest.fixture(autouse=True, params=["native"])
 def vectorised(request, monkeypatch):
-    """One impl backend per param, every delegation threshold removed."""
-    name = request.param
-    if name not in _impl_backends():
-        pytest.skip(f"{name} backend not installed")
-    if name == "numpy":
-        from repro.accel import numpy_backend as backend
-    else:
-        from repro.accel import native_backend as backend
+    """The native backend with every delegation threshold removed."""
+    if not accel.native_available():
+        pytest.skip("native extension not built")
+    from repro.accel import native_backend as backend
     for attribute in dir(backend):
         if attribute.startswith("_") and "_MIN_" in attribute \
                 and isinstance(getattr(backend, attribute), int):
@@ -147,8 +133,9 @@ def test_chunk_words_match(vectorised, block, offset, frame_words):
                           st.integers(min_value=0, max_value=0xFFFFFFFF),
                           st.integers(min_value=0, max_value=30)),
                 max_size=60),
-       st.integers(min_value=1, max_value=41))
-def test_synthesize_payload_matches(vectorised, ops, frame_words):
+       st.integers(min_value=1, max_value=41),
+       st.integers(min_value=0, max_value=4))
+def test_synthesize_payload_matches(vectorised, ops, frame_words, chain):
     plan = SynthesisPlan(frame_words)
     for is_copy, value, length in ops:
         # Copies are only meaningful once a previous frame exists.
@@ -156,13 +143,50 @@ def test_synthesize_payload_matches(vectorised, ops, frame_words):
             plan.copy_previous(min(length, frame_words))
         else:
             plan.fill(value, length)
+    if plan.total_words >= frame_words:
+        # Copy-of-copy chain: whole frames copied from frames that
+        # were themselves copied.
+        for _ in range(chain):
+            plan.copy_previous(frame_words)
     assert vectorised.synthesize_payload(plan) == \
         pure.synthesize_payload(plan)
 
 
+def _plan(frame_words, ops):
+    plan = SynthesisPlan(frame_words)
+    for kind, value, length in ops:
+        if kind == "copy":
+            plan.copy_previous(length)
+        else:
+            plan.fill(value, length)
+    return plan
+
+
+def test_synthesize_payload_boundaries(vectorised):
+    cases = (
+        _plan(4, []),                                    # empty
+        _plan(4, [("fill", 7, 1)]),                      # one word
+        # Copy-of-copy chain: every frame after the first copies the
+        # previous frame, which is itself a copy.
+        _plan(5, [("fill", 0xA5A5A5A5, 3), ("fill", 1, 2)]
+              + [("copy", 0, 5)] * 6),
+        # Partial copies interleaved with fills inside one frame.
+        _plan(6, [("fill", 9, 6), ("copy", 0, 2), ("fill", 3, 1),
+                  ("copy", 0, 3), ("copy", 0, 6)]),
+        # A COPY before the first frame exists reads before the start
+        # of the output: pure's slice rules apply.
+        _plan(8, [("copy", 0, 3), ("fill", 2, 8), ("copy", 0, 8)]),
+        # A COPY longer than a frame takes one frame, like the slice.
+        _plan(3, [("fill", 4, 3), ("copy", 0, 7), ("fill", 5, 2)]),
+    )
+    for plan in cases:
+        assert vectorised.synthesize_payload(plan) == \
+            pure.synthesize_payload(plan)
+
+
 def test_generator_digest_identical_across_backends(vectorised):
     digests = set()
-    for name in ["pure"] + _impl_backends():
+    for name in accel.available_backends():
         with accel.using(name):
             blob = generate_bitstream(size=DataSize.from_kb(16),
                                       seed=2012).file_bytes
@@ -273,8 +297,23 @@ def test_huffman_pack_boundaries(vectorised):
             pure.huffman_pack(data, codes, lengths)
 
 
+# Runs at the RLE record-format edges: a 3-word run (control 0x81),
+# the 129-word base ceiling, runs long enough for 0xFF extension
+# bytes (>= 129 + 255), and lone-word stretches that fill a literal
+# record of exactly 128 words or spill one past it.
+rle_runs = st.lists(
+    st.tuples(st.integers(min_value=0, max_value=0xFFFFFFFF),
+              st.sampled_from([1, 2, 3, 127, 128, 129, 130, 383, 384,
+                               385, 700]),
+              st.booleans()),
+    max_size=8,
+).map(lambda runs: [(word + offset) & 0xFFFFFFFF if distinct else word
+                    for word, length, distinct in runs
+                    for offset in range(length)])
+
+
 @quick
-@given(words, st.binary(max_size=3))
+@given(st.one_of(words, rle_runs), st.binary(max_size=3))
 def test_rle_records_match(vectorised, values, tail):
     data = pure.words_to_bytes(values) + tail
     assert vectorised.rle_records(data, len(values)) == \
@@ -282,11 +321,16 @@ def test_rle_records_match(vectorised, values, tail):
 
 
 def test_rle_records_boundaries(vectorised):
+    distinct = b"".join(index.to_bytes(4, "big") for index in range(129))
     cases = (
         b"",                          # empty
         b"\x01\x02\x03\x04",          # single word
         b"\xAA\xBB\xCC\xDD" * 200,    # one long all-equal run
         b"\x00\x00\x00\x00" * 129,    # exactly the base-run ceiling
+        b"\x01\x02\x03\x04" * 3,      # a 0x81 base run
+        b"\x05\x06\x07\x08" * 700,    # 0xFF extension bytes
+        distinct[:512],               # a literal block of exactly 128
+        distinct,                     # 128 literals plus one more
     )
     for data in cases:
         assert vectorised.rle_records(data, len(data) // 4) == \

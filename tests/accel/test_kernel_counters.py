@@ -28,16 +28,11 @@ EXPECTED_KERNELS = {
     "farm-rle": ("rle_records", "rle_decode"),
 }
 
-BACKENDS = (["pure"]
-            + (["numpy"] if accel.numpy_available() else [])
-            + (["native"] if accel.native_available() else []))
-
-
 def _bitstream():
     return generate_bitstream(size=DataSize.from_kb(6.5), seed=2012)
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("backend", accel.available_backends())
 @pytest.mark.parametrize("name", sorted(EXPECTED_KERNELS))
 def test_mode_ii_run_ticks_compressor_kernels(backend, name):
     with accel.using(backend):

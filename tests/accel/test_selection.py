@@ -1,5 +1,11 @@
 """Backend registry: selection precedence, validation, metrics."""
 
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro import accel
@@ -21,11 +27,7 @@ def test_pure_backend_always_available():
 
 
 def _auto_expected():
-    if accel.native_available():
-        return "native"
-    if accel.numpy_available():
-        return "numpy"
-    return "pure"
+    return "native" if accel.native_available() else "pure"
 
 
 def test_auto_prefers_fastest_available_backend():
@@ -40,11 +42,12 @@ def test_select_pure_forces_pure():
 
 
 def test_select_beats_environment(monkeypatch):
-    monkeypatch.setenv(accel.BACKEND_ENV, "pure")
-    if accel.numpy_available():
-        assert accel.select("numpy") == "numpy"
-    else:
-        assert accel.select("pure") == "pure"
+    # The environment names the other backend; an unbuilt native one
+    # would raise if it were read at all.
+    forced = _auto_expected()
+    monkeypatch.setenv(accel.BACKEND_ENV,
+                       "pure" if forced == "native" else "native")
+    assert accel.select(forced) == forced
 
 
 def test_environment_beats_auto(monkeypatch):
@@ -73,15 +76,35 @@ def test_invalid_environment_value_rejected(monkeypatch):
 def test_using_restores_previous_selection():
     accel.select("pure")
     with accel.using("auto") as name:
-        assert name in ("pure", "numpy", "native")
+        assert name in ("pure", "native")
     assert accel.backend_name() == "pure"
 
 
-def test_numpy_request_without_numpy_raises(monkeypatch):
-    if accel.numpy_available():
-        pytest.skip("numpy installed; covered by test_select_beats_environment")
-    with pytest.raises(AccelError):
-        accel.select("numpy")
+@pytest.mark.parametrize("source", ["select", "environment"])
+def test_numpy_is_not_a_backend(monkeypatch, source):
+    accel.select("pure")
+    choices = re.escape("('auto', 'pure', 'native')")
+    with pytest.raises(AccelError, match=choices):
+        if source == "select":
+            accel.select("numpy")
+        else:
+            monkeypatch.setenv(accel.BACKEND_ENV, "numpy")
+            accel.select(None)
+    assert accel.backend_name() == "pure"
+
+
+def test_no_backend_imports_numpy():
+    # A fresh interpreter, so modules other tests imported do not count.
+    probe = ("import sys; from repro import accel; "
+             "accel.select(accel.available_backends()[-1]); "
+             "accel.crc32c(bytes(64)); "
+             "print('numpy' in sys.modules)")
+    src = str(Path(accel.__file__).resolve().parents[2])
+    env = dict(os.environ, PYTHONPATH=src)
+    env.pop(accel.BACKEND_ENV, None)
+    result = subprocess.run([sys.executable, "-c", probe], env=env,
+                            capture_output=True, text=True, check=True)
+    assert result.stdout.strip() == "False"
 
 
 def test_native_request_without_extension_raises():

@@ -1,17 +1,17 @@
 """Cross-backend golden digests for the kernelised codecs.
 
 Each codec whose inner loop moved into the accel package must produce
-byte-identical streams under every available backend (pure, numpy,
-and native when the compiled extension is built), and the
-stream itself is frozen: these digests pin the on-wire format of a
-24 KB generated bitstream for every kernelised codec.  A mismatch
-means previously written compressed artifacts no longer decode — if
-the format changes on purpose, update the digest and bump the sweep
-cache format version.
+byte-identical streams under every available backend (pure, and
+native when the compiled extension is built), and the stream itself
+is frozen: these digests pin the on-wire format of a 24 KB generated
+bitstream for every kernelised codec.  A mismatch means previously
+written compressed artifacts no longer decode — if the format changes
+on purpose, update the digest and bump the sweep cache format
+version.
 
-The payload is large enough that every numpy kernel is above its
-delegation crossover, so the numpy digest genuinely exercises the
-vectorised paths rather than falling through to pure.
+The payload is large enough that every native kernel is above its
+delegation crossover, so the native digest genuinely exercises the C
+paths rather than falling through to pure.
 """
 
 import hashlib
@@ -47,10 +47,6 @@ PAYLOAD_DIGEST = \
 
 CODECS = [XMatchProCodec(), Lz77Codec(), HuffmanCodec(), RleCodec()]
 
-BACKENDS = (["pure"]
-            + (["numpy"] if accel.numpy_available() else [])
-            + (["native"] if accel.native_available() else []))
-
 
 @pytest.fixture(scope="module")
 def payload():
@@ -61,7 +57,7 @@ def payload():
 
 
 @pytest.mark.parametrize("codec", CODECS, ids=lambda c: c.name)
-@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("backend", accel.available_backends())
 def test_codec_digest_pinned_per_backend(payload, codec, backend):
     with accel.using(backend):
         compressed = codec.compress(payload)

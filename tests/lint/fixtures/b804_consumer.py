@@ -1,7 +1,7 @@
 """Module outside the backend package importing backends directly."""
 
 from accel_drift_pkg import pure  # B804
-import accel_drift_pkg.numpy_backend as nb  # B804
+import accel_drift_pkg.native_backend as nb  # B804
 
 
 def use():

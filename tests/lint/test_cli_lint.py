@@ -43,24 +43,23 @@ def test_each_rule_fixture_exits_one(capsys):
         "C501": "c501_unsorted_json_key.py",
         "C502": "c502_repr_digest_input.py",
         "C503": "c503_unversioned_key.py",
-        "A601": "a601_numpy_import.py",
         "R701": "race_pkg/racer.py",
         "R702": "race_pkg/racer.py",
         "R703": ("race_pkg/racer.py", "race_pkg/shared.py"),
         "R704": ("race_pkg/racer.py", "race_pkg/shared.py"),
         "B801": ("accel_drift_pkg/__init__.py",
                  "accel_drift_pkg/pure.py",
-                 "accel_drift_pkg/numpy_backend.py"),
+                 "accel_drift_pkg/native_backend.py"),
         "B802": ("accel_drift_pkg/__init__.py",
                  "accel_drift_pkg/pure.py",
-                 "accel_drift_pkg/numpy_backend.py"),
+                 "accel_drift_pkg/native_backend.py"),
         "B803": ("accel_drift_pkg/__init__.py",
                  "accel_drift_pkg/pure.py",
-                 "accel_drift_pkg/numpy_backend.py"),
+                 "accel_drift_pkg/native_backend.py"),
         "B804": ("b804_consumer.py",
                  "accel_drift_pkg/__init__.py",
                  "accel_drift_pkg/pure.py",
-                 "accel_drift_pkg/numpy_backend.py"),
+                 "accel_drift_pkg/native_backend.py"),
     }
     assert set(fixture_by_rule) == set(all_rules())
     for rule_id, fixture in fixture_by_rule.items():

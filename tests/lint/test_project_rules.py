@@ -125,7 +125,7 @@ def test_backend_contract_rules_flag_every_seed():
     found = _by_rule(lint_files(_drift_files()))
     b801 = {(v.path.rsplit("/", 1)[-1], v.line) for v in found["B801"]}
     assert b801 == {("pure.py", 4), ("pure.py", 8),
-                    ("numpy_backend.py", 13)}
+                    ("native_backend.py", 13)}
     messages = " | ".join(v.message for v in found["B801"])
     assert "signature drift" in messages
     assert "no counterpart" in messages
@@ -156,7 +156,7 @@ def test_backend_package_detection_is_generic():
                          module_name_for(str(path)), str(path))
         for path in _pkg_files("accel_drift_pkg")])
     for module in ("accel_drift_pkg", "accel_drift_pkg.pure",
-                   "accel_drift_pkg.numpy_backend"):
+                   "accel_drift_pkg.native_backend"):
         assert backend_package_of(index, module) == "accel_drift_pkg"
     assert backend_package_of(index, "somewhere.else") is None
 
@@ -168,12 +168,12 @@ def test_imports_inside_the_backend_package_are_sanctioned():
     assert "B804" not in found
 
 
-# -- third registered backend (native, ROADMAP phase 3) ----------------
+# -- the shipped package shape ------------------------------------------
 #
-# three_backend_pkg mirrors the real repro.accel shape — pure
-# reference, clean numpy mirror, cffi-style native backend — with
-# every seeded violation living in the native implementation, so the
-# B rules are proven against the package layout that actually ships.
+# three_backend_pkg mirrors the real repro.accel shape — dispatch
+# __init__, pure reference, cffi-style native backend — with every
+# seeded violation living in the native implementation, so the B rules
+# are proven against the package layout that actually ships.
 
 def _three_backend_files():
     return _pkg_files("three_backend_pkg") + \
@@ -200,14 +200,12 @@ def test_three_backend_drift_flags_every_seed():
     found = _by_rule(lint_files(_three_backend_files()))
 
     # All three B801 shapes, every one seeded in the native impl:
-    # signature drift, missing counterpart, no pure reference.  The
-    # clean numpy mirror must contribute nothing.
+    # signature drift, missing counterpart, no pure reference.
     b801 = {(v.path.rsplit("/", 1)[-1], v.line) for v in found["B801"]}
     assert b801 == {("pure.py", 4), ("pure.py", 16),
                     ("native_backend.py", 17)}
     messages = " | ".join(v.message for v in found["B801"])
     assert "three_backend_pkg.native_backend" in messages
-    assert "numpy_backend" not in messages
     assert "signature drift" in messages
     assert "no counterpart" in messages
     assert "no pure reference" in messages
@@ -219,17 +217,17 @@ def test_three_backend_drift_flags_every_seed():
     assert b803.path.endswith("__init__.py")
     assert "scan_runs" in b803.message
 
-    # Bypass imports of either implementation module are flagged.
+    # Bypass imports of either backend module are flagged.
     assert [v.line for v in found["B804"]] == [3, 4, 5]
     assert all(v.path.endswith("three_backend_consumer.py")
                for v in found["B804"])
     bypassed = " | ".join(v.message for v in found["B804"])
-    assert "native_backend" in bypassed
-    assert "numpy_backend" in bypassed
+    assert "three_backend_pkg.native_backend" in bypassed
+    assert "three_backend_pkg.pure" in bypassed
 
 
 def test_real_accel_package_is_backend_clean():
-    # The shipped three-backend package must satisfy its own contract:
+    # The shipped two-backend package must satisfy its own contract:
     # mirrored signatures (B801), one dispatch per kernel (B802),
     # record() on every dispatch (B803), no bypass imports (B804).
     src = Path(__file__).resolve().parents[2] / "src" / "repro" / "accel"
@@ -237,19 +235,21 @@ def test_real_accel_package_is_backend_clean():
     assert not any(rule.startswith("B8") for rule in found), found
 
 
-def test_mixed_three_backend_package_checks_both_impls(tmp_path):
-    # A package carrying numpy_backend AND native_backend gets B801
-    # checked against each implementation independently.
+def test_retired_numpy_backend_module_is_not_an_impl(tmp_path):
+    # numpy_backend is no longer a registered implementation: a module
+    # under that name is plain package code, so its drift (an extra
+    # parameter, a kernel with no pure reference) is not reported and
+    # only the native signature drift is.
     pkg = tmp_path / "mixed_pkg"
     pkg.mkdir()
     (pkg / "__init__.py").write_text("")
     (pkg / "pure.py").write_text("def k(a):\n    return a\n")
-    (pkg / "numpy_backend.py").write_text("def k(a):\n    return a\n")
+    (pkg / "numpy_backend.py").write_text(
+        "def k(a, c):\n    return a\n\n\ndef extra(x):\n    return x\n")
     (pkg / "native_backend.py").write_text(
         "def k(a, b):\n    return a\n")
 
     found = _by_rule(lint_files(sorted(pkg.rglob("*.py"))))
-    # numpy mirrors k exactly; only the native signature drifted.
     [b801] = found["B801"]
     assert b801.path.endswith("pure.py")
     assert "native_backend" in b801.message

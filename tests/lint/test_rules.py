@@ -33,7 +33,6 @@ RULE_CASES = [
     ("c501_unsorted_json_key.py", "C501", [9, 10]),
     ("c502_repr_digest_input.py", "C502", [7, 8]),
     ("c503_unversioned_key.py", "C503", [7, 10]),
-    ("a601_numpy_import.py", "A601", [3, 4, 5, 6, 7]),
 ]
 
 # Whole-program rules need the cross-module index, so their fixtures
@@ -133,14 +132,6 @@ def test_kernel_exempt_from_manual_fire():
                        select=["E202"]) == []
     assert len(lint_source(source, path="src/repro/core/system.py",
                            select=["E202"])) == 1
-
-
-def test_accel_package_exempt_from_numpy_containment():
-    source = "import numpy as np\n"
-    assert lint_source(source, path="src/repro/accel/numpy_backend.py",
-                       select=["A601"]) == []
-    assert len(lint_source(source, path="src/repro/compress/rle.py",
-                           select=["A601"])) == 1
 
 
 def test_units_module_exempt_from_frequency_math():

@@ -17,7 +17,7 @@ from repro.analysis.bandwidth import (
 )
 from repro.sanitize import DeterminismSanitizer
 
-BACKENDS = ["pure"] + (["numpy"] if accel.numpy_available() else [])
+BACKENDS = accel.available_backends()
 
 SEEDS = (1, 2, 3)
 

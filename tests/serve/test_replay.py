@@ -21,9 +21,7 @@ from repro.serve import (
 )
 from repro.serve.fleet import ServiceTimeTable
 
-BACKENDS = (["pure"]
-            + (["numpy"] if accel.numpy_available() else [])
-            + (["native"] if accel.native_available() else []))
+BACKENDS = accel.available_backends()
 
 #: A saturating scenario (load 6 with tight queues sheds ~20% of the
 #: stream) pinned by its report digest.  A change here means serve
