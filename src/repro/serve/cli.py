@@ -21,6 +21,7 @@ attribution.
 from __future__ import annotations
 
 import argparse
+import sys
 from typing import Tuple
 
 from repro import accel
@@ -123,9 +124,10 @@ def _parse_loads(raw: str) -> Tuple[float, ...]:
     try:
         loads = tuple(float(part) for part in raw.split(",") if part)
     except ValueError:
-        raise SystemExit(EXIT_USAGE)
+        loads = ()
     if not loads:
-        raise SystemExit(EXIT_USAGE)
+        raise ServeError(f"--loads {raw!r}: expected comma-separated "
+                         f"numbers such as 0.5,1,2")
     return loads
 
 
@@ -203,16 +205,10 @@ def _run_serve_run(args: argparse.Namespace) -> int:
 
 def _run_serve_bench(args: argparse.Namespace) -> int:
     from repro.obs.metrics import MetricsRegistry
-    from repro.serve.bench import (
-        DEFAULT_LOADS,
-        bench_serve,
-        render_bench,
-    )
+    from repro.serve.bench import bench_serve, render_bench
 
-    spec = _spec_from_args(args)
-    loads = (_parse_loads(args.loads) if args.loads
-             else DEFAULT_LOADS)
-    document = bench_serve(spec, loads=loads, jobs=args.jobs)
+    document = bench_serve(_spec_from_args(args),
+                           loads=_bench_loads(args), jobs=args.jobs)
     rows = []
     for cell in document["levels"]:
         report = cell["report"]
@@ -249,7 +245,23 @@ def _run_serve_bench(args: argparse.Namespace) -> int:
     return EXIT_CLEAN
 
 
+def _bench_loads(args: argparse.Namespace) -> Tuple[float, ...]:
+    from repro.serve.bench import DEFAULT_LOADS
+
+    return _parse_loads(args.loads) if args.loads else DEFAULT_LOADS
+
+
 def run_serve(args: argparse.Namespace) -> int:
+    # Invalid spec fields and load lists are usage errors: report them
+    # before any work starts, without a traceback.
+    try:
+        spec = _spec_from_args(args)
+        if args.serve_command == "bench":
+            for load in _bench_loads(args):
+                spec.with_load(load)
+    except ServeError as exc:
+        print(f"repro serve: error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     if args.serve_command == "run":
         return _run_serve_run(args)
     if args.serve_command == "bench":

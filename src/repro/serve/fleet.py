@@ -77,6 +77,10 @@ class ServiceTimeTable:
                 result = scratch.reconfigure(module.name, frequency)
                 cold = _COLD_CACHE[cache_key] = result.duration_ps
             self._cold[module.name] = cold
+        #: Cold service time per module: measured load plus overhead.
+        self._cold_service: Dict[str, int] = {
+            name: cold + spec.overhead_ps
+            for name, cold in self._cold.items()}
 
     def cold_ps(self, module: str) -> int:
         """Measured cold reconfiguration duration (no overhead)."""
@@ -91,7 +95,10 @@ class ServiceTimeTable:
         """Service time for one dispatch of ``module``."""
         if warm:
             return self._spec.warm_ps
-        return self.cold_ps(module) + self._spec.overhead_ps
+        service = self._cold_service.get(module)
+        if service is None:
+            return self.cold_ps(module)  # raises the unknown-module error
+        return service
 
     @property
     def mean_cold_ps(self) -> int:

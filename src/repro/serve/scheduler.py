@@ -100,8 +100,7 @@ class FairScheduler:
         carried.  An expensive head may need several turns of credit;
         an idle tenant's deficit resets, so idleness banks no credit.
         """
-        if not any(admission.tenant_depth(name)
-                   for name in self._ring):
+        if not admission.depth:
             return None
         # A full cycle credits every backlogged tenant one quantum, so
         # some head becomes affordable within max_cost / min_quantum

@@ -4,38 +4,52 @@ One :class:`FleetService` drives a board fleet against a pre-generated
 request stream on a single :class:`~repro.sim.kernel.Simulator`.  The
 design goal is *order-independence under same-instant perturbation*
 (the S903 determinism contract) while still putting real concurrency
-on the kernel — several boards complete at one instant, arrivals
-collide with completions — so the race sanitizers have something to
-check.
+on the kernel — several boards can complete at one instant, and a
+completion can share an instant with a pass — so the race sanitizers
+have something to check.
 
 The structure that achieves it:
 
 * All shared scheduler state (queues, deficits, board bookkeeping) is
   owned by **pass** events.  At most one pass runs per instant (a set
   of scheduled pass times dedupes requests), so passes never race.
-* Arrival and completion callbacks are pure mailbox appends: they
-  record themselves and request a pass at ``now + 1``.  They touch no
-  queue, no board, no counter.
+* Arrivals are not events.  :meth:`FleetService.run` sorts the stream
+  by arrival (stably) and schedules one pass at ``arrival + 1`` for
+  every distinct arrival time, in one batch; each pass reads the
+  requests that arrived **strictly before** it from a cursor into
+  that sorted stream.
+* Completion callbacks are pure mailbox appends: they record
+  themselves and request a pass at ``now + 1``.  They touch no queue,
+  no board, no counter.
 * A pass at instant ``T`` consumes only mailbox items stamped
-  **strictly before** ``T``.  Same-instant callbacks can only append
+  **strictly before** ``T``.  Same-instant completions can only append
   items stamped ``T``, so the set a pass processes — and everything
   downstream of it — is independent of the order the kernel fired
   those callbacks in.  Items stamped ``T`` wait for the pass at
   ``T + 1`` that their own callback requested.
-* Mailboxes are drained in sorted order (arrival time; then
-  ``(finish, board)``), never in append order.
+* The completion mailbox is drained in sorted ``(finish, board)``
+  order, never in append order.
 * Preemption never cancels events: the board's ``service_generation``
   is bumped, and the stale completion is discarded when drained.
 
+Pass times are exactly those an arrival event per request would
+request (``arrival + 1`` and ``finish + 1``), so reading arrivals from
+the stream changes no dispatch decision and no report byte; it only
+removes one kernel event per request.
+
 Pass processing order is fixed — completions, admissions, preemption,
 dispatch — so freed boards are visible to the dispatcher within the
-same pass.
+same pass.  A stage with nothing to do is skipped: the drain with an
+empty mailbox, admission with no arrival due, preemption while a
+board is free, and dispatch with empty queues or no free board.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import partial
+from operator import attrgetter
 from typing import Dict, List, Optional, Set, Tuple
 
 from repro.obs import current_registry
@@ -133,10 +147,21 @@ class FleetService:
             self._tracks = {board.board_id:
                             scope.track(board.name, cat="serve")
                             for board in self._fleet}
-        # Mailboxes (append-only from callbacks, drained by passes).
-        self._inbox: List[RequestSpec] = []
+        # The arrival stream, sorted by arrival, and the pass cursor
+        # into it: requests before the cursor have been admitted.
+        self._stream: List[RequestSpec] = []
+        self._arrivals: List[int] = []
+        self._cursor = 0
+        # Completion mailbox (append-only from callbacks, drained by
+        # passes).
         self._done_inbox: List[Tuple[int, int, int]] = []
         self._scheduled_passes: Set[int] = set()
+        # Instruments every pass touches.  All others bind on first
+        # use, so a snapshot names no metric a run left at zero.
+        self._passes = self._metrics.counter("serve.passes")
+        self._depth_gauge = self._metrics.gauge("serve.queue.depth")
+        self._backpressure_gauge = self._metrics.gauge(
+            "serve.queue.backpressure")
         # Pass-owned state.
         self._busy: Dict[int, _Service] = {}
         self._completions: List[CompletionRecord] = []
@@ -156,16 +181,18 @@ class FleetService:
 
     def run(self, requests: List[RequestSpec]) -> ServeOutcome:
         """Serve the whole stream; returns when the fleet drains."""
-        arrivals = [(request.arrival_ps, partial(self._arrive, request))
-                    for request in requests]
-        self._sim.schedule_batch(arrivals)
+        self._stream = sorted(requests, key=attrgetter("arrival_ps"))
+        self._arrivals = [request.arrival_ps for request in self._stream]
+        self._cursor = 0
+        pass_times = sorted({arrival + 1 for arrival in self._arrivals})
+        self._scheduled_passes.update(pass_times)
+        run_pass = self._pass
+        self._sim.schedule_batch([(time_ps, run_pass)
+                                  for time_ps in pass_times])
         end_ps = self._sim.run()
         self._completions.sort(
-            key=lambda record: (record.finish_ps,
-                                record.request.request_id))
-        self._sheds.sort(
-            key=lambda record: (record.time_ps,
-                                record.request.request_id))
+            key=attrgetter("finish_ps", "request.request_id"))
+        self._sheds.sort(key=attrgetter("time_ps", "request.request_id"))
         return ServeOutcome(
             spec=self._spec,
             requests=tuple(requests),
@@ -177,10 +204,6 @@ class FleetService:
         )
 
     # -- callbacks (mailbox appends only) ------------------------------
-
-    def _arrive(self, request: RequestSpec) -> None:
-        self._inbox.append(request)
-        self._request_pass(self._sim.now + 1)
 
     def _finish(self, finish_ps: int, board_id: int,
                 generation: int) -> None:
@@ -202,60 +225,76 @@ class FleetService:
     def _pass(self) -> None:
         now = self._sim.now
         self._scheduled_passes.discard(now)
-        self._metrics.counter("serve.passes").inc()
-        self._drain_completions(now)
-        self._admit_due(now)
-        if self._spec.preempt:
-            self._preempt_urgent(now)
-        self._dispatch(now)
-        self._metrics.gauge("serve.queue.depth").high_water(
-            self._admission.depth)
-        self._metrics.gauge("serve.queue.backpressure").set(
-            1 if self._admission.backpressure else 0)
+        self._passes.inc()
+        if self._done_inbox:
+            self._drain_completions(now)
+        if self._cursor < len(self._arrivals) \
+                and self._arrivals[self._cursor] < now:
+            self._admit_due(now)
+        admission = self._admission
+        if admission.depth:
+            boards = len(self._fleet)
+            if self._spec.preempt and len(self._busy) >= boards:
+                self._preempt_urgent(now)
+            if len(self._busy) < boards:
+                self._dispatch(now)
+        if self._metrics.enabled:
+            self._depth_gauge.high_water(admission.depth)
+            self._backpressure_gauge.set(
+                1 if admission.backpressure else 0)
 
     def _drain_completions(self, now: int) -> None:
-        ready = [entry for entry in self._done_inbox if entry[0] < now]
+        inbox = self._done_inbox
+        ready = [entry for entry in inbox if entry[0] < now]
         if not ready:
             return
-        self._done_inbox = [entry for entry in self._done_inbox
-                            if entry[0] >= now]
-        latency = self._metrics.histogram("serve.latency_us",
-                                          bounds=LATENCY_BUCKETS_US)
+        self._done_inbox = ([entry for entry in inbox if entry[0] >= now]
+                            if len(ready) < len(inbox) else [])
+        metrics = self._metrics
+        latency = metrics.histogram("serve.latency_us",
+                                    bounds=LATENCY_BUCKETS_US)
+        completions = self._completions
+        completed = missed = stale = 0
         for finish_ps, board_id, generation in sorted(ready):
             board = self._fleet[board_id]
             service = self._busy.get(board_id)
             if service is None or service.generation != generation \
                     or board.service_generation != generation:
-                self._stale += 1
-                self._metrics.counter("serve.completions.stale").inc()
+                stale += 1
                 continue
             del self._busy[board_id]
             track = self._tracks.get(board_id)
             if track is not None:
                 track.exit()
-            size = len(service.batch.requests)
-            for request in service.batch.requests:
-                record = CompletionRecord(
+            requests = service.batch.requests
+            size = len(requests)
+            completed += size
+            for request in requests:
+                completions.append(CompletionRecord(
                     request=request, finish_ps=finish_ps,
                     board_id=board_id, warm=service.warm,
-                    batch_size=size)
-                self._completions.append(record)
-                self._metrics.counter("serve.requests.completed").inc()
-                latency.observe(record.latency_ps / 1e6)
-                if record.missed:
-                    self._metrics.counter("serve.deadline.missed").inc()
+                    batch_size=size))
+                if finish_ps > request.deadline_ps:
+                    missed += 1
+            if metrics.enabled:
+                for request in requests:
+                    latency.observe(
+                        (finish_ps - request.arrival_ps) / 1e6)
+        if stale:
+            self._stale += stale
+            metrics.counter("serve.completions.stale").inc(stale)
+        if completed:
+            metrics.counter("serve.requests.completed").inc(completed)
+        if missed:
+            metrics.counter("serve.deadline.missed").inc(missed)
 
     def _admit_due(self, now: int) -> None:
-        due = [request for request in self._inbox
-               if request.arrival_ps < now]
-        if not due:
-            return
-        self._inbox = [request for request in self._inbox
-                       if request.arrival_ps >= now]
-        due.sort(key=lambda request: request.arrival_ps)
-        offered = self._metrics.counter("serve.requests.offered")
-        for request in due:
-            offered.inc()
+        """Offer every request that arrived strictly before ``now``."""
+        start = self._cursor
+        end = bisect_left(self._arrivals, now, start)
+        self._cursor = end
+        self._metrics.counter("serve.requests.offered").inc(end - start)
+        for request in self._stream[start:end]:
             self._offer(request, now)
 
     def _offer(self, request: RequestSpec, now: int) -> None:
@@ -316,12 +355,15 @@ class FleetService:
             self._offer(request, now)
 
     def _dispatch(self, now: int) -> None:
-        while len(self._busy) < len(self._fleet):
-            batch = self._scheduler.next_batch(self._admission)
+        busy = self._busy
+        admission = self._admission
+        metrics = self._metrics
+        while len(busy) < len(self._fleet) and admission.depth:
+            batch = self._scheduler.next_batch(admission)
             if batch is None:
                 return
             free = [board for board in self._fleet
-                    if board.board_id not in self._busy]
+                    if board.board_id not in busy]
             board, warm = FairScheduler.pick_board(free, batch.module)
             duration = self._table.service_ps(batch.module, warm)
             self._scheduler.charge(batch, duration)
@@ -330,17 +372,16 @@ class FleetService:
             if not warm:
                 board.reconfigurations += 1
             finish = now + duration
-            self._busy[board.board_id] = _Service(
+            busy[board.board_id] = _Service(
                 generation=generation, batch=batch, finish_ps=finish,
                 warm=warm, started_ps=now)
-            self._metrics.counter("serve.dispatch.batches").inc()
-            self._metrics.counter(
-                "serve.dispatch.warm" if warm
-                else "serve.dispatch.cold").inc()
-            self._metrics.counter(
-                f"serve.board.{board.board_id}.dispatches").inc()
-            self._metrics.gauge("serve.inflight").high_water(
-                len(self._busy))
+            if metrics.enabled:
+                metrics.counter("serve.dispatch.batches").inc()
+                metrics.counter("serve.dispatch.warm" if warm
+                                else "serve.dispatch.cold").inc()
+                metrics.counter(
+                    f"serve.board.{board.board_id}.dispatches").inc()
+                metrics.gauge("serve.inflight").high_water(len(busy))
             track = self._tracks.get(board.board_id)
             if track is not None:
                 track.enter(batch.module, warm=warm,

@@ -112,44 +112,61 @@ def _latency_block(latencies: List[int]) -> Dict[str, float]:
 
 
 def build_report(outcome: ServeOutcome) -> SLOReport:
-    """Condense a serve outcome into its SLO report."""
+    """Condense a serve outcome into its SLO report.
+
+    One pass over the completions and one over the sheds gather every
+    count, including the per-tenant ones.
+    """
     completions = outcome.completions
     requests = len(outcome.requests)
     completed = len(completions)
     shed = len(outcome.sheds)
-    missed = sum(1 for record in completions if record.missed)
-    warm = sum(1 for record in completions if record.warm)
+    names = [spec.name for spec in outcome.spec.tenants]
+    tenant_latencies: Dict[str, List[int]] = {name: [] for name in names}
+    tenant_missed = dict.fromkeys(names, 0)
+    tenant_shed = dict.fromkeys(names, 0)
+    latencies: List[int] = []
+    missed = warm = last_finish = 0
+    # A batch of size k appears as k completion records that share a
+    # (finish, board) slot; count distinct slots.
+    slots = set()
+    for record in completions:
+        finish_ps = record.finish_ps
+        request = record.request
+        latency_ps = finish_ps - request.arrival_ps
+        latencies.append(latency_ps)
+        slots.add((finish_ps, record.board_id))
+        if finish_ps > last_finish:
+            last_finish = finish_ps
+        if record.warm:
+            warm += 1
+        tenant = request.tenant
+        if tenant in tenant_latencies:
+            tenant_latencies[tenant].append(latency_ps)
+        if finish_ps > request.deadline_ps:
+            missed += 1
+            if tenant in tenant_missed:
+                tenant_missed[tenant] += 1
     shed_by_reason: Dict[str, int] = {}
     for record in outcome.sheds:
         shed_by_reason[record.reason] = \
             shed_by_reason.get(record.reason, 0) + 1
-    # A batch of size k appears as k completion records that share a
-    # (finish, board) slot; count distinct slots.
-    batches = len({(record.finish_ps, record.board_id)
-                   for record in completions})
-    last_finish = max((record.finish_ps for record in completions),
-                      default=0)
+        if record.request.tenant in tenant_shed:
+            tenant_shed[record.request.tenant] += 1
+    batches = len(slots)
     makespan_s = last_finish / PS_PER_S
     throughput = completed / makespan_s if makespan_s > 0 else 0.0
     goodput = ((completed - missed) / makespan_s
                if makespan_s > 0 else 0.0)
 
     tenants: Dict[str, Dict[str, Any]] = {}
-    by_tenant: Dict[str, List[int]] = {}
-    for record in completions:
-        by_tenant.setdefault(record.request.tenant, []).append(
-            record.latency_ps)
-    for spec in outcome.spec.tenants:
-        name = spec.name
-        latencies = sorted(by_tenant.get(name, []))
+    for name in names:
+        tenant_latencies[name].sort()
         tenants[name] = {
-            "completed": len(latencies),
-            "shed": sum(1 for record in outcome.sheds
-                        if record.request.tenant == name),
-            "deadline_missed": sum(
-                1 for record in completions
-                if record.request.tenant == name and record.missed),
-            "p95_us": _us(percentile(latencies, 95)),
+            "completed": len(tenant_latencies[name]),
+            "shed": tenant_shed[name],
+            "deadline_missed": tenant_missed[name],
+            "p95_us": _us(percentile(tenant_latencies[name], 95)),
         }
 
     return SLOReport(
@@ -170,7 +187,6 @@ def build_report(outcome: ServeOutcome) -> SLOReport:
         deadline_miss_pct=(100.0 * missed / completed
                            if completed else 0.0),
         shed_pct=100.0 * shed / requests if requests else 0.0,
-        latency_us=_latency_block(
-            [record.latency_ps for record in completions]),
+        latency_us=_latency_block(latencies),
         tenants=tenants,
     )

@@ -146,11 +146,9 @@ def request_stream_digest(requests: Iterable[RequestSpec]) -> str:
     arrivals), but sort defensively so the digest is a pure function
     of the *set* of requests.
     """
-    digest = hashlib.sha256()
-    for request in sorted(requests, key=lambda r: r.request_id):
-        digest.update(request.canonical().encode("ascii"))
-        digest.update(b"\n")
-    return digest.hexdigest()
+    lines = "".join(f"{request.canonical()}\n" for request
+                    in sorted(requests, key=lambda r: r.request_id))
+    return hashlib.sha256(lines.encode("ascii")).hexdigest()
 
 
 @dataclass(frozen=True)

@@ -19,9 +19,8 @@ throttling):
   stream, which keeps the sampler exact for any modulation depth.
 
 Arrival timestamps are strictly increasing integer picoseconds (equal
-draws are bumped by 1 ps), so no two arrival events ever share a
-simulation instant — one of the structural properties that keeps the
-fleet scheduler order-independent under same-instant perturbation.
+draws are bumped by 1 ps), so no two requests share an arrival
+instant and each arrival gets its own pass.
 """
 
 from __future__ import annotations

@@ -92,9 +92,26 @@ def test_bench_merged_metrics(capsys):
     assert "serve.requests.offered" in out
 
 
-def test_bench_rejects_bad_loads():
-    with pytest.raises(SystemExit):
-        main(["serve", "bench", "--loads", "fast"])
+def test_bench_rejects_bad_loads(capsys):
+    for loads in ("fast", "0.5,abc", ","):
+        assert main(["serve", "bench", "--loads", loads]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"error: --loads {loads!r}" in captured.err
+
+
+@pytest.mark.parametrize("command, flags, reason", [
+    ("run", ["--load", "0"], "load must be positive"),
+    ("run", ["--requests", "0"], "need >= 1 request"),
+    ("run", ["--boards", "0"], "fleet needs >= 1 board"),
+    ("bench", ["--loads", "0.5,-1"], "load must be positive"),
+])
+def test_invalid_spec_field_is_a_usage_error(command, flags, reason,
+                                             capsys):
+    assert main(["serve", command, *SMALL, *flags]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"error: {reason}" in captured.err
 
 
 def test_serve_requires_subcommand(capsys):
