@@ -8,11 +8,10 @@ backs the ``python -m repro lint`` CLI plus the CI gate.
 
 v3 is a two-pass whole-program analyzer: pass 1 builds a
 :class:`~repro.lint.project.ProjectIndex` (imports, call graph,
-per-function unit summaries, interprocedural mutation/escape effect
-summaries), pass 2 runs local rules plus flow-sensitive project rules
-(cross-function unit propagation, sweep process-safety, cache-key
-purity, scheduled-callback race detection, accel backend-contract
-conformance) against it.  Rules may attach mechanically safe fixes,
+per-function unit summaries), pass 2 runs local rules plus
+flow-sensitive project rules (cross-function unit propagation, sweep
+process-safety, cache-key purity, accel backend-contract conformance)
+against it.  Rules may attach mechanically safe fixes,
 applied with ``--fix`` or previewed with ``--show-fixes``.  An
 incremental cache makes warm re-lints near-instant, and a checked-in
 baseline lets new rules land without blocking the tree.
@@ -43,7 +42,6 @@ from repro.lint.baseline import (
     write_baseline,
 )
 from repro.lint.cache import LintCache
-from repro.lint.effects import EffectSummary, ResolvedEffects
 from repro.lint.fix import FixPlan, plan_fixes, write_changes
 from repro.lint.project import ProjectIndex
 from repro.lint.registry import (
@@ -66,13 +64,11 @@ __all__ = [
     "BaselineError",
     "Checker",
     "Edit",
-    "EffectSummary",
     "Fix",
     "FixPlan",
     "LintCache",
     "ProjectChecker",
     "ProjectIndex",
-    "ResolvedEffects",
     "Violation",
     "all_rules",
     "apply_baseline",

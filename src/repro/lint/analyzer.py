@@ -15,8 +15,9 @@ the project signature, so a warm re-lint of an unchanged tree parses
 nothing at all.
 
 Violations are filtered through each file's suppression index; a
-line-level directive that matches no violation is itself reported
-(``W001 unused-suppression``), so stale escapes cannot accumulate.
+line-level directive that matches no violation, and any directive
+naming an id that is not a registered rule, is itself reported
+(``W001``), so stale escapes cannot accumulate.
 Results are returned sorted — the analyzer practices the determinism
 it preaches.
 """
@@ -106,6 +107,7 @@ def _run_checkers(tree: ast.Module, source: str, path: str,
         raw.extend(checker.violations)
 
     suppressions = SuppressionIndex.from_source(source)
+    file_rules = suppressions.file_rules
     kept: List[Violation] = []
     used_lines = set()
     for violation in raw:
@@ -114,10 +116,25 @@ def _run_checkers(tree: ast.Module, source: str, path: str,
         if ALL in line_rules or violation.rule_id in line_rules:
             used_lines.add(violation.line)
             continue
-        if ALL in suppressions.file_rules \
-                or violation.rule_id in suppressions.file_rules:
+        if ALL in file_rules or violation.rule_id in file_rules:
             continue
         kept.append(violation)
+
+    if ALL in file_rules or UNUSED_SUPPRESSION_RULE in file_rules:
+        return sorted(kept)
+
+    # An id no registered rule carries can never match, whatever
+    # --select is: a typo, or an escape for a rule since deleted.
+    known = set(all_rules()) | {ALL, UNUSED_SUPPRESSION_RULE}
+    for line, rules in (*suppressions.file_lines.items(),
+                        *suppressions.line_rules.items()):
+        unknown = sorted(rules - known)
+        if unknown:
+            kept.append(Violation(
+                path=path, line=line, col=0,
+                rule_id=UNUSED_SUPPRESSION_RULE,
+                message=f"unknown rule id: disable={','.join(unknown)} "
+                        f"names no registered rule; fix or delete it"))
 
     for line, rules in suppressions.line_rules.items():
         if line in used_lines or UNUSED_SUPPRESSION_RULE in rules:
@@ -126,9 +143,6 @@ def _run_checkers(tree: ast.Module, source: str, path: str,
         # (under --select, suppressions for unselected rules are
         # outside this run's evidence).
         if ALL not in rules and not (rules & checked_rules):
-            continue
-        if ALL in suppressions.file_rules \
-                or UNUSED_SUPPRESSION_RULE in suppressions.file_rules:
             continue
         listed = ",".join(sorted(rules))
         span = suppressions.line_spans.get(line)

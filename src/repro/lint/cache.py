@@ -31,7 +31,8 @@ from repro.lint.violations import Violation
 
 #: Bump on any serialized layout change; embedded in every file key.
 #: v2: summaries carry effect data, results carry optional fixes.
-LINT_CACHE_VERSION = 2
+#: v3: summaries drop the effect data again.
+LINT_CACHE_VERSION = 3
 
 _KEY_PREFIX = ("v%d" % LINT_CACHE_VERSION).encode("utf-8") + b"\0"
 

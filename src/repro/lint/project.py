@@ -25,8 +25,6 @@ import hashlib
 import json
 from typing import Dict, List, Optional, Tuple
 
-from repro.lint.effects import (FREE, PARAM, SELF, SYNC_CLASSES,
-                                ResolvedEffects, split_root)
 from repro.lint.summaries import FunctionSummary, ModuleSummary
 
 #: Method names too generic for the unique-name fallback; resolving
@@ -59,7 +57,6 @@ class ProjectIndex:
                 self.functions[qualname] = function
                 self._by_name.setdefault(function.name, []).append(qualname)
         self._return_units = self._propagate_return_units()
-        self._effects = self._propagate_effects()
 
     # -- call resolution ----------------------------------------------
 
@@ -148,150 +145,6 @@ class ProjectIndex:
         if len(seen) == 1:
             return seen.pop()
         return None
-
-    # -- effects ------------------------------------------------------
-
-    def effects(self, summary: Optional[FunctionSummary]
-                ) -> ResolvedEffects:
-        """Call-graph-propagated effects of one function.
-
-        Always returns an object; an unknown function has no known
-        effects, which is the sound default for every consumer (a rule
-        that cannot prove a mutation stays silent).
-        """
-        if summary is None:
-            return ResolvedEffects()
-        return self._effects.get(summary.qualname) or ResolvedEffects()
-
-    def qualify_mutable_global(self, module: ModuleSummary,
-                               name: str) -> Optional[str]:
-        """Absolute ``module.name`` of a free name, if it is mutable state.
-
-        Imported names resolve to the binding's owning module; either
-        way the name must appear in its owner's ``mutable_globals`` —
-        reading a constant or calling an imported function is not a
-        shared-state access.
-        """
-        target = module.imports.get(name)
-        if target is None:
-            if name in module.mutable_globals:
-                return f"{module.module}.{name}"
-            return None
-        owner_mod, _, owner_name = target.rpartition(".")
-        owner = self.modules.get(owner_mod)
-        if owner is not None and owner_name in owner.mutable_globals:
-            return target
-        return None
-
-    def _enclosing_class(self, module: ModuleSummary,
-                         function: FunctionSummary) -> Optional[str]:
-        if function.kind not in ("method", "classmethod"):
-            return None
-        relative = function.qualname[len(module.module) + 1:]
-        parts = relative.split(".")
-        return parts[-2] if len(parts) >= 2 else None
-
-    def _initial_effects(self, module: ModuleSummary,
-                         function: FunctionSummary) -> ResolvedEffects:
-        eff = ResolvedEffects()
-        # Self effects of synchronization primitives (Event.trigger,
-        # Signal drives) are the ordering mechanism itself — dropping
-        # them here keeps every downstream consumer from reporting a
-        # correctly synchronized handshake as a race.
-        sync = self._enclosing_class(module, function) in SYNC_CLASSES
-        for root in function.effects.mutates:
-            if sync and split_root(root)[0] == SELF:
-                continue
-            self._apply_mutation(module, eff, root)
-        for root in function.effects.memo_fills:
-            qualified = self.qualify_mutable_global(module,
-                                                    split_root(root)[1])
-            if qualified is not None:
-                eff.memo_globals.add(qualified)
-        if not sync:
-            eff.self_reads.update(function.effects.self_reads)
-        eff.escaped_params.update(function.effects.escapes)
-        for name in function.global_reads:
-            qualified = self.qualify_mutable_global(module, name)
-            if qualified is not None:
-                eff.global_reads.add(qualified)
-        return eff
-
-    def _apply_mutation(self, module: ModuleSummary,
-                        eff: ResolvedEffects, root: str) -> None:
-        tag, name = split_root(root)
-        if tag == PARAM:
-            eff.mutated_params.add(name)
-        elif tag == SELF:
-            eff.mutated_self.add(name)
-        elif tag == FREE:
-            qualified = self.qualify_mutable_global(module, name)
-            if qualified is not None:
-                eff.mutated_globals.add(qualified)
-
-    def _propagate_effects(self) -> Dict[str, ResolvedEffects]:
-        """Fixed point of effect translation through call edges.
-
-        Runs alongside (after) unit propagation: a caller inherits a
-        callee's global effects verbatim, and its parameter/receiver
-        effects translated back through the argument binding recorded
-        on the :class:`~repro.lint.effects.CallEdge`.  All transfer
-        functions are monotone over finite sets, so the rounds cap is
-        a depth bound, not a correctness hazard.
-        """
-        effects: Dict[str, ResolvedEffects] = {}
-        for module in self.modules.values():
-            for qualname, function in module.functions.items():
-                effects[qualname] = self._initial_effects(module, function)
-        for _ in range(MAX_PROPAGATION_ROUNDS):
-            changed = False
-            for module in self.modules.values():
-                for qualname, function in module.functions.items():
-                    eff = effects[qualname]
-                    before = eff.snapshot()
-                    enclosing = self._enclosing_class(module, function)
-                    for edge in function.effects.calls:
-                        callee = self.resolve(module, edge.name, enclosing)
-                        if callee is None or callee.qualname == qualname:
-                            continue
-                        callee_eff = effects.get(callee.qualname)
-                        if callee_eff is None:
-                            continue
-                        self._translate_call(module, eff, edge,
-                                             callee, callee_eff)
-                    if eff.snapshot() != before:
-                        changed = True
-            if not changed:
-                break
-        return effects
-
-    def _translate_call(self, module: ModuleSummary, eff: ResolvedEffects,
-                        edge, callee: FunctionSummary,
-                        callee_eff: ResolvedEffects) -> None:
-        eff.mutated_globals.update(callee_eff.mutated_globals)
-        eff.memo_globals.update(callee_eff.memo_globals)
-        eff.global_reads.update(callee_eff.global_reads)
-
-        if callee_eff.mutated_self and edge.receiver is not None:
-            if edge.receiver == "self":
-                eff.mutated_self.update(callee_eff.mutated_self)
-            else:
-                self._apply_mutation(module, eff, edge.receiver)
-        if edge.receiver == "self":
-            eff.self_reads.update(callee_eff.self_reads)
-
-        params = (callee.explicit_params if edge.receiver is not None
-                  else callee.params)
-        for position, root in enumerate(edge.args):
-            if root is None or position >= len(params):
-                continue
-            name = params[position].name
-            if name in callee_eff.mutated_params:
-                self._apply_mutation(module, eff, root)
-            if name in callee_eff.escaped_params:
-                tag, root_name = split_root(root)
-                if tag == PARAM:
-                    eff.escaped_params.add(root_name)
 
     # -- identity -----------------------------------------------------
 

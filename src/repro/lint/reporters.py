@@ -20,7 +20,8 @@ SARIF_SCHEMA = ("https://raw.githubusercontent.com/oasis-tcs/"
 _DRIVER_RULES: Dict[str, tuple] = {
     "E999": ("syntax-error", "file does not parse"),
     "W001": ("unused-suppression",
-             "line-level disable directive matches no violation"),
+             "disable directive matches no violation or names "
+             "no registered rule"),
     "W002": ("stale-baseline-entry",
              "baseline entry matches no current finding"),
 }

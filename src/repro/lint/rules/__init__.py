@@ -11,8 +11,6 @@ Rule families:
 * ``P4xx`` (:mod:`repro.lint.rules.sweepsafety`) — process-safety of
   sweep workers, grids, and digest inputs.
 * ``C5xx`` (:mod:`repro.lint.rules.cachekeys`) — cache-key purity.
-* ``R7xx`` (:mod:`repro.lint.rules.races`) — scheduled-callback and
-  sim-process order races, over the effect summaries.
 * ``B8xx`` (:mod:`repro.lint.rules.backend`) — accel backend-contract
   conformance.
 """
@@ -23,7 +21,6 @@ from repro.lint.rules import (  # noqa: F401
     determinism,
     events,
     floats,
-    races,
     sweepsafety,
     units,
     xunits,

@@ -20,7 +20,6 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from repro.lint.astutils import dotted_name, terminal_name
-from repro.lint.effects import EffectSummary, effects_of
 from repro.lint.unitlex import unit_of_attr, unit_of_name, unit_of_param
 
 #: Builtins that pass their argument's unit through unchanged.
@@ -74,7 +73,6 @@ class FunctionSummary:
     returns: Tuple[Tuple[str, Optional[str]], ...] = ()
     global_reads: Tuple[str, ...] = ()
     is_nested: bool = False
-    effects: EffectSummary = EffectSummary()
 
     @property
     def explicit_params(self) -> Tuple[ParamInfo, ...]:
@@ -97,7 +95,6 @@ class FunctionSummary:
             "returns": [list(entry) for entry in self.returns],
             "global_reads": list(self.global_reads),
             "is_nested": self.is_nested,
-            "effects": self.effects.to_dict(),
         }
 
     @staticmethod
@@ -111,7 +108,6 @@ class FunctionSummary:
             returns=tuple((kind, value) for kind, value in data["returns"]),
             global_reads=tuple(data["global_reads"]),
             is_nested=data["is_nested"],
-            effects=EffectSummary.from_dict(data["effects"]),
         )
 
 
@@ -300,7 +296,6 @@ def _summarize_function(node: ast.AST, qualname: str, kind: str,
         returns=tuple(returns),
         global_reads=collector.reads(),
         is_nested=nested,
-        effects=effects_of(node, tuple(p.name for p in params)),
     )
 
 

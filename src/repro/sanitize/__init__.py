@@ -1,17 +1,16 @@
 """``repro.sanitize`` — dynamic race & determinism sanitizers.
 
-TSan-style runtime checkers for the event kernel, complementing the
-static R701–R704 race rules with ground truth from real executions:
+TSan-style runtime checkers for the event kernel, measuring
+same-instant ordering on real executions:
 
 * :class:`RaceSanitizer` (S901/S902) — happens-before race detection
   over attribute accesses of controller/FPGA/core state
   (:mod:`repro.sanitize.race`).
 * :class:`DeterminismSanitizer` (S903) — seeded perturbation of
   same-instant event order with event-stream/output digest diffing
-  (:mod:`repro.sanitize.determinism`).
-* :func:`cross_validate` — classify dynamic vs static findings as
-  confirmed / dynamic-only / static-only
-  (:mod:`repro.sanitize.crossval`).
+  (:mod:`repro.sanitize.determinism`).  It is the check that sees
+  in-place container mutation (``list.append`` from two same-instant
+  callbacks), which attribute interposition cannot.
 
 Quick start::
 
@@ -24,8 +23,9 @@ Quick start::
         print(finding.describe())
 
 CLI: ``python -m repro sanitize [paths...]`` runs scripts under both
-sanitizers and cross-validates against the static analyzer; ``--sanitize``
-on the table/figure and sweep commands wraps those runs the same way.
+sanitizers (:mod:`repro.sanitize.cli`, which also writes SARIF);
+``--sanitize`` on the table/figure and sweep commands wraps those runs
+the same way.
 """
 
 from __future__ import annotations
@@ -33,16 +33,6 @@ from __future__ import annotations
 from contextlib import contextmanager
 from typing import Iterator, Tuple
 
-from repro.sanitize.crossval import (
-    CrossValidationReport,
-    RACE_RULE_IDS,
-    SANITIZE_RULE_METADATA,
-    cross_validate,
-    findings_to_violations,
-    format_crossval_text,
-    format_sanitize_sarif,
-    static_race_findings,
-)
 from repro.sanitize.determinism import (
     DeterminismSanitizer,
     DivergenceFinding,
@@ -74,11 +64,6 @@ __all__ = [
     # determinism sanitizer
     "DeterminismSanitizer", "DivergenceFinding", "RunRecord",
     "StreamRecorder",
-    # cross-validation + reporting
-    "CrossValidationReport", "RACE_RULE_IDS",
-    "SANITIZE_RULE_METADATA", "cross_validate",
-    "findings_to_violations", "format_crossval_text",
-    "format_sanitize_sarif", "static_race_findings",
 ]
 
 

@@ -1,22 +1,22 @@
 """``python -m repro sanitize`` — run scripts under the sanitizers.
 
 Each target script (default: the whole ``examples/`` corpus) is
-executed three ways:
+executed two ways:
 
 1. once under the :class:`~repro.sanitize.race.RaceSanitizer`
    (S901/S902 happens-before race detection);
 2. once unperturbed and once per ``--seeds`` entry under the
    :class:`~repro.sanitize.determinism.DeterminismSanitizer`
-   (S903 order-divergence via digest diffing);
-3. the static R701–R704 rules run over the same files and the
-   findings are cross-validated (confirmed / dynamic-only /
-   static-only).
+   (S903 order-divergence via digest diffing).  ``--seeds`` must name
+   at least one integer; ``--no-determinism`` is the only way to skip
+   this pass.
 
 Exit codes follow the lint CLI: 0 clean, 1 unjustified findings,
 2 usage error.  ``--justify FILE`` suppresses known-benign findings
 (one ``Type.attr``, ``S901:Type.attr`` or scenario-name entry per
 line, ``#`` comments); justified findings are reported but do not
-fail the run.
+fail the run.  ``--sarif FILE`` writes the findings as SARIF 2.1.0
+through the lint package's reporter, for CI's inline annotations.
 """
 
 from __future__ import annotations
@@ -27,19 +27,29 @@ import os
 import runpy
 import sys
 from contextlib import redirect_stdout
-from typing import Any, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from repro.sanitize.crossval import (
-    cross_validate,
-    format_crossval_text,
-    format_sanitize_sarif,
-    static_race_findings,
-)
+from repro.lint.reporters import format_sarif
+from repro.lint.violations import Violation
 from repro.sanitize.determinism import DeterminismSanitizer
 
 EXIT_CLEAN = 0
 EXIT_FINDINGS = 1
 EXIT_USAGE = 2
+
+#: SARIF metadata for the dynamic rules (they live outside the lint
+#: registry; see ``format_sarif``'s ``extra_rules``).
+SANITIZE_RULE_METADATA: Dict[str, tuple] = {
+    "S901": ("dynamic-write-write-race",
+             "two happens-before-unordered same-instant callbacks "
+             "both wrote the attribute"),
+    "S902": ("dynamic-read-write-race",
+             "a read and a write of the attribute in the same "
+             "instant are not ordered by happens-before"),
+    "S903": ("dynamic-order-divergence",
+             "run output diverged under a legal seeded perturbation "
+             "of same-instant event order"),
+}
 
 
 def add_sanitize_arguments(parser: argparse.ArgumentParser) -> None:
@@ -57,9 +67,6 @@ def add_sanitize_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--no-determinism", action="store_true",
         help="skip the perturbed re-runs (race pass only)")
-    parser.add_argument(
-        "--no-crossval", action="store_true",
-        help="skip the static R701-R704 cross-validation")
     parser.add_argument(
         "--justify", default=None, metavar="FILE",
         help="file of justified findings (Type.attr, S901:Type.attr "
@@ -91,10 +98,21 @@ def _load_justified(path: Optional[str]) -> Tuple[str, ...]:
 
 
 def _parse_seeds(raw: str) -> Tuple[int, ...]:
+    """The ``--seeds`` list; ``ValueError`` says what is wrong with it.
+
+    An empty list is rejected rather than read as "no perturbed runs":
+    S903 is the only check for order-dependent container mutation, so
+    skipping it takes an explicit ``--no-determinism``.
+    """
     try:
-        return tuple(int(part) for part in raw.split(",") if part)
+        seeds = tuple(int(part) for part in raw.split(",") if part)
     except ValueError:
-        raise SystemExit(EXIT_USAGE)
+        seeds = ()
+    if not seeds:
+        raise ValueError(f"--seeds {raw!r}: expected comma-separated "
+                         f"integers such as 1,2,3 (--no-determinism "
+                         f"skips the perturbed runs)")
+    return seeds
 
 
 def _run_script(path: str) -> None:
@@ -125,7 +143,11 @@ def run_sanitize(args: argparse.Namespace) -> int:
         print(f"repro sanitize: cannot read justify file: {exc}",
               file=sys.stderr)
         return EXIT_USAGE
-    seeds = _parse_seeds(args.seeds)
+    try:
+        seeds = _parse_seeds(args.seeds)
+    except ValueError as exc:
+        print(f"repro sanitize: error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
 
     all_findings: List[Any] = []
     root = os.getcwd()
@@ -143,12 +165,6 @@ def run_sanitize(args: argparse.Namespace) -> int:
         for finding in findings:
             marker = " [justified]" if finding.justified else ""
             print(f"  {finding.describe()}{marker}")
-
-    if not args.no_crossval:
-        static = static_race_findings(scripts)
-        report = cross_validate(all_findings, static)
-        print()
-        print(format_crossval_text(report))
 
     if args.sarif:
         payload = format_sanitize_sarif(all_findings, len(scripts),
@@ -215,3 +231,45 @@ def run_sanitized_command(command: Any, args: argparse.Namespace,
           f"({len(determinism.seeds)} perturbation seed(s), "
           f"accel.backend={accel.backend_name()})")
     return int(result) if result is not None else EXIT_CLEAN
+
+
+def findings_to_violations(findings: Sequence[Any],
+                           root: Optional[str] = None) -> List[Violation]:
+    """Convert dynamic findings to lint ``Violation`` records.
+
+    Each finding anchors at its first concrete schedule site (relative
+    to ``root`` when given) so SARIF consumers can annotate the line
+    that scheduled one side of the race; a finding without one (S903)
+    anchors at its scenario.
+    """
+    violations: List[Violation] = []
+    for finding in findings:
+        path, line = "<dynamic>", 1
+        for candidate_path, candidate_line \
+                in getattr(finding, "schedule_sites", ()):
+            if candidate_path and not candidate_path.startswith("<"):
+                path, line = candidate_path, candidate_line
+                break
+        else:
+            scenario = getattr(finding, "scenario", None)
+            if scenario:
+                path = scenario
+        if root is not None and os.path.isabs(path):
+            try:
+                path = os.path.relpath(path, root)
+            except ValueError:
+                pass
+        violations.append(Violation(path=path, line=line, col=0,
+                                    rule_id=finding.rule_id,
+                                    message=finding.describe()))
+    return violations
+
+
+def format_sanitize_sarif(findings: Sequence[Any],
+                          files_checked: int,
+                          root: Optional[str] = None) -> str:
+    """SARIF 2.1.0 for dynamic findings (shared lint reporter)."""
+    return format_sarif(findings_to_violations(findings, root=root),
+                        files_checked,
+                        extra_rules=SANITIZE_RULE_METADATA,
+                        tool_name="repro.sanitize")

@@ -4,8 +4,8 @@ The kernel's FIFO tie-break makes every run reproducible, but
 reproducible is not the same as *order-independent*: a model whose
 output depends on which of two same-instant, happens-before-unordered
 callbacks fires first works today and breaks the moment an unrelated
-change shifts a sequence number.  The static R702 rule approximates
-this from source text; this module tests it on a real execution:
+change shifts a sequence number.  This module tests for that on a
+real execution:
 
 1. run the scenario unperturbed, recording an incremental digest of
    the event stream (per-instant sorted task-label multisets, chained
@@ -35,7 +35,7 @@ from contextlib import redirect_stdout
 from dataclasses import dataclass
 from typing import Any, Callable, List, Optional, Tuple
 
-from repro.sanitize.hb import HBTracker, Site, Task, TrackerListener
+from repro.sanitize.hb import HBTracker, Task, TrackerListener
 from repro.sanitize.race import ORDER_DIVERGENCE
 from repro.sim import kernel as _kernel
 
@@ -101,7 +101,6 @@ class DivergenceFinding:
     rule_id: str = ORDER_DIVERGENCE
     count: int = 1
     justified: bool = False
-    crossval_sites: Tuple[Site, ...] = ()
 
     def describe(self) -> str:
         where = (f"first divergent instant t={self.time_ps} ps"

@@ -1,7 +1,6 @@
 """Vector-clock happens-before tracking over the simulation kernel.
 
-The static race rules (R701–R704) approximate ordering from source
-text; this module observes a *real* execution and derives the exact
+This module observes a *real* execution and derives the exact
 happens-before relation the kernel guarantees:
 
 * **Time barrier.**  Every event that completed at an earlier
@@ -247,8 +246,7 @@ class HBTracker:
 
     def on_process_spawn(self, process: Any) -> None:
         # Remember the spawn site so every resume of this process can
-        # point back at the ``Process(...)`` call the static R703
-        # rule reports on.
+        # point back at its ``Process(...)`` call.
         self._registrations[(id(process), id(process))] = (
             self.current, caller_site())
 

@@ -103,9 +103,9 @@ class SanitizerFinding:
     second: AccessContext
     count: int = 1
     justified: bool = False
-    #: Sites a static R701–R704 violation could have reported on —
-    #: the schedule/spawn sites of both tasks (crossval matches here).
-    crossval_sites: Tuple[Site, ...] = field(default=())
+    #: The schedule/spawn sites of both tasks (origin, then own site,
+    #: per task); SARIF export anchors the finding at the first one.
+    schedule_sites: Tuple[Site, ...] = field(default=())
 
     @property
     def key(self) -> Tuple[Any, ...]:
@@ -362,7 +362,7 @@ class RaceSanitizer:
             time_ps=time_ps,
             first=_context(first),
             second=_context(second),
-            crossval_sites=(first.task.origin_site, first.task.site,
+            schedule_sites=(first.task.origin_site, first.task.site,
                             second.task.origin_site, second.task.site),
         )
         existing = self._findings_by_key.get(finding.key)

@@ -1,7 +1,10 @@
 """``python -m repro lint`` CLI: dispatch, exit codes, formats."""
 
 import json
+import re
 from pathlib import Path
+
+import pytest
 
 from repro.cli import main
 from repro.lint import all_rules
@@ -43,10 +46,6 @@ def test_each_rule_fixture_exits_one(capsys):
         "C501": "c501_unsorted_json_key.py",
         "C502": "c502_repr_digest_input.py",
         "C503": "c503_unversioned_key.py",
-        "R701": "race_pkg/racer.py",
-        "R702": "race_pkg/racer.py",
-        "R703": ("race_pkg/racer.py", "race_pkg/shared.py"),
-        "R704": ("race_pkg/racer.py", "race_pkg/shared.py"),
         "B801": ("accel_drift_pkg/__init__.py",
                  "accel_drift_pkg/pure.py",
                  "accel_drift_pkg/native_backend.py"),
@@ -101,6 +100,22 @@ def test_list_rules(capsys):
         assert rule_id in out
 
 
+def test_rule_catalog_matches_the_docs(capsys):
+    # Checked both ways: a deleted rule cannot stay documented, and a
+    # new rule cannot land undocumented.  The driver-emitted ids have
+    # their own table and are not registered rules.
+    assert main(["lint", "--list-rules"]) == 0
+    listed = {line.split()[0]
+              for line in capsys.readouterr().out.splitlines()
+              if line and not line[0].isspace()}
+    docs = (REPO_ROOT / "docs" / "static_analysis.md").read_text()
+    catalog = docs.split("\n## Rule catalog\n", 1)[1].split("\n## ", 1)[0]
+    rules, driver = catalog.split("\n### Driver-emitted rules")
+    row_ids = re.compile(r"^\| ([A-Z][0-9]{3}) \|", re.MULTILINE)
+    assert set(row_ids.findall(rules)) == listed
+    assert set(row_ids.findall(driver)) == {"E999", "W001", "W002"}
+
+
 def test_directory_walk_skips_fixtures(capsys):
     # Linting the tests tree must not trip over the planted fixtures.
     tests_dir = str(Path(__file__).resolve().parent.parent)
@@ -143,3 +158,19 @@ def test_unused_suppression_reported(capsys):
     assert "W001" in out
     assert "disable=D102" in out
     assert "D101" not in out  # the used suppression stays silent
+
+
+@pytest.mark.parametrize("source,line", [
+    ("x = 1  # repro-lint: disable=Z999\n", 1),
+    ('"""Module."""\n# repro-lint: disable=D101,R701\n\nx = 1\n', 2),
+], ids=["line", "file"])
+def test_unknown_rule_suppression_reported(tmp_path, capsys, source, line):
+    # An id that names no registered rule is reported whatever --select
+    # is: it can never match, so it is a typo or a deleted rule's escape.
+    target = tmp_path / "directive.py"
+    target.write_text(source)
+    for select in ([], ["--select", "U001"]):
+        assert main(["lint", str(target), "--no-baseline", *select]) == 1
+        out = capsys.readouterr().out
+        assert f"directive.py:{line}:" in out
+        assert "W001" in out and "unknown rule id" in out

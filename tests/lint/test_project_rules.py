@@ -83,38 +83,6 @@ def test_project_index_resolution_and_signature():
     assert index.signature() == shuffled.signature()
 
 
-# -- race rules (R7xx) -------------------------------------------------
-
-def test_race_rules_flag_every_seeded_race():
-    found = _by_rule(lint_files(_pkg_files("race_pkg")))
-    assert [v.line for v in found["R701"]] == [19, 50]
-    assert "self.pending" in found["R701"][0].message
-    assert "loop" in found["R701"][1].message
-    assert [v.line for v in found["R702"]] == [30]
-    assert "self.backlog" in found["R702"][0].message
-    assert [v.line for v in found["R703"]] == [41]
-    assert "'stats'" in found["R703"][0].message
-    assert [v.line for v in found["R704"]] == [45]
-    assert "race_pkg.shared.PENDING" in found["R704"][0].message
-
-
-def test_ordered_and_exclusive_schedules_stay_silent():
-    # Controller.staged: distinct literal delays are ordered, and the
-    # if/else arms are mutually exclusive — lines 55-60 must be clean.
-    found = lint_files(_pkg_files("race_pkg"))
-    assert not any(v.line >= 53 for v in found
-                   if v.rule_id.startswith("R7"))
-
-
-def test_process_race_needs_the_cross_module_index():
-    # racer.py alone cannot resolve shared.writer/shared.enqueue, so
-    # the sound default keeps R703/R704 silent; the in-class pairs
-    # (R701/R702) survive because self-resolution is module-local.
-    alone = _by_rule(lint_file(FIXTURES / "race_pkg" / "racer.py"))
-    assert "R703" not in alone and "R704" not in alone
-    assert "R701" in alone and "R702" in alone
-
-
 # -- backend contract rules (B8xx) ------------------------------------
 
 def _drift_files():

@@ -38,12 +38,8 @@ RULE_CASES = [
 # Whole-program rules need the cross-module index, so their fixtures
 # are packages linted together (exact sites are pinned down in
 # test_project_rules.py).  Each still plants one extra seed under a
-# trailing ``# repro-lint: disable=RULE``: (sources, rule, count).
+# trailing suppression directive: (sources, rule, count).
 PROJECT_RULE_CASES = [
-    (("race_pkg",), "R701", 2),
-    (("race_pkg",), "R702", 1),
-    (("race_pkg",), "R703", 1),
-    (("race_pkg",), "R704", 1),
     (("accel_drift_pkg",), "B801", 3),
     (("accel_drift_pkg",), "B802", 1),
     (("accel_drift_pkg",), "B803", 1),
@@ -79,8 +75,8 @@ def test_rule_flags_planted_violations(fixture, rule_id, lines):
                          RULE_CASES, ids=[c[1] for c in RULE_CASES])
 def test_line_suppression_respected(fixture, rule_id, lines):
     # Every fixture plants one extra violation under a trailing
-    # ``# repro-lint: disable=RULE`` comment; stripping the directives
-    # must reveal strictly more violations than the suppressed run.
+    # suppression directive; stripping the directives must reveal
+    # strictly more violations than the suppressed run.
     source = (FIXTURES / fixture).read_text()
     stripped = source.replace("repro-lint: disable", "repro-lint-off")
     unsuppressed = lint_source(stripped, path=fixture, select=[rule_id])

@@ -50,16 +50,16 @@ def test_baseline_entries_all_still_match():
 
 
 def test_baseline_machinery_covers_the_new_rule_families():
-    # The shrink-only guard must keep working if an R/B finding ever
+    # The shrink-only guard must keep working if a B finding ever
     # needs baselining: entries for the v3 families flow through
     # apply_baseline exactly like the U1xx ones (match, shrink-only
     # W002, no silent growth).
     from repro.lint import BaselineEntry, Violation, apply_baseline
 
     finding = Violation(path="src/repro/core/x.py", line=9, col=0,
-                        rule_id="R701", message="race on 'self.q'")
-    entry = BaselineEntry(path="src/repro/core/x.py", rule="R701",
-                          message="race on 'self.q'", count=2,
+                        rule_id="B804", message="bypass of 'pure'")
+    entry = BaselineEntry(path="src/repro/core/x.py", rule="B804",
+                          message="bypass of 'pure'", count=2,
                           justification="deliberate")
     remaining = apply_baseline([finding, finding], [entry], "b.json",
                                checked_paths={"src/repro/core/x.py"})

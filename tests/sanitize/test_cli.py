@@ -9,6 +9,13 @@ from pathlib import Path
 
 import pytest
 
+from repro.sanitize.cli import (
+    SANITIZE_RULE_METADATA,
+    findings_to_violations,
+    format_sanitize_sarif,
+)
+from tests.sanitize.test_race import run_watched
+
 SRC = str(Path(__file__).resolve().parents[2] / "src")
 
 CLEAN_SCRIPT = """\
@@ -105,9 +112,47 @@ def test_no_scripts_anywhere_is_a_usage_error(tmp_path):
     assert result.returncode == 2
 
 
-def test_crossval_section_prints_by_default(clean_script, tmp_path):
-    result = run_cli(str(clean_script), cwd=tmp_path)
-    assert "cross-validation" in result.stdout
-    no_crossval = run_cli(str(clean_script), "--no-crossval",
-                          cwd=tmp_path)
-    assert "cross-validation" not in no_crossval.stdout
+@pytest.mark.parametrize("seeds", ["abc", "1,x", ",", ""],
+                         ids=["word", "bad-entry", "comma", "empty"])
+def test_bad_seeds_are_a_usage_error(clean_script, tmp_path, seeds):
+    # An empty list must not silently skip S903; --no-determinism is
+    # the one way to do that.
+    result = run_cli(str(clean_script), "--seeds", seeds, cwd=tmp_path)
+    assert result.returncode == 2, result.stdout + result.stderr
+    assert result.stdout == ""
+    assert result.stderr.startswith("repro sanitize: error: --seeds")
+
+
+def _write_write_race():
+    def drive(sim, device):
+        sim.call_at(100, device.bump)
+        sim.call_at(100, device.stash)
+
+    return run_watched(drive).findings
+
+
+def test_findings_convert_to_violations_with_relative_paths():
+    findings = _write_write_race()
+    violations = findings_to_violations(
+        findings, root=os.path.dirname(__file__))
+    assert violations
+    for violation in violations:
+        assert violation.rule_id.startswith("S9")
+        assert violation.path == os.path.basename(__file__)
+        assert violation.line >= 1
+
+
+def test_sanitize_sarif_is_valid_and_carries_rule_metadata():
+    payload = json.loads(format_sanitize_sarif(_write_write_race(), 1))
+    assert payload["version"] == "2.1.0"
+    [run] = payload["runs"]
+    assert run["tool"]["driver"]["name"] == "repro.sanitize"
+    rules = {rule["id"]: (rule["name"], rule["shortDescription"]["text"])
+             for rule in run["tool"]["driver"]["rules"]}
+    assert "S901" in rules
+    assert rules == {rule_id: SANITIZE_RULE_METADATA[rule_id]
+                     for rule_id in rules}
+    assert set(SANITIZE_RULE_METADATA) == {"S901", "S902", "S903"}
+    assert run["results"]
+    for result in run["results"]:
+        assert result["ruleId"] in rules

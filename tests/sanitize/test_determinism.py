@@ -1,9 +1,5 @@
 """DeterminismSanitizer: digest diffing under seeded perturbation."""
 
-# The order-dependent scenarios deliberately mutate shared lists from
-# unordered callbacks; that is what the sanitizer must catch.
-# repro-lint: disable=R701
-
 from repro.sanitize import DeterminismSanitizer
 from repro.sim import Simulator
 

@@ -1,9 +1,5 @@
 """RaceSanitizer: S901/S902 detection, instrumentation hygiene."""
 
-# Unordered same-instant schedules are the subject under test here —
-# the static analyzer flagging them is the cross-validation working.
-# repro-lint: disable=R701,R702
-
 import pytest
 
 from repro.sanitize import (
@@ -130,7 +126,7 @@ def test_repeated_racy_instants_deduplicate_into_a_count():
     assert finding.count == 3
 
 
-def test_crossval_sites_point_at_the_schedule_calls():
+def test_schedule_sites_point_at_the_schedule_calls():
     def drive(sim, device):
         sim.call_at(100, device.bump)
         sim.call_at(100, device.stash)
@@ -139,7 +135,7 @@ def test_crossval_sites_point_at_the_schedule_calls():
     [finding] = [f for f in sanitizer.findings
                  if f.rule_id == WRITE_WRITE_RACE]
     assert all(path == __file__
-               for path, _line in finding.crossval_sites)
+               for path, _line in finding.schedule_sites)
 
 
 def test_instrumentation_is_restored_on_close():

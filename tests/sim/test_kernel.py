@@ -1,9 +1,5 @@
 """Kernel event-queue semantics."""
 
-# These tests schedule callbacks that append to shared lists on
-# purpose: the deterministic tie-break order is the thing under test.
-# repro-lint: disable=R701
-
 import pytest
 
 from repro.errors import SimulationError

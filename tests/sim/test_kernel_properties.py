@@ -5,10 +5,6 @@ randomly generated schedules — the invariants everything above the
 kernel silently relies on.
 """
 
-# Shared-list appends from many callbacks are the point here: the
-# properties assert the kernel's total ordering of exactly such sites.
-# repro-lint: disable=R701
-
 from hypothesis import given, settings, strategies as st
 
 from repro.sim import Simulator
