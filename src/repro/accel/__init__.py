@@ -1,11 +1,11 @@
 """repro.accel: swappable datapath backends for the hot kernels.
 
 The simulation's datapath cost is concentrated in a handful of
-operations: synthesising frame payloads, bulk word<->byte packing,
-CRC-32C folding, splitting FDRI payloads into frames, and the byte
-scan/match loops inside the compression codecs.  This package exposes
-those operations as a small kernel API with two interchangeable
-implementations:
+operations: planning and synthesising frame payloads, bulk
+word<->byte packing, CRC-32C folding, splitting FDRI payloads into
+frames, and the byte scan/match loops inside the compression codecs.
+This package exposes those operations as a small kernel API with two
+interchangeable implementations:
 
 * :mod:`repro.accel.pure` — tuned stdlib Python, always available,
   and the semantic reference;
@@ -34,17 +34,19 @@ from __future__ import annotations
 
 import os
 from contextlib import contextmanager
+from random import Random
 from types import ModuleType
 from typing import Iterator, List, Optional, Sequence, Tuple
 
 from repro.accel import pure
-from repro.accel.plan import SynthesisPlan
+from repro.accel.plan import FrameMixture, SynthesisPlan
 from repro.accel.pure import XMATCH_MASK_CODES, TokenStream
 from repro.errors import AccelError
 from repro.obs import current_registry
 
 __all__ = [
     "BACKEND_ENV",
+    "FrameMixture",
     "SynthesisPlan",
     "TokenStream",
     "XMATCH_MASK_CODES",
@@ -63,6 +65,7 @@ __all__ = [
     "lz77_tokens",
     "match_lengths",
     "native_available",
+    "plan_frames",
     "record",
     "rle_decode",
     "rle_records",
@@ -240,6 +243,16 @@ def bytes_to_words(data: bytes) -> List[int]:
         backend = _resolve()
     record("bytes_to_words", len(data))
     return backend.bytes_to_words(data)
+
+
+def plan_frames(rng: Random, mixture: FrameMixture, frame_count: int,
+                have_previous: bool) -> SynthesisPlan:
+    """Plan frames of payload ops from ``rng`` (see the pure reference)."""
+    backend = _active
+    if backend is None:
+        backend = _resolve()
+    record("plan_frames", 4 * max(0, frame_count) * mixture.frame_words)
+    return backend.plan_frames(rng, mixture, frame_count, have_previous)
 
 
 def synthesize_payload(plan: SynthesisPlan) -> bytes:

@@ -12,6 +12,10 @@ This module is imported in two ways:
 * setuptools' ``cffi_modules`` hook (the ``native`` install extra) —
   builds the extension as part of the wheel.
 
+``REPRO_NATIVE_SANITIZE=1`` in the environment of either build
+compiles the kernels with AddressSanitizer and UBSan instead of the
+optimised flags.
+
 Importing it requires cffi; everything else in the package stays
 importable without.
 """
@@ -24,6 +28,9 @@ from cffi import FFI
 
 _HERE = os.path.dirname(os.path.abspath(__file__))
 
+#: Set to ``1`` to build with AddressSanitizer and UBSan.
+SANITIZE_ENV = "REPRO_NATIVE_SANITIZE"
+
 with open(os.path.join(_HERE, "uparc_kernels.c"), "r",
           encoding="utf-8") as _handle:
     _SOURCE = _handle.read()
@@ -31,6 +38,20 @@ with open(os.path.join(_HERE, "uparc_kernels.c"), "r",
 ffibuilder = FFI()
 
 ffibuilder.cdef("""
+typedef struct {
+    double utilization;
+    double zero_threshold;
+    double motif_threshold;
+    double copy_threshold;
+    double sparse_threshold;
+    double zero_success;
+    double motif_success;
+    double copy_success;
+    double cum_total;
+    int zero_geometric;
+    int motif_geometric;
+    int copy_geometric;
+} uparc_mixture;
 void uparc_init(void);
 uint32_t uparc_crc32c(const uint8_t *data, size_t len, uint32_t crc);
 int64_t uparc_bitpack(const uint64_t *values, const uint8_t *widths,
@@ -46,6 +67,13 @@ int64_t uparc_lz77_tokens(const uint8_t *data, size_t len,
                           int min_match, int max_chain,
                           uint64_t *values, uint8_t *widths,
                           int32_t *head, int32_t *prev);
+int64_t uparc_plan_frames(uint32_t *state, const uparc_mixture *mix,
+                          size_t frame_count, uint32_t frame_words,
+                          int have_previous, const uint32_t *motifs,
+                          uint32_t motif_count, const uint8_t *byte_pool,
+                          const double *cum_weights, size_t hi,
+                          uint8_t *kinds, uint32_t *values,
+                          uint32_t *lengths, size_t cap);
 int64_t uparc_synthesize_payload(const uint8_t *kinds,
                                  const uint32_t *values,
                                  const uint32_t *lengths, size_t op_count,
@@ -71,10 +99,26 @@ int uparc_rle_decode(const uint8_t *records, size_t record_len,
 void uparc_buffer_free(uint8_t *ptr);
 """)
 
+# -ffp-contract=off: the frame planner compares doubles exactly as
+# CPython does, which a fused multiply-add could change.
+_COMPILE_ARGS = ["-O2", "-ffp-contract=off"]
+_LINK_ARGS: list = []
+if os.environ.get(SANITIZE_ENV) == "1":
+    # AddressSanitizer + UBSan build for CI.  Loading it into CPython
+    # needs LD_PRELOAD=$(gcc -print-file-name=libasan.so) and
+    # ASAN_OPTIONS=detect_leaks=0; UBSan findings abort instead of
+    # printing and carrying on, so a test run cannot pass over one.
+    _COMPILE_ARGS = ["-O1", "-g", "-ffp-contract=off",
+                     "-fsanitize=address,undefined",
+                     "-fno-sanitize-recover=undefined",
+                     "-fno-omit-frame-pointer"]
+    _LINK_ARGS = ["-fsanitize=address,undefined"]
+
 ffibuilder.set_source(
     "repro.accel._native._uparc_native",
     _SOURCE,
-    extra_compile_args=["-O2"],
+    extra_compile_args=_COMPILE_ARGS,
+    extra_link_args=_LINK_ARGS,
 )
 
 if __name__ == "__main__":

@@ -19,6 +19,23 @@
 #include <stdlib.h>
 #include <string.h>
 
+/* The frame planner's scalar inputs (repro.accel.plan.FrameMixture); */
+/* declared identically in the cffi cdef.                             */
+typedef struct {
+    double utilization;
+    double zero_threshold;
+    double motif_threshold;
+    double copy_threshold;
+    double sparse_threshold;
+    double zero_success;
+    double motif_success;
+    double copy_success;
+    double cum_total;
+    int zero_geometric;   /* 0: run mean 1, the length draws nothing */
+    int motif_geometric;
+    int copy_geometric;
+} uparc_mixture;
+
 /* ------------------------------------------------------------------ */
 /* Shared status codes (decoder errors; the wrapper maps them to the  */
 /* reference CorruptStreamError messages).                            */
@@ -448,6 +465,237 @@ int64_t uparc_lz77_tokens(const uint8_t *data, size_t len,
         }
     }
     return n;
+}
+
+/* ------------------------------------------------------------------ */
+/* Frame planning: the generator's run-mixture planner, drawing from  */
+/* CPython's MT19937 exactly as random.Random does.  key[0..623] is   */
+/* the generator's key and key[624] its index, as getstate() lays     */
+/* them out; the wrapper writes the advanced state back with          */
+/* setstate().  mt_next, mt_random and mt_below are CPython 3.11's    */
+/* genrand_uint32, random() and choice()'s _randbelow (mt_next reads  */
+/* a pre-tempered copy of the key: the same values, in the same       */
+/* order).  Every draw and every float comparison is the pure         */
+/* planner's, in its order; the build disables FP contraction so no   */
+/* comparison sees a fused multiply-add.                              */
+
+#define MT_N 624
+#define MT_M 397
+
+typedef struct {
+    uint32_t *key;
+    uint32_t index;       /* a local copy, kept in a register */
+    uint32_t out[MT_N];   /* the current key's tempered outputs */
+} mt_state;
+
+/* genrand_uint32's tempering, applied to the whole key at once (a    */
+/* loop the compiler vectorises); out[i] is what the i-th draw from   */
+/* this key returns.                                                  */
+static void mt_temper(mt_state *mt)
+{
+    for (int i = 0; i < MT_N; i++) {
+        uint32_t y = mt->key[i];
+        y ^= y >> 11;
+        y ^= (y << 7) & 0x9d2c5680u;
+        y ^= (y << 15) & 0xefc60000u;
+        y ^= y >> 18;
+        mt->out[i] = y;
+    }
+}
+
+/* genrand_uint32's regeneration of all N key words; -(y & 1) & A is  */
+/* its mag01[y & 1] without the table lookup.                         */
+static void mt_twist(uint32_t *key)
+{
+    uint32_t y;
+    int kk;
+    for (kk = 0; kk < MT_N - MT_M; kk++) {
+        y = (key[kk] & 0x80000000u) | (key[kk + 1] & 0x7fffffffu);
+        key[kk] = key[kk + MT_M] ^ (y >> 1) ^ (-(y & 1u) & 0x9908b0dfu);
+    }
+    for (; kk < MT_N - 1; kk++) {
+        y = (key[kk] & 0x80000000u) | (key[kk + 1] & 0x7fffffffu);
+        key[kk] = key[kk + (MT_M - MT_N)] ^ (y >> 1)
+            ^ (-(y & 1u) & 0x9908b0dfu);
+    }
+    y = (key[MT_N - 1] & 0x80000000u) | (key[0] & 0x7fffffffu);
+    key[MT_N - 1] = key[MT_M - 1] ^ (y >> 1) ^ (-(y & 1u) & 0x9908b0dfu);
+}
+
+static void mt_refill(mt_state *mt)
+{
+    mt_twist(mt->key);
+    mt_temper(mt);
+    mt->index = 0;
+}
+
+static inline uint32_t mt_next(mt_state *mt)
+{
+    if (mt->index >= MT_N)
+        mt_refill(mt);
+    return mt->out[mt->index++];
+}
+
+/* random() from two outputs.  CPython computes a * 67108864.0 + b;   */
+/* a * 2^26 + b < 2^53 is exact both ways, so one int64 conversion    */
+/* gives the same double.                                             */
+static inline double mt_double(uint32_t first, uint32_t second)
+{
+    int64_t bits = ((int64_t)(first >> 5) << 26) | (second >> 6);
+    return (double)bits * (1.0 / 9007199254740992.0);
+}
+
+static inline double mt_random(mt_state *mt)
+{
+    uint32_t first = mt_next(mt);
+    return mt_double(first, mt_next(mt));
+}
+
+/* _randbelow(n) for 1 <= n < 2^32: getrandbits(n.bit_length()),      */
+/* redrawn while it is >= n.                                          */
+static uint32_t mt_below(mt_state *mt, uint32_t n)
+{
+    int k = 0;
+    for (uint32_t v = n; v; v >>= 1)
+        k++;
+    uint32_t r = mt_next(mt) >> (32 - k);
+    while (r >= n)
+        r = mt_next(mt) >> (32 - k);
+    return r;
+}
+
+/* A geometric run length: 1, plus one per draw above success.  With  */
+/* geometric == 0 (run mean 1) the length is 1 and nothing is drawn.  */
+static inline uint64_t mt_run(mt_state *mt, int geometric, double success)
+{
+    uint64_t length = 1;
+    if (geometric)
+        while (mt_random(mt) > success)
+            length++;
+    return length;
+}
+
+/* bisect_right(cum, x, 0, n) over an ascending cum: x < cum[i] is    */
+/* false up to one index and true after it, so the search returns     */
+/* the number of cum[i] with !(x < cum[i]) (n for a NaN x).  This     */
+/* counts them without bisect's chain of dependent loads.             */
+#if defined(__GNUC__)
+typedef double v2d __attribute__((vector_size(16)));
+typedef int64_t v2l __attribute__((vector_size(16)));
+#endif
+
+static inline size_t count_not_below(const double *cum, size_t n, double x)
+{
+    size_t i = 0, below = 0;
+#if defined(__GNUC__)
+    v2d xv = {x, x};
+    v2l lanes = {0, 0};
+    for (; i + 2 <= n; i += 2) {
+        v2d pair;
+        memcpy(&pair, cum + i, sizeof pair);
+        lanes += (v2l)(xv < pair);    /* -1 per lane where x < cum */
+    }
+    below = (size_t)-(lanes[0] + lanes[1]);
+#endif
+    for (; i < n; i++)
+        below += x < cum[i];
+    return n - below;
+}
+
+/* One texture byte: 0 when random() < 0.45, else                     */
+/* byte_pool[bisect_right(cum, random() * total, 0, hi)].  With four  */
+/* tempered outputs at hand, both draws are read up front and the     */
+/* 0.45 test selects without a branch; the index then advances by the */
+/* two or four outputs the reference consumes.                        */
+static inline uint32_t texture_byte(mt_state *mt, const uint8_t *byte_pool,
+                                    const double *cum, size_t hi,
+                                    double total)
+{
+    if (mt->index + 4 <= MT_N) {
+        const uint32_t *out = mt->out + mt->index;
+        uint32_t drawn = !(mt_double(out[0], out[1]) < 0.45);
+        double x = mt_double(out[2], out[3]) * total;
+        mt->index += 2 + 2 * drawn;
+        return byte_pool[count_not_below(cum, hi, x)] & -drawn;
+    }
+    if (mt_random(mt) < 0.45)
+        return 0;
+    return byte_pool[count_not_below(cum, hi, mt_random(mt) * total)];
+}
+
+/* Plans frame_count frames into kinds/values/lengths (capacity cap,  */
+/* which frame_count * frame_words always covers: every op holds at   */
+/* least one word).  motifs must be non-empty and cum_weights must    */
+/* hold hi ascending entries, hi = len(byte_pool) - 1.  Returns the   */
+/* op count, or -1 on overflow (the wrapper then discards the state   */
+/* and runs pure).                                                    */
+
+int64_t uparc_plan_frames(uint32_t *key, const uparc_mixture *mix,
+                          size_t frame_count, uint32_t frame_words,
+                          int have_previous, const uint32_t *motifs,
+                          uint32_t motif_count, const uint8_t *byte_pool,
+                          const double *cum_weights, size_t hi,
+                          uint8_t *kinds, uint32_t *values,
+                          uint32_t *lengths, size_t cap)
+{
+    mt_state mt;
+    mt.key = key;
+    mt.index = key[MT_N];
+    mt_temper(&mt);
+    size_t n = 0;
+    for (size_t frame = 0; frame < frame_count; frame++) {
+        if (mt_random(&mt) >= mix->utilization) {
+            /* Blank (unconfigured) frame. */
+            if (n >= cap)
+                return -1;
+            kinds[n] = 0;
+            values[n] = 0;
+            lengths[n] = frame_words;
+            n++;
+            have_previous = 1;
+            continue;
+        }
+        uint32_t position = 0;
+        while (position < frame_words) {
+            double draw = mt_random(&mt);
+            uint8_t kind = 0;
+            uint32_t value = 0;
+            uint64_t length = 1;
+            if (draw < mix->zero_threshold) {
+                length = mt_run(&mt, mix->zero_geometric,
+                                mix->zero_success);
+            } else if (draw < mix->motif_threshold) {
+                value = motifs[mt_below(&mt, motif_count)];
+                length = mt_run(&mt, mix->motif_geometric,
+                                mix->motif_success);
+            } else if (draw < mix->copy_threshold && have_previous) {
+                kind = 1;
+                length = mt_run(&mt, mix->copy_geometric,
+                                mix->copy_success);
+            } else if (draw < mix->sparse_threshold || !have_previous) {
+                /* Texture word: skewed-byte configuration content. */
+                for (int byte = 0; byte < 4; byte++)
+                    value = (value << 8)
+                        | texture_byte(&mt, byte_pool, cum_weights, hi,
+                                       mix->cum_total);
+            } else {
+                value = mt_next(&mt);  /* dense LUT word */
+            }
+            uint32_t remaining = frame_words - position;
+            if (length > remaining)
+                length = remaining;
+            if (n >= cap)
+                return -1;
+            kinds[n] = kind;
+            values[n] = value;
+            lengths[n] = (uint32_t)length;
+            n++;
+            position += (uint32_t)length;
+        }
+        have_previous = 1;
+    }
+    key[MT_N] = mt.index;
+    return (int64_t)n;
 }
 
 /* ------------------------------------------------------------------ */

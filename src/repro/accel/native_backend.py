@@ -3,32 +3,49 @@
 Byte-identical to :mod:`repro.accel.pure` by construction — the C
 kernels in ``repro/accel/_native/uparc_kernels.c`` port the reference
 loops statement for statement (same token layouts, same move-to-front
-order, same error detection points), and the cross-backend digest and
-hypothesis suites pin the two together.  This module is the thin ctypes
--free wrapper: it shapes arguments into C buffers, maps decoder status
-codes back to the reference :class:`~repro.errors.CorruptStreamError`
-messages, and keeps a small-input crossover per kernel below which the
-tuned pure form wins (the FFI call plus buffer setup costs ~1 µs).
+order, same error detection points, the same MT19937 draws), and the
+cross-backend digest and hypothesis suites pin the two together.
+This module is the thin ctypes-free wrapper: it shapes arguments into
+C buffers, maps decoder status codes back to the reference
+:class:`~repro.errors.CorruptStreamError` messages, and keeps a
+small-input crossover per kernel below which the tuned pure form wins
+(the FFI call plus buffer setup costs ~1 µs).
 
 Importing this module requires the compiled extension
 (``python -m repro.accel._native.build`` or the ``native`` install
 extra); :func:`repro.accel.native_available` probes for it and the
 selection logic falls back to pure when it is missing.
 
-Kernels with no C form (the word-run scans, word packing, frame
-chunking, ``match_lengths``, the Huffman code table) forward to pure:
-on every measured workload they are either never called under this
+Kernels in C: ``plan_frames`` (the generator's frame planner, drawing
+from the caller's ``random.Random`` state), ``synthesize_payload``,
+``crc32c``, ``rle_records``, ``xmatch_tokens``, ``lz77_tokens``,
+``bitpack``, ``huffman_pack`` and the four decoders
+(``xmatch_decode``, ``lz77_decode``, ``huffman_decode``,
+``rle_decode``).
+
+Kernels with no C form forward to pure: ``words_to_bytes``,
+``bytes_to_words``, ``chunk_words``, ``equal_word_runs``,
+``zero_word_runs``, ``match_lengths`` and ``huffman_code_table``.  On
+every measured workload they are either never called under this
 backend or already as fast as a C port would make them.
+
+``plan_frames`` carries one more guard: importing this module plans a
+short stream both ways and compares the ops and the final RNG state.
+The C planner follows CPython 3.11's ``random`` algorithms; if the
+running interpreter draws differently, the planner forwards to pure
+for the whole process while every other kernel stays native.
 """
 
 from __future__ import annotations
 
 from array import array
-from typing import List, Sequence, Tuple
+from itertools import accumulate
+from random import Random
+from typing import List, Optional, Sequence, Tuple
 
 from repro.accel import pure
 from repro.accel._native import _uparc_native
-from repro.accel.plan import SynthesisPlan
+from repro.accel.plan import FrameMixture, SynthesisPlan
 from repro.errors import CorruptStreamError
 
 name = "native"
@@ -44,9 +61,11 @@ _lib.uparc_init()
 # crossovers are 2-16 elements for everything except the kernels that
 # pay a fixed Python-side conversion per call (huffman_pack converts
 # two 256-entry code tables; lz77_tokens allocates its 128 KB
-# hash-head array) and rle_decode, whose pure form does one bulk
-# ``word * run`` per record and only loses once the stream holds a few
-# dozen records.
+# hash-head array; plan_frames round-trips the 625-word RNG state
+# through getstate/setstate, about 45 µs, which pure's ~20 µs per
+# frame repays from 4 frames on) and rle_decode, whose pure form does
+# one bulk ``word * run`` per record and only loses once the stream
+# holds a few dozen records.
 _CRC_MIN_BYTES = 4
 _BITPACK_MIN_TOKENS = 8
 _HUFF_PACK_MIN_BYTES = 128
@@ -58,6 +77,7 @@ _HUFF_DEC_MIN_BYTES = 8
 _RLE_DEC_MIN_BYTES = 64
 _SYNTH_MIN_WORDS = 16
 _RLE_MIN_WORDS = 2
+_PLAN_MIN_FRAMES = 4
 
 # The C synthesis kernel reads the plan's array("I") values and
 # lengths as uint32_t, which only holds where that typecode is 4 bytes.
@@ -178,6 +198,119 @@ def huffman_code_table(frequencies: Sequence[int]
 
 
 # -- word streams -------------------------------------------------------
+
+
+def _native_plan(rng: Random, mixture: FrameMixture, frame_count: int,
+                 have_previous: bool) -> Optional[SynthesisPlan]:
+    """The C planner, or None when ``mixture`` does not fit its types.
+
+    Every check runs before the RNG is read, and ``rng`` only advances
+    (one ``setstate``) once the C loop has succeeded, so a ``None``
+    leaves it exactly where pure will start.
+    """
+    plan = SynthesisPlan(mixture.frame_words)  # raises as pure's does
+    pool = mixture.byte_pool
+    hi = len(pool) - 1
+    motifs = mixture.motifs
+    cum = mixture.cum_weights
+    if hi < 0 or len(cum) < hi or not motifs:
+        return None  # pure raises (or indexes) as the reference does
+    if not all(low <= high for low, high in zip(cum, cum[1:hi])):
+        # C looks texture bytes up by counting, which equals
+        # bisect_right's probes only over an ascending table.
+        return None
+    try:
+        motif_buffer = array("I", motifs)
+        pool_buffer = array("B", pool)
+        cum_buffer = array("d", cum)
+        mix = ffi.new("uparc_mixture *", {
+            "utilization": mixture.utilization,
+            "zero_threshold": mixture.zero_threshold,
+            "motif_threshold": mixture.motif_threshold,
+            "copy_threshold": mixture.copy_threshold,
+            "sparse_threshold": mixture.sparse_threshold,
+            "zero_success": mixture.zero_success or 0.0,
+            "motif_success": mixture.motif_success or 0.0,
+            "copy_success": mixture.copy_success or 0.0,
+            "cum_total": mixture.cum_total,
+            "zero_geometric": mixture.zero_success is not None,
+            "motif_geometric": mixture.motif_success is not None,
+            "copy_geometric": mixture.copy_success is not None,
+        })
+    except (OverflowError, TypeError):
+        return None  # motifs past 32 bits, pool bytes past 8: pure's ints
+    version, internal, gauss_next = rng.getstate()
+    state = array("I", internal)
+    frame_words = mixture.frame_words
+    cap = frame_count * frame_words
+    # Every op covers at least one word, so cap ops always fit.
+    kinds = ffi.new("uint8_t[]", cap)
+    values = ffi.new("uint32_t[]", cap)
+    lengths = ffi.new("uint32_t[]", cap)
+    count = _lib.uparc_plan_frames(
+        ffi.from_buffer("uint32_t[]", state), mix, frame_count,
+        frame_words, have_previous,
+        ffi.from_buffer("uint32_t[]", motif_buffer), len(motifs),
+        ffi.from_buffer("uint8_t[]", pool_buffer),
+        ffi.from_buffer("double[]", cum_buffer), hi,
+        kinds, values, lengths, cap)
+    if count < 0:
+        return None
+    rng.setstate((version, tuple(state), gauss_next))
+    plan.kinds.frombytes(ffi.buffer(kinds, count))
+    plan.values.frombytes(ffi.buffer(values, 4 * count))
+    plan.lengths.frombytes(ffi.buffer(lengths, 4 * count))
+    plan.total_words = cap
+    return plan
+
+
+def _planner_matches_pure() -> bool:
+    """Plan a short stream both ways; True when C reproduces pure.
+
+    CPython's ``_randbelow`` (behind ``choice``) has changed between
+    versions, and the C planner follows 3.11's.  The probe runs two
+    successive plans (the second carries the previous frame) over a
+    five-motif mixture, so ``_randbelow`` rejects and every op kind
+    and draw type occurs; the ops and the final RNG state must both
+    match.
+    """
+    weights = [1.0 / (rank + 1) for rank in range(20)]
+    cum_weights = tuple(accumulate(weights))
+    mixture = FrameMixture(
+        frame_words=41, utilization=0.8, zero_threshold=0.25,
+        motif_threshold=0.43, copy_threshold=0.52,
+        sparse_threshold=0.95, zero_success=1.0 / 6.8,
+        motif_success=1.0 / 1.281, copy_success=None,
+        motifs=(0x00010200, 0x40000001, 0x00300000, 0x08000080, 0x2),
+        byte_pool=tuple(range(7, 247, 12)), cum_weights=cum_weights,
+        cum_total=cum_weights[-1])
+    reference = Random(2012)
+    candidate = Random(2012)
+    for have_previous in (False, True):
+        want = pure.plan_frames(reference, mixture, 12, have_previous)
+        got = _native_plan(candidate, mixture, 12, have_previous)
+        if got is None or (got.kinds, got.values, got.lengths,
+                           got.total_words) != (
+                want.kinds, want.values, want.lengths, want.total_words):
+            return False
+    return candidate.getstate() == reference.getstate()
+
+
+# Checked once per process; on a mismatch plan_frames forwards to pure.
+_PLANNER_MATCHES_PURE = _planner_matches_pure()
+
+
+def plan_frames(rng: Random, mixture: FrameMixture, frame_count: int,
+                have_previous: bool) -> SynthesisPlan:
+    # type() is exact on purpose: a Random subclass may override the
+    # draws, which only calling its methods honours.
+    if (frame_count < _PLAN_MIN_FRAMES or type(rng) is not Random
+            or not _PLANNER_MATCHES_PURE or not _PLAN_ITEMS_ARE_32_BIT):
+        return pure.plan_frames(rng, mixture, frame_count, have_previous)
+    plan = _native_plan(rng, mixture, frame_count, have_previous)
+    if plan is None:
+        return pure.plan_frames(rng, mixture, frame_count, have_previous)
+    return plan
 
 
 def synthesize_payload(plan: SynthesisPlan) -> bytes:

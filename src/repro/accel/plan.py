@@ -23,14 +23,46 @@ mixture:
 The planner clips every op at the frame boundary, so op lengths sum
 to ``frames * frame_words`` and a COPY never reaches past its own
 frame's start.
+
+The planner itself is a kernel too (``accel.plan_frames``): it reads
+its fixed inputs from a :class:`FrameMixture` and draws from the
+generator's seeded ``random.Random``.
 """
 
 from __future__ import annotations
 
 from array import array
+from typing import NamedTuple, Optional, Tuple
 
 FILL = 0
 COPY = 1
+
+
+class FrameMixture(NamedTuple):
+    """The run mixture one bitstream's frames are planned from.
+
+    Built once per generator from its spec.  The thresholds are the
+    cumulative category weights and the ``*_success`` fields the
+    geometric run-length success probabilities (``None`` when the run
+    mean is 1, so a run's length draws nothing); both are computed in
+    Python so every backend compares against the same doubles.
+    """
+
+    frame_words: int
+    utilization: float
+    zero_threshold: float
+    motif_threshold: float
+    copy_threshold: float
+    sparse_threshold: float
+    zero_success: Optional[float]
+    motif_success: Optional[float]
+    copy_success: Optional[float]
+    #: Routing-motif words, drawn with ``rng.choice``.
+    motifs: Tuple[int, ...]
+    #: Texture byte vocabulary and its cumulative zipf weights.
+    byte_pool: Tuple[int, ...]
+    cum_weights: Tuple[float, ...]
+    cum_total: float
 
 
 class SynthesisPlan:

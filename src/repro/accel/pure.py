@@ -19,12 +19,14 @@ from __future__ import annotations
 import heapq
 import struct
 from array import array
+from bisect import bisect
 from collections import defaultdict, deque
+from random import Random
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import BitstreamFormatError, CorruptStreamError
 
-from repro.accel.plan import COPY, SynthesisPlan
+from repro.accel.plan import COPY, FILL, FrameMixture, SynthesisPlan
 
 name = "pure"
 
@@ -114,6 +116,119 @@ def bytes_to_words(data: bytes) -> List[int]:
             f"byte stream length {len(data)} is not word aligned"
         )
     return list(struct.unpack(">%dI" % (len(data) // 4), data))
+
+
+def plan_frames(rng: Random, mixture: FrameMixture, frame_count: int,
+                have_previous: bool) -> SynthesisPlan:
+    """Plan ``frame_count`` frames of payload ops from ``rng``'s draws.
+
+    One blank-frame gate per frame, then category draws until the
+    frame is full.  The RNG draw *sequence* is the contract: every
+    branch consumes exactly the draws the historical per-method
+    generator did, so all seeded payloads stay bit-identical, and
+    ``rng`` ends where that generator left it.  ``have_previous``
+    says whether a frame was already planned (a COPY needs one).
+    """
+    random = rng.random
+    choice = rng.choice
+    getrandbits = rng.getrandbits
+    plan = SynthesisPlan(mixture.frame_words)
+    # Ops accumulate in plain lists (cheapest append) and become
+    # the plan's typed arrays in one bulk constructor at the end.
+    kinds: list = []
+    values: list = []
+    lengths: list = []
+    kind_append = kinds.append
+    value_append = values.append
+    length_append = lengths.append
+    target = mixture.frame_words
+    utilization = mixture.utilization
+    zero_threshold = mixture.zero_threshold
+    motif_threshold = mixture.motif_threshold
+    copy_threshold = mixture.copy_threshold
+    sparse_threshold = mixture.sparse_threshold
+    zero_success = mixture.zero_success
+    motif_success = mixture.motif_success
+    copy_success = mixture.copy_success
+    motifs = mixture.motifs
+    pool = mixture.byte_pool
+    cum = mixture.cum_weights
+    total = mixture.cum_total
+    hi = len(pool) - 1
+    for _ in range(frame_count):
+        if random() >= utilization:
+            # Blank (unconfigured) frame.
+            kind_append(FILL)
+            value_append(0)
+            length_append(target)
+            have_previous = True
+            continue
+        position = 0
+        while position < target:
+            draw = random()
+            if draw < zero_threshold:
+                length = 1
+                if zero_success is not None:
+                    while random() > zero_success:
+                        length += 1
+                remaining = target - position
+                if length > remaining:
+                    length = remaining
+                kind_append(FILL)
+                value_append(0)
+                length_append(length)
+                position += length
+            elif draw < motif_threshold:
+                motif = choice(motifs)
+                length = 1
+                if motif_success is not None:
+                    while random() > motif_success:
+                        length += 1
+                remaining = target - position
+                if length > remaining:
+                    length = remaining
+                kind_append(FILL)
+                value_append(motif)
+                length_append(length)
+                position += length
+            elif draw < copy_threshold and have_previous:
+                length = 1
+                if copy_success is not None:
+                    while random() > copy_success:
+                        length += 1
+                remaining = target - position
+                if length > remaining:
+                    length = remaining
+                kind_append(COPY)
+                value_append(0)
+                length_append(length)
+                position += length
+            elif draw < sparse_threshold or not have_previous:
+                # Texture word: skewed-byte configuration content.
+                word = 0
+                for _byte in range(4):
+                    if random() < 0.45:
+                        word <<= 8
+                    else:
+                        word = (word << 8) \
+                            | pool[bisect(cum, random() * total, 0, hi)]
+                kind_append(FILL)
+                value_append(word)
+                length_append(1)
+                position += 1
+            else:
+                kind_append(FILL)  # dense LUT word
+                value_append(getrandbits(32))
+                length_append(1)
+                position += 1
+        have_previous = True
+    plan.kinds = array("B", kinds)
+    plan.values = array("I", values)
+    plan.lengths = array("I", lengths)
+    # Every frame sums to exactly frame_words (runs are clipped at
+    # the boundary), so the total is closed-form.
+    plan.total_words = frame_count * target
+    return plan
 
 
 def synthesize_payload(plan: SynthesisPlan) -> bytes:

@@ -26,14 +26,12 @@ The mixture weights below were calibrated so the from-scratch codecs in
 from __future__ import annotations
 
 import random
-from array import array
-from bisect import bisect
 from dataclasses import dataclass, field
 from itertools import accumulate
 from typing import List, Optional
 
 from repro import accel
-from repro.accel.plan import COPY, FILL, SynthesisPlan
+from repro.accel.plan import FrameMixture, SynthesisPlan
 from repro.bitstream.device import DeviceInfo, VIRTEX5_SX50T
 from repro.bitstream.format import (
     BUS_WIDTH_DETECT,
@@ -196,144 +194,55 @@ class _FrameSynthesizer:
         self._rng = random.Random(spec.seed)
         # Motifs are sparse-ish words themselves (routing bits are a
         # minority of each word), keeping the byte histogram skewed.
-        self._motifs = [self._sparse_word(bits=self._rng.randint(2, 10))
-                        for _ in range(spec.motif_pool)]
+        motifs = [self._sparse_word(bits=self._rng.randint(2, 10))
+                  for _ in range(spec.motif_pool)]
         # Byte vocabulary for "configuration texture" words: words that
         # rarely repeat exactly (little for dictionary coders to grab)
         # but whose bytes follow a heavily skewed, zipf-like histogram
         # (what byte-level Huffman exploits).
         pool_size = 20
-        self._byte_pool = [self._rng.randrange(1, 256)
-                           for _ in range(pool_size)]
-        self._byte_weights = [1.0 / (rank + 1) for rank in range(pool_size)]
+        byte_pool = [self._rng.randrange(1, 256) for _ in range(pool_size)]
+        byte_weights = [1.0 / (rank + 1) for rank in range(pool_size)]
         # random.choices() computes cumulative weights on every call;
         # precomputing them and sampling via bisect draws the same
         # single random() per word, so the sequence is unchanged.
-        self._cum_weights = list(accumulate(self._byte_weights))
-        self._cum_total = self._cum_weights[-1] + 0.0
-        self._have_previous = False
-
-    def plan(self, frame_count: int) -> SynthesisPlan:
-        """Plan ``frame_count`` frames of payload ops.
-
-        The mixture logic (one blank-frame gate per frame, then
-        category draws until the frame is full) is fully inlined: the
-        planner is the last pure-Python per-word-ish loop on the
-        mode-ii critical path, so run-length geometrics, texture-word
-        synthesis and op appends all run on local bindings.  The RNG
-        draw *sequence* is the contract — every branch consumes
-        exactly the draws the historical per-method code did, keeping
-        all seeded payloads bit-identical.
-        """
-        spec = self._spec
-        rng = self._rng
-        random = rng.random
-        choice = rng.choice
-        getrandbits = rng.getrandbits
-        plan = SynthesisPlan(spec.device.frame_words)
-        # Ops accumulate in plain lists (cheapest append) and become
-        # the plan's typed arrays in one bulk constructor at the end.
-        kinds: list = []
-        values: list = []
-        lengths: list = []
-        kind_append = kinds.append
-        value_append = values.append
-        length_append = lengths.append
-        target = spec.device.frame_words
-        utilization = spec.utilization
+        cum_weights = list(accumulate(byte_weights))
         # Cumulative category thresholds, accumulated in the historical
         # order so the float comparisons are bit-for-bit unchanged.
         zero_threshold = spec.zero_run_weight
         motif_threshold = zero_threshold + spec.motif_run_weight
         copy_threshold = motif_threshold + spec.copy_weight
         sparse_threshold = copy_threshold + spec.sparse_weight
-        # Geometric success probabilities (None: mean <= 1 draws nothing).
-        zero_success = (1.0 / spec.zero_run_mean
-                        if spec.zero_run_mean > 1.0 else None)
-        motif_success = (1.0 / spec.motif_run_mean
-                         if spec.motif_run_mean > 1.0 else None)
-        copy_success = (1.0 / spec.copy_run_mean
-                        if spec.copy_run_mean > 1.0 else None)
-        motifs = self._motifs
-        pool = self._byte_pool
-        cum = self._cum_weights
-        total = self._cum_total
-        hi = len(pool) - 1
-        have_previous = self._have_previous
-        for _ in range(frame_count):
-            if random() >= utilization:
-                # Blank (unconfigured) frame.
-                kind_append(FILL)
-                value_append(0)
-                length_append(target)
-                have_previous = True
-                continue
-            position = 0
-            while position < target:
-                draw = random()
-                if draw < zero_threshold:
-                    length = 1
-                    if zero_success is not None:
-                        while random() > zero_success:
-                            length += 1
-                    remaining = target - position
-                    if length > remaining:
-                        length = remaining
-                    kind_append(FILL)
-                    value_append(0)
-                    length_append(length)
-                    position += length
-                elif draw < motif_threshold:
-                    motif = choice(motifs)
-                    length = 1
-                    if motif_success is not None:
-                        while random() > motif_success:
-                            length += 1
-                    remaining = target - position
-                    if length > remaining:
-                        length = remaining
-                    kind_append(FILL)
-                    value_append(motif)
-                    length_append(length)
-                    position += length
-                elif draw < copy_threshold and have_previous:
-                    length = 1
-                    if copy_success is not None:
-                        while random() > copy_success:
-                            length += 1
-                    remaining = target - position
-                    if length > remaining:
-                        length = remaining
-                    kind_append(COPY)
-                    value_append(0)
-                    length_append(length)
-                    position += length
-                elif draw < sparse_threshold or not have_previous:
-                    # Texture word: skewed-byte configuration content.
-                    word = 0
-                    for _byte in range(4):
-                        if random() < 0.45:
-                            word <<= 8
-                        else:
-                            word = (word << 8) \
-                                | pool[bisect(cum, random() * total, 0, hi)]
-                    kind_append(FILL)
-                    value_append(word)
-                    length_append(1)
-                    position += 1
-                else:
-                    kind_append(FILL)  # dense LUT word
-                    value_append(getrandbits(32))
-                    length_append(1)
-                    position += 1
-            have_previous = True
-        self._have_previous = have_previous
-        plan.kinds = array("B", kinds)
-        plan.values = array("I", values)
-        plan.lengths = array("I", lengths)
-        # Every frame sums to exactly frame_words (runs are clipped at
-        # the boundary), so the total is closed-form.
-        plan.total_words = frame_count * target
+        self._mixture = FrameMixture(
+            frame_words=spec.device.frame_words,
+            utilization=spec.utilization,
+            zero_threshold=zero_threshold,
+            motif_threshold=motif_threshold,
+            copy_threshold=copy_threshold,
+            sparse_threshold=sparse_threshold,
+            zero_success=_geometric_success(spec.zero_run_mean),
+            motif_success=_geometric_success(spec.motif_run_mean),
+            copy_success=_geometric_success(spec.copy_run_mean),
+            motifs=tuple(motifs),
+            byte_pool=tuple(byte_pool),
+            cum_weights=tuple(cum_weights),
+            cum_total=cum_weights[-1] + 0.0,
+        )
+        self._have_previous = False
+
+    def plan(self, frame_count: int) -> SynthesisPlan:
+        """Plan the next ``frame_count`` frames of payload ops.
+
+        The planning loop is the ``accel.plan_frames`` kernel: the
+        pure backend's loop is the reference, and the native backend
+        runs the same draws in C over this synthesizer's MT19937
+        state.  Successive calls continue one stream: the RNG carries
+        over, and so does the previous frame a COPY reads from.
+        """
+        plan = accel.plan_frames(self._rng, self._mixture, frame_count,
+                                 self._have_previous)
+        if frame_count > 0:
+            self._have_previous = True
         return plan
 
     def _sparse_word(self, bits: int) -> int:
@@ -341,6 +250,11 @@ class _FrameSynthesizer:
         for _ in range(bits):
             word |= 1 << self._rng.randrange(32)
         return word
+
+
+def _geometric_success(mean: float) -> Optional[float]:
+    """Run-length success probability (None: mean <= 1 draws nothing)."""
+    return 1.0 / mean if mean > 1.0 else None
 
 
 def generate_bitstream(spec: Optional[BitstreamSpec] = None,

@@ -10,7 +10,9 @@ kernels in call recorders and pin the dispatch decision:
 * the permanent forwarders (``chunk_words``, ``words_to_bytes``,
   ``huffman_code_table``, ``match_lengths``) hand over at *every*
   size on every available backend — the regression this file exists
-  to prevent is a backend being selected at a size where it loses.
+  to prevent is a backend being selected at a size where it loses;
+* the C frame planner hands over when its import-time self-check
+  finds the interpreter drawing differently.
 
 The native section skips cleanly when the extension is not built.
 """
@@ -19,11 +21,19 @@ The native section skips cleanly when the extension is not built.
 # dispatch decisions under test live in the backend modules.
 # repro-lint: disable=B804
 
+from random import Random
+
 import pytest
 
 from repro import accel
 from repro.accel import pure
-from repro.accel.plan import SynthesisPlan
+from repro.accel.plan import FrameMixture, SynthesisPlan
+from repro.bitstream.generator import (
+    BitstreamSpec,
+    _FrameSynthesizer,
+    generate_bitstream,
+)
+from repro.units import DataSize
 
 requires_native = pytest.mark.skipif(
     not accel.native_available(),
@@ -167,6 +177,64 @@ def test_native_lz77_crossover(native_backend, monkeypatch):
                      (_BIG_DATA, 8, 4, 3, 8))
 
 
+_MIXTURE: FrameMixture = _FrameSynthesizer(BitstreamSpec())._mixture
+
+
+@requires_native
+def test_native_plan_frames_crossover(native_backend, monkeypatch):
+    # The getstate/setstate round trip costs about three frames of
+    # pure planning, so C takes over from four frames.
+    calls = _sentinel(monkeypatch, "plan_frames")
+    native_backend.plan_frames(Random(7), _MIXTURE, 3, True)
+    assert calls, "plan_frames must delegate to pure below 4 frames"
+
+    calls.clear()
+    rng = Random(7)
+    got = native_backend.plan_frames(rng, _MIXTURE, 4, True)
+    assert not calls, "plan_frames must run in C from 4 frames"
+    reference = Random(7)
+    want = pure.plan_frames(reference, _MIXTURE, 4, True)
+    assert (got.kinds, got.values, got.lengths) == \
+        (want.kinds, want.values, want.lengths)
+    assert rng.getstate() == reference.getstate()
+
+
+@requires_native
+def test_planner_self_check_mismatch_forwards_to_pure(native_backend,
+                                                      monkeypatch):
+    # An interpreter whose random module draws differently from the
+    # C planner: simulated by a C planner that leaves the RNG one
+    # draw off.  The import-time self-check must catch it, and the
+    # planner must then forward to pure while the backend stays native.
+    c_planner = native_backend._native_plan
+
+    def drifting(rng, mixture, frame_count, have_previous):
+        plan = c_planner(rng, mixture, frame_count, have_previous)
+        rng.random()
+        return plan
+
+    monkeypatch.setattr(native_backend, "_native_plan", drifting)
+    monkeypatch.setattr(native_backend, "_PLANNER_MATCHES_PURE",
+                        native_backend._planner_matches_pure())
+    assert native_backend._PLANNER_MATCHES_PURE is False
+
+    calls = _sentinel(monkeypatch, "plan_frames")
+    with accel.using("native"):
+        blob = generate_bitstream(size=DataSize.from_kb(16),
+                                  seed=2012).file_bytes
+        assert accel.backend_name() == "native"
+    assert calls, "a failed self-check must route plan_frames to pure"
+    with accel.using("pure"):
+        assert blob == generate_bitstream(size=DataSize.from_kb(16),
+                                          seed=2012).file_bytes
+
+
+@requires_native
+def test_planner_self_check_passes_here(native_backend):
+    # On the interpreters CI runs, the C draws are CPython's.
+    assert native_backend._PLANNER_MATCHES_PURE is True
+
+
 @requires_native
 def test_native_guard_delegations(native_backend, monkeypatch):
     # Layouts outside the C kernels' fixed-width assumptions must fall
@@ -197,6 +265,28 @@ def test_native_guard_delegations(native_backend, monkeypatch):
     # A word count past the end of the data is pure's to interpret.
     calls = _sentinel(monkeypatch, "rle_records")
     native_backend.rle_records(b"\x11\x22\x33\x44" * 4, 8)
+    assert calls
+
+    # A Random subclass may override the draws, an unsorted byte
+    # table needs bisect's own probes, and an empty motif vocabulary
+    # raises from choice(): all three are pure's.
+    class Subclassed(Random):
+        pass
+
+    calls = _sentinel(monkeypatch, "plan_frames")
+    native_backend.plan_frames(Subclassed(1), _MIXTURE, 8, True)
+    assert calls
+    calls.clear()
+    native_backend.plan_frames(
+        Random(1), _MIXTURE._replace(
+            cum_weights=tuple(reversed(_MIXTURE.cum_weights))), 8, True)
+    assert calls
+    calls.clear()
+    with pytest.raises(IndexError):
+        native_backend.plan_frames(
+            Random(1), _MIXTURE._replace(motifs=(), utilization=1.0,
+                                         zero_threshold=0.0,
+                                         motif_threshold=1.0), 8, True)
     assert calls
 
 

@@ -14,6 +14,7 @@ on a base install.
 # repro-lint: disable=B804
 
 import hashlib
+from random import Random
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -21,7 +22,11 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from repro import accel
 from repro.accel import pure
 from repro.accel.plan import SynthesisPlan
-from repro.bitstream.generator import generate_bitstream
+from repro.bitstream.generator import (
+    BitstreamSpec,
+    _FrameSynthesizer,
+    generate_bitstream,
+)
 from repro.errors import CorruptStreamError
 from repro.units import DataSize
 
@@ -36,6 +41,10 @@ def vectorised(request, monkeypatch):
         if attribute.startswith("_") and "_MIN_" in attribute \
                 and isinstance(getattr(backend, attribute), int):
             monkeypatch.setattr(backend, attribute, 0)
+    # Compare the C planner itself even where its import-time
+    # self-check sent it to pure: a mismatch then fails here with a
+    # shrunk example instead of passing as pure against pure.
+    monkeypatch.setattr(backend, "_PLANNER_MATCHES_PURE", True)
     return backend
 
 
@@ -192,6 +201,145 @@ def test_generator_digest_identical_across_backends(vectorised):
                                       seed=2012).file_bytes
         digests.add(hashlib.sha256(blob).hexdigest())
     assert len(digests) == 1
+
+
+# -- frame planner ------------------------------------------------------
+
+# Mixture weights as small integer shares (zeros included), normalised
+# so they sum to 1 within the spec's tolerance.
+weight_shares = st.lists(st.integers(min_value=0, max_value=6),
+                         min_size=5, max_size=5).filter(any)
+run_means = st.one_of(st.just(1.0),
+                      st.floats(min_value=1.0, max_value=12.0))
+
+
+@st.composite
+def planner_specs(draw):
+    shares = draw(weight_shares)
+    total = sum(shares)
+    zero, motif, copy, sparse, dense = (share / total for share in shares)
+    return BitstreamSpec(
+        seed=draw(st.integers(min_value=0, max_value=2**32)),
+        utilization=draw(st.one_of(st.just(0.0), st.just(1.0),
+                                   st.floats(min_value=0.0,
+                                             max_value=1.0))),
+        motif_pool=draw(st.sampled_from([1, 3, 5, 7, 8])),
+        zero_run_weight=zero, motif_run_weight=motif, copy_weight=copy,
+        sparse_weight=sparse, dense_weight=dense,
+        zero_run_mean=draw(run_means), motif_run_mean=draw(run_means),
+        copy_run_mean=draw(run_means))
+
+
+def _assert_same_plans(vectorised, spec, frame_counts):
+    """Plan successive calls both ways from twin synthesizers."""
+    reference = _FrameSynthesizer(spec)
+    candidate = _FrameSynthesizer(spec)
+    have_previous = False
+    for frame_count in frame_counts:
+        want = pure.plan_frames(reference._rng, reference._mixture,
+                                frame_count, have_previous)
+        got = vectorised.plan_frames(candidate._rng, candidate._mixture,
+                                     frame_count, have_previous)
+        assert (got.kinds, got.values, got.lengths, got.total_words) == \
+            (want.kinds, want.values, want.lengths, want.total_words)
+        assert candidate._rng.getstate() == reference._rng.getstate()
+        have_previous = have_previous or frame_count > 0
+
+
+@quick
+@given(planner_specs(), st.integers(min_value=1, max_value=12),
+       st.integers(min_value=0, max_value=6))
+def test_plan_frames_matches(vectorised, spec, first, second):
+    # Two calls on one synthesizer: the second carries the RNG and
+    # the previous frame a COPY reads from.
+    _assert_same_plans(vectorised, spec, (first, second))
+
+
+@pytest.mark.parametrize("motif_pool", [1, 3, 5, 7])
+@pytest.mark.parametrize("utilization", [0.0, 1.0])
+def test_plan_frames_boundaries(vectorised, motif_pool, utilization):
+    # motif_pool 3, 5 and 7 make _randbelow reject and redraw; run
+    # means of exactly 1.0 take the branches that draw no length.
+    specs = (
+        BitstreamSpec(motif_pool=motif_pool, utilization=utilization),
+        BitstreamSpec(motif_pool=motif_pool, utilization=utilization,
+                      zero_run_mean=1.0, motif_run_mean=1.0,
+                      copy_run_mean=1.0),
+        BitstreamSpec(motif_pool=motif_pool, utilization=utilization,
+                      zero_run_weight=0.0, motif_run_weight=0.5,
+                      copy_weight=0.0, sparse_weight=0.0,
+                      dense_weight=0.5),
+    )
+    for spec in specs:
+        _assert_same_plans(vectorised, spec, (1,))
+        _assert_same_plans(vectorised, spec, (1, 1, 40))
+
+
+# Lookup-table doubles: the special values make random() * total land
+# exactly on a cum entry (total 0 or inf), where < and <= part ways.
+table_doubles = st.one_of(
+    st.sampled_from([0.0, -0.0, 0.5, 1.0, float("inf"), float("-inf"),
+                     float("nan")]),
+    st.floats(width=64))
+
+
+def _texture_only(byte_pool, cum_weights, cum_total):
+    base = _FrameSynthesizer(BitstreamSpec())._mixture
+    return base._replace(
+        utilization=1.0, zero_threshold=0.0, motif_threshold=0.0,
+        copy_threshold=0.0, sparse_threshold=1.0,
+        byte_pool=tuple(byte_pool), cum_weights=tuple(cum_weights),
+        cum_total=cum_total)
+
+
+def _assert_same_texture(vectorised, mixture, seed):
+    reference, candidate = Random(seed), Random(seed)
+    for have_previous in (False, True):
+        want = pure.plan_frames(reference, mixture, 2, have_previous)
+        got = vectorised.plan_frames(candidate, mixture, 2, have_previous)
+        assert got.values == want.values
+        assert candidate.getstate() == reference.getstate()
+
+
+@pytest.mark.parametrize("pool", [(11, 22, 33, 44), (11, 22, 33, 44, 55)])
+@pytest.mark.parametrize("cum,total", [
+    ((-1.0, 0.0, 0.0, 1.0), 0.0),         # x hits a run of entries
+    ((0.0, 0.5, 1.0, 1.0), 1.0),          # x = total hits the last two
+    ((0.25, 0.5, 0.75, 1.0), float("nan")),
+    ((0.25, 0.5, 0.75, float("inf")), float("inf")),
+    ((1.0, 0.0, 0.0, 0.5), 0.0),          # unsorted: pure's probes
+])
+def test_plan_frames_texture_lookup_boundaries(vectorised, pool, cum,
+                                               total):
+    # x = random() * total equals a cum entry on many draws here,
+    # where "x < cum" and "x <= cum" part ways; the two pool sizes
+    # search an even and an odd prefix of cum.
+    _assert_same_texture(vectorised, _texture_only(pool, cum, total),
+                         seed=5)
+
+
+@quick
+@given(st.lists(table_doubles, min_size=1, max_size=24), st.booleans(),
+       table_doubles, st.data())
+def test_plan_frames_texture_lookup_matches(vectorised, cum, ascending,
+                                            total, data):
+    # Texture words only, over byte tables no spec produces: cum
+    # repeated, infinite, NaN or unsorted, pools of one byte up to
+    # len(cum) + 1.  The C planner counts over an ascending cum and
+    # hands any other table to pure; either way the byte is pure's.
+    if ascending:
+        cum = sorted(cum)
+    pool = data.draw(st.lists(st.integers(min_value=1, max_value=255),
+                              min_size=1, max_size=len(cum) + 1))
+    _assert_same_texture(vectorised, _texture_only(pool, cum, total),
+                         seed=data.draw(st.integers(min_value=0,
+                                                    max_value=2**32)))
+
+
+def test_plan_frames_full_payload(vectorised):
+    # The 216.5 KB mode-ii payload: 1,351 frames in one call, past
+    # several MT19937 regenerations of the 624-word key.
+    _assert_same_plans(vectorised, BitstreamSpec(seed=2019), (1351,))
 
 
 # -- compressor-stack kernels ------------------------------------------

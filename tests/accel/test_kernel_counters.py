@@ -7,7 +7,8 @@ kernels that codec dispatches — the encode kernels on the compress
 side and the matching bit-serial decode kernel on the decompress
 side.  Together the four codecs cover all ten compressor-stack
 kernels, so a kernel silently bypassing the dispatch facade (and its
-``record`` call) fails here.
+``record`` call) fails here.  Generating a bitstream likewise ticks
+the frame planner's counter once per generated payload.
 """
 
 import pytest
@@ -47,6 +48,18 @@ def test_mode_ii_run_ticks_compressor_kernels(backend, name):
         assert calls > 0, \
             f"{name} run did not dispatch {kernel} ({backend})"
         assert counters.get(f"accel.{backend}.{kernel}.bytes", 0) > 0
+
+
+@pytest.mark.parametrize("backend", accel.available_backends())
+def test_generate_bitstream_ticks_plan_frames(backend):
+    with accel.using(backend):
+        with obs.observed(metrics=True) as observation:
+            bitstream = _bitstream()
+    counters = observation.registry.snapshot()["counters"]
+    assert counters.get(f"accel.{backend}.plan_frames.calls", 0) == 1
+    # One plan covers the whole FDRI payload.
+    assert counters.get(f"accel.{backend}.plan_frames.bytes", 0) == \
+        len(bitstream.payload_data)
 
 
 def test_expected_kernel_map_covers_every_new_kernel():
