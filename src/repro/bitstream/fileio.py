@@ -95,7 +95,8 @@ def load_bit(path: PathLike,
     # so the loaded object exposes the same views a generated one does.
     frame_words_per_frame = (device.frame_words if device is not None
                              else 41)
-    payload_offset, payload_words = _find_fdri_span(parsed.raw_words)
+    raw_words = parsed.raw_words
+    payload_offset, payload_words = _find_fdri_span(raw_words)
     if payload_words % frame_words_per_frame:
         raise BitstreamError(
             f"FDRI payload of {payload_words} words is not a whole "
@@ -104,11 +105,11 @@ def load_bit(path: PathLike,
     # The raw word stream is the tail of the file blob (the parser
     # decodes it from there), so the FDRI payload bytes can be sliced
     # out directly instead of re-packed from the word list later.
-    raw_start = len(blob) - 4 * len(parsed.raw_words)
+    raw_start = len(blob) - len(parsed.raw)
     start = raw_start + payload_offset * 4
     return LoadedBitstream(
         header=parsed.header,
-        raw_words=parsed.raw_words,
+        raw_words=raw_words,
         frame_count=payload_words // frame_words_per_frame,
         frame_payload_offset=payload_offset,
         frame_payload_words=payload_words,

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Dict, Iterator, Tuple
+from typing import Dict, Iterator, Optional, Tuple
 
 from repro.bitstream.device import DeviceInfo
 from repro.errors import BitstreamFormatError
@@ -100,7 +100,7 @@ class FrameAddress:
         the auto-increment order the configuration logic applies when
         consecutive frames stream through FDRI.  For in-geometry
         addresses this is a lookup in the device's memoised
-        :class:`FrameLayout` (one successor table per device, built
+        :class:`FrameLayout` (one address table per device, built
         once instead of per generated bitstream); out-of-geometry
         addresses (a parsed FAR can carry any field values) fall back
         to the arithmetic stepping.
@@ -134,31 +134,50 @@ class FrameLayout:
     field arithmetic (and ``FrameAddress`` construction with its field
     validation) for each of its thousands of frames.  The layout walks
     the device's full address cycle *once* with the arithmetic rule —
-    so the table is correct by construction — and serves successors by
-    dictionary lookup afterwards.
+    so the table is correct by construction — and keeps it twice:
+    ``addresses`` as :class:`FrameAddress` values and ``packed`` as
+    their FAR register values (the keys of configuration memory).
+
+    The cycle is plain nesting — minor inside column inside row
+    inside top/bottom — so an in-geometry address's index is field
+    arithmetic (:meth:`position`); no per-address dictionary is kept.
     """
 
-    __slots__ = ("device", "block_type", "addresses", "_successor")
+    __slots__ = ("device", "block_type", "addresses", "packed",
+                 "_minors", "_columns", "_rows")
 
     def __init__(self, device: DeviceInfo, block_type: BlockType) -> None:
         self.device = device
         self.block_type = block_type
-        cycle = (device.minor_frames_clb * device.columns
-                 * max(1, device.rows // 2) * 2)
+        self._minors = device.minor_frames_clb
+        self._columns = device.columns
+        self._rows = max(1, device.rows // 2)
+        cycle = self._minors * self._columns * self._rows * 2
         addresses = []
         address = FrameAddress(block_type, top=0, row=0, column=0, minor=0)
         for _ in range(cycle):
             addresses.append(address)
             address = address._next_arithmetic(device)
         self.addresses: Tuple[FrameAddress, ...] = tuple(addresses)
-        successor: Dict[FrameAddress, FrameAddress] = {}
-        for index, entry in enumerate(addresses):
-            successor[entry] = addresses[(index + 1) % cycle]
-        self._successor = successor
+        self.packed: Tuple[int, ...] = tuple(
+            entry.pack() for entry in addresses)
 
-    def successor(self, address: FrameAddress):
+    def position(self, address: FrameAddress) -> Optional[int]:
+        """Index of ``address`` in the cycle, or None if out of geometry."""
+        if (address.block_type != self.block_type
+                or address.minor >= self._minors
+                or address.column >= self._columns
+                or address.row >= self._rows):
+            return None
+        return (((address.top * self._rows + address.row) * self._columns
+                 + address.column) * self._minors + address.minor)
+
+    def successor(self, address: FrameAddress) -> Optional[FrameAddress]:
         """The next in-geometry address, or None if out of geometry."""
-        return self._successor.get(address)
+        index = self.position(address)
+        if index is None:
+            return None
+        return self.addresses[(index + 1) % len(self.addresses)]
 
     def __len__(self) -> int:
         return len(self.addresses)

@@ -115,8 +115,7 @@ class PartialBitstream:
     payload bytes, epilogue words — because every hot consumer (the
     codecs, file round trips, the UPaRC datapath) reads the payload as
     *bytes*.  ``raw_words`` is derived lazily and cached the first
-    time a word-level consumer (the baseline ICAP controllers, the
-    floorplan report) asks for it.
+    time a word-level consumer (the floorplan report) asks for it.
     """
 
     spec: BitstreamSpec
@@ -335,12 +334,13 @@ def frame_repair_bitstream(device: DeviceInfo, origin: FrameAddress,
             )
         flat.extend(frame)
 
+    payload_data = words_to_bytes(flat)
     spec = BitstreamSpec(device=device, size=DataSize.from_words(
         len(flat) + 64), origin=origin, design_name=design_name)
     prologue, epilogue = _command_shell(spec)
     shell_prologue = prologue + type2_write_headers(ConfigRegister.FDRI,
                                                     len(flat))
-    epilogue = _finish_epilogue(spec, flat, epilogue)
+    epilogue = _finish_epilogue(spec, payload_data, epilogue)
     header = BitstreamHeader(
         design_name=f"{design_name}.ncd",
         part_name=device.name.lower(),
@@ -354,7 +354,7 @@ def frame_repair_bitstream(device: DeviceInfo, origin: FrameAddress,
         header=header,
         shell_prologue=shell_prologue,
         shell_epilogue=epilogue,
-        payload_data=words_to_bytes(flat),
+        payload_data=payload_data,
         frame_count=len(frames),
     )
 
@@ -391,26 +391,21 @@ def _command_shell(spec: BitstreamSpec):
     return prologue, epilogue
 
 
-def _finish_epilogue(spec: BitstreamSpec, frame_data,
+def _finish_epilogue(spec: BitstreamSpec, frame_data: bytes,
                      epilogue: List[int]) -> List[int]:
     """Patch the epilogue's CRC word with the true configuration CRC.
 
     Mirrors the accumulation the configuration logic performs
     (:class:`repro.bitstream.crc.ConfigCrc`): RCRC resets, then every
     register write after it folds in, in stream order.  ``frame_data``
-    is the FDRI payload as either a word list or already-packed
-    big-endian bytes (the generator hands over its cached bytes to
-    avoid re-serializing the payload).
+    is the packed big-endian FDRI payload.
     """
     from repro.bitstream.crc import ConfigCrc
     crc = ConfigCrc()
     crc.update(int(ConfigRegister.IDCODE), spec.device.idcode)
     crc.update(int(ConfigRegister.CMD), int(Command.WCFG))
     crc.update(int(ConfigRegister.FAR), spec.origin.pack())
-    if isinstance(frame_data, bytes):
-        crc.update_block_bytes(int(ConfigRegister.FDRI), frame_data)
-    else:
-        crc.update_block(int(ConfigRegister.FDRI), frame_data)
+    crc.update_block_bytes(int(ConfigRegister.FDRI), frame_data)
     crc.update(int(ConfigRegister.CMD), int(Command.LFRM))
     patched = list(epilogue)
     # The CRC payload word follows its type-1 header; locate it: the

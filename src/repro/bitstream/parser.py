@@ -5,7 +5,8 @@ external memory, parsing the preamble of the partial bitstream and
 then loading bitstream size followed by the configuration data into
 the BRAM".  This module is that parsing step: it validates the BIT
 preamble, checks the device IDCODE, locates the sync word, and exposes
-the raw configuration words to preload.
+the raw configuration stream to preload, as the big-endian bytes
+that follow the preamble.
 """
 
 from __future__ import annotations
@@ -26,21 +27,28 @@ from repro.bitstream.header import BitstreamHeader
 from repro.errors import BitstreamFormatError, DeviceMismatchError
 from repro.units import DataSize
 
+_SYNC_BYTES = SYNC_WORD.to_bytes(4, "big")
+
 
 @dataclass
 class ParsedBitstream:
     """Result of parsing a .bit file."""
 
     header: BitstreamHeader
-    raw_words: List[int]          # everything after the preamble
+    raw: bytes                    # everything after the preamble
     sync_index: int               # word index of the sync word
     packets: List[ConfigPacket]   # decoded packets after sync
     idcode: Optional[int]
 
     @property
+    def raw_words(self) -> List[int]:
+        """The configuration stream as 32-bit words (derived on demand)."""
+        return bytes_to_words(self.raw)
+
+    @property
     def size(self) -> DataSize:
-        """Size of the configuration word stream (what BRAM must hold)."""
-        return DataSize.from_words(len(self.raw_words))
+        """Size of the configuration stream (what BRAM must hold)."""
+        return DataSize(len(self.raw))
 
     @property
     def frame_data_words(self) -> int:
@@ -66,30 +74,36 @@ class BitstreamParser:
                 f"preamble declares {header.payload_length} raw bytes but "
                 f"{len(raw)} follow"
             )
-        raw_words = bytes_to_words(raw)
-        sync_index = self._find_sync(raw_words)
+        if len(raw) % 4:
+            raise BitstreamFormatError(
+                f"byte stream length {len(raw)} is not word aligned"
+            )
+        sync_index = self._find_sync(raw)
         packets: List[ConfigPacket] = []
         idcode: Optional[int] = None
         if self._decode_packets:
-            decoder = PacketDecoder(raw_words[sync_index + 1:])
+            decoder = PacketDecoder(bytes_to_words(raw[4 * sync_index + 4:]))
             packets = [packet for packet in decoder.decode_all()
                        if packet.opcode is not Opcode.NOP or packet.payload]
             idcode = self._extract_idcode(packets)
             self._check_device(header, idcode)
         return ParsedBitstream(
             header=header,
-            raw_words=raw_words,
+            raw=raw,
             sync_index=sync_index,
             packets=packets,
             idcode=idcode,
         )
 
     @staticmethod
-    def _find_sync(words: List[int]) -> int:
-        for index, word in enumerate(words):
-            if word == SYNC_WORD:
-                return index
-        raise BitstreamFormatError("sync word 0xAA995566 not found")
+    def _find_sync(raw: bytes) -> int:
+        """Word index of the first word-aligned sync pattern."""
+        position = raw.find(_SYNC_BYTES)
+        while position >= 0 and position % 4:
+            position = raw.find(_SYNC_BYTES, position + 1)
+        if position < 0:
+            raise BitstreamFormatError("sync word 0xAA995566 not found")
+        return position // 4
 
     @staticmethod
     def _extract_idcode(packets: List[ConfigPacket]) -> Optional[int]:

@@ -16,7 +16,7 @@ the baselines' published architectures are what the plans encode.)
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import Optional
 
 from repro.bitstream.device import DeviceInfo
 from repro.bitstream.generator import PartialBitstream
@@ -45,7 +45,7 @@ class TransferPlan:
     controller: str
     mode: str                      # storage/mode label for the result
     stored_size: DataSize          # bytes in the staging store
-    output_words: List[int]        # exact words ICAP must receive
+    output_bytes: bytes            # exact stream ICAP must receive
     transfer_ps: int               # duration of the transfer phase
     manager_state: str             # COPY (processor-driven) or WAIT (DMA)
     chain_active: bool             # does the DMA chain power scale w/ f?
@@ -90,7 +90,7 @@ def execute_plan(plan: TransferPlan, device: DeviceInfo,
             chain_track.enter("active", clk2_mhz=frequency.mhz)
         icap.enable()
         icap.reset_payload()
-        icap.absorb(plan.output_words,
+        icap.absorb(plan.output_bytes,
                     words_per_cycle=2.0)  # timing paced by transfer_ps
         yield Delay(plan.transfer_ps)
         icap.disable()

@@ -70,13 +70,13 @@ class BramHwicap(ReconfigurationController):
                 f"BRAM_HWICAP stores raw bitstreams only; {bitstream.size} "
                 f"exceeds its {self.bram_capacity} of BRAM"
             )
-        words = list(bitstream.raw_words)
-        cycles = self.dma.transfer_cycles(len(words))
+        data = bitstream.raw_bytes
+        cycles = self.dma.transfer_cycles(len(data) // 4)
         plan = TransferPlan(
             controller=self.name,
             mode="bram",
             stored_size=bitstream.size,
-            output_words=words,
+            output_bytes=data,
             transfer_ps=clock.duration_of(cycles),
             manager_state=ManagerState.WAIT,
             chain_active=True,

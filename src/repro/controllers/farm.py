@@ -67,12 +67,12 @@ class Farm(ReconfigurationController):
             raise ControllerError(
                 f"FaRM limited to {self.max_frequency}, got {clock}"
             )
-        words = list(bitstream.raw_words)
+        data = bitstream.raw_bytes
         if self.mode == "compressed":
-            compressed = self._codec.compress(bitstream.raw_bytes)
+            compressed = self._codec.compress(data)
             stored = DataSize(len(compressed))
             # Functional check: the staged stream must round-trip.
-            if self._codec.decompress(compressed) != bitstream.raw_bytes:
+            if self._codec.decompress(compressed) != data:
                 raise ControllerError("FaRM RLE round-trip failed")
         else:
             stored = bitstream.size
@@ -82,12 +82,12 @@ class Farm(ReconfigurationController):
                 f"BRAM (mode {self.mode!r})"
             )
         # Output side paces either mode: one word per cycle.
-        cycles = len(words) + FARM_SETUP_CYCLES
+        cycles = len(data) // 4 + FARM_SETUP_CYCLES
         plan = TransferPlan(
             controller=self.name,
             mode=self.mode,
             stored_size=stored,
-            output_words=words,
+            output_bytes=data,
             transfer_ps=clock.duration_of(cycles),
             manager_state=ManagerState.WAIT,
             chain_active=True,

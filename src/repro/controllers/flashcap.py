@@ -57,16 +57,16 @@ class FlashCap(ReconfigurationController):
             raise ControllerError(
                 f"FlashCAP limited to {self.max_frequency}, got {clock}"
             )
-        compressed = self._codec.compress(bitstream.raw_bytes)
-        if self._codec.decompress(compressed) != bitstream.raw_bytes:
+        data = bitstream.raw_bytes
+        compressed = self._codec.compress(data)
+        if self._codec.decompress(compressed) != data:
             raise ControllerError("FlashCAP X-MatchPRO round-trip failed")
-        words = list(bitstream.raw_words)
-        cycles = round(len(words) / FLASHCAP_WORDS_PER_CYCLE)
+        cycles = round((len(data) // 4) / FLASHCAP_WORDS_PER_CYCLE)
         plan = TransferPlan(
             controller=self.name,
             mode="flash+xmatchpro",
             stored_size=DataSize(len(compressed)),
-            output_words=words,
+            output_bytes=data,
             transfer_ps=clock.duration_of(cycles),
             manager_state=ManagerState.WAIT,
             chain_active=True,

@@ -59,13 +59,13 @@ class MstIcap(ReconfigurationController):
                 f"{bitstream.size} exceeds DDR2 capacity "
                 f"{self.ddr2.capacity}"
             )
-        words = list(bitstream.raw_words)
-        cycles = self.ddr2.read_cycles(len(words))
+        data = bitstream.raw_bytes
+        cycles = self.ddr2.read_cycles(len(data) // 4)
         plan = TransferPlan(
             controller=self.name,
             mode="ddr2",
             stored_size=bitstream.size,
-            output_words=words,
+            output_bytes=data,
             transfer_ps=clock.duration_of(cycles),
             manager_state=ManagerState.WAIT,
             chain_active=True,

@@ -86,8 +86,8 @@ class XpsHwicap(ReconfigurationController):
             raise ControllerError(
                 f"xps_hwicap limited to {self.max_frequency}, got {clock}"
             )
-        words = list(bitstream.raw_words)
-        copy_cycles = PROFILE_COPY_CYCLES[self.profile] * len(words)
+        data = bitstream.raw_bytes
+        copy_cycles = PROFILE_COPY_CYCLES[self.profile] * (len(data) // 4)
         transfer_ps = clock.duration_of(copy_cycles)
         if self.profile == "compactflash":
             transfer_ps += self._compact_flash.read_duration_ps(
@@ -96,7 +96,7 @@ class XpsHwicap(ReconfigurationController):
             controller=f"xps_hwicap[{self.profile}]",
             mode=self.profile,
             stored_size=bitstream.size,
-            output_words=words,
+            output_bytes=data,
             transfer_ps=transfer_ps,
             manager_state=ManagerState.COPY,
             chain_active=False,  # the ICAP trickle is negligible power

@@ -5,9 +5,10 @@ three things, each modelled as a simulation process stage with cycle
 costs from :class:`~repro.fpga.microblaze.MicroBlaze`:
 
 * **Bitstream preloading** — parse the BIT preamble, then copy the
-  size+mode header word followed by the configuration words into BRAM
-  through port A.  This happens *before* the reconfiguration and can
-  be hidden in idle time (see `repro.core.scheduler`).
+  size+mode header word followed by the configuration stream (raw or
+  compressed, as big-endian bytes) into BRAM through port A.  This
+  happens *before* the reconfiguration and can be hidden in idle time
+  (see `repro.core.scheduler`).
 * **Reconfiguration control** — a short control burst to assert
   "Start", an *active wait* on "Finish" (the paper's explanation for
   frequency-dependent energy), and a control tail.
@@ -20,7 +21,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Generator, Optional
 
-from repro.bitstream.format import bytes_to_words
 from repro.bitstream.generator import PartialBitstream
 from repro.bitstream.parser import BitstreamParser
 from repro.core.dyclogen import CLK_2, CLK_3, DyCloGen
@@ -105,35 +105,34 @@ class Manager:
             yield Delay(self._cpu.parse_duration_ps())
             parsed = BitstreamParser(decode_packets=False).parse(
                 bitstream.file_bytes)
-            raw_words = parsed.raw_words
             chosen = mode if mode is not None else self.choose_mode(bitstream)
             ratio: Optional[float] = None
             if chosen is OperationMode.COMPRESSED:
                 if self._decompressor is None:
                     raise CapacityError("compressed preload without "
                                         "decompressor")
-                compressed = self._decompressor.compress_offline(
+                stored = self._decompressor.compress_offline(
                     bitstream.raw_bytes)
-                if len(compressed) % 4:
-                    compressed += b"\x00" * (4 - len(compressed) % 4)
-                stored_words = bytes_to_words(compressed)
-                ratio = (1 - len(compressed) / len(bitstream.raw_bytes)) * 100
+                if len(stored) % 4:
+                    stored += b"\x00" * (4 - len(stored) % 4)
+                ratio = (1 - len(stored) / len(bitstream.raw_bytes)) * 100
             else:
-                stored_words = raw_words
-            if len(stored_words) + 1 > self._bram.capacity.words:
+                stored = parsed.raw
+            stored_words = len(stored) // 4
+            if stored_words + 1 > self._bram.capacity.words:
                 raise CapacityError(
-                    f"stored payload of {len(stored_words)} words (+header) "
+                    f"stored payload of {stored_words} words (+header) "
                     f"exceeds BRAM capacity {self._bram.capacity.words} words"
                 )
-            header = pack_header(chosen, len(stored_words))
-            self._bram.preload([header] + stored_words)
-            yield Delay(self._cpu.preload_duration_ps(len(stored_words) + 1))
+            header = pack_header(chosen, stored_words)
+            self._bram.preload(header.to_bytes(4, "big") + stored)
+            yield Delay(self._cpu.preload_duration_ps(stored_words + 1))
         finally:
             self._state(ManagerState.IDLE)
         report = PreloadReport(
             mode=chosen,
             original_size=bitstream.size,
-            stored_size=DataSize.from_words(len(stored_words)),
+            stored_size=DataSize.from_words(stored_words),
             duration_ps=self._sim.now - begin,
             compression_ratio_percent=ratio,
         )

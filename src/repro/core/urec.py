@@ -23,7 +23,6 @@ import enum
 from dataclasses import dataclass
 from typing import Generator, Optional
 
-from repro.bitstream.format import bytes_to_words
 from repro.errors import ReconfigurationFailed
 from repro.fpga.bram import Bram
 from repro.fpga.decompressor import HardwareDecompressor
@@ -121,14 +120,14 @@ class UReC:
 
     def _raw_transfer(self, stored_words: int) -> Generator:
         """Mode i: BRAM -> ICAP burst, one word per cycle."""
-        words = self._bram.read_burst(1, stored_words)
+        data = self._bram.read_burst(1, stored_words)
         cycles = self._reader.transfer_cycles(stored_words)
         begin = self._sim.now
         with self._scope.span("urec.raw_burst", cat="urec",
                               words=stored_words):
             # ICAP absorbs the words; the custom reader's setup cycles
             # are the only overhead beyond one word per cycle.
-            self._icap.absorb(words)
+            self._icap.absorb(data)
             yield WaitCycles(self.clock, cycles)
         return TransferStats(
             mode=OperationMode.RAW,
@@ -144,16 +143,14 @@ class UReC:
                 "compressed-mode header but no decompressor configured"
             )
         self._decompressor.check_frequency()
-        compressed_words = self._bram.read_burst(1, stored_words)
-        from repro.bitstream.format import words_to_bytes
-        compressed = words_to_bytes(compressed_words)
-        original = self._decompressor.expand(compressed)
+        original = self._decompressor.expand(
+            self._bram.read_burst(1, stored_words))
         if len(original) % 4:
             # Configuration streams are word aligned by construction.
             raise ReconfigurationFailed(
                 "decompressed stream is not word aligned"
             )
-        output_words = bytes_to_words(original)
+        output_words = len(original) // 4
 
         begin = self._sim.now
         self._decompressor.activity.begin()
@@ -161,10 +158,10 @@ class UReC:
             with self._scope.span("decompressor.stream",
                                   cat="decompressor",
                                   words_in=stored_words,
-                                  words_out=len(output_words)):
+                                  words_out=output_words):
                 decomp_ps = self._decompressor.clock.cycles_duration(
-                    self._decompressor.stream_cycles(len(output_words)))
-                icap_ps = self._icap.absorb(output_words, packed=original)
+                    self._decompressor.stream_cycles(output_words))
+                icap_ps = self._icap.absorb(original)
                 # The pipeline is paced by its slower side.
                 yield Delay(max(decomp_ps, icap_ps))
         finally:
@@ -172,6 +169,6 @@ class UReC:
         return TransferStats(
             mode=OperationMode.COMPRESSED,
             stored_words=stored_words,
-            output_words=len(output_words),
+            output_words=output_words,
             burst_ps=self._sim.now - begin,
         )

@@ -16,11 +16,15 @@ Two modelling details matter to the results:
   port beyond spec when ``allow_overclock`` is set (UReC's custom
   interface is why this works), but never beyond the demonstrated ICAP
   limit.
+
+The store holds bytes, big-endian, four per 32-bit word: what the
+Manager copies in is what UReC bursts out to ICAP, with no word-list
+conversion on either port.  Offsets and counts are in words.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import Optional
 
 from repro.errors import CapacityError, FrequencyError, HardwareModelError
 from repro.sim import ActivityTrace, Clock, Simulator
@@ -44,7 +48,7 @@ class Bram:
         self.capacity = capacity
         self.max_frequency = max_frequency
         self._allow_overclock = allow_overclock
-        self._words: List[int] = [0] * capacity.words
+        self._data = bytearray(capacity.bytes)
         self.valid_words = 0
         self.port_a_activity = ActivityTrace(sim, "bram.port_a")
         self.port_b_activity = ActivityTrace(sim, "bram.port_b")
@@ -52,30 +56,32 @@ class Bram:
 
     # -- port A: Manager preload --------------------------------------
 
-    def preload(self, words: List[int], offset: int = 0) -> None:
-        """Write ``words`` starting at word ``offset`` (port A).
+    def preload(self, data: bytes, offset: int = 0) -> None:
+        """Write the big-endian ``data`` starting at word ``offset``.
 
-        Timing is accounted by the Manager (bus + memory read side);
-        the BRAM itself accepts one word per CLK_1 cycle.
+        Port A takes whole 32-bit words: a length that is not a
+        multiple of 4 raises :class:`HardwareModelError`.  Timing is
+        accounted by the Manager (bus + memory read side); the BRAM
+        itself accepts one word per CLK_1 cycle.
         """
+        if not isinstance(data, bytes):
+            data = memoryview(data).tobytes()  # a word list raises here
+        if len(data) % WORD_BYTES:
+            raise HardwareModelError(
+                f"preload of {len(data)} bytes is not whole 32-bit words"
+            )
         if offset < 0:
             raise CapacityError("negative offset")
-        if offset + len(words) > self.capacity.words:
+        words = len(data) // WORD_BYTES
+        if offset + words > self.capacity.words:
             raise CapacityError(
-                f"preload of {len(words)} words at offset {offset} exceeds "
+                f"preload of {words} words at offset {offset} exceeds "
                 f"BRAM capacity of {self.capacity.words} words "
                 f"({self.capacity})"
             )
-        if words:
-            # Bulk range check; only walk per-word to name the first
-            # offender (identical error to the historical loop).
-            if min(words) < 0 or max(words) >> 32:
-                for word in words:
-                    if not 0 <= word < (1 << 32):
-                        raise HardwareModelError(
-                            f"word {word:#x} is not 32-bit")
-            self._words[offset:offset + len(words)] = words
-        self.valid_words = max(self.valid_words, offset + len(words))
+        start = offset * WORD_BYTES
+        self._data[start:start + len(data)] = data
+        self.valid_words = max(self.valid_words, offset + words)
 
     def preload_cycles(self, words: int) -> int:
         """Port-A cycles to accept ``words`` (one per cycle)."""
@@ -107,17 +113,19 @@ class Bram:
             raise HardwareModelError("read from disabled port B")
         if not 0 <= address < self.capacity.words:
             raise CapacityError(f"word address {address} out of range")
-        return self._words[address]
+        start = address * WORD_BYTES
+        return int.from_bytes(self._data[start:start + WORD_BYTES], "big")
 
-    def read_burst(self, start: int, count: int) -> List[int]:
-        """Burst read of ``count`` words (one per port-B cycle)."""
+    def read_burst(self, start: int, count: int) -> bytes:
+        """Burst read of ``count`` words (one per port-B cycle), as bytes."""
         if not self._port_b_enabled:
             raise HardwareModelError("burst read from disabled port B")
         if start < 0 or start + count > self.capacity.words:
             raise CapacityError(
                 f"burst [{start}, {start + count}) exceeds BRAM capacity"
             )
-        return self._words[start:start + count]
+        return bytes(self._data[start * WORD_BYTES:
+                                (start + count) * WORD_BYTES])
 
     def fits(self, size: DataSize) -> bool:
         """Whether a payload fits (+1 word for the Fig. 3 header)."""

@@ -16,9 +16,8 @@ it.
 from __future__ import annotations
 
 import enum
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional
 
-from repro import accel
 from repro.bitstream.crc import ConfigCrc
 from repro.bitstream.device import DeviceInfo
 from repro.bitstream.format import (
@@ -26,8 +25,10 @@ from repro.bitstream.format import (
     ConfigRegister,
     Opcode,
     SYNC_WORD,
+    bytes_to_words,
+    words_to_bytes,
 )
-from repro.bitstream.frames import FrameAddress
+from repro.bitstream.frames import FrameAddress, frame_layout
 from repro.errors import BitstreamFormatError, DeviceMismatchError
 
 _TYPE1_COUNT_MASK = (1 << 11) - 1
@@ -35,11 +36,15 @@ _TYPE2_COUNT_MASK = (1 << 27) - 1
 
 
 class ConfigurationMemory:
-    """Frame store addressed by packed FAR values."""
+    """Frame store addressed by packed FAR values.
+
+    Frames are kept as their big-endian bytes, the form the stream
+    carries them in; the word-list methods pack and unpack at the edge.
+    """
 
     def __init__(self, device: DeviceInfo) -> None:
         self.device = device
-        self._frames: Dict[int, List[int]] = {}
+        self._frames: Dict[int, bytes] = {}
 
     def write_frame(self, address: FrameAddress, words: List[int]) -> None:
         if len(words) != self.device.frame_words:
@@ -47,12 +52,49 @@ class ConfigurationMemory:
                 f"frame write of {len(words)} words; {self.device.name} "
                 f"frames are {self.device.frame_words} words"
             )
-        self._frames[address.pack()] = list(words)
+        self._frames[address.pack()] = words_to_bytes(words)
+
+    def write_frames(self, start: FrameAddress, data: bytes) -> FrameAddress:
+        """Store whole frames from ``start`` on; returns the next FAR.
+
+        ``data`` holds consecutive frames in device order, exactly as
+        FDRI auto-increment writes them.  An in-geometry run is one
+        dictionary update against the layout's packed FARs (wrapping
+        at the end of the cycle); an out-of-geometry start steps with
+        :meth:`FrameAddress.next_in` frame by frame.
+        """
+        device = self.device
+        frame_bytes = device.frame_bytes
+        if len(data) % frame_bytes:
+            raise BitstreamFormatError(
+                f"frame write of {len(data)} bytes; {device.name} "
+                f"frames are {frame_bytes} bytes"
+            )
+        count = len(data) // frame_bytes
+        frames = [data[offset:offset + frame_bytes]
+                  for offset in range(0, len(data), frame_bytes)]
+        layout = frame_layout(device, start.block_type)
+        first = layout.position(start)
+        if first is None:
+            address = start
+            for frame in frames:
+                self._frames[address.pack()] = frame
+                address = address.next_in(device)
+            return address
+        cycle = len(layout)
+        end = first + count
+        if end <= cycle:
+            keys = layout.packed[first:end]
+        else:
+            keys = [layout.packed[index % cycle]
+                    for index in range(first, end)]
+        self._frames.update(zip(keys, frames))
+        return layout.addresses[end % cycle]
 
     def read_frame(self, address: FrameAddress) -> Optional[List[int]]:
         """Frame contents, or None if never configured."""
         frame = self._frames.get(address.pack())
-        return list(frame) if frame is not None else None
+        return bytes_to_words(frame) if frame is not None else None
 
     @property
     def configured_frames(self) -> int:
@@ -90,7 +132,8 @@ class ConfigurationLogic:
         self._remaining = 0
         self._far: Optional[FrameAddress] = None
         self._command: Optional[Command] = None
-        self._frame_buffer: List[int] = []
+        #: Bytes of a frame not yet complete (FDRI data between frames).
+        self._frame_buffer = bytearray()
         self._idcode_checked = False
         self.sync_count = 0
         self.desync_count = 0
@@ -117,44 +160,49 @@ class ConfigurationLogic:
             return
         self._header_word(word)
 
-    def feed_words(self, words: Sequence[int],
-                   packed: Optional[bytes] = None) -> None:
-        """Feed a chunk of the stream; semantically per-word.
+    def feed_words(self, data: bytes) -> None:
+        """Feed a chunk of the big-endian stream; semantically per-word.
 
+        ``data`` is the stream as ICAP receives it, four bytes per
+        word; a length that is not a multiple of 4 is rejected.
+        Control words are decoded one at a time into :meth:`feed_word`.
         FDRI frame payloads (which dominate every bitstream) and
         skipped NOP payloads take a bulk path that consumes the
-        largest safe span per iteration instead of one word; the
-        state machine, frame writes, and CRC accumulation are
-        bit-identical to the word loop.  ``packed``, when given, is
-        the big-endian serialization of ``words``; the FDRI bulk path
-        then folds the CRC from byte slices instead of re-packing.
+        largest safe span of bytes per iteration: the CRC folds the
+        span in one call and whole frames land in memory in one
+        :meth:`ConfigurationMemory.write_frames`.  State, frames and
+        CRC are bit-identical to feeding the words one by one.
         """
+        if not isinstance(data, bytes):
+            data = memoryview(data).tobytes()  # a word list raises here
+        total = len(data)
+        if total % 4:
+            raise BitstreamFormatError(
+                f"configuration stream of {total} bytes is not word "
+                f"aligned"
+            )
         index = 0
-        total = len(words)
         while index < total:
             if (self._state is _State.PAYLOAD
                     and self._register is ConfigRegister.FDRI
                     and self._command is Command.WCFG
                     and self._far is not None
                     and self._idcode_checked):
-                take = min(self._remaining, total - index)
-                self._frame_data_block(
-                    words[index:index + take],
-                    None if packed is None
-                    else packed[index * 4:(index + take) * 4])
-                self._remaining -= take
+                take = min(4 * self._remaining, total - index)
+                self._frame_data_block(data[index:index + take])
+                self._remaining -= take // 4
                 if self._remaining == 0:
                     self._state = _State.IDLE
                 index += take
             elif self._state is _State.SKIP:
-                take = min(self._remaining, total - index)
-                self._remaining -= take
+                take = min(4 * self._remaining, total - index)
+                self._remaining -= take // 4
                 if self._remaining == 0:
                     self._state = _State.IDLE
                 index += take
             else:
-                self.feed_word(words[index])
-                index += 1
+                self.feed_word(int.from_bytes(data[index:index + 4], "big"))
+                index += 4
 
     @property
     def synced(self) -> bool:
@@ -292,39 +340,35 @@ class ConfigurationLogic:
         elif command is Command.WCFG:
             self._frame_buffer.clear()
 
-    def _frame_data_block(self, block: Sequence[int],
-                          packed: Optional[bytes] = None) -> None:
-        """Bulk FDRI data: one CRC fold, frame-sized memory writes.
+    def _frame_data_block(self, block: bytes) -> None:
+        """Bulk FDRI data: one CRC fold, whole frames in one write.
 
         Only entered once the per-word path's preconditions (WCFG
         command, FAR set, IDCODE checked) are established; violations
-        still surface through :meth:`_frame_data_word`.
+        still surface through :meth:`_frame_data_word`.  A frame split
+        across two chunks waits in the partial-frame buffer.
         """
-        if packed is None:
-            self._crc.update_block(int(ConfigRegister.FDRI), block)
-        else:
-            self._crc.update_block_bytes(int(ConfigRegister.FDRI), packed)
-        device = self.memory.device
-        frame_words = device.frame_words
+        self._crc.update_block_bytes(int(ConfigRegister.FDRI), block)
+        memory = self.memory
+        frame_bytes = memory.device.frame_bytes
         buffer = self._frame_buffer
         far = self._far
         position = 0
         count = len(block)
         if buffer:
-            take = min(frame_words - len(buffer), count)
-            buffer.extend(block[:take])
-            position = take
-            if len(buffer) == frame_words:
-                self.memory.write_frame(far, buffer)
+            position = min(frame_bytes - len(buffer), count)
+            buffer += block[:position]
+            if len(buffer) == frame_bytes:
+                far = memory.write_frames(far, bytes(buffer))
                 buffer.clear()
-                far = far.next_in(device)
                 self.frames_written += 1
-        frames, tail = accel.chunk_words(block, position, frame_words)
-        for frame in frames:
-            self.memory.write_frame(far, frame)
-            far = far.next_in(device)
-        self.frames_written += len(frames)
-        buffer.extend(tail)
+        whole = (count - position) // frame_bytes
+        if whole:
+            end = position + whole * frame_bytes
+            far = memory.write_frames(far, block[position:end])
+            self.frames_written += whole
+            position = end
+        buffer += block[position:]
         self._far = far
 
     def _frame_data_word(self, word: int) -> None:
@@ -338,10 +382,13 @@ class ConfigurationLogic:
             raise BitstreamFormatError(
                 "FDRI data before the IDCODE check"
             )
-        self._frame_buffer.append(word)
-        if len(self._frame_buffer) == self.memory.device.frame_words:
-            self.memory.write_frame(self._far, self._frame_buffer)
-            self._frame_buffer.clear()
+        # The reference path: one frame write and one FAR step per
+        # frame, independent of the bulk ``write_frames``.
+        buffer = self._frame_buffer
+        buffer += word.to_bytes(4, "big")
+        if len(buffer) == self.memory.device.frame_bytes:
+            self.memory.write_frame(self._far, bytes_to_words(buffer))
+            buffer.clear()
             self._far = self._far.next_in(self.memory.device)
             self.frames_written += 1
 

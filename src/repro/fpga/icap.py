@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import zlib
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Optional
 
 from repro.bitstream.device import DeviceInfo
 from repro.bitstream.format import words_to_bytes
@@ -116,24 +116,26 @@ class Icap:
         self.words_accepted += words
         return duration
 
-    def absorb(self, words: Sequence[int],
-               words_per_cycle: float = 1.0,
-               packed: Optional[bytes] = None) -> int:
-        """Accept actual configuration words: timing + integrity.
+    def absorb(self, data: bytes, words_per_cycle: float = 1.0) -> int:
+        """Accept actual configuration data: timing + integrity.
 
-        Returns the burst duration like :meth:`accept_burst` and folds
-        the words into the port's running CRC so a run can be verified
-        bit-exact against the source bitstream.  A caller that already
-        holds the big-endian serialization of ``words`` (the UReC
-        decompression path produces bytes first) passes it as
-        ``packed`` to skip the re-pack; it must equal
-        ``words_to_bytes(words)``.
+        ``data`` is the big-endian stream, four bytes per 32-bit word,
+        as it leaves BRAM or the decompressor; a length that is not a
+        multiple of 4 raises :class:`HardwareModelError`.  Returns the
+        burst duration of ``len(data) // 4`` words like
+        :meth:`accept_burst`, folds the bytes into the port's running
+        CRC so a run can be verified bit-exact against the source
+        bitstream, and hands them to the attached configuration logic.
         """
-        duration = self.accept_burst(len(words), words_per_cycle)
-        self._crc = zlib.crc32(words_to_bytes(words) if packed is None
-                               else packed, self._crc)
+        if len(data) % WORD_BYTES:
+            raise HardwareModelError(
+                f"ICAP absorbs whole 32-bit words; got {len(data)} bytes"
+            )
+        duration = self.accept_burst(len(data) // WORD_BYTES,
+                                     words_per_cycle)
+        self._crc = zlib.crc32(data, self._crc)
         if self.config_logic is not None:
-            self.config_logic.feed_words(words, packed=packed)
+            self.config_logic.feed_words(data)
         return duration
 
     def readback(self, origin, frame_count: int):
@@ -171,7 +173,7 @@ class Icap:
                                  [0] * words_out, type2=True).encode()[:2]
         sequence += command_packet(Command.DESYNC).encode()
         before = len(logic.readback_data)
-        logic.feed_words(sequence)
+        logic.feed_words(words_to_bytes(sequence))
         data = logic.readback_data[before:]
         # One cycle per command word in, one per word out, plus the
         # pipeline pad frame the silicon inserts.

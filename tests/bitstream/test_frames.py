@@ -4,7 +4,7 @@ import dataclasses
 
 import pytest
 
-from repro.bitstream.device import VIRTEX4_FX60, VIRTEX5_SX50T
+from repro.bitstream.device import VIRTEX4_FX60, VIRTEX5_SX50T, VIRTEX6_LX240T
 from repro.bitstream.frames import (
     BlockType,
     FrameAddress,
@@ -125,3 +125,39 @@ def test_next_in_outside_geometry_falls_back_to_arithmetic():
     assert layout.successor(address) is None
     assert address.next_in(VIRTEX5_SX50T) == \
         address._next_arithmetic(VIRTEX5_SX50T)
+
+
+@pytest.mark.parametrize("device", [VIRTEX5_SX50T, VIRTEX6_LX240T,
+                                    VIRTEX4_FX60], ids=lambda d: d.name)
+@pytest.mark.parametrize("block_type", list(BlockType),
+                         ids=lambda b: b.name)
+def test_frame_layout_position_and_successor_cover_the_cycle(device,
+                                                             block_type):
+    layout = frame_layout(device, block_type)
+    for index, address in enumerate(layout.addresses):
+        assert layout.position(address) == index
+        assert layout.packed[index] == address.pack()
+        expected = address._next_arithmetic(device)
+        assert layout.successor(address) == expected
+        assert address.next_in(device) == expected
+
+
+@pytest.mark.parametrize("device", [VIRTEX5_SX50T, VIRTEX6_LX240T,
+                                    VIRTEX4_FX60], ids=lambda d: d.name)
+def test_frame_layout_position_rejects_out_of_geometry(device):
+    layout = frame_layout(device)
+    rows = max(1, device.rows // 2)
+    outside = [
+        FrameAddress(BlockType.CLB_IO_CLK, 0, 0, 0, device.minor_frames_clb),
+        FrameAddress(BlockType.CLB_IO_CLK, 0, 0, device.columns, 0),
+        FrameAddress(BlockType.CLB_IO_CLK, 1, rows, 0, 0),
+        FrameAddress(BlockType.CLB_IO_CLK, 0, 31, 255, 127),
+    ]
+    for address in outside:
+        assert layout.position(address) is None
+        assert layout.successor(address) is None
+        assert address.next_in(device) == address._next_arithmetic(device)
+    other = FrameAddress(BlockType.BRAM_CONTENT, 0, 0, 0, 0)
+    assert layout.position(other) is None
+    assert layout.successor(other) is None
+    assert frame_layout(device, BlockType.BRAM_CONTENT).position(other) == 0

@@ -56,8 +56,8 @@ class TestRawTransfer:
     def test_words_delivered_and_crc(self, sim):
         urec, bram, icap, _ = build(sim)
         payload = [0xAA995566, 0x12345678, 0xDEADBEEF, 0]
-        bram.preload([pack_header(OperationMode.RAW, len(payload))]
-                     + payload)
+        bram.preload(words_to_bytes(
+            [pack_header(OperationMode.RAW, len(payload))] + payload))
         stats = run_urec(sim, urec)
         assert stats.output_words == len(payload)
         assert icap.words_accepted == len(payload)
@@ -66,8 +66,8 @@ class TestRawTransfer:
     def test_burst_timing_one_word_per_cycle(self, sim):
         urec, bram, icap, clock = build(sim, clk2_mhz=100.0)
         payload = [7] * 1000
-        bram.preload([pack_header(OperationMode.RAW, len(payload))]
-                     + payload)
+        bram.preload(words_to_bytes(
+            [pack_header(OperationMode.RAW, len(payload))] + payload))
         stats = run_urec(sim, urec)
         # 1000 words + 2 setup cycles at 10 ns.
         assert stats.burst_ps == (1000 + 2) * 10_000
@@ -75,7 +75,8 @@ class TestRawTransfer:
     def test_en_gating_closes_activity(self, sim):
         urec, bram, icap, _ = build(sim)
         payload = [1, 2, 3]
-        bram.preload([pack_header(OperationMode.RAW, 3)] + payload)
+        bram.preload(words_to_bytes(
+            [pack_header(OperationMode.RAW, 3)] + payload))
         run_urec(sim, urec)
         assert not icap.activity.active
         assert len(icap.activity.intervals) == 1
@@ -84,7 +85,8 @@ class TestRawTransfer:
     def test_multiple_runs_reuse_controller(self, sim):
         urec, bram, icap, _ = build(sim)
         payload = [9] * 10
-        bram.preload([pack_header(OperationMode.RAW, 10)] + payload)
+        bram.preload(words_to_bytes(
+            [pack_header(OperationMode.RAW, 10)] + payload))
         run_urec(sim, urec)
         run_urec(sim, urec)
         assert urec.runs == 2
@@ -104,15 +106,16 @@ class TestCompressedTransfer:
         if len(compressed) % 4:
             compressed += b"\x00" * (4 - len(compressed) % 4)
         stored = bytes_to_words(compressed)
-        bram.preload([pack_header(OperationMode.COMPRESSED, len(stored))]
-                     + stored)
+        bram.preload(words_to_bytes(
+            [pack_header(OperationMode.COMPRESSED, len(stored))] + stored))
         stats = run_urec(sim, urec)
         assert stats.mode is OperationMode.COMPRESSED
         assert icap.payload_crc == stream_crc(small_bitstream.raw_bytes)
 
     def test_compressed_without_decompressor_fails(self, sim):
         urec, bram, icap, _ = build(sim, decompressor=None)
-        bram.preload([pack_header(OperationMode.COMPRESSED, 1), 0])
+        bram.preload(words_to_bytes(
+            [pack_header(OperationMode.COMPRESSED, 1), 0]))
         start = Event(sim, "start")
         finish = Event(sim, "finish")
         Process(sim, urec.process(start, finish), name="urec")
@@ -130,8 +133,8 @@ class TestCompressedTransfer:
         if len(compressed) % 4:
             compressed += b"\x00" * (4 - len(compressed) % 4)
         stored = bytes_to_words(compressed)
-        bram.preload([pack_header(OperationMode.COMPRESSED, len(stored))]
-                     + stored)
+        bram.preload(words_to_bytes(
+            [pack_header(OperationMode.COMPRESSED, len(stored))] + stored))
         stats = run_urec(sim, urec)
         out_words = len(small_bitstream.raw_words)
         decomp_ps = decompressor.clock.cycles_duration(

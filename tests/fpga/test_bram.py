@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.bitstream.format import bytes_to_words, words_to_bytes
 from repro.errors import CapacityError, FrequencyError, HardwareModelError
 from repro.fpga.bram import Bram
 from repro.sim import Clock
@@ -23,15 +24,15 @@ def test_capacity_must_be_word_aligned(sim):
 
 def test_preload_then_read_roundtrip(sim):
     bram = Bram(sim)
-    bram.preload([10, 20, 30])
+    bram.preload(words_to_bytes([10, 20, 30]))
     bram.enable_read_port(make_clock(sim, 100))
     assert bram.read_word(0) == 10
-    assert bram.read_burst(1, 2) == [20, 30]
+    assert bytes_to_words(bram.read_burst(1, 2)) == [20, 30]
 
 
 def test_preload_offset(sim):
     bram = Bram(sim)
-    bram.preload([1], offset=5)
+    bram.preload(words_to_bytes([1]), offset=5)
     bram.enable_read_port(make_clock(sim, 100))
     assert bram.read_word(5) == 1
     assert bram.valid_words == 6
@@ -40,18 +41,27 @@ def test_preload_offset(sim):
 def test_preload_overflow_rejected(sim):
     bram = Bram(sim, capacity=DataSize(16))  # 4 words
     with pytest.raises(CapacityError):
-        bram.preload([0] * 5)
+        bram.preload(words_to_bytes([0] * 5))
 
 
 def test_preload_non_word_value_rejected(sim):
+    # Port A stores bytes: a value that is not whole 32-bit words is a
+    # trailing partial word.
     bram = Bram(sim)
     with pytest.raises(HardwareModelError):
-        bram.preload([1 << 32])
+        bram.preload(words_to_bytes([1]) + b"\x00")
+
+
+def test_preload_rejects_word_list(sim):
+    bram = Bram(sim)
+    with pytest.raises(TypeError):
+        bram.preload([1, 2, 3, 4])
+    assert bram.valid_words == 0
 
 
 def test_read_requires_enabled_port(sim):
     bram = Bram(sim)
-    bram.preload([1])
+    bram.preload(words_to_bytes([1]))
     with pytest.raises(HardwareModelError):
         bram.read_word(0)
     with pytest.raises(HardwareModelError):
@@ -100,7 +110,7 @@ def test_fits_accounts_for_header_word(sim):
 def test_stored_reports_valid_extent(sim):
     bram = Bram(sim)
     assert bram.stored is None
-    bram.preload([1, 2, 3])
+    bram.preload(words_to_bytes([1, 2, 3]))
     assert bram.stored == DataSize.from_words(3)
 
 

@@ -8,6 +8,7 @@ from repro.bitstream.format import (
     ConfigRegister,
     SYNC_WORD,
     command_packet,
+    words_to_bytes,
     write_packet,
 )
 from repro.bitstream.frames import BlockType, FrameAddress
@@ -65,14 +66,14 @@ class TestConfigurationMemory:
 
 class TestConfigurationLogic:
     def test_ignores_words_before_sync(self, logic):
-        logic.feed_words([0xFFFFFFFF, 0x000000BB, 0x11220044])
+        logic.feed_words(words_to_bytes([0xFFFFFFFF, 0x000000BB, 0x11220044]))
         assert not logic.synced
         logic.feed_word(SYNC_WORD)
         assert logic.synced
 
     def test_full_generated_bitstream_configures_frames(self, logic):
         bitstream = generate_bitstream(size=DataSize.from_kb(8))
-        logic.feed_words(bitstream.raw_words)
+        logic.feed_words(bitstream.raw_bytes)
         assert logic.frames_written == bitstream.frame_count
         assert logic.crc_checks_passed == 1
         assert logic.desync_count == 1
@@ -80,7 +81,7 @@ class TestConfigurationLogic:
 
     def test_frame_contents_match_generator_payload(self, logic):
         bitstream = generate_bitstream(size=DataSize.from_kb(8))
-        logic.feed_words(bitstream.raw_words)
+        logic.feed_words(bitstream.raw_bytes)
         frames = logic.memory.frames_from(REGION_ORIGIN,
                                           bitstream.frame_count)
         flat = [word for frame in frames for word in frame]
@@ -91,8 +92,8 @@ class TestConfigurationLogic:
 
     def test_same_stream_twice_reconfigures(self, logic):
         bitstream = generate_bitstream(size=DataSize.from_kb(8))
-        logic.feed_words(bitstream.raw_words)
-        logic.feed_words(bitstream.raw_words)
+        logic.feed_words(bitstream.raw_bytes)
+        logic.feed_words(bitstream.raw_bytes)
         assert logic.sync_count == 2
         assert logic.frames_written == 2 * bitstream.frame_count
 
@@ -101,13 +102,13 @@ class TestConfigurationLogic:
         words = list(bitstream.raw_words)
         words[bitstream.frame_payload_offset + 5] ^= 0x00010000
         with pytest.raises(BitstreamFormatError, match="CRC mismatch"):
-            logic.feed_words(words)
+            logic.feed_words(words_to_bytes(words))
 
     def test_wrong_device_idcode_rejected(self):
         logic = ConfigurationLogic(ConfigurationMemory(VIRTEX6_LX240T))
         bitstream = generate_bitstream(size=DataSize.from_kb(8))
         with pytest.raises(DeviceMismatchError):
-            logic.feed_words(bitstream.raw_words)
+            logic.feed_words(bitstream.raw_bytes)
 
     def test_fdri_without_wcfg_rejected(self, logic):
         logic.feed_word(SYNC_WORD)
@@ -120,7 +121,7 @@ class TestConfigurationLogic:
         ).encode()
         words += write_packet(ConfigRegister.FDRI, [0]).encode()
         with pytest.raises(BitstreamFormatError, match="WCFG"):
-            logic.feed_words(words)
+            logic.feed_words(words_to_bytes(words))
 
     def test_fdri_without_far_rejected(self, logic):
         logic.feed_word(SYNC_WORD)
@@ -130,7 +131,7 @@ class TestConfigurationLogic:
         words += command_packet(Command.WCFG).encode()
         words += write_packet(ConfigRegister.FDRI, [0]).encode()
         with pytest.raises(BitstreamFormatError, match="FAR"):
-            logic.feed_words(words)
+            logic.feed_words(words_to_bytes(words))
 
     def test_fdri_before_idcode_rejected(self, logic):
         logic.feed_word(SYNC_WORD)
@@ -142,13 +143,22 @@ class TestConfigurationLogic:
         ).encode()
         words += write_packet(ConfigRegister.FDRI, [0]).encode()
         with pytest.raises(BitstreamFormatError, match="IDCODE"):
-            logic.feed_words(words)
+            logic.feed_words(words_to_bytes(words))
 
     def test_undefined_register_rejected(self, logic):
         logic.feed_word(SYNC_WORD)
         header = (0b001 << 29) | (2 << 27) | (31 << 13) | 1
         with pytest.raises(BitstreamFormatError):
-            logic.feed_words([header, 0])
+            logic.feed_words(words_to_bytes([header, 0]))
+
+    def test_unaligned_stream_rejected(self, logic):
+        with pytest.raises(BitstreamFormatError, match="not word aligned"):
+            logic.feed_words(words_to_bytes([SYNC_WORD]) + b"\x20")
+        assert not logic.synced
+
+    def test_word_list_is_not_a_stream(self, logic):
+        with pytest.raises(TypeError):
+            logic.feed_words([SYNC_WORD, 0, 0, 0])
 
     def test_orphan_type2_rejected(self, logic):
         logic.feed_word(SYNC_WORD)
@@ -161,7 +171,7 @@ class TestConfigurationLogic:
         bitstream = generate_bitstream(size=DataSize.from_kb(8))
         words = list(bitstream.raw_words)
         words[bitstream.frame_payload_offset] ^= 1
-        logic.feed_words(words)  # must not raise
+        logic.feed_words(words_to_bytes(words))  # must not raise
         assert logic.crc_checks_passed == 0
 
 
@@ -199,12 +209,12 @@ def test_nop_packet_with_payload_is_skipped(logic):
     logic.feed_word(SYNC_WORD)
     nop_with_payload = (0b001 << 29) | (0 << 27) | 3  # NOP, count 3
     # Padding that would crash if misread as headers.
-    logic.feed_words([nop_with_payload, 0xFFFFFFFF, 0x00000000,
-                      0xDEADBEEF])
+    logic.feed_words(words_to_bytes([nop_with_payload, 0xFFFFFFFF,
+                                     0x00000000, 0xDEADBEEF]))
     assert logic.synced
     # The session continues normally afterwards (desync, then a fresh
     # full bitstream).
-    logic.feed_words(command_packet(Command.DESYNC).encode())
+    logic.feed_words(words_to_bytes(command_packet(Command.DESYNC).encode()))
     bitstream = generate_bitstream(size=DataSize.from_kb(8))
-    logic.feed_words(bitstream.raw_words)
+    logic.feed_words(bitstream.raw_bytes)
     assert logic.frames_written == bitstream.frame_count

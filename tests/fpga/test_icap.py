@@ -3,6 +3,7 @@
 import pytest
 
 from repro.bitstream.device import VIRTEX5_SX50T, VIRTEX6_LX240T
+from repro.bitstream.format import words_to_bytes
 from repro.errors import FrequencyError, HardwareModelError
 from repro.fpga.icap import Icap
 from repro.results import stream_crc
@@ -85,28 +86,37 @@ def test_absorb_updates_crc(sim):
     icap = make_icap(sim)
     icap.enable()
     words = [0xAA995566, 0x12345678, 0]
-    icap.absorb(words)
+    icap.absorb(words_to_bytes(words))
     expected = stream_crc(b"\xaa\x99\x55\x66\x12\x34\x56\x78"
                           b"\x00\x00\x00\x00")
     assert icap.payload_crc == expected
 
 
+def test_absorb_rejects_partial_words(sim):
+    icap = make_icap(sim)
+    icap.enable()
+    with pytest.raises(HardwareModelError):
+        icap.absorb(words_to_bytes([1, 2]) + b"\x03")
+    assert icap.words_accepted == 0
+    assert icap.payload_crc == 0
+
+
 def test_absorb_crc_is_order_sensitive(sim):
     icap1 = make_icap(sim)
     icap1.enable()
-    icap1.absorb([1, 2])
+    icap1.absorb(words_to_bytes([1, 2]))
     from repro.sim import Simulator
     sim2 = Simulator()
     icap2 = make_icap(sim2)
     icap2.enable()
-    icap2.absorb([2, 1])
+    icap2.absorb(words_to_bytes([2, 1]))
     assert icap1.payload_crc != icap2.payload_crc
 
 
 def test_reset_payload_clears_state(sim):
     icap = make_icap(sim)
     icap.enable()
-    icap.absorb([7, 8, 9])
+    icap.absorb(words_to_bytes([7, 8, 9]))
     icap.reset_payload()
     assert icap.words_accepted == 0
     assert icap.payload_crc == 0

@@ -10,6 +10,7 @@ from repro.bitstream.format import (
     Opcode,
     SYNC_WORD,
     command_packet,
+    words_to_bytes,
     write_packet,
 )
 from repro.bitstream.frames import BlockType, FrameAddress
@@ -32,7 +33,7 @@ def far(column, minor=0):
 @pytest.fixture
 def configured_logic(small_bitstream):
     logic = ConfigurationLogic(ConfigurationMemory(VIRTEX5_SX50T))
-    logic.feed_words(small_bitstream.raw_words)
+    logic.feed_words(small_bitstream.raw_bytes)
     return logic
 
 
@@ -45,7 +46,7 @@ class TestLogicReadback:
         sequence += ConfigPacket(Opcode.READ, ConfigRegister.FDRO,
                                  [0] * words, type2=True).encode()[:2]
         before = len(logic.readback_data)
-        logic.feed_words(sequence)
+        logic.feed_words(words_to_bytes(sequence))
         return logic.readback_data[before:]
 
     def test_readback_returns_written_frames(self, configured_logic,
@@ -70,7 +71,7 @@ class TestLogicReadback:
         sequence += ConfigPacket(Opcode.READ, ConfigRegister.FDRO,
                                  [0] * 41, type2=True).encode()[:2]
         with pytest.raises(BitstreamFormatError, match="RCFG"):
-            logic.feed_words(sequence)
+            logic.feed_words(words_to_bytes(sequence))
 
     def test_read_from_non_fdro_rejected(self, configured_logic):
         logic = configured_logic
@@ -81,7 +82,7 @@ class TestLogicReadback:
         header = (0b001 << 29) | (1 << 27) \
             | (int(ConfigRegister.FDRI) << 13) | 1
         with pytest.raises(BitstreamFormatError, match="non-readable"):
-            logic.feed_words(sequence + [header])
+            logic.feed_words(words_to_bytes(sequence + [header]))
 
 
 class TestIcapReadback:

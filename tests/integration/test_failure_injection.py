@@ -26,14 +26,23 @@ def mhz(value):
     return Frequency.from_mhz(value)
 
 
+def bram_word(bram, address):
+    """Word ``address`` of the staging store (big-endian bytes)."""
+    return int.from_bytes(bram._data[4 * address:4 * address + 4], "big")
+
+
+def set_bram_word(bram, address, word):
+    bram._data[4 * address:4 * address + 4] = word.to_bytes(4, "big")
+
+
 class TestBramUpsets:
     def test_flipped_frame_bit_fails_config_crc(self, small_bitstream):
         system = UPaRCSystem(decompressor=None)
         system.preload(small_bitstream)
         # SEU in the staging BRAM: flip one bit of a frame word.
         address = 100
-        word = system.bram._words[address]
-        system.bram._words[address] = word ^ (1 << 7)
+        word = bram_word(system.bram, address)
+        set_bram_word(system.bram, address, word ^ (1 << 7))
         with pytest.raises(BitstreamFormatError, match="CRC mismatch"):
             system.reconfigure()
 
@@ -43,8 +52,8 @@ class TestBramUpsets:
         # Corrupt the Fig. 3 header: claim a shorter payload.  The
         # stream then ends mid-packet and the payload CRC cannot match.
         good_words = len(small_bitstream.raw_words)
-        system.bram._words[0] = pack_header(OperationMode.RAW,
-                                            good_words - 50)
+        set_bram_word(system.bram, 0, pack_header(OperationMode.RAW,
+                                                  good_words - 50))
         from repro.errors import ReconfigurationFailed
         with pytest.raises((BitstreamFormatError, ReconfigurationFailed)):
             system.reconfigure()
@@ -56,7 +65,8 @@ class TestCompressedPathCorruption:
         system.preload(small_bitstream, OperationMode.COMPRESSED)
         # Flip a byte deep inside the compressed stream.
         target = 1 + (system.bram.valid_words // 2)
-        system.bram._words[target] ^= 0x00000100
+        set_bram_word(system.bram, target,
+                      bram_word(system.bram, target) ^ 0x00000100)
         with pytest.raises((CorruptStreamError, BitstreamFormatError)):
             system.reconfigure()
 
@@ -98,7 +108,7 @@ class TestRecoveryAfterFailure:
     def test_system_recovers_with_clean_reload(self, small_bitstream):
         system = UPaRCSystem(decompressor=None)
         system.preload(small_bitstream)
-        system.bram._words[50] ^= 1
+        set_bram_word(system.bram, 50, bram_word(system.bram, 50) ^ 1)
         with pytest.raises(BitstreamFormatError):
             system.reconfigure()
         # Reloading the golden bitstream restores service: abort the
