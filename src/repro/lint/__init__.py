@@ -6,15 +6,14 @@ all clock math, bit-exact determinism, and kernel-owned event dispatch.
 This package checks them statically, with project-specific rules, and
 backs the ``python -m repro lint`` CLI plus the CI gate.
 
-v3 is a two-pass whole-program analyzer: pass 1 builds a
+It is a two-pass whole-program analyzer: pass 1 builds a
 :class:`~repro.lint.project.ProjectIndex` (imports, call graph,
-per-function unit summaries), pass 2 runs local rules plus
-flow-sensitive project rules (cross-function unit propagation, sweep
-process-safety, cache-key purity, accel backend-contract conformance)
-against it.  Rules may attach mechanically safe fixes,
-applied with ``--fix`` or previewed with ``--show-fixes``.  An
-incremental cache makes warm re-lints near-instant, and a checked-in
-baseline lets new rules land without blocking the tree.
+per-function parameter names and global reads), pass 2 runs local
+rules plus project rules (sweep process-safety, cache-key purity,
+accel backend-contract conformance) against it.  Rules may attach
+mechanically safe fixes, applied with ``--fix`` or previewed with
+``--show-fixes``.  An incremental cache makes warm re-lints
+near-instant.
 
 Typical use::
 
@@ -33,13 +32,6 @@ from repro.lint.analyzer import (
     lint_files,
     lint_paths,
     lint_source,
-)
-from repro.lint.baseline import (
-    BaselineEntry,
-    BaselineError,
-    apply_baseline,
-    load_baseline,
-    write_baseline,
 )
 from repro.lint.cache import LintCache
 from repro.lint.fix import FixPlan, plan_fixes, write_changes
@@ -60,8 +52,6 @@ from repro.lint.reporters import (
 from repro.lint.violations import Edit, Fix, Violation
 
 __all__ = [
-    "BaselineEntry",
-    "BaselineError",
     "Checker",
     "Edit",
     "Fix",
@@ -71,7 +61,6 @@ __all__ = [
     "ProjectIndex",
     "Violation",
     "all_rules",
-    "apply_baseline",
     "build_project_index",
     "collect_files",
     "format_json",
@@ -83,9 +72,7 @@ __all__ = [
     "lint_files",
     "lint_paths",
     "lint_source",
-    "load_baseline",
     "plan_fixes",
     "register",
-    "write_baseline",
     "write_changes",
 ]

@@ -1,12 +1,13 @@
 """Analyzer driver: file collection, two-pass analysis, dispatch.
 
-v2 runs whole-program analysis in two passes:
+Whole-program analysis runs in two passes:
 
 * **Pass 1** reduces every file to a :class:`ModuleSummary` (imports,
-  function parameter/return units, mutable globals) and stitches them
-  into a :class:`ProjectIndex` — the call graph the flow rules query.
+  function parameter names and global reads, mutable globals) and
+  stitches them into a :class:`ProjectIndex` — the call graph the
+  project rules query.
 * **Pass 2** walks each file once more, running the local rules
-  (U0xx/D1xx/E2xx/F3xx) and the project rules (U1xx/P4xx/C5xx), the
+  (U0xx/D1xx/E2xx/F3xx) and the project rules (P4xx/C5xx/B8xx), the
   latter with the index in hand.
 
 Both passes are incremental when a :class:`LintCache` is supplied:
@@ -35,8 +36,9 @@ from repro.lint.summaries import ModuleSummary, summarize_module
 from repro.lint.suppressions import ALL, SuppressionIndex
 from repro.lint.violations import Violation
 
-#: Bump on any behavior change that should invalidate cached results.
-ANALYZER_VERSION = "3.0"
+#: Tool version reported in SARIF.  Cache keys do not use it: they
+#: carry a digest of the package sources instead.
+ANALYZER_VERSION = "4.0"
 
 #: Directory names skipped while walking a directory argument.  Files
 #: named explicitly on the command line are always linted — that is how
@@ -243,7 +245,7 @@ def lint_files(files: Sequence[Path],
             cache.put_summary(file_keys[path], summary)
 
     index = ProjectIndex(summaries)
-    signature = f"{ANALYZER_VERSION}:{index.signature()}:{select_key}"
+    signature = f"{index.signature()}:{select_key}"
     reported = (None if report_only is None
                 else {str(Path(p).resolve()) for p in report_only})
 

@@ -1,4 +1,4 @@
-"""Small AST helpers shared by the summaries, dataflow and rule modules."""
+"""Small AST helpers shared by the summaries and rule modules."""
 
 from __future__ import annotations
 

@@ -3,13 +3,18 @@
 Two stores, mirroring the two passes:
 
 * ``summaries/`` — :class:`ModuleSummary` JSON keyed by *file key*
-  (SHA-256 of path + content + analyzer version).  Survives edits to
+  (SHA-256 of analyzer digest + path + content).  Survives edits to
   every other file, so pass 1 of a warm run parses nothing.
 * ``results/`` — final per-file violation lists keyed by file key
   **plus the project signature** (hash of every module's summary).
   An edit that changes a file's exported surface (its summary)
   invalidates all results — cross-file findings may shift anywhere —
   while a body-only edit invalidates just that one file.
+
+The analyzer digest (:func:`analyzer_digest`) hashes every source
+file of the ``repro.lint`` package, so editing a rule, the summaries
+or the driver invalidates every entry without a version constant
+anyone has to remember to bump.
 
 Writes are atomic (tmp file + ``os.replace``), identical to the
 sweep artifact cache, so concurrent/crashed runs never leave a
@@ -24,17 +29,28 @@ import json
 import os
 import shutil
 import tempfile
+from functools import lru_cache
+from pathlib import Path
 from typing import List, Optional
 
 from repro.lint.summaries import ModuleSummary
 from repro.lint.violations import Violation
 
-#: Bump on any serialized layout change; embedded in every file key.
-#: v2: summaries carry effect data, results carry optional fixes.
-#: v3: summaries drop the effect data again.
-LINT_CACHE_VERSION = 3
+#: Root of the ``repro.lint`` package, whose sources key the cache.
+PACKAGE_DIR = str(Path(__file__).resolve().parent)
 
-_KEY_PREFIX = ("v%d" % LINT_CACHE_VERSION).encode("utf-8") + b"\0"
+
+@lru_cache(maxsize=None)
+def analyzer_digest(package_dir: str = PACKAGE_DIR) -> str:
+    """SHA-256 over every ``*.py`` file under ``package_dir``."""
+    root = Path(package_dir)
+    digest = hashlib.sha256()
+    for path in sorted(root.rglob("*.py")):
+        digest.update(path.relative_to(root).as_posix().encode("utf-8"))
+        digest.update(b"\0")
+        digest.update(path.read_bytes())
+        digest.update(b"\0")
+    return digest.hexdigest()
 
 
 class LintCache:
@@ -42,6 +58,7 @@ class LintCache:
 
     def __init__(self, root: str) -> None:
         self.root = root
+        self._key_prefix = analyzer_digest().encode("utf-8") + b"\0"
         self.summary_hits = 0
         self.summary_misses = 0
         self.result_hits = 0
@@ -49,7 +66,7 @@ class LintCache:
 
     def file_key(self, path: str, source: str) -> str:
         digest = hashlib.sha256()
-        digest.update(_KEY_PREFIX)
+        digest.update(self._key_prefix)
         digest.update(path.encode("utf-8"))
         digest.update(b"\0")
         digest.update(source.encode("utf-8"))

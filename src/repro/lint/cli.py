@@ -2,15 +2,13 @@
 
 Exit codes follow the usual linter convention:
 
-* ``0`` — all checked files are clean (modulo the baseline).
+* ``0`` — all checked files are clean.
 * ``1`` — at least one violation was reported.
 * ``2`` — usage error (missing path, no Python files found, unknown
-  rule id, malformed baseline).
+  rule id).
 
 The incremental cache is on by default (``.repro-lint-cache/``;
-disable with ``--no-cache``).  If ``.repro-lint-baseline.json``
-exists in the working directory it is applied automatically —
-``--baseline`` names a different file, ``--no-baseline`` ignores it.
+disable with ``--no-cache``).
 """
 
 from __future__ import annotations
@@ -21,14 +19,6 @@ from pathlib import Path
 from typing import List
 
 from repro.lint.analyzer import collect_files, lint_files
-from repro.lint.baseline import (
-    DEFAULT_BASELINE_NAME,
-    BaselineError,
-    apply_baseline,
-    load_baseline,
-    normalize_path,
-    write_baseline,
-)
 from repro.lint.cache import LintCache
 from repro.lint.fix import plan_fixes, write_changes
 from repro.lint.registry import all_rules
@@ -59,14 +49,6 @@ def add_lint_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--sarif", default=None, metavar="FILE",
                         help="additionally write a SARIF 2.1.0 report "
                              "to FILE")
-    parser.add_argument("--baseline", default=None, metavar="FILE",
-                        help=f"baseline of known findings (default: "
-                             f"{DEFAULT_BASELINE_NAME} if present)")
-    parser.add_argument("--no-baseline", action="store_true",
-                        help="ignore any baseline file")
-    parser.add_argument("--write-baseline", action="store_true",
-                        help="write current findings to the baseline "
-                             "file and exit 0")
     parser.add_argument("--cache-dir", default=DEFAULT_CACHE_DIR,
                         metavar="DIR",
                         help=f"incremental cache directory (default: "
@@ -112,36 +94,6 @@ def run_lint(args: argparse.Namespace) -> int:
     cache = None if args.no_cache else LintCache(args.cache_dir)
     violations = lint_files(files, select=select, cache=cache)
 
-    baseline_path = args.baseline
-    if baseline_path is None and not args.no_baseline \
-            and Path(DEFAULT_BASELINE_NAME).is_file():
-        baseline_path = DEFAULT_BASELINE_NAME
-
-    if args.write_baseline:
-        target = baseline_path or DEFAULT_BASELINE_NAME
-        count = write_baseline(target, violations)
-        print(f"baseline written to {target}: {count} entries "
-              f"({len(violations)} findings); add a justification "
-              f"to each entry")
-        return EXIT_CLEAN
-
-    def filter_through_baseline(found):
-        if baseline_path is None or args.no_baseline:
-            return found
-        entries = load_baseline(baseline_path)
-        return apply_baseline(
-            found, entries, baseline_path,
-            checked_paths={normalize_path(str(f)) for f in files},
-            checked_rules=set(select) if select is not None else None)
-
-    try:
-        violations = filter_through_baseline(violations)
-    except BaselineError as exc:
-        print(f"repro lint: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-
-    # Fixes operate strictly on post-baseline findings: a baselined
-    # idiom is a documented decision, not something to rewrite.
     if args.fix or args.show_fixes:
         plan = plan_fixes(violations)
         if args.show_fixes and plan.changes:
@@ -155,8 +107,7 @@ def run_lint(args: argparse.Namespace) -> int:
         if args.fix and plan.changes:
             write_changes(plan)
             print(f"applied {plan.applied_count} fix(es); re-linting")
-            violations = filter_through_baseline(
-                lint_files(files, select=select, cache=cache))
+            violations = lint_files(files, select=select, cache=cache)
 
     if args.format == "json":
         formatter = format_json

@@ -1,17 +1,13 @@
-"""Project index: import graph, call resolution, unit fixed point.
+"""Project index: import graph and call resolution.
 
 Pass 1 (:mod:`repro.lint.summaries`) reduces every file to a
 :class:`ModuleSummary`; this module stitches those into one
-:class:`ProjectIndex` the flow rules query:
-
-* ``resolve(module, call_name, enclosing_class)`` — map a call
-  expression to the :class:`FunctionSummary` it invokes, through
-  import aliases, local definitions, ``self.`` receivers, and (as a
-  last resort) a project-wide unique-name match.  Ambiguity resolves
-  to ``None`` — the flow rules stay silent rather than guess.
-* ``return_unit(qualname)`` — the unit token a function's return
-  value carries, propagated through the call graph to a fixed point
-  (``def total(): return self.wait_ps()`` inherits ``ps``).
+:class:`ProjectIndex` the project rules query.  Its
+``resolve(module, call_name, enclosing_class)`` maps a call
+expression to the :class:`FunctionSummary` it invokes, through import
+aliases, local definitions, ``self.`` receivers, and (as a last
+resort) a project-wide unique-name match.  Ambiguity resolves to
+``None`` — the project rules stay silent rather than guess.
 
 The index also exposes a deterministic :meth:`signature` — the
 SHA-256 of every module's summary — which keys the incremental
@@ -23,7 +19,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 from repro.lint.summaries import FunctionSummary, ModuleSummary
 
@@ -37,9 +33,6 @@ GENERIC_NAMES = frozenset({
     "sort", "reverse", "count", "index", "insert", "remove", "next",
     "send", "result", "submit", "map", "main", "visit", "report",
 })
-
-#: Propagation rounds; call chains deeper than this stay unknown.
-MAX_PROPAGATION_ROUNDS = 10
 
 
 class ProjectIndex:
@@ -56,7 +49,6 @@ class ProjectIndex:
             for qualname, function in summary.functions.items():
                 self.functions[qualname] = function
                 self._by_name.setdefault(function.name, []).append(qualname)
-        self._return_units = self._propagate_return_units()
 
     # -- call resolution ----------------------------------------------
 
@@ -97,55 +89,6 @@ class ProjectIndex:
             return self.functions[candidates[0]]
         return None
 
-    # -- return units -------------------------------------------------
-
-    def return_unit(self, qualname: str) -> Optional[str]:
-        return self._return_units.get(qualname)
-
-    def return_unit_of(self, summary: Optional[FunctionSummary]
-                       ) -> Optional[str]:
-        if summary is None:
-            return None
-        return self._return_units.get(summary.qualname)
-
-    def _propagate_return_units(self) -> Dict[str, Optional[str]]:
-        units: Dict[str, Optional[str]] = {}
-        for _ in range(MAX_PROPAGATION_ROUNDS):
-            changed = False
-            for summary in self.modules.values():
-                for qualname, function in summary.functions.items():
-                    unit = self._combine_returns(summary, function, units)
-                    if units.get(qualname) != unit:
-                        units[qualname] = unit
-                        changed = True
-            if not changed:
-                break
-        return units
-
-    def _combine_returns(self, module: ModuleSummary,
-                         function: FunctionSummary,
-                         units: Dict[str, Optional[str]],
-                         ) -> Optional[str]:
-        seen: set = set()
-        for kind, value in function.returns:
-            if kind == "const":
-                continue  # a literal 0 fallback does not veto a unit
-            if kind == "unit":
-                seen.add(value)
-            elif kind == "call":
-                callee = self.resolve(module, value)
-                if callee is None or callee.qualname == function.qualname:
-                    return None
-                resolved = units.get(callee.qualname)
-                if resolved is None:
-                    return None
-                seen.add(resolved)
-            else:
-                return None
-        if len(seen) == 1:
-            return seen.pop()
-        return None
-
     # -- identity -----------------------------------------------------
 
     def signature(self) -> str:
@@ -182,7 +125,3 @@ def module_name_for(path: str) -> str:
         head, tail = os.path.split(head)
         parts.insert(0, tail)
     return ".".join(parts) if parts else stem
-
-
-def build_index(summaries: List[ModuleSummary]) -> ProjectIndex:
-    return ProjectIndex(summaries)

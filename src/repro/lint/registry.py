@@ -55,7 +55,7 @@ class Checker(ast.NodeVisitor):
 
 
 class ProjectChecker(Checker):
-    """Base class for flow rules that need the whole-program index.
+    """Base class for rules that need the whole-program index.
 
     The analyzer instantiates these with the :class:`ProjectIndex`
     built in pass 1 plus this file's own :class:`ModuleSummary`, so a

@@ -22,8 +22,6 @@ _DRIVER_RULES: Dict[str, tuple] = {
     "W001": ("unused-suppression",
              "disable directive matches no violation or names "
              "no registered rule"),
-    "W002": ("stale-baseline-entry",
-             "baseline entry matches no current finding"),
 }
 
 

@@ -3,8 +3,6 @@
 Rule families:
 
 * ``U0xx`` (:mod:`repro.lint.rules.units`) — unit discipline.
-* ``U1xx`` (:mod:`repro.lint.rules.xunits`) — cross-function unit
-  propagation over the project index.
 * ``D1xx`` (:mod:`repro.lint.rules.determinism`) — reproducibility.
 * ``E2xx`` (:mod:`repro.lint.rules.events`) — event-kernel safety.
 * ``F3xx`` (:mod:`repro.lint.rules.floats`) — float comparisons.
@@ -23,5 +21,4 @@ from repro.lint.rules import (  # noqa: F401
     floats,
     sweepsafety,
     units,
-    xunits,
 )

@@ -71,10 +71,6 @@ def public_kernels(module: ModuleSummary) -> List[FunctionSummary]:
     return sorted(kernels, key=lambda f: f.line)
 
 
-def _param_names(function: FunctionSummary) -> Tuple[str, ...]:
-    return tuple(param.name for param in function.params)
-
-
 class _BackendChecker(ProjectChecker):
     """Shared role detection for the contract rules."""
 
@@ -141,12 +137,12 @@ class BackendSignatureDrift(_BackendChecker):
                         f"kernel '{definition.name}' has no counterpart "
                         f"in {impl_mod.module}; the backends have "
                         f"drifted apart"))
-                elif _param_names(counterpart) != _param_names(reference):
+                elif counterpart.params != reference.params:
                     self.report(definition, (
                         f"kernel '{definition.name}' signature drift: "
-                        f"pure reference takes {_param_names(reference)} "
+                        f"pure reference takes {reference.params} "
                         f"but {impl_mod.module} takes "
-                        f"{_param_names(counterpart)}"))
+                        f"{counterpart.params}"))
 
     def _check_impl_side(self, tree: ast.Module, pkg: str) -> None:
         pure_mod = self._sibling(pkg, PURE)

@@ -2,10 +2,9 @@
 
 One parse of a file produces a :class:`ModuleSummary` — everything the
 cross-file rules need to know about the module *without* re-reading
-it: its import aliases, the functions it defines (with per-parameter
-unit tokens and a classification of every ``return`` expression), the
-dataclass constructors it declares, and which module-level names are
-bound to mutable objects.
+it: its import aliases, the functions it defines (with their parameter
+names and the globals they read), the dataclass constructors it
+declares, and which module-level names are bound to mutable objects.
 
 Summaries are plain data and serialize to JSON (:meth:`to_dict` /
 :meth:`from_dict`), which is what makes the incremental cache work:
@@ -19,18 +18,7 @@ import ast
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-from repro.lint.astutils import dotted_name, terminal_name
-from repro.lint.unitlex import unit_of_attr, unit_of_name, unit_of_param
-
-#: Builtins that pass their argument's unit through unchanged.
-PASSTHROUGH_CALLS = ("int", "round", "abs", "max", "min", "float")
-
-#: ``repro.units`` helpers with a fixed return unit.
-INTRINSIC_RETURN_UNITS: Dict[str, str] = {
-    "us": "ps", "ms": "ps", "ns": "ps",
-    "ps_to_us": "us", "ps_to_ms": "ms",
-    "bandwidth_mbps": "mbps", "theoretical_bandwidth_mbps": "mbps",
-}
+from repro.lint.astutils import terminal_name
 
 #: Module-level value expressions considered mutable state.
 _MUTABLE_DISPLAYS = (ast.List, ast.Dict, ast.Set,
@@ -40,50 +28,16 @@ _MUTABLE_FACTORIES = ("list", "dict", "set", "defaultdict", "deque",
 
 
 @dataclass(frozen=True)
-class ParamInfo:
-    """One parameter: its name and inferred unit token."""
-
-    name: str
-    unit: Optional[str] = None
-
-    def to_dict(self) -> dict:
-        return {"name": self.name, "unit": self.unit}
-
-    @staticmethod
-    def from_dict(data: dict) -> "ParamInfo":
-        return ParamInfo(name=data["name"], unit=data["unit"])
-
-
-@dataclass(frozen=True)
 class FunctionSummary:
-    """What the cross-file rules know about one function.
-
-    ``returns`` classifies every ``return <expr>`` statement as one of
-    ``("unit", token)``, ``("call", name)``, ``("const", None)`` or
-    ``("unknown", None)`` — the project index resolves the ``call``
-    entries through the call graph (fixed point), giving each function
-    a final ``return_unit``.
-    """
+    """What the cross-file rules know about one function."""
 
     name: str
     qualname: str
     line: int
     kind: str  # "function" | "method" | "classmethod" | "dataclass"
-    params: Tuple[ParamInfo, ...]
-    returns: Tuple[Tuple[str, Optional[str]], ...] = ()
+    params: Tuple[str, ...]
     global_reads: Tuple[str, ...] = ()
     is_nested: bool = False
-
-    @property
-    def explicit_params(self) -> Tuple[ParamInfo, ...]:
-        """Parameters minus the implicit ``self``/``cls`` receiver."""
-        if self.kind in ("method", "classmethod") and self.params:
-            return self.params[1:]
-        return self.params
-
-    def returns_only_constants(self) -> bool:
-        return bool(self.returns) and all(kind == "const"
-                                          for kind, _ in self.returns)
 
     def to_dict(self) -> dict:
         return {
@@ -91,8 +45,7 @@ class FunctionSummary:
             "qualname": self.qualname,
             "line": self.line,
             "kind": self.kind,
-            "params": [param.to_dict() for param in self.params],
-            "returns": [list(entry) for entry in self.returns],
+            "params": list(self.params),
             "global_reads": list(self.global_reads),
             "is_nested": self.is_nested,
         }
@@ -104,8 +57,7 @@ class FunctionSummary:
             qualname=data["qualname"],
             line=data["line"],
             kind=data["kind"],
-            params=tuple(ParamInfo.from_dict(p) for p in data["params"]),
-            returns=tuple((kind, value) for kind, value in data["returns"]),
+            params=tuple(data["params"]),
             global_reads=tuple(data["global_reads"]),
             is_nested=data["is_nested"],
         )
@@ -142,74 +94,6 @@ class ModuleSummary:
                        for qualname, raw in data["functions"].items()},
             mutable_globals=tuple(data["mutable_globals"]),
         )
-
-
-def static_unit(node: ast.AST) -> Optional[str]:
-    """Environment-free unit of an expression (name/attr conventions).
-
-    This is the pass-1 approximation: no variable tracking, just the
-    naming conventions plus the handful of ``repro.units`` intrinsics.
-    The flow rules in pass 2 layer assignment tracking on top.
-    """
-    if isinstance(node, ast.Name):
-        return unit_of_name(node.id)
-    if isinstance(node, ast.Attribute):
-        return unit_of_attr(node.attr)
-    if isinstance(node, ast.UnaryOp):
-        return static_unit(node.operand)
-    if isinstance(node, ast.BinOp):
-        if isinstance(node.op, (ast.Add, ast.Sub)):
-            left = static_unit(node.left)
-            right = static_unit(node.right)
-            if left is not None and right is not None:
-                return left if left == right else None
-            return left if left is not None else right
-        if isinstance(node.op, (ast.Mult, ast.FloorDiv)):
-            left = static_unit(node.left)
-            right = static_unit(node.right)
-            if left is not None and right is None \
-                    and _is_number(node.right):
-                return left
-            if right is not None and left is None \
-                    and _is_number(node.left):
-                return right
-        return None
-    if isinstance(node, ast.IfExp):
-        body = static_unit(node.body)
-        orelse = static_unit(node.orelse)
-        return body if body == orelse else None
-    if isinstance(node, ast.Call):
-        callee = terminal_name(node.func)
-        if callee in INTRINSIC_RETURN_UNITS:
-            return INTRINSIC_RETURN_UNITS[callee]
-        if callee in PASSTHROUGH_CALLS and node.args:
-            units = {static_unit(arg) for arg in node.args}
-            units.discard(None)
-            if len(units) == 1:
-                return units.pop()
-        return None
-    return None
-
-
-def _is_number(node: ast.AST) -> bool:
-    return (isinstance(node, ast.Constant)
-            and isinstance(node.value, (int, float))
-            and not isinstance(node.value, bool))
-
-
-def _classify_return(value: Optional[ast.AST]
-                     ) -> Tuple[str, Optional[str]]:
-    if value is None or (isinstance(value, ast.Constant)
-                         and not isinstance(value.value, bool)):
-        return ("const", None)
-    unit = static_unit(value)
-    if unit is not None:
-        return ("unit", unit)
-    if isinstance(value, ast.Call):
-        callee = dotted_name(value.func)
-        if callee is not None:
-            return ("call", callee)
-    return ("unknown", None)
 
 
 class _GlobalReadCollector(ast.NodeVisitor):
@@ -254,33 +138,9 @@ class _GlobalReadCollector(ast.NodeVisitor):
 
 def _summarize_function(node: ast.AST, qualname: str, kind: str,
                         nested: bool) -> FunctionSummary:
-    params: List[ParamInfo] = []
     args = node.args
-    for arg in (*args.posonlyargs, *args.args, *args.kwonlyargs):
-        params.append(ParamInfo(name=arg.arg,
-                                unit=unit_of_param(arg.arg)))
-
-    returns: List[Tuple[str, Optional[str]]] = []
-
-    def collect_returns(stmts) -> None:
-        for stmt in stmts:
-            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef,
-                                 ast.ClassDef)):
-                continue  # nested scopes own their returns
-            if isinstance(stmt, ast.Return):
-                returns.append(_classify_return(stmt.value))
-                continue
-            for attr in ("body", "orelse", "finalbody", "handlers"):
-                block = getattr(stmt, attr, None)
-                if not block:
-                    continue
-                for item in block:
-                    if isinstance(item, ast.excepthandler):
-                        collect_returns(item.body)
-                    else:
-                        collect_returns([item])
-
-    collect_returns(node.body)
+    params = tuple(arg.arg for arg in
+                   (*args.posonlyargs, *args.args, *args.kwonlyargs))
 
     collector = _GlobalReadCollector()
     collector._bind_args(node)
@@ -292,8 +152,7 @@ def _summarize_function(node: ast.AST, qualname: str, kind: str,
         qualname=qualname,
         line=node.lineno,
         kind=kind,
-        params=tuple(params),
-        returns=tuple(returns),
+        params=params,
         global_reads=collector.reads(),
         is_nested=nested,
     )
@@ -322,14 +181,14 @@ def _is_dataclass(node: ast.ClassDef) -> bool:
 
 def _dataclass_ctor(node: ast.ClassDef, qualname: str
                     ) -> Optional[FunctionSummary]:
-    params: List[ParamInfo] = []
+    params: List[str] = []
     for stmt in node.body:
         if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target,
                                                           ast.Name):
             name = stmt.target.id
             if name.startswith("_") or _is_classvar(stmt.annotation):
                 continue
-            params.append(ParamInfo(name=name, unit=unit_of_param(name)))
+            params.append(name)
     if not params:
         return None
     return FunctionSummary(

@@ -71,7 +71,7 @@ class Violation:
     regardless of checker execution order — the analyzer itself must
     honor the determinism discipline it enforces.  The optional
     ``fix`` rides along without participating in identity: two runs
-    that disagree only about fixability still dedupe and baseline the
+    that disagree only about fixability still compare and dedupe the
     same way.
     """
 

@@ -43,7 +43,7 @@ def _run(repo, *argv):
     env = dict(os.environ)
     env["PYTHONPATH"] = str(REPO_ROOT / "src")
     return subprocess.run(
-        [sys.executable, str(TOOL), "--no-baseline", "--no-cache", *argv],
+        [sys.executable, str(TOOL), "--no-cache", *argv],
         cwd=str(repo), env=env, capture_output=True, text=True)
 
 
@@ -77,29 +77,33 @@ def test_fixing_the_file_exits_clean(repo):
 
 
 def test_cross_module_context_survives_the_restriction(repo):
-    # The changed caller's violation is only provable with the
-    # *unchanged* callee's summary in the index: report_only must
-    # restrict reporting, not analysis.
-    pkg = repo / "flow_pkg"
+    # The changed dispatcher's violation is only provable with the
+    # *unchanged* worker module's summary in the index: report_only
+    # must restrict reporting, not analysis.
+    pkg = repo / "sweep_pkg"
     pkg.mkdir()
     (pkg / "__init__.py").write_text('"""pkg."""\n')
-    (pkg / "timing.py").write_text(
-        "def settle_window_ps(delay_ps):\n    return delay_ps + 2\n")
-    (pkg / "driver.py").write_text(
-        "from flow_pkg.timing import settle_window_ps\n\n\n"
-        "def drive(delay_ps):\n"
-        "    return settle_window_ps(delay_ps)\n")
+    (pkg / "state.py").write_text(
+        "REGISTRY = {}\n\n\n"
+        "def tally(spec):\n    return REGISTRY.get(spec, spec)\n")
+    (pkg / "runner.py").write_text(
+        "from sweep_pkg.state import tally\n\n\n"
+        "def run(specs):\n"
+        "    return [tally(spec) for spec in specs]\n")
     _git(repo, "add", "-A")
     _git(repo, "commit", "-q", "-m", "pkg")
 
-    (pkg / "driver.py").write_text(
-        "from flow_pkg.timing import settle_window_ps\n\n\n"
-        "def drive(clock_hz):\n"
-        "    return settle_window_ps(clock_hz)\n")
+    (pkg / "runner.py").write_text(
+        "from concurrent.futures import ProcessPoolExecutor\n\n"
+        "from sweep_pkg.state import tally\n\n\n"
+        "def run(specs):\n"
+        "    with ProcessPoolExecutor() as pool:\n"
+        "        return list(pool.map(tally, specs))\n")
     result = _run(repo, "--ref", "HEAD")
     assert result.returncode == 1
-    assert "U101" in result.stdout and "driver.py" in result.stdout
-    assert "timing.py" not in result.stdout
+    assert "P401" in result.stdout and "runner.py" in result.stdout
+    assert "REGISTRY" in result.stdout
+    assert "state.py" not in result.stdout
 
 
 def test_unknown_ref_is_a_usage_error(repo):
@@ -117,7 +121,7 @@ def test_select_and_warm_cache_agree_with_cold(repo):
 
     def cached():
         return subprocess.run(
-            [sys.executable, str(TOOL), "--no-baseline",
+            [sys.executable, str(TOOL),
              "--ref", "HEAD", "--select", "F301",
              "--cache-dir", str(repo / ".cache")],
             cwd=str(repo), env=env, capture_output=True, text=True)

@@ -23,23 +23,11 @@ def _by_rule(violations):
     return table
 
 
-def test_cross_module_unit_flow():
-    found = _by_rule(lint_files(_pkg_files("xflow_pkg")))
-    [u101] = found["U101"]
-    assert u101.path.endswith("driver.py")
-    assert u101.line == 7
-    assert "settle_window_ps" in u101.message
-    [u102] = found["U102"]
-    assert u102.path.endswith("driver.py")
-    assert u102.line == 8
-    assert "'hz'" in u102.message and "'ps'" in u102.message
-
-
 def test_cross_module_finding_needs_the_index():
-    # The same caller linted alone resolves nothing: the violation
-    # only exists with the callee's summary in the index.
-    alone = lint_file(FIXTURES / "xflow_pkg" / "driver.py")
-    assert not any(v.rule_id in ("U101", "U102") for v in alone)
+    # The same dispatcher linted alone resolves nothing: the violation
+    # only exists with the worker module's summary in the index.
+    alone = lint_file(FIXTURES / "unsafe_sweep_pkg" / "runner.py")
+    assert not any(v.rule_id == "P401" for v in alone)
 
 
 def test_worker_safety_across_modules():
@@ -62,20 +50,21 @@ def test_project_index_resolution_and_signature():
     from repro.lint.summaries import summarize_module
 
     summaries = []
-    for path in _pkg_files("xflow_pkg"):
+    for path in _pkg_files("unsafe_sweep_pkg"):
         tree = ast.parse(path.read_text())
         summaries.append(
             summarize_module(tree, module_name_for(str(path)), str(path)))
     index = ProjectIndex(summaries)
-    driver = next(s for s in summaries if s.module == "xflow_pkg.driver")
+    runner = next(s for s in summaries
+                  if s.module == "unsafe_sweep_pkg.runner")
 
-    summary = index.resolve(driver, "settle_window_ps")
+    summary = index.resolve(runner, "tally")
     assert summary is not None
-    assert summary.qualname.endswith("timing.settle_window_ps")
-    assert [p.unit for p in summary.explicit_params] == ["ps"]
-
-    rate = index.resolve(driver, "clock_rate_hz")
-    assert index.return_unit_of(rate) == "hz"
+    assert summary.qualname == "unsafe_sweep_pkg.state.tally"
+    assert summary.params == ("spec",)
+    assert summary.global_reads == ("REGISTRY",)
+    owner = index.modules["unsafe_sweep_pkg.state"]
+    assert owner.mutable_globals == ("REGISTRY",)
 
     # The signature is a pure function of module *summaries*, not of
     # file order.

@@ -23,10 +23,6 @@ RULE_CASES = [
     ("e202_manual_fire.py", "E202", [5]),
     ("e203_use_after_cancel.py", "E203", [7]),
     ("f301_float_equality.py", "F301", [5, 7]),
-    ("u101_cross_unit_argument.py", "U101", [9, 10]),
-    ("u102_mixed_unit_arithmetic.py", "U102", [5, 6, 7]),
-    ("u103_return_unit_mismatch.py", "U103", [5]),
-    ("u104_unitless_return_to_sink.py", "U104", [13]),
     ("p401_worker_globals.py", "P401", [16, 17]),
     ("p402_unstable_grid.py", "P402", [5, 6]),
     ("p403_unordered_digest.py", "P403", [8, 10]),

@@ -2,21 +2,20 @@
 """Lint only the Python files changed relative to a git ref.
 
 The analyzer is a whole-program tool: pass 1 still summarizes every
-file so cross-module rules (unit flow, sweep safety, cache keys,
-backend contract) keep their context, but pass 2 — the expensive rule run — is restricted to
-the changed files via ``lint_files(..., report_only=...)``.  With the
-shared incremental cache (``.repro-lint-cache/`` by default) the
-unchanged summaries are all warm, so this is the fast pre-push check:
+file so cross-module rules (sweep safety, cache keys, backend
+contract) keep their context, but pass 2 — the expensive rule run —
+is restricted to the changed files via
+``lint_files(..., report_only=...)``.  With the shared incremental
+cache (``.repro-lint-cache/`` by default) the unchanged summaries are
+all warm, so this is the fast pre-push check:
 
     python tools/lint_changed.py              # vs origin/main
     python tools/lint_changed.py --ref HEAD~3
 
 Changed means: tracked files that differ from ``--ref`` plus untracked
 files, intersected with the analyzer's normal file collection (so
-fixture trees stay excluded exactly as in a full run).  The repo
-baseline applies, scoped to the changed files — entries for unchanged
-files are never reported stale.  Exit codes match ``repro lint``:
-0 clean, 1 violations, 2 usage/git error.
+fixture trees stay excluded exactly as in a full run).  Exit codes
+match ``repro lint``: 0 clean, 1 violations, 2 usage/git error.
 """
 
 from __future__ import annotations
@@ -32,16 +31,9 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 from repro.lint import (  # noqa: E402  (sys.path bootstrap above)
     LintCache,
     all_rules,
-    apply_baseline,
     collect_files,
     format_text,
     lint_files,
-    load_baseline,
-)
-from repro.lint.baseline import (  # noqa: E402
-    DEFAULT_BASELINE_NAME,
-    BaselineError,
-    normalize_path,
 )
 from repro.lint.cli import (  # noqa: E402
     DEFAULT_CACHE_DIR,
@@ -109,21 +101,6 @@ def run(args: argparse.Namespace) -> int:
     violations = lint_files(files, select=select, cache=cache,
                             report_only=[str(f) for f in linted])
 
-    baseline_path = args.baseline
-    default_baseline = root / DEFAULT_BASELINE_NAME
-    if baseline_path is None and not args.no_baseline \
-            and default_baseline.is_file():
-        baseline_path = str(default_baseline)
-    if baseline_path is not None and not args.no_baseline:
-        try:
-            violations = apply_baseline(
-                violations, load_baseline(baseline_path), baseline_path,
-                checked_paths={normalize_path(str(f)) for f in linted},
-                checked_rules=set(select) if select is not None else None)
-        except BaselineError as exc:
-            print(f"lint-changed: {exc}", file=sys.stderr)
-            return EXIT_USAGE
-
     print(format_text(violations, files_checked=len(linted)))
     return EXIT_VIOLATIONS if violations else EXIT_CLEAN
 
@@ -138,11 +115,6 @@ def main(argv: Optional[List[str]] = None) -> int:
                              "(default: origin/main)")
     parser.add_argument("--select", default=None, metavar="RULES",
                         help="comma-separated rule ids to run")
-    parser.add_argument("--baseline", default=None, metavar="FILE",
-                        help="baseline file (default: repo baseline "
-                             "if present)")
-    parser.add_argument("--no-baseline", action="store_true",
-                        help="ignore any baseline file")
     parser.add_argument("--cache-dir", default=DEFAULT_CACHE_DIR,
                         metavar="DIR",
                         help="incremental cache directory, shared with "
