@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import random
 import sys
 from typing import Callable, Dict, List, Optional, Tuple
 
@@ -74,18 +73,6 @@ def _kernel_cases(size_kb: float) -> List[Tuple[str, Callable[[], object]]]:
     synthesizer = _FrameSynthesizer(spec)
     plan = synthesizer.plan(word_count // frame_words)
 
-    # Match-search inputs shaped like the LZ chain walk: for a window
-    # position deep in the payload, candidate offsets that share its
-    # leading bytes (plus noise), as the hash chains would yield.
-    rng = random.Random(SEED)
-    position = len(payload) // 2
-    limit = min(255, len(payload) - position)
-    prefix = payload[position:position + 3]
-    matchers = [offset for offset in range(max(0, position - 65536), position)
-                if payload[offset:offset + 3] == prefix]
-    candidates = (matchers or [0]) * 4
-    candidates = rng.sample(candidates, min(len(candidates), 64))
-
     return [
         ("synthesize_payload",
          lambda: accel.active().synthesize_payload(plan)),
@@ -99,9 +86,6 @@ def _kernel_cases(size_kb: float) -> List[Tuple[str, Callable[[], object]]]:
          lambda: accel.active().equal_word_runs(payload, word_count)),
         ("zero_word_runs",
          lambda: accel.active().zero_word_runs(payload, word_count)),
-        ("match_lengths",
-         lambda: accel.active().match_lengths(
-             payload, candidates, position, limit)),
         ("chunk_words",
          lambda: accel.active().chunk_words(words, 0, frame_words)),
         ("rle_compress",

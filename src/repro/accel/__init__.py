@@ -63,7 +63,6 @@ __all__ = [
     "huffman_pack",
     "lz77_decode",
     "lz77_tokens",
-    "match_lengths",
     "native_available",
     "plan_frames",
     "record",
@@ -203,9 +202,8 @@ def _restore(saved: Tuple[Optional[str], Optional[ModuleType], str]) -> None:
 def record(kernel: str, data_bytes: int, calls: int = 1) -> None:
     """Count a kernel use in the active metrics registry.
 
-    No-op unless a registry is installed.  Call sites that invoke a
-    backend kernel in a tight inner loop (the LZ match search) record
-    one aggregate here per outer operation instead of per call.
+    No-op unless a registry is installed.  Every dispatch function
+    below calls it once per kernel call.
     """
     registry = current_registry()
     if not registry.enabled:
@@ -281,20 +279,6 @@ def zero_word_runs(data: bytes,
         backend = _resolve()
     record("zero_word_runs", 4 * word_count)
     return backend.zero_word_runs(data, word_count)
-
-
-def match_lengths(data: bytes, candidates: Sequence[int],
-                  position: int, limit: int) -> List[int]:
-    """Match length at ``position`` per candidate (early limit break).
-
-    Inner-loop callers should fetch :func:`active` once and call the
-    backend directly, recording an aggregate with :func:`record`.
-    """
-    backend = _active
-    if backend is None:
-        backend = _resolve()
-    record("match_lengths", limit * len(candidates))
-    return backend.match_lengths(data, candidates, position, limit)
 
 
 def chunk_words(block: Sequence[int], offset: int,

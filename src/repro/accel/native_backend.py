@@ -25,7 +25,7 @@ from the caller's ``random.Random`` state), ``synthesize_payload``,
 
 Kernels with no C form forward to pure: ``words_to_bytes``,
 ``bytes_to_words``, ``chunk_words``, ``equal_word_runs``,
-``zero_word_runs``, ``match_lengths`` and ``huffman_code_table``.  On
+``zero_word_runs`` and ``huffman_code_table``.  On
 every measured workload they are either never called under this
 backend or already as fast as a C port would make them.
 
@@ -180,11 +180,6 @@ def equal_word_runs(data: bytes, word_count: int) -> List[int]:
 def zero_word_runs(data: bytes,
                    word_count: int) -> Tuple[List[int], List[int]]:
     return pure.zero_word_runs(data, word_count)
-
-
-def match_lengths(data: bytes, candidates: Sequence[int],
-                  position: int, limit: int) -> List[int]:
-    return pure.match_lengths(data, candidates, position, limit)
 
 
 def chunk_words(block: Sequence[int], offset: int,

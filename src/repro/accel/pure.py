@@ -293,28 +293,6 @@ def zero_word_runs(data: bytes,
     return starts, lengths
 
 
-def match_lengths(data: bytes, candidates: Sequence[int],
-                  position: int, limit: int) -> List[int]:
-    """Match length at ``position`` for each candidate start offset.
-
-    Candidates are measured in order; measurement stops after (and
-    including) the first candidate that reaches ``limit``, mirroring
-    the LZ match loops' early break — the returned list may therefore
-    be shorter than ``candidates``.
-    """
-    lengths: List[int] = []
-    append = lengths.append
-    for candidate in candidates:
-        run = 0
-        while (run < limit
-               and data[candidate + run] == data[position + run]):
-            run += 1
-        append(run)
-        if run == limit:
-            break
-    return lengths
-
-
 def chunk_words(block: Sequence[int], offset: int,
                 frame_words: int) -> Tuple[List[List[int]], List[int]]:
     """Split ``block[offset:]`` into full frames plus the leftover tail."""
@@ -595,12 +573,13 @@ def lz77_tokens(data: bytes, window_bits: int, length_bits: int,
     Implements the coding loop of
     :class:`repro.compress.lz77.Lz77Codec`: every position is indexed
     into a ``min_match``-byte-prefix hash chain (``max_chain`` most
-    recent occurrences), candidates are probed most-recent-first with
-    the :func:`match_lengths` early-limit break, and the first
-    candidate reaching the best length wins.  Tokens are
-    ``1 | offset-1 | length-min_match`` (``1 + window_bits +
-    length_bits`` wide) for matches and ``0 | byte`` (9 bits) for
-    literals.
+    recent occurrences), candidates in the window are probed
+    most-recent-first, the probe stops after the first candidate that
+    reaches the length limit, and the first candidate reaching the
+    best length wins.  Tokens are ``1 | offset-1 | length-min_match``
+    (``1 + window_bits + length_bits`` wide) for matches and
+    ``0 | byte`` (9 bits) for literals.  The Zip and 7-zip byte-LZ
+    stage parses with the same kernel.
     """
     window = 1 << window_bits
     max_match = min_match + (1 << length_bits) - 1
@@ -621,18 +600,19 @@ def lz77_tokens(data: bytes, window_bits: int, length_bits: int,
             chain = chains.get(data[position:position + min_match])
             if chain:
                 window_start = position - window
-                candidates = [candidate
-                              for candidate in reversed(chain)
-                              if candidate >= window_start]
-                if candidates:
-                    limit = min(max_match, length - position)
-                    for candidate, run in zip(
-                            candidates,
-                            match_lengths(data, candidates,
-                                          position, limit)):
-                        if run > best_length:
-                            best_length = run
-                            best_offset = position - candidate
+                limit = min(max_match, length - position)
+                for candidate in reversed(chain):
+                    if candidate < window_start:
+                        break  # chains only age: all older are out too
+                    run = 0
+                    while (run < limit
+                           and data[candidate + run] == data[position + run]):
+                        run += 1
+                    if run > best_length:
+                        best_length = run
+                        best_offset = position - candidate
+                    if run == limit:
+                        break
         if best_length >= min_match:
             av(match_flag
                | ((best_offset - 1) << length_bits)
@@ -952,8 +932,8 @@ def lz77_decode(body: bytes, output_length: int, window_bits: int,
 
     Copies are resolved against the growing output, byte-serially for
     self-overlapping matches.  A corrupt final match may overshoot
-    ``output_length``; the overshoot is returned as-is (the codec has
-    no trailing length policy for LZ77).
+    ``output_length``; the overshoot is returned as-is for the codec's
+    length check to reject.
     """
     window_mask = (1 << window_bits) - 1
     length_mask = (1 << length_bits) - 1

@@ -3,8 +3,9 @@
 Real Zip/DEFLATE is LZ77 over a 32 KB window followed by Huffman
 coding of the token stream.  This codec has exactly that structure:
 the byte-aligned LZ stage from :mod:`repro.compress.lzbytes` (32 KB
-window, 258-byte max match, greedy parse with hash chains) followed by
-the canonical Huffman coder from :mod:`repro.compress.huffman`.
+window, 259-byte max match, the greedy hash-chain parse of the shared
+``lz77_tokens`` kernel) followed by the canonical Huffman coder from
+:mod:`repro.compress.huffman`.
 
 It is not bit-compatible with RFC 1951 (no dynamic per-block trees),
 but its compression behaviour on configuration bitstreams sits where

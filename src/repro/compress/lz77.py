@@ -58,7 +58,12 @@ class Lz77Codec(Codec):
         (original_length,) = struct.unpack_from(">I", data, 0)
         # Token decode (bit cursor, copy resolution against the
         # growing output) runs as the ``lz77_decode`` accel kernel;
-        # every backend raises the same errors at the same points.
-        return accel.lz77_decode(data[4:], original_length,
-                                 self._window_bits, self._length_bits,
-                                 self._min_match)
+        # every backend raises the same errors at the same points.  A
+        # corrupt final match may overshoot the declared length, which
+        # the kernel returns as-is for the check below.
+        out = accel.lz77_decode(data[4:], original_length,
+                                self._window_bits, self._length_bits,
+                                self._min_match)
+        if len(out) != original_length:
+            raise CorruptStreamError("LZ77 length mismatch")
+        return out

@@ -5,94 +5,67 @@ entropy stage (Huffman for :class:`DeflateCodec`, adaptive arithmetic
 coding for :class:`LzmaLikeCodec`) can squeeze the residual
 redundancy — the same two-stage structure as real DEFLATE and LZMA.
 
+The parse is the shared ``lz77_tokens`` accel kernel, the same greedy
+hash-chain parse the LZ77 codec runs, with 4-byte minimum matches and
+an 8-bit length field (so matches are at most ``MIN_MATCH + 255``).
+
 Token format: a control byte carries 8 flags (MSB first); flag 0 means
 one literal byte follows, flag 1 means a match follows encoded as
-``offset_hi, offset_lo, length - min_match`` (3 bytes) for 16-bit
-offsets, or 2 bytes when the window fits in 12 bits (offset high
-nibble shares the length byte).
+``offset_hi, offset_lo, length - min_match`` (3 bytes).
 """
 
 from __future__ import annotations
 
 import struct
-from collections import defaultdict, deque
-from typing import Deque, Dict, List
 
 from repro import accel
 from repro.errors import CorruptStreamError
 
 MIN_MATCH = 4
+_LENGTH_BITS = 8  # the one-byte length field
 
 
 class LzByteStage:
-    """Greedy LZ parser with hash-chain match search."""
+    """Greedy LZ parse (the ``lz77_tokens`` kernel), byte-aligned."""
 
-    def __init__(self, window: int = 1 << 16, max_match: int = MIN_MATCH + 255,
-                 max_chain: int = 64) -> None:
-        if window > 1 << 16:
-            raise ValueError("window above 64 KB needs wider offsets")
-        self._window = window
-        self._max_match = max_match
+    def __init__(self, window: int = 1 << 16, max_chain: int = 64) -> None:
+        if not 16 <= window <= 1 << 16 or window & (window - 1):
+            raise ValueError(
+                f"window must be a power of two in [16, 65536], got {window}")
+        self._window_bits = window.bit_length() - 1
         self._max_chain = max_chain
+        #: Masks a match token's value down to its
+        #: ``offset - 1 | length - MIN_MATCH`` fields.
+        self.match_mask = (1 << (self._window_bits + _LENGTH_BITS)) - 1
 
-    def tokens(self, data: bytes):
-        """Greedy token stream: ('lit', byte) and ('match', offset, len).
+    def tokens(self, data: bytes) -> accel.TokenStream:
+        """The greedy parse as the kernel's ``(values, widths)`` arrays.
 
-        This is the shared parse used both by the byte-aligned format
-        below and by the LZMA-style structured entropy stage.
+        A literal has width 9 and the byte as its value; a match's
+        value, under :attr:`match_mask`, is ``offset - 1`` in its high
+        16 bits and ``length - MIN_MATCH`` in its low 8.
         """
-        chains: Dict[bytes, Deque[int]] = defaultdict(
-            lambda: deque(maxlen=self._max_chain))
-        # Fetch the active backend's match kernel once; recording one
-        # aggregate metric here keeps the per-position loop clean.
-        match_lengths = accel.active().match_lengths
-        accel.record("match_lengths", len(data))
-        position = 0
-        length = len(data)
-        while position < length:
-            match_length, match_offset = self._find_match(
-                data, position, chains, match_lengths)
-            if match_length >= MIN_MATCH:
-                yield ("match", match_offset, match_length)
-                for covered in range(match_length):
-                    self._index(data, position + covered, chains)
-                position += match_length
-            else:
-                yield ("lit", data[position])
-                self._index(data, position, chains)
-                position += 1
+        return accel.lz77_tokens(data, self._window_bits, _LENGTH_BITS,
+                                 MIN_MATCH, self._max_chain)
 
     def encode(self, data: bytes) -> bytes:
+        values, widths = self.tokens(data)
+        mask = self.match_mask
         out = bytearray(struct.pack(">I", len(data)))
-        flags_position = -1
-        flag_count = 8  # force a fresh control byte on first token
-        flags_value = 0
-
-        def start_flag_byte() -> None:
-            nonlocal flags_position, flag_count, flags_value
+        count = len(values)
+        for start in range(0, count, 8):
+            end = min(start + 8, count)
             flags_position = len(out)
             out.append(0)
-            flags_value = 0
-            flag_count = 0
-
-        def push_flag(bit: int) -> None:
-            nonlocal flag_count, flags_value
-            if flag_count == 8:
-                start_flag_byte()
-            flags_value = (flags_value << 1) | bit
-            out[flags_position] = flags_value << (7 - flag_count)
-            flag_count += 1
-
-        for token in self.tokens(data):
-            if token[0] == "match":
-                _, match_offset, match_length = token
-                push_flag(1)
-                out.append((match_offset - 1) >> 8)
-                out.append((match_offset - 1) & 0xFF)
-                out.append(match_length - MIN_MATCH)
-            else:
-                push_flag(0)
-                out.append(token[1])
+            flags = 0
+            for index in range(start, end):
+                flags <<= 1
+                if widths[index] == 9:
+                    out.append(values[index])
+                else:
+                    flags |= 1
+                    out += (values[index] & mask).to_bytes(3, "big")
+            out[flags_position] = flags << (8 - (end - start))
         return bytes(out)
 
     def decode(self, data: bytes) -> bytes:
@@ -122,40 +95,18 @@ class LzByteStage:
                 start = len(out) - offset
                 if start < 0:
                     raise CorruptStreamError("back-reference before start")
-                for step in range(run):
-                    out.append(out[start + step])
+                if offset >= run:
+                    out += out[start:start + run]
+                else:
+                    for step in range(run):
+                        out.append(out[start + step])  # self-overlapping
             else:
                 if position >= len(data):
                     raise CorruptStreamError("truncated literal token")
                 out.append(data[position])
                 position += 1
+        if len(out) != original_length:
+            raise CorruptStreamError(
+                f"LZ byte stream output length {len(out)} != declared "
+                f"{original_length}")
         return bytes(out)
-
-    def _find_match(self, data: bytes, position: int,
-                    chains: Dict[bytes, Deque[int]], match_lengths):
-        if position + MIN_MATCH > len(data):
-            return 0, 0
-        key = data[position:position + MIN_MATCH]
-        best_length = 0
-        best_offset = 0
-        window_start = position - self._window
-        limit = min(self._max_match, len(data) - position)
-        # Most-recent candidates first; the kernel measures each one
-        # and stops after the first that reaches the limit, exactly
-        # like the historical inline scan.
-        candidates = [candidate
-                      for candidate in reversed(chains.get(key, ()))
-                      if candidate >= window_start]
-        if not candidates:
-            return 0, 0
-        for candidate, run in zip(
-                candidates, match_lengths(data, candidates, position, limit)):
-            if run > best_length:
-                best_length = run
-                best_offset = position - candidate
-        return best_length, best_offset
-
-    def _index(self, data: bytes, position: int,
-               chains: Dict[bytes, Deque[int]]) -> None:
-        if position + MIN_MATCH <= len(data):
-            chains[data[position:position + MIN_MATCH]].append(position)

@@ -6,8 +6,9 @@ stream, match offsets and match lengths each get their own adaptive
 probability models rather than sharing one histogram.  This codec has
 exactly that architecture:
 
-* the greedy hash-chain LZ parse from :mod:`repro.compress.lzbytes`
-  over the full 64 KB offset space;
+* the greedy hash-chain LZ parse of :mod:`repro.compress.lzbytes`
+  (the shared ``lz77_tokens`` kernel) over the full 64 KB offset
+  space;
 * one shared arithmetic code stream (:mod:`repro.compress.arith` — an
   arithmetic coder and a range coder are equivalent entropy stages)
   with separate adaptive models for the token kind, order-1 literal
@@ -57,28 +58,27 @@ class LzmaLikeCodec(Codec):
 
     name = "7-zip"
 
-    def __init__(self, window: int = 1 << 16,
-                 max_match: int = MIN_MATCH + 255,
-                 max_chain: int = 128) -> None:
-        self._lz = LzByteStage(window=window, max_match=max_match,
-                               max_chain=max_chain)
+    def __init__(self, window: int = 1 << 16, max_chain: int = 128) -> None:
+        self._lz = LzByteStage(window=window, max_chain=max_chain)
 
     def compress(self, data: bytes) -> bytes:
         models = _TokenModels()
         encoder = ArithmeticEncoder()
         previous_byte = 0
-        for token in self._lz.tokens(data):
-            if token[0] == "lit":
-                byte = token[1]
+        values, widths = self._lz.tokens(data)
+        mask = self._lz.match_mask
+        for value, width in zip(values, widths):
+            if width == 9:
                 encoder.encode(models.kind, _KIND_LITERAL)
-                encoder.encode(models.literals.model_for(previous_byte), byte)
-                previous_byte = byte
+                encoder.encode(models.literals.model_for(previous_byte),
+                               value)
+                previous_byte = value
             else:
-                _, offset, length = token
+                fields = value & mask
                 encoder.encode(models.kind, _KIND_MATCH)
-                encoder.encode(models.offset_high, (offset - 1) >> 8)
-                encoder.encode(models.offset_low, (offset - 1) & 0xFF)
-                encoder.encode(models.length, length - MIN_MATCH)
+                encoder.encode(models.offset_high, fields >> 16)
+                encoder.encode(models.offset_low, (fields >> 8) & 0xFF)
+                encoder.encode(models.length, fields & 0xFF)
                 previous_byte = 0  # context resets after a copy
         encoder.encode(models.kind, _KIND_EOF)
         return struct.pack(">I", len(data)) + encoder.finish()
@@ -106,8 +106,11 @@ class LzmaLikeCodec(Codec):
                 start = len(out) - offset
                 if start < 0:
                     raise CorruptStreamError("back-reference before start")
-                for step in range(run):
-                    out.append(out[start + step])
+                if offset >= run:
+                    out += out[start:start + run]
+                else:
+                    for step in range(run):
+                        out.append(out[start + step])  # self-overlapping
                 previous_byte = 0
             if len(out) > original_length:
                 raise CorruptStreamError("LZMA-like stream overran length")

@@ -8,9 +8,9 @@ kernels in call recorders and pin the dispatch decision:
 * below its crossover a kernel hands the call to pure,
 * at/above the crossover it takes the C path (pure untouched),
 * the permanent forwarders (``chunk_words``, ``words_to_bytes``,
-  ``huffman_code_table``, ``match_lengths``) hand over at *every*
-  size on every available backend — the regression this file exists
-  to prevent is a backend being selected at a size where it loses;
+  ``huffman_code_table``) hand over at *every* size on every
+  available backend — the regression this file exists to prevent
+  is a backend being selected at a size where it loses;
 * the C frame planner hands over when its import-time self-check
   finds the interpreter drawing differently.
 
@@ -324,17 +324,3 @@ def test_huffman_code_table_always_delegates(monkeypatch):
         calls.clear()
         backend.huffman_code_table(histogram)
         assert calls, backend.name
-
-
-@pytest.mark.parametrize("work", [(3, 8), (64, 512)],
-                         ids=["small", "large"])
-def test_match_lengths_always_delegates(monkeypatch, work):
-    # The pure form's early-limit break usually ends the scan at the
-    # first candidate on the LZ chain walk's same-prefix candidate
-    # lists, so every backend answers with it at every size.
-    count, limit = work
-    calls = _sentinel(monkeypatch, "match_lengths")
-    for backend in _every_backend():
-        calls.clear()
-        backend.match_lengths(_BIG_DATA, list(range(count)), 8192, limit)
-        assert calls, f"{backend.name} match_lengths must delegate"

@@ -114,21 +114,6 @@ def test_zero_word_runs_match(vectorised, values, tail):
 
 
 @quick
-@given(st.binary(min_size=8, max_size=2048), st.data())
-def test_match_lengths_match(vectorised, data, draw):
-    position = draw.draw(st.integers(min_value=1, max_value=len(data) - 1))
-    # Callers clamp limit so the match window stays inside the data
-    # (``min(max_match, len(data) - position)`` in the LZ codecs).
-    limit = draw.draw(st.integers(min_value=1,
-                                  max_value=len(data) - position))
-    candidates = draw.draw(st.lists(
-        st.integers(min_value=0, max_value=position - 1),
-        min_size=1, max_size=16))
-    assert vectorised.match_lengths(data, candidates, position, limit) \
-        == pure.match_lengths(data, candidates, position, limit)
-
-
-@quick
 @given(words, st.integers(min_value=0, max_value=8),
        st.integers(min_value=1, max_value=41))
 def test_chunk_words_match(vectorised, block, offset, frame_words):
@@ -412,6 +397,21 @@ def test_lz77_tokens_boundaries(vectorised):
     for data in (b"", b"\x42", b"\x00" * 512, bytes(range(256)) * 4):
         assert vectorised.lz77_tokens(data, 8, 4, 3, 8) == \
             pure.lz77_tokens(data, 8, 4, 3, 8)
+
+
+@pytest.mark.parametrize("window_bits, max_chain", [(15, 64), (16, 128)])
+def test_lz77_tokens_byte_lz_layouts(vectorised, window_bits, max_chain):
+    # The Zip and 7-zip regime: 4-byte keys, 8-bit lengths, chains
+    # deeper than the probe limit (a 4-symbol stretch) and block
+    # repeats farther apart than the window.
+    rng = Random(2012)
+    blocks = [rng.randbytes(512) for _ in range(4)]
+    data = bytes(rng.randrange(4) for _ in range(3000)) + b"".join(
+        rng.choice(blocks)[:rng.randrange(64, 512)] + bytes(rng.randrange(8))
+        for _ in range(300))
+    assert len(data) > 1 << window_bits
+    args = (data, window_bits, 8, 4, max_chain)
+    assert vectorised.lz77_tokens(*args) == pure.lz77_tokens(*args)
 
 
 @quick

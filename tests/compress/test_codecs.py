@@ -1,9 +1,11 @@
 """Per-codec behaviour tests (shared cases + codec-specific checks)."""
 
 import random
+import struct
 
 import pytest
 
+from repro import accel
 from repro.compress import (
     DeflateCodec,
     HuffmanCodec,
@@ -15,6 +17,7 @@ from repro.compress import (
     all_codecs,
     compression_ratio,
 )
+from repro.compress.lzbytes import LzByteStage
 from repro.errors import CompressionError, CorruptStreamError
 
 CODECS = [RleCodec(), Lz77Codec(), Lz78Codec(), HuffmanCodec(),
@@ -136,6 +139,14 @@ class TestLz77:
         codec = Lz77Codec()
         assert codec.decompress(codec.compress(data)) == data
 
+    def test_match_past_declared_length_is_corrupt(self):
+        # Declares 2 bytes, then a literal and an 18-byte match: the
+        # decoder must not hand back 19 bytes.
+        stream = struct.pack(">I", 2) + accel.bitpack(
+            [0x61, (1 << 12) | 15], [9, 13])
+        with pytest.raises(CorruptStreamError):
+            Lz77Codec().decompress(stream)
+
 
 class TestLz78:
     def test_dictionary_reset_still_roundtrips(self):
@@ -180,6 +191,32 @@ class TestXMatchPro:
             for second in codes:
                 if first is not second:
                     assert not second.startswith(first)
+
+
+class TestLzByteStage:
+    # Declares 2 bytes, then a literal and a 14-byte match.
+    OVERRUN = struct.pack(">I", 2) + bytes([0x40]) + b"a" + bytes([0, 0, 10])
+
+    def test_match_past_declared_length_is_corrupt(self):
+        with pytest.raises(CorruptStreamError):
+            LzByteStage().decode(self.OVERRUN)
+
+    def test_zip_match_past_declared_length_is_corrupt(self):
+        with pytest.raises(CorruptStreamError):
+            DeflateCodec().decompress(HuffmanCodec().compress(self.OVERRUN))
+
+    @pytest.mark.parametrize("window", [0, 8, 1000, 3 << 10, 1 << 17])
+    def test_window_must_be_a_power_of_two_in_range(self, window):
+        for build in (LzByteStage, DeflateCodec, LzmaLikeCodec):
+            with pytest.raises(ValueError):
+                build(window=window)
+
+    @pytest.mark.parametrize("window", [16, 1 << 16])
+    def test_window_bounds_roundtrip(self, window):
+        data = (bytes(range(200)) + b"a" * 1000) * 3
+        for codec in (DeflateCodec(window=window),
+                      LzmaLikeCodec(window=window)):
+            assert codec.decompress(codec.compress(data)) == data
 
 
 class TestPipelines:

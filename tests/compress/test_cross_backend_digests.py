@@ -21,8 +21,10 @@ import pytest
 from repro import accel
 from repro.bitstream.generator import generate_bitstream
 from repro.compress import (
+    DeflateCodec,
     HuffmanCodec,
     Lz77Codec,
+    LzmaLikeCodec,
     RleCodec,
     XMatchProCodec,
 )
@@ -38,6 +40,12 @@ GOLDEN = {
         "af7481fbca694e597678a6d93cb6e338c62630b63ded9b1d0f3fc9c3e684e1d4",
     "RLE":
         "a7ad1e40d310220f7fd1b8a496181c3059845f98ab737248940826055ead0ef3",
+    # Zip and 7-zip pinned from the Python hash-chain parser that
+    # preceded their move onto the ``lz77_tokens`` kernel.
+    "Zip":
+        "a45764147a042e7d352446a721e0dd19e8221a15a00886070a3445fcc63a157b",
+    "7-zip":
+        "e90e656253c0d580091c0363dc6d4adac0f8dcb9eee8a3226bf19cd5bc4f5b27",
 }
 
 #: The generator itself is backend-dispatched, so the payload digest
@@ -45,7 +53,8 @@ GOLDEN = {
 PAYLOAD_DIGEST = \
     "ff3982249bcff3a8487d09093cc2139bd12dc3395fe3170b4bb40465903953ba"
 
-CODECS = [XMatchProCodec(), Lz77Codec(), HuffmanCodec(), RleCodec()]
+CODECS = [XMatchProCodec(), Lz77Codec(), HuffmanCodec(), RleCodec(),
+          DeflateCodec(), LzmaLikeCodec()]
 
 
 @pytest.fixture(scope="module")
