@@ -6,7 +6,7 @@
 * :mod:`repro.analysis.powersweep` — Fig. 7's power traces and the
   Section V energy figures.
 * :mod:`repro.analysis.report`     — plain-text table/plot rendering
-  shared by the benchmarks.
+  shared by the CLI commands.
 """
 
 from repro.analysis.bandwidth import BandwidthPoint, bandwidth_surface

@@ -11,9 +11,9 @@ Usage::
     python -m repro all             # everything
     python -m repro table3 --size-kb 128
 
-The same harnesses back the pytest benchmarks; the CLI just prints
-the tables (useful for quick exploration and for users without the
-dev dependencies installed).
+The same harnesses back ``repro validate`` and the test suite; the
+CLI just prints the tables (useful for quick exploration and for
+users without the dev dependencies installed).
 """
 
 from __future__ import annotations

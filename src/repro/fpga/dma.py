@@ -5,8 +5,8 @@ Section III-B's key design argument: the literature's fast controllers
 is large, arbitration-heavy and tops out at 200 MHz; UReC replaces it
 with a minimal read-only BRAM streamer that issues one word per cycle
 with almost no setup and closes timing far higher.  The two classes
-here model exactly that difference, and the DMA ablation bench
-(`bench_ablation_dma`) quantifies it.
+here model exactly that difference;
+``tests/fpga/test_memory_dma.py`` quantifies it.
 """
 
 from __future__ import annotations

@@ -50,6 +50,22 @@ class TestBandwidthSurface:
         assert 6.5 in FIG5_SIZES_KB and 247.0 in FIG5_SIZES_KB
         assert 362.5 in FIG5_FREQUENCIES_MHZ
 
+    def test_full_surface_monotone_along_both_axes(self):
+        """Every size gains bandwidth with frequency, every frequency
+        gains efficiency with size, and no cell of the paper's grid
+        reaches the theoretical plane."""
+        points = bandwidth_surface()
+        by_cell = {(p.size.kb, p.frequency.mhz): p for p in points}
+        for size_kb in FIG5_SIZES_KB:
+            series = [by_cell[(size_kb, mhz)].effective_mbps
+                      for mhz in FIG5_FREQUENCIES_MHZ]
+            assert series == sorted(series), size_kb
+        for mhz in FIG5_FREQUENCIES_MHZ:
+            series = [by_cell[(size_kb, mhz)].efficiency_percent
+                      for size_kb in FIG5_SIZES_KB]
+            assert series == sorted(series), mhz
+        assert all(p.effective_mbps < p.theoretical_mbps for p in points)
+
 
 class TestComparison:
     @pytest.fixture(scope="class")
@@ -83,6 +99,10 @@ class TestComparison:
         by_name = {row.controller: row.measured_mbps for row in rows}
         assert by_name["UPaRC_i"] / by_name["FaRM"] \
             == pytest.approx(1.8, rel=0.03)
+
+    def test_uparc_vs_cached_xps_hwicap_factor(self, rows):
+        by_name = {row.controller: row.measured_mbps for row in rows}
+        assert by_name["UPaRC_i"] / by_name["xps_hwicap[cached]"] > 90
 
     def test_controller_list_is_fresh(self):
         assert table3_controllers()[0] is not table3_controllers()[0]
@@ -122,8 +142,12 @@ class TestPowerSweep:
 
     def test_trace_decays_to_idle(self, points):
         for point in points:
-            assert point.trace.samples[-1].value \
-                == pytest.approx(point.idle_mw)
+            assert point.trace.samples[-1].value == point.idle_mw
+
+    def test_trace_starts_at_idle_below_plateau(self, points):
+        for point in points:
+            assert point.trace.samples[0].value == point.idle_mw
+            assert point.plateau_mw > point.idle_mw
 
 
 class TestEnergyComparison:

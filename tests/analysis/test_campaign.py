@@ -32,7 +32,7 @@ class TestSpread:
 class TestTable1Campaign:
     @pytest.fixture(scope="class")
     def campaign(self):
-        return table1_campaign(seeds=range(1, 6), size_kb=32.0)
+        return table1_campaign(seeds=range(1, 7), size_kb=32.0)
 
     def test_mean_ranking_matches_paper(self, campaign):
         assert campaign.mean_ranking_matches_paper

@@ -45,6 +45,14 @@ def test_roundtrip(codec, case):
 
 
 @pytest.mark.parametrize("codec", CODECS, ids=lambda c: c.name)
+def test_roundtrip_paper_bitstream(codec, paper_bitstream):
+    """64 KB of the 216.5 KB campaign bitstream: long enough to reset
+    LZ78's dictionary and fill the byte-LZ windows."""
+    data = paper_bitstream.raw_bytes[:65536]
+    assert codec.decompress(codec.compress(data)) == data
+
+
+@pytest.mark.parametrize("codec", CODECS, ids=lambda c: c.name)
 def test_compresses_redundant_input(codec):
     data = b"\x00" * 8192
     assert len(codec.compress(data)) < len(data) // 4

@@ -47,7 +47,7 @@ class TestXpsHwicap:
     def test_energy_efficiency_30uj_per_kb(self, paper_bitstream):
         result = XpsHwicap(profile="unoptimized").reconfigure(
             paper_bitstream, mhz(100))
-        assert result.energy.uj_per_kb == pytest.approx(30.0, rel=0.08)
+        assert result.energy.uj_per_kb == pytest.approx(30.0, rel=0.05)
 
 
 class TestBramHwicap:

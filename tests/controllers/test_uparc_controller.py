@@ -63,6 +63,24 @@ def test_v6_device_caps_mode_i_frequency():
     assert controller.max_frequency < mhz(362.5)
 
 
+def test_v6_envelope_costs_under_3_percent(paper_bitstream):
+    """Table III's headline run on the V6 envelope loses little to
+    the V5's 362.5 MHz."""
+    from repro.bitstream.device import VIRTEX6_LX240T
+    from repro.bitstream.generator import generate_bitstream
+    from repro.units import DataSize
+    v5 = UparcController("i")
+    v6 = UparcController("i", device=VIRTEX6_LX240T)
+    v5_result = v5.best_result(paper_bitstream)
+    v6_result = v6.best_result(generate_bitstream(
+        size=DataSize.from_kb(216.5), device=VIRTEX6_LX240T))
+    assert v5_result.verified and v6_result.verified
+    assert v6.max_frequency < v5.max_frequency
+    loss = 1 - (v6_result.bandwidth_decimal_mbps
+                / v5_result.bandwidth_decimal_mbps)
+    assert 0.0 < loss < 0.03
+
+
 def test_custom_frequency_run(small_bitstream):
     result = UparcController("i").reconfigure(small_bitstream, mhz(100))
     assert result.frequency == mhz(100)

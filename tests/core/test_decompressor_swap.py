@@ -52,6 +52,44 @@ def test_swap_cost_scales_with_engine_area():
     assert big.bitstream_size.bytes > 3 * small.bitstream_size.bytes
 
 
+def test_library_trade_off_ratio_throughput_area():
+    """Section VI's trade-off: each library decompressor run in mode
+    ii at the lowest grid CLK_2 that absorbs its output rate."""
+    from repro.bitstream.generator import generate_bitstream
+    from repro.core.policy import FrequencyPolicy
+    from repro.fpga.area import PACKERS, ResourceInventory
+    from repro.fpga.decompressor import DECOMPRESSOR_LIBRARY
+    from repro.power.model import PowerModel
+    from repro.units import DataSize
+
+    bitstream = generate_bitstream(size=DataSize.from_kb(81))
+    grid = FrequencyPolicy(PowerModel()).candidate_frequencies()
+    results = {}
+    for name, spec in DECOMPRESSOR_LIBRARY.items():
+        needed = min(255.0, max(50.0, spec.words_per_cycle
+                                * spec.max_frequency.mhz * 1.01))
+        clk2 = next((f for f in grid if f.mhz >= needed), grid[-1])
+        result = UPaRCSystem(decompressor=name).run(
+            bitstream, frequency=clk2, mode=OperationMode.COMPRESSED)
+        assert result.verified, name
+        # Throughput tracks words_per_cycle x fmax.
+        ceiling = spec.words_per_cycle * spec.max_frequency.mhz * 4
+        assert result.bandwidth_decimal_mbps <= ceiling * 1.02, name
+        results[name] = (
+            result.bandwidth_decimal_mbps,
+            1 - result.stored_size.bytes / bitstream.size.bytes,
+            PACKERS["virtex5"].slices(
+                ResourceInventory(luts=spec.luts, ffs=spec.ffs)))
+
+    xmatch_mbps, xmatch_ratio, xmatch_slices = results["x-matchpro"]
+    rle_mbps, rle_ratio, rle_slices = results["farm-rle"]
+    # X-MatchPRO is faster and compresses better than RLE, at much
+    # larger area.
+    assert xmatch_mbps > rle_mbps
+    assert xmatch_ratio > rle_ratio
+    assert xmatch_slices > 2 * rle_slices
+
+
 def test_unknown_engine_rejected():
     with pytest.raises(ReconfigurationFailed, match="unknown"):
         UPaRCSystem().swap_decompressor("zstd")

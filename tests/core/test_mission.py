@@ -93,3 +93,6 @@ class TestGatedManagerMission:
             return aware / optimal
 
         assert penalty(gated) < penalty(active)
+        for results in (active, gated):
+            for name, result in results.items():
+                assert result.deadline_misses == 0, name

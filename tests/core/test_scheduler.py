@@ -88,6 +88,28 @@ def test_savings_percent_positive_for_long_compute(scheduler, tasks):
     assert scheduler.savings_percent(tasks) > 10.0
 
 
+def test_savings_follow_compute_granularity(scheduler, tasks):
+    """Long tasks hide every later preload, medium ones spill part of
+    the 81 KB preload (~1.6 ms), 50 us ones hide almost nothing; the
+    relative saving peaks where reconfiguration dominates."""
+    bitstreams = [task.bitstream for task in tasks] + [tasks[1].bitstream]
+    absolute = {}
+    percent = {}
+    for label, compute in (("long", ms(5)), ("medium", ms(1)),
+                           ("short", us(50))):
+        pipeline = [Task(name, bitstream, compute_ps=compute)
+                    for name, bitstream in zip(
+                        ("fft", "fir", "viterbi", "crc"), bitstreams)]
+        reports = scheduler.compare(pipeline)
+        absolute[label] = (reports["sequential"].makespan_ps
+                           - reports["prefetch"].makespan_ps)
+        percent[label] = scheduler.savings_percent(pipeline)
+    assert all(saved >= 0 for saved in percent.values())
+    assert absolute["long"] >= absolute["medium"] > absolute["short"]
+    assert percent["medium"] > percent["long"]
+    assert percent["medium"] > 10.0
+
+
 def test_empty_pipeline(scheduler):
     assert scheduler.sequential([]).makespan_ps == 0
     assert scheduler.prefetch([]).makespan_ps == 0

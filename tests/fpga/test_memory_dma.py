@@ -103,6 +103,28 @@ class TestCustomBurstReader:
             assert custom.transfer_cycles(words) \
                 < central.transfer_cycles(words)
 
+    def test_design_advantage_over_central_dma(self):
+        """Section III-B: the central DMA is slower per transfer and
+        cannot run above 200 MHz; UReC's reader runs at 362.5 MHz."""
+        custom = CustomBurstReader()
+        central = XilinxCentralDma()
+        words = DataSize.from_kb(216.5).words
+
+        def mbps(engine, frequency):
+            engine.check_frequency(frequency)
+            seconds = frequency.duration_of(
+                engine.transfer_cycles(words)) / 1e12
+            return words * 4 / 1e6 / seconds
+
+        central_200 = mbps(central, Frequency.from_mhz(200))
+        # At equal frequency the custom reader wins by the burst
+        # overhead.
+        assert mbps(custom, Frequency.from_mhz(200)) / central_200 > 1.2
+        with pytest.raises(FrequencyError):
+            central.check_frequency(Frequency.from_mhz(362.5))
+        # Against the central DMA's best operating point.
+        assert mbps(custom, Frequency.from_mhz(362.5)) / central_200 > 2.3
+
 
 def test_compact_flash_word_read_time():
     cf = CompactFlash(sustained_bandwidth_kbps=250)

@@ -4,6 +4,7 @@ import pytest
 
 from repro.errors import CalibrationError
 from repro.power.calibration import Calibration, ML605_CALIBRATION
+from repro.units import DataSize, Frequency
 
 
 class TestMl605Calibration:
@@ -57,6 +58,61 @@ class TestMl605Calibration:
     def test_chain_split_sums_to_one(self):
         assert sum(ML605_CALIBRATION.chain_split.values()) \
             == pytest.approx(1.0)
+
+
+class TestManagerWaitAblation:
+    """Section V: "The manager waits for the end of reconfiguration
+    actively.  This wastes some energy, that is why the energy
+    decreases with the frequency, but in the case of a smaller manager
+    or without actively waiting ... the reconfiguration energy would
+    be the same for each frequencies."
+
+    Energy of one 216.5 KB reconfiguration across the Fig. 7 clocks
+    under three configurations: the paper's active-wait manager, a
+    clock-gated manager, and an idealised pure-CV^2f chain.
+    """
+
+    FREQUENCIES = (50.0, 100.0, 200.0, 300.0)
+
+    @pytest.fixture(scope="class")
+    def energies(self):
+        calibration = ML605_CALIBRATION
+        # Pure-dynamic slope through the origin (mW per MHz), least
+        # squares over the sweep.
+        slope = sum(mhz * calibration.chain_dynamic_mw(mhz)
+                    for mhz in self.FREQUENCIES) \
+            / sum(mhz * mhz for mhz in self.FREQUENCIES)
+        cycles = DataSize.from_kb(216.5).words + 3
+        rows = {"active": [], "gated": [], "ideal": []}
+        for mhz in self.FREQUENCIES:
+            seconds = Frequency.from_mhz(mhz).duration_of(cycles) / 1e12
+            chain = calibration.chain_dynamic_mw(mhz)
+            static = calibration.static_mw
+            wait = calibration.manager_wait_mw
+            rows["active"].append((static + wait + chain) * seconds * 1e3)
+            rows["gated"].append((static + chain) * seconds * 1e3)
+            rows["ideal"].append(slope * mhz * seconds * 1e3)
+        return rows
+
+    def test_active_wait_energy_falls_with_frequency(self, energies):
+        active = energies["active"]
+        assert active == sorted(active, reverse=True)
+
+    def test_gating_the_manager_shrinks_the_spread(self, energies):
+        def spread(values):
+            return max(values) / min(values)
+        assert spread(energies["gated"]) < spread(energies["active"])
+
+    def test_ideal_dynamic_energy_is_frequency_independent(self, energies):
+        # Up to the constant burst-setup cycles.
+        ideal = energies["ideal"]
+        assert max(ideal) / min(ideal) < 1.001
+
+    def test_gating_always_saves_most_at_low_frequency(self, energies):
+        savings = [active - gated for active, gated
+                   in zip(energies["active"], energies["gated"])]
+        assert all(saving > 0 for saving in savings)
+        assert savings[0] > savings[-1]
 
 
 class TestValidation:
