@@ -3,8 +3,11 @@
 The simulation's datapath cost is concentrated in a handful of
 operations: planning and synthesising frame payloads, bulk
 word<->byte packing, CRC-32C folding, splitting FDRI payloads into
-frames, and the byte scan/match loops inside the compression codecs.
-This package exposes those operations as a small kernel API with two
+frames, and the compression codecs' inner loops: the X-MatchPRO,
+LZ77 and RLE token scans, Huffman code tables and packing, LZ78's
+dictionary coder (``lz78_pack``), 7-zip's adaptive arithmetic coder
+(``lzma_pack``), and the bit-serial decoder of each.  This package
+exposes those operations as a small kernel API with two
 interchangeable implementations:
 
 * :mod:`repro.accel.pure` — tuned stdlib Python, always available,
@@ -63,6 +66,10 @@ __all__ = [
     "huffman_pack",
     "lz77_decode",
     "lz77_tokens",
+    "lz78_decode",
+    "lz78_pack",
+    "lzma_decode",
+    "lzma_pack",
     "native_available",
     "plan_frames",
     "record",
@@ -388,3 +395,40 @@ def rle_decode(records: bytes, output_length: int) -> bytes:
         backend = _resolve()
     record("rle_decode", output_length)
     return backend.rle_decode(records, output_length)
+
+
+def lz78_pack(data: bytes, max_entries: int) -> bytes:
+    """LZ78 ``(index, next byte)`` bit stream (no header) over ``data``."""
+    backend = _active
+    if backend is None:
+        backend = _resolve()
+    record("lz78_pack", len(data))
+    return backend.lz78_pack(data, max_entries)
+
+
+def lz78_decode(body: bytes, output_length: int, max_entries: int) -> bytes:
+    """Decode an LZ78 bit stream (no header)."""
+    backend = _active
+    if backend is None:
+        backend = _resolve()
+    record("lz78_decode", output_length)
+    return backend.lz78_decode(body, output_length, max_entries)
+
+
+def lzma_pack(values: Sequence[int], widths: Sequence[int],
+              match_mask: int) -> bytes:
+    """Arithmetic-code a byte-LZ token stream (7-zip's entropy stage)."""
+    backend = _active
+    if backend is None:
+        backend = _resolve()
+    record("lzma_pack", 8 * len(values))
+    return backend.lzma_pack(values, widths, match_mask)
+
+
+def lzma_decode(body: bytes, output_length: int) -> bytes:
+    """Decode a 7-zip arithmetic code stream (no header)."""
+    backend = _active
+    if backend is None:
+        backend = _resolve()
+    record("lzma_decode", output_length)
+    return backend.lzma_decode(body, output_length)

@@ -96,6 +96,17 @@ int uparc_huffman_decode(const uint8_t *body, size_t body_len,
 int uparc_rle_decode(const uint8_t *records, size_t record_len,
                      int64_t output_length, uint8_t **out_ptr,
                      int64_t *out_len);
+int uparc_lz78_pack(const uint8_t *data, size_t len, int64_t max_entries,
+                    uint8_t **out_ptr, int64_t *out_len);
+int uparc_lz78_decode(const uint8_t *body, size_t body_len,
+                      int64_t output_length, int64_t max_entries,
+                      uint8_t **out_ptr, int64_t *out_len, int64_t *detail);
+int uparc_lzma_pack(const uint64_t *values, const uint8_t *widths,
+                    size_t count, uint64_t match_mask,
+                    uint8_t **out_ptr, int64_t *out_len);
+int uparc_lzma_decode(const uint8_t *body, size_t body_len,
+                      int64_t output_length,
+                      uint8_t **out_ptr, int64_t *out_len);
 void uparc_buffer_free(uint8_t *ptr);
 """)
 

@@ -54,6 +54,13 @@ typedef struct {
 #define UPARC_ERR_EXTENSION  11  /* "truncated run extension"          */
 #define UPARC_ERR_RUN_WORD   12  /* "truncated run word"               */
 #define UPARC_ERR_NOMEM      13  /* malloc failure                     */
+#define UPARC_ERR_LZ78_INDEX 14  /* "LZ78 index N out of range"        */
+#define UPARC_ERR_AC_RANGE   15  /* "arithmetic decoder out of range"  */
+#define UPARC_ERR_AC_EXHAUSTED 16 /* "arithmetic code stream exhausted" */
+#define UPARC_ERR_LZMA_BACKREF 17 /* "back-reference before start"     */
+#define UPARC_ERR_LZMA_OVERRUN 18 /* "LZMA-like stream overran length" */
+#define UPARC_ERR_SYMBOL     19  /* encoder symbol outside its model:  */
+                                 /* the wrapper lets pure raise        */
 
 /* ------------------------------------------------------------------ */
 /* CRC-32C (Castagnoli), slicing-by-8 — same tables as the pure form. */
@@ -1297,6 +1304,588 @@ int uparc_rle_decode(const uint8_t *records, size_t record_len,
             }
         }
     }
+    if (status != UPARC_OK) {
+        free(out.p);
+        *out_ptr = 0;
+        return status;
+    }
+    *out_ptr = out.p;
+    *out_len = out.len;
+    return UPARC_OK;
+}
+
+/* ------------------------------------------------------------------ */
+/* Bit writer for the packers: at most 7 bits carry between writes,   */
+/* so fields up to 56 bits fit the accumulator.  The caller reserves  */
+/* the output; zero-padded final byte, like the reference BitWriter.  */
+
+typedef struct {
+    upbuf out;
+    uint64_t acc;
+    int bits;
+} bitwriter;
+
+static inline void bw_put(bitwriter *bw, uint64_t value, int width)
+{
+    bw->acc = (bw->acc << width) | value;
+    bw->bits += width;
+    while (bw->bits >= 8) {
+        bw->bits -= 8;
+        bw->out.p[bw->out.len++] = (uint8_t)(bw->acc >> bw->bits);
+    }
+    bw->acc &= (1ULL << bw->bits) - 1;
+}
+
+static inline void bw_flush(bitwriter *bw)
+{
+    if (bw->bits)
+        bw->out.p[bw->out.len++] = (uint8_t)(bw->acc << (8 - bw->bits));
+}
+
+/* ------------------------------------------------------------------ */
+/* LZ78 dictionary coder.                                             */
+/*                                                                    */
+/* The dictionary never holds more phrases than there are input bytes */
+/* (encoder) or 9-bit tokens in the body (decoder), so max_entries is */
+/* clamped to that before sizing anything: beyond it no reset can     */
+/* happen, and the clamp changes nothing the reference would do.      */
+
+static inline int lz78_index_width(int64_t size)
+{
+    int width = 1;
+    while (((int64_t)1 << width) <= size)
+        width++;
+    return width;
+}
+
+/* The encoder's (index, byte) -> phrase map is an open-addressing    */
+/* table at most half full; a reset empties just the slots it filled. */
+int uparc_lz78_pack(const uint8_t *data, size_t len, int64_t max_entries,
+                    uint8_t **out_ptr, int64_t *out_len)
+{
+    if (max_entries > (int64_t)len + 1)
+        max_entries = (int64_t)len + 1;
+    int64_t live = max_entries < 1 ? 1 : max_entries;
+    int slot_bits = 4;
+    while (((int64_t)1 << slot_bits) < 2 * live)
+        slot_bits++;
+    size_t slot_mask = ((size_t)1 << slot_bits) - 1;
+    uint64_t *keys = (uint64_t *)calloc(slot_mask + 1, sizeof(uint64_t));
+    int64_t *phrase = (int64_t *)malloc((slot_mask + 1) * sizeof(int64_t));
+    size_t *filled = (size_t *)malloc((size_t)live * sizeof(size_t));
+    /* One token per consumed byte at most, each index + 8 bits wide. */
+    int64_t bound = (int64_t)((len + 1)
+                              * (size_t)(lz78_index_width(live) + 8) / 8) + 8;
+    bitwriter bw = {{0, 0, 0}, 0, 0};
+    if (!keys || !phrase || !filled || upbuf_reserve(&bw.out, bound) != 0) {
+        free(keys);
+        free(phrase);
+        free(filled);
+        free(bw.out.p);
+        *out_ptr = 0;
+        return UPARC_ERR_NOMEM;
+    }
+    int64_t count = 0;
+    size_t position = 0;
+    while (position < len) {
+        int64_t index = 0;      /* empty phrase */
+        uint64_t key = 0;
+        size_t slot = 0;
+        while (position < len) {
+            key = (((uint64_t)index << 8) | data[position]) + 1;
+            slot = (size_t)((key * 0x9E3779B97F4A7C15ULL)
+                            >> (64 - slot_bits));
+            while (keys[slot] && keys[slot] != key)
+                slot = (slot + 1) & slot_mask;
+            if (!keys[slot])
+                break;          /* slot is where (index, byte) goes */
+            index = phrase[slot];
+            position++;
+        }
+        bw_put(&bw, (uint64_t)index, lz78_index_width(count));
+        if (position < len) {
+            bw_put(&bw, data[position], 8);
+            keys[slot] = key;
+            phrase[slot] = count + 1;
+            filled[count++] = slot;
+            position++;
+            if (count >= max_entries) {
+                for (int64_t k = 0; k < count; k++)
+                    keys[filled[k]] = 0;
+                count = 0;
+            }
+        }
+        /* else: the input ended exactly on a dictionary phrase; the  */
+        /* index-only token is the last one and carries no byte.      */
+    }
+    bw_flush(&bw);
+    free(keys);
+    free(phrase);
+    free(filled);
+    *out_ptr = bw.out.p;
+    *out_len = bw.out.len;
+    return UPARC_OK;
+}
+
+/* Phrase k is kept as (start, length) in the output already written: */
+/* it is exactly what the token that created it emitted.              */
+int uparc_lz78_decode(const uint8_t *body, size_t body_len,
+                      int64_t output_length, int64_t max_entries,
+                      uint8_t **out_ptr, int64_t *out_len, int64_t *detail)
+{
+    if (max_entries > (int64_t)body_len + 1)
+        max_entries = (int64_t)body_len + 1;
+    int64_t live = max_entries < 1 ? 1 : max_entries;
+    int64_t *start = (int64_t *)malloc((size_t)(live + 1) * sizeof(int64_t));
+    int64_t *length = (int64_t *)malloc((size_t)(live + 1) * sizeof(int64_t));
+    upbuf out = {0, 0, 0};
+    bitreader br = {body, body_len, 0, 0, 0};
+    int status = UPARC_OK;
+    int64_t first = output_length < (1 << 20) ? output_length : (1 << 20);
+    if (!start || !length || upbuf_reserve(&out, first + 8) != 0) {
+        free(start);
+        free(length);
+        free(out.p);
+        *out_ptr = 0;
+        return UPARC_ERR_NOMEM;
+    }
+    start[0] = 0;
+    length[0] = 0;
+    int64_t count = 0;
+    while (out.len < output_length) {
+        uint64_t index;
+        if (br_read(&br, lz78_index_width(count), &index)) {
+            status = UPARC_ERR_EXHAUSTED;
+            break;
+        }
+        if (index > (uint64_t)count) {
+            *detail = (int64_t)index;
+            status = UPARC_ERR_LZ78_INDEX;
+            break;
+        }
+        int64_t run = length[index];
+        if (upbuf_reserve(&out, run + 1) != 0) {
+            status = UPARC_ERR_NOMEM;
+            break;
+        }
+        memcpy(out.p + out.len, out.p + start[index], (size_t)run);
+        if (out.len + run >= output_length) {
+            out.len += run;
+            break;
+        }
+        uint64_t byte;
+        if (br_read(&br, 8, &byte)) {
+            status = UPARC_ERR_EXHAUSTED;
+            break;
+        }
+        count++;
+        start[count] = out.len;
+        length[count] = run + 1;
+        out.len += run;
+        out.p[out.len++] = (uint8_t)byte;
+        if (count >= max_entries)
+            count = 0;
+    }
+    free(start);
+    free(length);
+    if (status != UPARC_OK) {
+        free(out.p);
+        *out_ptr = 0;
+        return status;
+    }
+    *out_ptr = out.p;
+    *out_len = out.len;
+    return UPARC_OK;
+}
+
+/* ------------------------------------------------------------------ */
+/* 7-zip entropy stage: Witten-Neal-Cleary arithmetic coding with     */
+/* 32-bit precision over adaptive Fenwick-tree models, statement for  */
+/* statement the reference's AdaptiveModel / ArithmeticEncoder /      */
+/* ArithmeticDecoder.  A decoder's value stays within [low, high], so */
+/* every quantity fits 64 bits (span * total < 2^49).                 */
+
+#define AC_HALF        0x80000000ULL
+#define AC_QUARTER     0x40000000ULL
+#define AC_TOP         0xFFFFFFFFULL
+#define AC_MAX_TOTAL   65536
+#define AC_INCREMENT   32
+#define AC_MAX_IMPLICIT_BITS 32
+#define LZMA_MIN_MATCH 4
+
+typedef struct {
+    int32_t tree[257];          /* Fenwick tree, 1-based               */
+    int32_t total;
+    int32_t size;
+    int32_t top;                /* 1 << size.bit_length()              */
+} acmodel;
+
+static void am_init(acmodel *m, int size)
+{
+    m->size = size;
+    m->total = size;            /* every symbol starts at frequency 1  */
+    m->tree[0] = 0;
+    for (int i = 1; i <= size; i++)
+        m->tree[i] = i & -i;
+    int top = 1;
+    while (top <= size)
+        top <<= 1;
+    m->top = top;
+}
+
+static inline int32_t am_cumulative(const acmodel *m, int symbol)
+{
+    int32_t total = 0;
+    for (int i = symbol; i > 0; i -= i & -i)
+        total += m->tree[i];
+    return total;
+}
+
+static inline int am_find(const acmodel *m, int32_t target)
+{
+    int index = 0;
+    for (int mask = m->top; mask; mask >>= 1) {
+        int probe = index + mask;
+        if (probe <= m->size && m->tree[probe] <= target) {
+            index = probe;
+            target -= m->tree[probe];
+        }
+    }
+    return index;
+}
+
+/* Halve every frequency (floor 1) and rebuild: unwinding the tree    */
+/* top-down gives the frequencies, building it bottom-up restores it. */
+static void am_halve(acmodel *m)
+{
+    int n = m->size;
+    int32_t *t = m->tree;
+    for (int i = n; i >= 1; i--) {
+        int j = i + (i & -i);
+        if (j <= n)
+            t[j] -= t[i];
+    }
+    int32_t total = 0;
+    for (int i = 1; i <= n; i++) {
+        t[i] = t[i] / 2 > 1 ? t[i] / 2 : 1;
+        total += t[i];
+    }
+    for (int i = 1; i <= n; i++) {
+        int j = i + (i & -i);
+        if (j <= n)
+            t[j] += t[i];
+    }
+    m->total = total;
+}
+
+static inline void am_update(acmodel *m, int symbol)
+{
+    for (int i = symbol + 1; i <= m->size; i += i & -i)
+        m->tree[i] += AC_INCREMENT;
+    m->total += AC_INCREMENT;
+    if (m->total >= AC_MAX_TOTAL)
+        am_halve(m);
+}
+
+/* The token coder's model set; literal contexts start on first use. */
+typedef struct {
+    acmodel kind;
+    acmodel offset_high;
+    acmodel offset_low;
+    acmodel length;
+    acmodel literals[256];
+    uint8_t literal_ready[256];
+} lzma_models;
+
+static lzma_models *lzma_models_new(void)
+{
+    lzma_models *models = (lzma_models *)malloc(sizeof(lzma_models));
+    if (!models)
+        return 0;
+    am_init(&models->kind, 3);
+    am_init(&models->offset_high, 256);
+    am_init(&models->offset_low, 256);
+    am_init(&models->length, 256);
+    memset(models->literal_ready, 0, sizeof(models->literal_ready));
+    return models;
+}
+
+static inline acmodel *lzma_literal_model(lzma_models *models, int context)
+{
+    acmodel *model = &models->literals[context];
+    if (!models->literal_ready[context]) {
+        am_init(model, 256);
+        models->literal_ready[context] = 1;
+    }
+    return model;
+}
+
+typedef struct {
+    uint64_t low;
+    uint64_t high;
+    int64_t pending;
+    uint32_t bit_buffer;
+    int bit_count;
+    upbuf out;
+} acencoder;
+
+static inline int ace_emit(acencoder *e, uint32_t bit)
+{
+    e->bit_buffer = (e->bit_buffer << 1) | bit;
+    if (++e->bit_count == 8) {
+        if (upbuf_reserve(&e->out, 1) != 0)
+            return -1;
+        e->out.p[e->out.len++] = (uint8_t)e->bit_buffer;
+        e->bit_buffer = 0;
+        e->bit_count = 0;
+    }
+    return 0;
+}
+
+static int ace_emit_with_pending(acencoder *e, uint32_t bit)
+{
+    if (ace_emit(e, bit) != 0)
+        return -1;
+    for (; e->pending; e->pending--)
+        if (ace_emit(e, bit ^ 1) != 0)
+            return -1;
+    return 0;
+}
+
+static int ace_encode(acencoder *e, acmodel *m, int symbol)
+{
+    uint64_t span = e->high - e->low + 1;
+    uint64_t total = (uint64_t)m->total;
+    uint64_t cum_low = (uint64_t)am_cumulative(m, symbol);
+    uint64_t cum_high = (uint64_t)am_cumulative(m, symbol + 1);
+    e->high = e->low + span * cum_high / total - 1;
+    e->low = e->low + span * cum_low / total;
+    for (;;) {
+        if (e->high < AC_HALF) {
+            if (ace_emit_with_pending(e, 0) != 0)
+                return -1;
+        } else if (e->low >= AC_HALF) {
+            if (ace_emit_with_pending(e, 1) != 0)
+                return -1;
+            e->low -= AC_HALF;
+            e->high -= AC_HALF;
+        } else if (e->low >= AC_QUARTER
+                   && e->high < AC_HALF + AC_QUARTER) {
+            e->pending++;
+            e->low -= AC_QUARTER;
+            e->high -= AC_QUARTER;
+        } else {
+            break;
+        }
+        e->low <<= 1;
+        e->high = (e->high << 1) | 1;
+    }
+    am_update(m, symbol);
+    return 0;
+}
+
+static int ace_finish(acencoder *e)
+{
+    e->pending++;
+    if (ace_emit_with_pending(e, e->low < AC_QUARTER ? 0 : 1) != 0)
+        return -1;
+    while (e->bit_count)
+        if (ace_emit(e, 0) != 0)
+            return -1;
+    return 0;
+}
+
+/* Token stream -> code stream.  Width 9 is a literal, any other      */
+/* width a match whose masked value is offset-1 << 8 | length-4.      */
+int uparc_lzma_pack(const uint64_t *values, const uint8_t *widths,
+                    size_t count, uint64_t match_mask,
+                    uint8_t **out_ptr, int64_t *out_len)
+{
+    *out_ptr = 0;
+    for (size_t i = 0; i < count; i++) {
+        uint64_t symbol = widths[i] == 9 ? values[i]
+            : (values[i] & match_mask) >> 16;
+        if (symbol > 255)
+            return UPARC_ERR_SYMBOL;
+    }
+    lzma_models *models = lzma_models_new();
+    acencoder e = {0, AC_TOP, 0, 0, 0, {0, 0, 0}};
+    /* The code stream is usually well under a byte per token.        */
+    if (!models || upbuf_reserve(&e.out, (int64_t)count + 64) != 0) {
+        free(models);
+        return UPARC_ERR_NOMEM;
+    }
+    int failed = 0;
+    int previous_byte = 0;
+    for (size_t i = 0; i < count && !failed; i++) {
+        if (widths[i] == 9) {
+            int byte = (int)values[i];
+            failed = ace_encode(&e, &models->kind, 0)
+                || ace_encode(&e, lzma_literal_model(models, previous_byte),
+                              byte);
+            previous_byte = byte;
+        } else {
+            uint64_t fields = values[i] & match_mask;
+            failed = ace_encode(&e, &models->kind, 1)
+                || ace_encode(&e, &models->offset_high, (int)(fields >> 16))
+                || ace_encode(&e, &models->offset_low,
+                              (int)((fields >> 8) & 0xFF))
+                || ace_encode(&e, &models->length, (int)(fields & 0xFF));
+            previous_byte = 0;  /* context resets after a copy */
+        }
+    }
+    if (!failed)
+        failed = ace_encode(&e, &models->kind, 2) || ace_finish(&e);
+    free(models);
+    if (failed) {
+        free(e.out.p);
+        return UPARC_ERR_NOMEM;
+    }
+    *out_ptr = e.out.p;
+    *out_len = e.out.len;
+    return UPARC_OK;
+}
+
+typedef struct {
+    const uint8_t *data;
+    uint64_t bit_limit;         /* 8 * body length                     */
+    uint64_t bit_position;
+    int implicit_bits;          /* zeros read past the end so far      */
+    uint64_t low;
+    uint64_t high;
+    uint64_t value;
+} acdecoder;
+
+/* Next code bit into *value's low end; past the body the encoder's   */
+/* implicit trailing zeros, until more than 32 of them mark the       */
+/* stream corrupt.                                                    */
+static inline int acd_shift_in(acdecoder *d)
+{
+    uint64_t bit = 0;
+    if (d->bit_position >= d->bit_limit) {
+        if (++d->implicit_bits > AC_MAX_IMPLICIT_BITS)
+            return UPARC_ERR_AC_EXHAUSTED;
+    } else {
+        bit = (d->data[d->bit_position >> 3]
+               >> (7 - (d->bit_position & 7))) & 1;
+        d->bit_position++;
+    }
+    d->value = (d->value << 1) | bit;
+    return UPARC_OK;
+}
+
+static inline int acd_decode(acdecoder *d, acmodel *m, int *symbol)
+{
+    uint64_t span = d->high - d->low + 1;
+    uint64_t total = (uint64_t)m->total;
+    if (d->value < d->low)
+        return UPARC_ERR_AC_RANGE;  /* the reference's negative target */
+    uint64_t target = ((d->value - d->low + 1) * total - 1) / span;
+    if (target >= total)
+        return UPARC_ERR_AC_RANGE;
+    int found = am_find(m, (int32_t)target);
+    uint64_t cum_low = (uint64_t)am_cumulative(m, found);
+    uint64_t cum_high = (uint64_t)am_cumulative(m, found + 1);
+    d->high = d->low + span * cum_high / total - 1;
+    d->low = d->low + span * cum_low / total;
+    for (;;) {
+        if (d->high < AC_HALF) {
+            /* nothing to subtract */
+        } else if (d->low >= AC_HALF) {
+            d->low -= AC_HALF;
+            d->high -= AC_HALF;
+            d->value -= AC_HALF;
+        } else if (d->low >= AC_QUARTER
+                   && d->high < AC_HALF + AC_QUARTER) {
+            d->low -= AC_QUARTER;
+            d->high -= AC_QUARTER;
+            d->value -= AC_QUARTER;
+        } else {
+            break;
+        }
+        d->low <<= 1;
+        d->high = (d->high << 1) | 1;
+        int status = acd_shift_in(d);
+        if (status != UPARC_OK)
+            return status;
+    }
+    am_update(m, found);
+    *symbol = found;
+    return UPARC_OK;
+}
+
+int uparc_lzma_decode(const uint8_t *body, size_t body_len,
+                      int64_t output_length,
+                      uint8_t **out_ptr, int64_t *out_len)
+{
+    acdecoder d = {body, (uint64_t)body_len * 8, 0, 0, 0, AC_TOP, 0};
+    for (int k = 0; k < 32; k++)
+        acd_shift_in(&d);       /* at most 32 implicit zeros: no error */
+    lzma_models *models = lzma_models_new();
+    upbuf out = {0, 0, 0};
+    int64_t first = output_length < (1 << 20) ? output_length : (1 << 20);
+    if (!models || upbuf_reserve(&out, first + 8) != 0) {
+        free(models);
+        free(out.p);
+        *out_ptr = 0;
+        return UPARC_ERR_NOMEM;
+    }
+    int status = UPARC_OK;
+    int previous_byte = 0;
+    for (;;) {
+        int kind;
+        status = acd_decode(&d, &models->kind, &kind);
+        if (status != UPARC_OK || kind == 2)
+            break;
+        if (kind == 0) {
+            int byte;
+            status = acd_decode(&d, lzma_literal_model(models, previous_byte),
+                                &byte);
+            if (status != UPARC_OK)
+                break;
+            if (upbuf_reserve(&out, 1) != 0) {
+                status = UPARC_ERR_NOMEM;
+                break;
+            }
+            out.p[out.len++] = (uint8_t)byte;
+            previous_byte = byte;
+        } else {
+            int high, low, length;
+            if ((status = acd_decode(&d, &models->offset_high, &high))
+                != UPARC_OK
+                || (status = acd_decode(&d, &models->offset_low, &low))
+                != UPARC_OK
+                || (status = acd_decode(&d, &models->length, &length))
+                != UPARC_OK)
+                break;
+            int64_t offset = (int64_t)((high << 8) | low) + 1;
+            int64_t run = length + LZMA_MIN_MATCH;
+            int64_t start = out.len - offset;
+            if (start < 0) {
+                status = UPARC_ERR_LZMA_BACKREF;
+                break;
+            }
+            if (upbuf_reserve(&out, run) != 0) {
+                status = UPARC_ERR_NOMEM;
+                break;
+            }
+            if (offset >= run) {
+                memcpy(out.p + out.len, out.p + start, (size_t)run);
+                out.len += run;
+            } else {
+                for (int64_t step = 0; step < run; step++) {
+                    out.p[out.len] = out.p[start + step];
+                    out.len++;  /* self-overlapping copy */
+                }
+            }
+            previous_byte = 0;
+        }
+        if (out.len > output_length) {
+            status = UPARC_ERR_LZMA_OVERRUN;
+            break;
+        }
+    }
+    free(models);
     if (status != UPARC_OK) {
         free(out.p);
         *out_ptr = 0;

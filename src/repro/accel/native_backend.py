@@ -19,9 +19,11 @@ selection logic falls back to pure when it is missing.
 Kernels in C: ``plan_frames`` (the generator's frame planner, drawing
 from the caller's ``random.Random`` state), ``synthesize_payload``,
 ``crc32c``, ``rle_records``, ``xmatch_tokens``, ``lz77_tokens``,
-``bitpack``, ``huffman_pack`` and the four decoders
-(``xmatch_decode``, ``lz77_decode``, ``huffman_decode``,
-``rle_decode``).
+``bitpack``, ``huffman_pack``, the four decoders (``xmatch_decode``,
+``lz77_decode``, ``huffman_decode``, ``rle_decode``), and the LZ78
+and 7-zip codec stages (``lz78_pack``/``lz78_decode``, the adaptive
+arithmetic coder ``lzma_pack``/``lzma_decode``), which have no
+crossover: they take the C path at every size.
 
 Kernels with no C form forward to pure: ``words_to_bytes``,
 ``bytes_to_words``, ``chunk_words``, ``equal_word_runs``,
@@ -98,6 +100,12 @@ _ERR_LITERAL = 10
 _ERR_EXTENSION = 11
 _ERR_RUN_WORD = 12
 _ERR_NOMEM = 13
+_ERR_LZ78_INDEX = 14
+_ERR_AC_RANGE = 15
+_ERR_AC_EXHAUSTED = 16
+_ERR_LZMA_BACKREF = 17
+_ERR_LZMA_OVERRUN = 18
+_ERR_SYMBOL = 19
 
 _STATIC_MESSAGES = {
     _ERR_EXHAUSTED: "bit stream exhausted",
@@ -109,7 +117,15 @@ _STATIC_MESSAGES = {
     _ERR_LITERAL: "truncated literal record",
     _ERR_EXTENSION: "truncated run extension",
     _ERR_RUN_WORD: "truncated run word",
+    _ERR_AC_RANGE: "arithmetic decoder out of range",
+    _ERR_AC_EXHAUSTED: "arithmetic code stream exhausted",
+    _ERR_LZMA_BACKREF: "back-reference before start",
+    _ERR_LZMA_OVERRUN: "LZMA-like stream overran length",
 }
+
+# An LZ78 dictionary bound past the input's size never triggers a
+# reset, so clamping it into int64 range changes nothing pure does.
+_MAX_ENTRIES_CAP = 1 << 62
 
 
 def _raise_status(status: int, detail: int) -> None:
@@ -124,6 +140,8 @@ def _raise_status(status: int, detail: int) -> None:
     if status == _ERR_BACKREF:
         raise CorruptStreamError(
             f"LZ77 back-reference beyond start (offset {detail})")
+    if status == _ERR_LZ78_INDEX:
+        raise CorruptStreamError(f"LZ78 index {detail} out of range")
     raise CorruptStreamError(_STATIC_MESSAGES[status])
 
 
@@ -138,6 +156,16 @@ def _take_buffer(out_ptr, out_len) -> bytes:
     result = bytes(ffi.buffer(pointer, length))
     _lib.uparc_buffer_free(pointer)
     return result
+
+
+def _typed_view(sequence, typecode: str, ctype: str):
+    """``sequence`` as a C array of ``ctype``; None if an item won't fit."""
+    if not (isinstance(sequence, array) and sequence.typecode == typecode):
+        try:
+            sequence = array(typecode, sequence)
+        except OverflowError:
+            return None
+    return ffi.from_buffer(ctype, sequence)
 
 
 def _token_arrays(values, widths, count: int) -> "pure.TokenStream":
@@ -339,24 +367,12 @@ def bitpack(values: Sequence[int], widths: Sequence[int]) -> bytes:
     count = len(values)
     if count < _BITPACK_MIN_TOKENS:
         return pure.bitpack(values, widths)
-    if isinstance(values, array) and values.typecode == "Q":
-        value_buffer = ffi.from_buffer("uint64_t[]", values)
-    else:
-        try:
-            value_buffer = ffi.from_buffer(
-                "uint64_t[]", array("Q", values))
-        except OverflowError:
-            # Values beyond 64 bits: only the bigint pure form packs
-            # them (no kernel emits such tokens; property tests do).
-            return pure.bitpack(values, widths)
-    if isinstance(widths, array) and widths.typecode == "B":
-        width_buffer = ffi.from_buffer("uint8_t[]", widths)
-    else:
-        try:
-            width_buffer = ffi.from_buffer(
-                "uint8_t[]", array("B", widths))
-        except OverflowError:
-            return pure.bitpack(values, widths)
+    value_buffer = _typed_view(values, "Q", "uint64_t[]")
+    width_buffer = _typed_view(widths, "B", "uint8_t[]")
+    if value_buffer is None or width_buffer is None:
+        # Values beyond 64 bits: only the bigint pure form packs
+        # them (no kernel emits such tokens; property tests do).
+        return pure.bitpack(values, widths)
     out = ffi.new("uint8_t[]", 8 * count + 1)
     written = _lib.uparc_bitpack(value_buffer, width_buffer, count, out)
     if written < 0:  # a width above 64: pure handles arbitrary widths
@@ -469,6 +485,65 @@ def rle_decode(records: bytes, output_length: int) -> bytes:
     status = _lib.uparc_rle_decode(
         ffi.from_buffer("uint8_t[]", records), len(records),
         output_length, out_ptr, out_len)
+    if status != _OK:
+        _raise_status(status, 0)
+    return _take_buffer(out_ptr, out_len)
+
+
+# -- LZ78 and 7-zip codec stages ----------------------------------------
+# No size crossover: these take the C path at every size.
+
+
+def lz78_pack(data: bytes, max_entries: int) -> bytes:
+    out_ptr = ffi.new("uint8_t **")
+    out_len = ffi.new("int64_t *")
+    status = _lib.uparc_lz78_pack(
+        ffi.from_buffer("uint8_t[]", data), len(data),
+        min(max_entries, _MAX_ENTRIES_CAP), out_ptr, out_len)
+    if status != _OK:
+        _raise_status(status, 0)
+    return _take_buffer(out_ptr, out_len)
+
+
+def lz78_decode(body: bytes, output_length: int, max_entries: int) -> bytes:
+    out_ptr = ffi.new("uint8_t **")
+    out_len = ffi.new("int64_t *")
+    detail = ffi.new("int64_t *")
+    status = _lib.uparc_lz78_decode(
+        ffi.from_buffer("uint8_t[]", body), len(body), output_length,
+        min(max_entries, _MAX_ENTRIES_CAP), out_ptr, out_len, detail)
+    if status != _OK:
+        _raise_status(status, detail[0])
+    return _take_buffer(out_ptr, out_len)
+
+
+def lzma_pack(values: Sequence[int], widths: Sequence[int],
+              match_mask: int) -> bytes:
+    value_buffer = _typed_view(values, "Q", "uint64_t[]")
+    width_buffer = _typed_view(widths, "B", "uint8_t[]")
+    if (value_buffer is None or width_buffer is None
+            or not 0 <= match_mask < 1 << 64):
+        # Items or a mask past the C types: pure's bigints take them
+        # (the 7-zip codec never passes such a stream).
+        return pure.lzma_pack(values, widths, match_mask)
+    out_ptr = ffi.new("uint8_t **")
+    out_len = ffi.new("int64_t *")
+    status = _lib.uparc_lzma_pack(
+        value_buffer, width_buffer, min(len(values), len(widths)),
+        match_mask, out_ptr, out_len)
+    if status == _ERR_SYMBOL:
+        return pure.lzma_pack(values, widths, match_mask)  # raises
+    if status != _OK:
+        _raise_status(status, 0)
+    return _take_buffer(out_ptr, out_len)
+
+
+def lzma_decode(body: bytes, output_length: int) -> bytes:
+    out_ptr = ffi.new("uint8_t **")
+    out_len = ffi.new("int64_t *")
+    status = _lib.uparc_lzma_decode(
+        ffi.from_buffer("uint8_t[]", body), len(body), output_length,
+        out_ptr, out_len)
     if status != _OK:
         _raise_status(status, 0)
     return _take_buffer(out_ptr, out_len)

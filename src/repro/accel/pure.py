@@ -1125,3 +1125,424 @@ def rle_decode(records: bytes, output_length: int) -> bytes:
             position += 4
             out += word * run
     return bytes(out)
+
+
+# -- LZ78 dictionary coder --------------------------------------------
+
+
+def _lz78_index_width(dictionary_size: int) -> int:
+    """Bits needed to name indices 0..dictionary_size (0 = empty prefix)."""
+    width = 1
+    while (1 << width) <= dictionary_size:
+        width += 1
+    return width
+
+
+def lz78_pack(data: bytes, max_entries: int) -> bytes:
+    """LZ78 bit stream (no header) over ``data``.
+
+    Emits ``(dictionary index, next byte)`` pairs while growing a
+    phrase dictionary; the index field is ``_lz78_index_width`` of the
+    current dictionary size wide, and the dictionary resets once it
+    holds ``max_entries`` phrases.  When the input ends exactly on a
+    dictionary phrase, the last token is that index alone (the
+    decoder knows the output length, so it needs no terminator).
+    Packed MSB-first with a zero-padded final byte.
+    """
+    values: List[int] = []
+    widths: List[int] = []
+    dictionary: Dict[Tuple[int, int], int] = {}
+    position = 0
+    length = len(data)
+    while position < length:
+        index = 0  # empty phrase
+        while position < length:
+            key = (index, data[position])
+            next_index = dictionary.get(key)
+            if next_index is None:
+                break
+            index = next_index
+            position += 1
+        values.append(index)
+        widths.append(_lz78_index_width(len(dictionary)))
+        if position < length:
+            values.append(data[position])
+            widths.append(8)
+            dictionary[(index, data[position])] = len(dictionary) + 1
+            position += 1
+            if len(dictionary) >= max_entries:
+                dictionary.clear()
+        # else: the input ended exactly on a dictionary phrase; the
+        # index-only token is the last one and carries no byte.
+    return bitpack(values, widths)
+
+
+class _BitReader:
+    """MSB-first bit cursor over a byte string."""
+
+    def __init__(self, data: bytes) -> None:
+        self._data = data
+        self._position = 0  # bit offset
+
+    def read_bits(self, width: int) -> int:
+        position = self._position
+        end = position + width
+        data = self._data
+        if end > len(data) * 8:
+            raise CorruptStreamError("bit stream exhausted")
+        first = position >> 3
+        last = (end - 1) >> 3
+        chunk = int.from_bytes(data[first:last + 1], "big")
+        shift = ((last + 1) << 3) - end
+        self._position = end
+        return (chunk >> shift) & ((1 << width) - 1)
+
+
+def lz78_decode(body: bytes, output_length: int, max_entries: int) -> bytes:
+    """Decode an LZ78 bit stream (inverse of :func:`lz78_pack`).
+
+    Stops once ``output_length`` bytes are produced.  A token whose
+    phrase reaches the declared length ends the stream without a
+    byte; a corrupt one may overshoot, and the overshoot is returned
+    as-is for the codec's length check to reject.
+    """
+    reader = _BitReader(body)
+    phrases: List[bytes] = [b""]
+    out = bytearray()
+    while len(out) < output_length:
+        width = _lz78_index_width(len(phrases) - 1)
+        index = reader.read_bits(width)
+        if index >= len(phrases):
+            raise CorruptStreamError(f"LZ78 index {index} out of range")
+        phrase = phrases[index]
+        if len(out) + len(phrase) >= output_length:
+            out += phrase
+            break
+        byte = reader.read_bits(8)
+        out += phrase + bytes([byte])
+        phrases.append(phrase + bytes([byte]))
+        if len(phrases) - 1 >= max_entries:
+            phrases = [b""]
+    return bytes(out)
+
+
+# -- 7-zip entropy stage: adaptive arithmetic coding -------------------
+#
+# A classic Witten-Neal-Cleary integer arithmetic coder with 32-bit
+# precision, coding symbol-at-a-time against caller-supplied adaptive
+# models so the LZMA-style token coder can switch context models per
+# token role (literal vs offset vs length) while sharing one code
+# stream.  Models are Fenwick (binary indexed) trees, so
+# cumulative-frequency queries and updates are O(log n); counts halve
+# when a model's total reaches ``_MAX_TOTAL``, keeping the model
+# adaptive and the arithmetic within precision bounds.
+
+_CODE_BITS = 32
+_TOP = (1 << _CODE_BITS) - 1
+_HALF = 1 << (_CODE_BITS - 1)
+_QUARTER = 1 << (_CODE_BITS - 2)
+_THREE_QUARTERS = _HALF + _QUARTER
+_MAX_TOTAL = 1 << 16
+#: Zero bits the decoder may read past the end of its input (the
+#: encoder's implicit trailing zeros).  A valid stream needs fewer
+#: than ``_CODE_BITS``; past this many the stream is corrupt, which
+#: bounds the decoder's work by its input size.
+_MAX_IMPLICIT_BITS = _CODE_BITS
+
+
+class AdaptiveModel:
+    """Adaptive frequency table over ``size`` symbols (Fenwick tree)."""
+
+    __slots__ = ("_tree", "_size", "total", "_increment")
+
+    def __init__(self, size: int, increment: int = 32) -> None:
+        if size < 2:
+            raise ValueError("model needs at least 2 symbols")
+        self._size = size
+        self._tree = [0] * (size + 1)
+        self.total = 0
+        self._increment = increment
+        for symbol in range(size):
+            self._add(symbol, 1)
+
+    @property
+    def size(self) -> int:
+        return self._size
+
+    def _add(self, symbol: int, delta: int) -> None:
+        index = symbol + 1
+        while index <= self._size:
+            self._tree[index] += delta
+            index += index & (-index)
+        self.total += delta
+
+    def cumulative(self, symbol: int) -> int:
+        """Sum of frequencies of symbols < symbol."""
+        index = symbol
+        total = 0
+        while index > 0:
+            total += self._tree[index]
+            index -= index & (-index)
+        return total
+
+    def frequency(self, symbol: int) -> int:
+        return self.cumulative(symbol + 1) - self.cumulative(symbol)
+
+    def find(self, target: int) -> int:
+        """The symbol whose [cumulative, cumulative+freq) spans target."""
+        index = 0
+        remaining = target
+        mask = 1 << self._size.bit_length()
+        while mask:
+            probe = index + mask
+            if probe <= self._size and self._tree[probe] <= remaining:
+                index = probe
+                remaining -= self._tree[probe]
+            mask >>= 1
+        return index
+
+    def update(self, symbol: int) -> None:
+        self._add(symbol, self._increment)
+        if self.total >= _MAX_TOTAL:
+            self._halve()
+
+    def _halve(self) -> None:
+        frequencies = [max(1, self.frequency(symbol) // 2)
+                       for symbol in range(self._size)]
+        self._tree = [0] * (self._size + 1)
+        self.total = 0
+        for symbol, frequency in enumerate(frequencies):
+            self._add(symbol, frequency)
+
+
+class ArithmeticEncoder:
+    """Streaming arithmetic encoder; models are supplied per symbol."""
+
+    def __init__(self) -> None:
+        self._low = 0
+        self._high = _TOP
+        self._pending = 0
+        self._out = bytearray()
+        self._bit_buffer = 0
+        self._bit_count = 0
+        self._finished = False
+
+    def encode(self, model: AdaptiveModel, symbol: int) -> None:
+        if self._finished:
+            raise CorruptStreamError("encoder already finished")
+        if not 0 <= symbol < model.size:
+            raise ValueError(f"symbol {symbol} outside model range")
+        span = self._high - self._low + 1
+        total = model.total
+        cum_low = model.cumulative(symbol)
+        cum_high = model.cumulative(symbol + 1)
+        self._high = self._low + span * cum_high // total - 1
+        self._low = self._low + span * cum_low // total
+        self._renormalize()
+        model.update(symbol)
+
+    def _renormalize(self) -> None:
+        while True:
+            if self._high < _HALF:
+                self._emit_with_pending(0)
+            elif self._low >= _HALF:
+                self._emit_with_pending(1)
+                self._low -= _HALF
+                self._high -= _HALF
+            elif self._low >= _QUARTER and self._high < _THREE_QUARTERS:
+                self._pending += 1
+                self._low -= _QUARTER
+                self._high -= _QUARTER
+            else:
+                return
+            self._low <<= 1
+            self._high = (self._high << 1) | 1
+
+    def _emit(self, bit: int) -> None:
+        self._bit_buffer = (self._bit_buffer << 1) | bit
+        self._bit_count += 1
+        if self._bit_count == 8:
+            self._out.append(self._bit_buffer)
+            self._bit_buffer = 0
+            self._bit_count = 0
+
+    def _emit_with_pending(self, bit: int) -> None:
+        self._emit(bit)
+        while self._pending:
+            self._emit(bit ^ 1)
+            self._pending -= 1
+
+    def finish(self) -> bytes:
+        """Flush the final interval and return the code stream."""
+        if not self._finished:
+            self._pending += 1
+            if self._low < _QUARTER:
+                self._emit_with_pending(0)
+            else:
+                self._emit_with_pending(1)
+            while self._bit_count:
+                self._emit(0)
+            self._finished = True
+        return bytes(self._out)
+
+
+class ArithmeticDecoder:
+    """Mirror of :class:`ArithmeticEncoder`."""
+
+    def __init__(self, data: bytes) -> None:
+        self._data = data
+        self._bit_position = 0
+        self._implicit_bits = 0
+        self._low = 0
+        self._high = _TOP
+        self._value = 0
+        for _ in range(_CODE_BITS):
+            self._value = (self._value << 1) | self._next_bit()
+
+    def _next_bit(self) -> int:
+        if self._bit_position >= len(self._data) * 8:
+            # The encoder's implicit trailing zeros, up to a bound.
+            self._implicit_bits += 1
+            if self._implicit_bits > _MAX_IMPLICIT_BITS:
+                raise CorruptStreamError("arithmetic code stream exhausted")
+            return 0
+        byte = self._data[self._bit_position >> 3]
+        bit = (byte >> (7 - (self._bit_position & 7))) & 1
+        self._bit_position += 1
+        return bit
+
+    def decode(self, model: AdaptiveModel) -> int:
+        span = self._high - self._low + 1
+        total = model.total
+        target = ((self._value - self._low + 1) * total - 1) // span
+        if target < 0 or target >= total:
+            raise CorruptStreamError("arithmetic decoder out of range")
+        symbol = model.find(target)
+        cum_low = model.cumulative(symbol)
+        cum_high = model.cumulative(symbol + 1)
+        self._high = self._low + span * cum_high // total - 1
+        self._low = self._low + span * cum_low // total
+        self._renormalize()
+        model.update(symbol)
+        return symbol
+
+    def _renormalize(self) -> None:
+        while True:
+            if self._high < _HALF:
+                pass
+            elif self._low >= _HALF:
+                self._low -= _HALF
+                self._high -= _HALF
+                self._value -= _HALF
+            elif self._low >= _QUARTER and self._high < _THREE_QUARTERS:
+                self._low -= _QUARTER
+                self._high -= _QUARTER
+                self._value -= _QUARTER
+            else:
+                return
+            self._low <<= 1
+            self._high = (self._high << 1) | 1
+            self._value = (self._value << 1) | self._next_bit()
+
+
+class ByteModelBank:
+    """Order-1 literal contexts, lazily allocated (256-symbol models)."""
+
+    def __init__(self, size: int = 256) -> None:
+        self._size = size
+        self._contexts: List = [None] * 256
+
+    def model_for(self, context: int) -> AdaptiveModel:
+        model = self._contexts[context & 0xFF]
+        if model is None:
+            model = AdaptiveModel(self._size)
+            self._contexts[context & 0xFF] = model
+        return model
+
+
+_LZMA_KIND_LITERAL = 0
+_LZMA_KIND_MATCH = 1
+_LZMA_KIND_EOF = 2
+#: Shortest match of the byte-LZ parse (``repro.compress.lzbytes``),
+#: which the length symbol is relative to.
+_LZMA_MIN_MATCH = 4
+
+
+class _LzmaModels:
+    """The adaptive model set shared by encoder and decoder."""
+
+    def __init__(self) -> None:
+        self.kind = AdaptiveModel(3)
+        self.literals = ByteModelBank()
+        self.offset_high = AdaptiveModel(256)
+        self.offset_low = AdaptiveModel(256)
+        self.length = AdaptiveModel(256)
+
+
+def lzma_pack(values: Sequence[int], widths: Sequence[int],
+              match_mask: int) -> bytes:
+    """Arithmetic-code a byte-LZ token stream (the 7-zip entropy stage).
+
+    ``(values, widths)`` is an :func:`lz77_tokens` stream: width 9 is
+    a literal byte, any other width a match whose value, under
+    ``match_mask``, holds ``offset - 1`` above bit 8 and
+    ``length - 4`` in the low byte.  One code stream carries the token
+    kind, order-1 literal contexts (reset to 0 after a match), offset
+    high/low bytes and match length, each with its own adaptive model,
+    then an end-of-stream kind.  Returns the flushed code stream.
+    """
+    models = _LzmaModels()
+    encoder = ArithmeticEncoder()
+    previous_byte = 0
+    for value, width in zip(values, widths):
+        if width == 9:
+            encoder.encode(models.kind, _LZMA_KIND_LITERAL)
+            encoder.encode(models.literals.model_for(previous_byte),
+                           value)
+            previous_byte = value
+        else:
+            fields = value & match_mask
+            encoder.encode(models.kind, _LZMA_KIND_MATCH)
+            encoder.encode(models.offset_high, fields >> 16)
+            encoder.encode(models.offset_low, (fields >> 8) & 0xFF)
+            encoder.encode(models.length, fields & 0xFF)
+            previous_byte = 0  # context resets after a copy
+    encoder.encode(models.kind, _LZMA_KIND_EOF)
+    return encoder.finish()
+
+
+def lzma_decode(body: bytes, output_length: int) -> bytes:
+    """Decode a :func:`lzma_pack` code stream up to its end token.
+
+    A stream that outgrows ``output_length`` is rejected at the token
+    that overruns it; one that ends short is returned as-is for the
+    codec's length check to reject.
+    """
+    models = _LzmaModels()
+    decoder = ArithmeticDecoder(body)
+    out = bytearray()
+    previous_byte = 0
+    while True:
+        kind = decoder.decode(models.kind)
+        if kind == _LZMA_KIND_EOF:
+            break
+        if kind == _LZMA_KIND_LITERAL:
+            byte = decoder.decode(models.literals.model_for(previous_byte))
+            out.append(byte)
+            previous_byte = byte
+        else:
+            offset = ((decoder.decode(models.offset_high) << 8)
+                      | decoder.decode(models.offset_low)) + 1
+            run = decoder.decode(models.length) + _LZMA_MIN_MATCH
+            start = len(out) - offset
+            if start < 0:
+                raise CorruptStreamError("back-reference before start")
+            if offset >= run:
+                out += out[start:start + run]
+            else:
+                for step in range(run):
+                    out.append(out[start + step])  # self-overlapping
+            previous_byte = 0
+        if len(out) > output_length:
+            raise CorruptStreamError("LZMA-like stream overran length")
+    return bytes(out)

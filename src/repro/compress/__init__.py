@@ -10,8 +10,13 @@ round-trip verified:
 * :class:`XMatchProCodec`  — the word-tuple CAM-dictionary scheme UPaRC
   implements in hardware (Nunez & Jones, TVLSI 2003).
 * :class:`DeflateCodec`    — LZ77 + Huffman pipeline (the "Zip" row).
-* :class:`LzmaLikeCodec`   — large-window LZ + adaptive range coder
+* :class:`LzmaLikeCodec`   — large-window LZ + adaptive arithmetic coder
   (the "7-zip" row).
+
+The codecs own their stream headers; their inner loops (token scans,
+LZ78's dictionary walk, 7-zip's arithmetic coder, the bit-serial
+decoders) are :mod:`repro.accel` kernels, so every backend writes the
+same bytes.
 
 The registry maps the paper's Table I row names to codec classes and
 records the paper's reference ratios for comparison harnesses.

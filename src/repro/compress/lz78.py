@@ -12,24 +12,18 @@ Stream layout::
     bit stream of (index[var], byte[8]) pairs; a final pair may carry
     index-only (flagged by position == original length reached during
     decode, no explicit terminator needed).
+
+The dictionary walk and the bit stream are the ``lz78_pack`` and
+``lz78_decode`` accel kernels; this module owns the header.
 """
 
 from __future__ import annotations
 
 import struct
-from typing import Dict, List, Tuple
 
+from repro import accel
 from repro.compress.base import Codec
-from repro.compress.bitio import BitReader, BitWriter
 from repro.errors import CorruptStreamError
-
-
-def _index_width(dictionary_size: int) -> int:
-    """Bits needed to name indices 0..dictionary_size (0 = empty prefix)."""
-    width = 1
-    while (1 << width) <= dictionary_size:
-        width += 1
-    return width
 
 
 class Lz78Codec(Codec):
@@ -43,53 +37,17 @@ class Lz78Codec(Codec):
         self._max_entries = max_entries
 
     def compress(self, data: bytes) -> bytes:
-        writer = BitWriter()
-        dictionary: Dict[Tuple[int, int], int] = {}
-        position = 0
-        length = len(data)
-        while position < length:
-            index = 0  # empty phrase
-            while position < length:
-                key = (index, data[position])
-                next_index = dictionary.get(key)
-                if next_index is None:
-                    break
-                index = next_index
-                position += 1
-            writer.write_bits(index, _index_width(len(dictionary)))
-            if position < length:
-                writer.write_bits(data[position], 8)
-                dictionary[(index, data[position])] = len(dictionary) + 1
-                position += 1
-                if len(dictionary) >= self._max_entries:
-                    dictionary.clear()
-            # else: the input ended exactly on a dictionary phrase; the
-            # index-only token is the last one and carries no byte.
-        return struct.pack(">I", length) + writer.getvalue()
+        return struct.pack(">I", len(data)) + accel.lz78_pack(
+            data, self._max_entries)
 
     def decompress(self, data: bytes) -> bytes:
         if len(data) < 4:
             raise CorruptStreamError("LZ78 stream truncated")
         (original_length,) = struct.unpack_from(">I", data, 0)
-        reader = BitReader(data[4:])
-        phrases: List[bytes] = [b""]
-        out = bytearray()
-        while len(out) < original_length:
-            width = _index_width(len(phrases) - 1)
-            index = reader.read_bits(width)
-            if index >= len(phrases):
-                raise CorruptStreamError(f"LZ78 index {index} out of range")
-            phrase = phrases[index]
-            if len(out) + len(phrase) >= original_length:
-                out += phrase
-                break
-            byte = reader.read_bits(8)
-            out += phrase + bytes([byte])
-            phrases.append(phrase + bytes([byte]))
-            if len(phrases) - 1 >= self._max_entries:
-                phrases = [b""]
+        out = accel.lz78_decode(data[4:], original_length,
+                                self._max_entries)
         if len(out) != original_length:
             raise CorruptStreamError(
                 f"LZ78 output length {len(out)} != declared {original_length}"
             )
-        return bytes(out)
+        return out

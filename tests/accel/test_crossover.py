@@ -12,7 +12,8 @@ kernels in call recorders and pin the dispatch decision:
   available backend — the regression this file exists to prevent
   is a backend being selected at a size where it loses;
 * the C frame planner hands over when its import-time self-check
-  finds the interpreter drawing differently.
+  finds the interpreter drawing differently;
+* the LZ78 and 7-zip codec stages take the C path at every size.
 
 The native section skips cleanly when the extension is not built.
 """
@@ -288,6 +289,23 @@ def test_native_guard_delegations(native_backend, monkeypatch):
                                          zero_threshold=0.0,
                                          motif_threshold=1.0), 8, True)
     assert calls
+
+
+@requires_native
+@pytest.mark.parametrize("data", [b"", b"\x42", _BIG_DATA],
+                         ids=["empty", "one-byte", "big"])
+def test_codec_stages_take_c_at_every_size(native_backend, monkeypatch,
+                                           data):
+    # LZ78 and 7-zip's entropy stage have no crossover: even an empty
+    # input costs the FFI call less than pure's setup.
+    names = ("lz78_pack", "lz78_decode", "lzma_pack", "lzma_decode")
+    calls = {name: _sentinel(monkeypatch, name) for name in names}
+    body = native_backend.lz78_pack(data, 1024)
+    assert native_backend.lz78_decode(body, len(data), 1024) == data
+    values, widths = pure.lz77_tokens(data, 16, 8, 4, 128)
+    body = native_backend.lzma_pack(values, widths, (1 << 24) - 1)
+    assert native_backend.lzma_decode(body, len(data)) == data
+    assert not any(calls.values())
 
 
 @pytest.mark.parametrize("size", [0, 3, 16, 256, 4096])

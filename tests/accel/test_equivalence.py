@@ -14,10 +14,11 @@ on a base install.
 # repro-lint: disable=B804
 
 import hashlib
+from array import array
 from random import Random
 
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, given, seed, settings, strategies as st
 
 from repro import accel
 from repro.accel import pure
@@ -595,3 +596,176 @@ def test_rle_decode_roundtrip_matches(vectorised, values, slack):
        st.integers(min_value=0, max_value=4096))
 def test_rle_decode_corrupt_parity(vectorised, records, output_length):
     _agree_with_pure(vectorised, "rle_decode", records, output_length)
+
+
+# -- LZ78 and 7-zip codec stages --------------------------------------
+# Same two properties, plus corrupt streams derived from valid ones
+# (a flipped bit, a truncation, trailing bytes), which reach the
+# decoders' error points far more often than arbitrary bodies do.
+# Seeds are fixed so a parity failure reproduces as-is.
+
+# Random bytes mixed with repetitions: long phrases and matches as well
+# as literals, and self-overlapping copies from short repeats.
+payloads = st.one_of(
+    st.binary(max_size=2048),
+    st.builds(lambda chunk, repeats, tail: chunk * repeats + tail,
+              st.binary(min_size=1, max_size=64),
+              st.integers(min_value=1, max_value=64),
+              st.binary(max_size=32)),
+)
+lz78_entries = st.sampled_from([2, 3, 64, 1024])
+
+
+def _mutated(body, kind, position, extra):
+    """``body`` with one bit flipped, truncated, or extended."""
+    if kind == "flip" and body:
+        index = position % (8 * len(body))
+        flipped = bytearray(body)
+        flipped[index >> 3] ^= 0x80 >> (index & 7)
+        return bytes(flipped)
+    if kind == "truncate":
+        return body[:position % (len(body) + 1)]
+    return body + extra
+
+
+mutations = st.tuples(st.sampled_from(["flip", "truncate", "extend"]),
+                      st.integers(min_value=0, max_value=1 << 16),
+                      st.binary(min_size=1, max_size=8))
+
+
+@seed(2012)
+@quick
+@given(payloads, lz78_entries)
+def test_lz78_pack_matches(vectorised, data, max_entries):
+    assert vectorised.lz78_pack(data, max_entries) == \
+        pure.lz78_pack(data, max_entries)
+
+
+@seed(2012)
+@quick
+@given(payloads, lz78_entries)
+def test_lz78_decode_roundtrip_matches(vectorised, data, max_entries):
+    body = pure.lz78_pack(data, max_entries)
+    got = vectorised.lz78_decode(body, len(data), max_entries)
+    assert got == pure.lz78_decode(body, len(data), max_entries)
+    assert got == data
+
+
+def test_lz78_boundaries(vectorised):
+    # Empty input; inputs ending exactly on a dictionary phrase (the
+    # final token is an index alone); dictionary resets at every size.
+    for data in (b"", b"a", b"aba", b"abab" * 3 + b"ab", b"\x00" * 4097,
+                 bytes(range(256)) * 9):
+        for max_entries in (0, 1, 2, 64, 1024, 1 << 40):
+            body = vectorised.lz78_pack(data, max_entries)
+            assert body == pure.lz78_pack(data, max_entries)
+            assert vectorised.lz78_decode(body, len(data), max_entries) \
+                == data
+
+
+@seed(2012)
+@quick
+@given(st.binary(max_size=512), st.integers(min_value=0, max_value=4096),
+       lz78_entries)
+def test_lz78_decode_corrupt_parity(vectorised, body, output_length,
+                                    max_entries):
+    _agree_with_pure(vectorised, "lz78_decode", body, output_length,
+                     max_entries)
+
+
+@seed(2012)
+@quick
+@given(payloads, lz78_entries, mutations,
+       st.integers(min_value=-2, max_value=2))
+def test_lz78_decode_mutated_parity(vectorised, data, max_entries,
+                                    mutation, slack):
+    body = _mutated(pure.lz78_pack(data, max_entries), *mutation)
+    _agree_with_pure(vectorised, "lz78_decode", body,
+                     max(0, len(data) + slack), max_entries)
+
+
+# 7-zip token streams are lz77_tokens output in the byte-LZ layout:
+# 9-bit literals, 25-bit matches of offset-1 << 8 | length-4.
+_LZMA_MASK = (1 << 24) - 1
+
+
+def _lzma_tokens(data):
+    return pure.lz77_tokens(data, 16, 8, 4, 128)
+
+
+def _assert_lzma_roundtrip(vectorised, data):
+    values, widths = _lzma_tokens(data)
+    body = vectorised.lzma_pack(values, widths, _LZMA_MASK)
+    assert body == pure.lzma_pack(values, widths, _LZMA_MASK)
+    got = vectorised.lzma_decode(body, len(data))
+    assert got == pure.lzma_decode(body, len(data))
+    assert got == data
+
+
+@seed(2012)
+@quick
+@given(payloads)
+def test_lzma_roundtrip_matches(vectorised, data):
+    _assert_lzma_roundtrip(vectorised, data)
+
+
+@seed(2012)
+@settings(max_examples=10, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.binary(min_size=1, max_size=3), st.integers(min_value=2100,
+                                                      max_value=4000))
+def test_lzma_model_halving_matches(vectorised, alphabet, count):
+    # Every coded symbol adds 32 to its model, so a few thousand
+    # literals over a tiny alphabet push the kind model and the
+    # literal contexts past a total of 65,536 and halve them.
+    rng = Random(count)
+    data = bytes(rng.choice(alphabet) for _ in range(count))
+    values, widths = _lzma_tokens(data)
+    literals = array("Q", (byte for byte in data))
+    _assert_lzma_roundtrip(vectorised, data)
+    nine = array("B", [9]) * len(literals)
+    body = vectorised.lzma_pack(literals, nine, _LZMA_MASK)
+    assert body == pure.lzma_pack(literals, nine, _LZMA_MASK)
+    assert vectorised.lzma_decode(body, len(data)) == data
+
+
+def test_lzma_boundaries(vectorised):
+    # Empty input (the end token alone); a literal right after a match
+    # (its context resets to 0); self-overlapping copies (offset <
+    # length); the longest match and the farthest offset.
+    for data in (b"", b"\x00", b"abcd" * 20 + b"z" + b"abcd" * 2,
+                 b"a" * 300, b"ab" * 500, b"\x07" * 4 + b"\x07",
+                 bytes(range(256)) * 300):
+        _assert_lzma_roundtrip(vectorised, data)
+    far = Random(7).randbytes(65536)
+    _assert_lzma_roundtrip(vectorised, far[:300] + far + far[:259])
+
+
+@seed(2012)
+@quick
+@given(st.binary(max_size=512), st.integers(min_value=0, max_value=4096))
+def test_lzma_decode_corrupt_parity(vectorised, body, output_length):
+    _agree_with_pure(vectorised, "lzma_decode", body, output_length)
+
+
+@seed(2012)
+@quick
+@given(payloads, mutations, st.integers(min_value=-2, max_value=2))
+def test_lzma_decode_mutated_parity(vectorised, data, mutation, slack):
+    body = _mutated(pure.lzma_pack(*_lzma_tokens(data), _LZMA_MASK),
+                    *mutation)
+    _agree_with_pure(vectorised, "lzma_decode", body,
+                     max(0, len(data) + slack))
+
+
+def test_lzma_pack_symbol_range_parity(vectorised):
+    # A literal past 255 or an offset past 16 bits has no symbol in its
+    # model; both backends raise the reference's ValueError.
+    for values, widths, mask in (([256], [9], _LZMA_MASK),
+                                 ([(1 << 30) - 1], [31], (1 << 30) - 1),
+                                 ([1 << 70], [9], _LZMA_MASK)):
+        with pytest.raises(ValueError) as want:
+            pure.lzma_pack(values, widths, mask)
+        with pytest.raises(ValueError) as got:
+            vectorised.lzma_pack(values, widths, mask)
+        assert str(got.value) == str(want.value)

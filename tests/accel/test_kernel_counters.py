@@ -7,8 +7,10 @@ kernels that codec dispatches — the encode kernels on the compress
 side and the matching bit-serial decode kernel on the decompress
 side.  Together the four codecs cover all ten compressor-stack
 kernels, so a kernel silently bypassing the dispatch facade (and its
-``record`` call) fails here.  Generating a bitstream likewise ticks
-the frame planner's counter once per generated payload.
+``record`` call) fails here.  The Table I-only codecs, LZ78 and
+7-zip, never run in mode ii, so a plain round trip checks theirs.
+Generating a bitstream likewise ticks the frame planner's counter
+once per generated payload.
 """
 
 import pytest
@@ -16,6 +18,7 @@ import pytest
 from repro import accel, obs
 from repro.bitstream.generator import generate_bitstream
 from repro.core.system import UPaRCSystem
+from repro.compress import Lz78Codec, LzmaLikeCodec
 from repro.core.urec import OperationMode
 from repro.units import DataSize
 
@@ -28,6 +31,15 @@ EXPECTED_KERNELS = {
     "huffman": ("huffman_code_table", "huffman_pack", "huffman_decode"),
     "farm-rle": ("rle_records", "rle_decode"),
 }
+
+#: Kernels a Table I round trip dispatches for the codecs mode ii
+#: never runs.
+TABLE1_KERNELS = {
+    "LZ78": (Lz78Codec(), ("lz78_pack", "lz78_decode")),
+    "7-zip": (LzmaLikeCodec(),
+              ("lz77_tokens", "lzma_pack", "lzma_decode")),
+}
+
 
 def _bitstream():
     return generate_bitstream(size=DataSize.from_kb(6.5), seed=2012)
@@ -47,6 +59,21 @@ def test_mode_ii_run_ticks_compressor_kernels(backend, name):
         calls = counters.get(f"accel.{backend}.{kernel}.calls", 0)
         assert calls > 0, \
             f"{name} run did not dispatch {kernel} ({backend})"
+        assert counters.get(f"accel.{backend}.{kernel}.bytes", 0) > 0
+
+
+@pytest.mark.parametrize("backend", accel.available_backends())
+@pytest.mark.parametrize("name", sorted(TABLE1_KERNELS))
+def test_table1_round_trip_ticks_codec_kernels(backend, name):
+    codec, kernels = TABLE1_KERNELS[name]
+    data = _bitstream().raw_bytes
+    with accel.using(backend):
+        with obs.observed(metrics=True) as observation:
+            assert codec.decompress(codec.compress(data)) == data
+    counters = observation.registry.snapshot()["counters"]
+    for kernel in kernels:
+        assert counters.get(f"accel.{backend}.{kernel}.calls", 0) > 0, \
+            f"{name} round trip did not dispatch {kernel} ({backend})"
         assert counters.get(f"accel.{backend}.{kernel}.bytes", 0) > 0
 
 

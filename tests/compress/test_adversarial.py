@@ -6,8 +6,11 @@ resets mid-phrase, arithmetic-coder renormalization storms.  These
 complement the hypothesis tests with *targeted* stress.
 """
 
+import struct
+
 import pytest
 
+from repro import accel
 from repro.compress import (
     DeflateCodec,
     HuffmanCodec,
@@ -18,6 +21,8 @@ from repro.compress import (
     XMatchProCodec,
     all_codecs,
 )
+from repro.errors import CorruptStreamError
+from repro.obs.profiling import Timer
 
 ALL = [RleCodec(), Lz77Codec(), Lz78Codec(), HuffmanCodec(),
        XMatchProCodec(), DeflateCodec(), LzmaLikeCodec()]
@@ -119,6 +124,20 @@ class TestArithmeticStress:
     def test_model_halving_boundary(self):
         # Enough repeated symbols to trigger count halving (total 2^16).
         roundtrip(LzmaLikeCodec(), b"A" * 3000 + b"B" * 3000)
+
+    @pytest.mark.parametrize("backend", accel.available_backends())
+    @pytest.mark.parametrize("declared", [1_000_000, 0xFFFFFFFF])
+    def test_decoder_work_is_bounded_by_its_input(self, backend,
+                                                   declared):
+        # Past the end of the body the decoder reads the encoder's
+        # implicit trailing zeros, which a valid stream needs fewer
+        # than 32 of.  Unbounded, a bare header declaring 1 MB decoded
+        # zero-bit literals for seconds before it overran the length.
+        with accel.using(backend), Timer() as timer:
+            with pytest.raises(CorruptStreamError,
+                               match="arithmetic code stream exhausted"):
+                LzmaLikeCodec().decompress(struct.pack(">I", declared))
+        assert timer.elapsed_s < 0.050
 
 
 class TestDeflateStress:

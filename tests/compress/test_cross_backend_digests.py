@@ -24,6 +24,7 @@ from repro.compress import (
     DeflateCodec,
     HuffmanCodec,
     Lz77Codec,
+    Lz78Codec,
     LzmaLikeCodec,
     RleCodec,
     XMatchProCodec,
@@ -46,6 +47,10 @@ GOLDEN = {
         "a45764147a042e7d352446a721e0dd19e8221a15a00886070a3445fcc63a157b",
     "7-zip":
         "e90e656253c0d580091c0363dc6d4adac0f8dcb9eee8a3226bf19cd5bc4f5b27",
+    # Pinned from the Python dictionary walk that preceded the
+    # ``lz78_pack`` kernel.
+    "LZ78":
+        "cb4d5f450917ceeb35890c4fffedc0b79cc814093cf1d3a166c3673519eac30d",
 }
 
 #: The generator itself is backend-dispatched, so the payload digest
@@ -54,7 +59,7 @@ PAYLOAD_DIGEST = \
     "ff3982249bcff3a8487d09093cc2139bd12dc3395fe3170b4bb40465903953ba"
 
 CODECS = [XMatchProCodec(), Lz77Codec(), HuffmanCodec(), RleCodec(),
-          DeflateCodec(), LzmaLikeCodec()]
+          DeflateCodec(), LzmaLikeCodec(), Lz78Codec()]
 
 
 @pytest.fixture(scope="module")
