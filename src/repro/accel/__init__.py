@@ -4,9 +4,10 @@ The simulation's datapath cost is concentrated in a handful of
 operations: planning and synthesising frame payloads, bulk
 word<->byte packing, CRC-32C folding, splitting FDRI payloads into
 frames, and the compression codecs' inner loops: the X-MatchPRO,
-LZ77 and RLE token scans, Huffman code tables and packing, LZ78's
+LZ77 and RLE token scans, Huffman code tables (histogram included)
+and packing, Zip's byte-token serializer (``lzbytes_pack``), LZ78's
 dictionary coder (``lz78_pack``), 7-zip's adaptive arithmetic coder
-(``lzma_pack``), and the bit-serial decoder of each.  This package
+(``lzma_pack``), and the decoder of each.  This package
 exposes those operations as a small kernel API with two
 interchangeable implementations:
 
@@ -68,6 +69,8 @@ __all__ = [
     "lz77_tokens",
     "lz78_decode",
     "lz78_pack",
+    "lzbytes_decode",
+    "lzbytes_pack",
     "lzma_decode",
     "lzma_pack",
     "native_available",
@@ -328,14 +331,13 @@ def lz77_tokens(data: bytes, window_bits: int, length_bits: int,
                                min_match, max_chain)
 
 
-def huffman_code_table(frequencies: Sequence[int]
-                       ) -> Tuple[List[int], List[int]]:
-    """Canonical Huffman ``(codes, lengths)`` from a 256-bin histogram."""
+def huffman_code_table(data: bytes) -> Tuple[List[int], List[int]]:
+    """Canonical Huffman ``(codes, lengths)`` for the bytes of ``data``."""
     backend = _active
     if backend is None:
         backend = _resolve()
-    record("huffman_code_table", 256)
-    return backend.huffman_code_table(frequencies)
+    record("huffman_code_table", len(data))
+    return backend.huffman_code_table(data)
 
 
 def huffman_pack(data: bytes, codes: Sequence[int],
@@ -432,3 +434,22 @@ def lzma_decode(body: bytes, output_length: int) -> bytes:
         backend = _resolve()
     record("lzma_decode", output_length)
     return backend.lzma_decode(body, output_length)
+
+
+def lzbytes_pack(values: Sequence[int], widths: Sequence[int],
+                 match_mask: int) -> bytes:
+    """Serialize a byte-LZ token stream (Zip's token stage, no header)."""
+    backend = _active
+    if backend is None:
+        backend = _resolve()
+    record("lzbytes_pack", 8 * len(values))
+    return backend.lzbytes_pack(values, widths, match_mask)
+
+
+def lzbytes_decode(body: bytes, output_length: int) -> bytes:
+    """Decode a Zip byte-token stream (no header)."""
+    backend = _active
+    if backend is None:
+        backend = _resolve()
+    record("lzbytes_decode", output_length)
+    return backend.lzbytes_decode(body, output_length)

@@ -59,6 +59,8 @@ int64_t uparc_bitpack(const uint64_t *values, const uint8_t *widths,
 int64_t uparc_huffman_pack(const uint8_t *data, size_t len,
                            const uint64_t *codes, const uint8_t *lengths,
                            uint8_t *out);
+int uparc_huffman_code_table(const uint8_t *data, size_t len,
+                             uint64_t *codes, uint8_t *lengths);
 int64_t uparc_xmatch_tokens(const uint8_t *data, size_t word_count,
                             int capacity, uint64_t *values,
                             uint8_t *widths);
@@ -107,6 +109,12 @@ int uparc_lzma_pack(const uint64_t *values, const uint8_t *widths,
 int uparc_lzma_decode(const uint8_t *body, size_t body_len,
                       int64_t output_length,
                       uint8_t **out_ptr, int64_t *out_len);
+int uparc_lzbytes_pack(const uint64_t *values, const uint8_t *widths,
+                       size_t count, uint64_t match_mask,
+                       uint8_t **out_ptr, int64_t *out_len);
+int uparc_lzbytes_decode(const uint8_t *body, size_t body_len,
+                         int64_t output_length,
+                         uint8_t **out_ptr, int64_t *out_len);
 void uparc_buffer_free(uint8_t *ptr);
 """)
 

@@ -58,9 +58,13 @@ typedef struct {
 #define UPARC_ERR_AC_RANGE   15  /* "arithmetic decoder out of range"  */
 #define UPARC_ERR_AC_EXHAUSTED 16 /* "arithmetic code stream exhausted" */
 #define UPARC_ERR_LZMA_BACKREF 17 /* "back-reference before start"     */
+                                  /* (7-zip and Zip byte-LZ streams)   */
 #define UPARC_ERR_LZMA_OVERRUN 18 /* "LZMA-like stream overran length" */
 #define UPARC_ERR_SYMBOL     19  /* encoder symbol outside its model:  */
                                  /* the wrapper lets pure raise        */
+#define UPARC_ERR_CONTROL_BYTE 20 /* "missing control byte"            */
+#define UPARC_ERR_MATCH_TOKEN  21 /* "truncated match token"           */
+#define UPARC_ERR_LITERAL_TOKEN 22 /* "truncated literal token"        */
 
 /* ------------------------------------------------------------------ */
 /* CRC-32C (Castagnoli), slicing-by-8 — same tables as the pure form. */
@@ -159,6 +163,105 @@ int64_t uparc_huffman_pack(const uint8_t *data, size_t len,
     if (bits)
         *p++ = (uint8_t)(acc << (8 - bits));
     return (int64_t)(p - out);
+}
+
+/* ------------------------------------------------------------------ */
+/* Canonical Huffman code table from the bytes themselves: histogram, */
+/* two-least-weights merge, canonical codes in (length, symbol) order.*/
+/*                                                                    */
+/* The reference merges through a heap keyed (weight, insertion       */
+/* order), a total order: leaves take orders 0..n-1 in symbol order,  */
+/* merged nodes n, n+1, ...  Merged weights come out non-decreasing,  */
+/* so two queues sorted by that key (the leaves, and the merged nodes */
+/* in creation order) pop exactly the heap's sequence; on equal       */
+/* weights a leaf wins, as its order is lower.  Returns the longest   */
+/* code length, or -1 past 64 bits, where the caller lets the bigint  */
+/* pure form answer (no input under 2^32 bytes gets past 46 bits).    */
+
+int uparc_huffman_code_table(const uint8_t *data, size_t len,
+                             uint64_t *codes, uint8_t *lengths)
+{
+    uint64_t counts[4][256];
+    memset(counts, 0, sizeof counts);
+    size_t i = 0;
+    for (; i + 4 <= len; i += 4) {
+        counts[0][data[i]]++;
+        counts[1][data[i + 1]]++;
+        counts[2][data[i + 2]]++;
+        counts[3][data[i + 3]]++;
+    }
+    for (; i < len; i++)
+        counts[0][data[i]]++;
+    memset(codes, 0, 256 * sizeof(uint64_t));
+    memset(lengths, 0, 256);
+
+    uint64_t weight[511];
+    int16_t parent[511];
+    uint8_t leaf_symbol[256];
+    int n = 0;
+    for (int symbol = 0; symbol < 256; symbol++) {
+        uint64_t count = counts[0][symbol] + counts[1][symbol]
+            + counts[2][symbol] + counts[3][symbol];
+        if (!count)
+            continue;
+        /* Insertion sort by (weight, symbol): symbols arrive in      */
+        /* order, so equal weights keep symbol order.                 */
+        int at = n++;
+        while (at > 0 && weight[at - 1] > count) {
+            weight[at] = weight[at - 1];
+            leaf_symbol[at] = leaf_symbol[at - 1];
+            at--;
+        }
+        weight[at] = count;
+        leaf_symbol[at] = (uint8_t)symbol;
+    }
+    if (n == 0)
+        return 0;
+    if (n == 1) {
+        lengths[leaf_symbol[0]] = 1;
+        return 1;
+    }
+    int next_leaf = 0, next_merged = n, created = n;
+    while (created < 2 * n - 1) {
+        int pair[2];
+        for (int k = 0; k < 2; k++) {
+            if (next_leaf < n && (next_merged == created
+                                  || weight[next_leaf] <= weight[next_merged]))
+                pair[k] = next_leaf++;
+            else
+                pair[k] = next_merged++;
+        }
+        weight[created] = weight[pair[0]] + weight[pair[1]];
+        parent[pair[0]] = parent[pair[1]] = (int16_t)created;
+        created++;
+    }
+    /* A parent is created after its children, so one backward pass   */
+    /* sets every depth from its parent's.                            */
+    uint8_t depth[511];
+    int root = created - 1;
+    depth[root] = 0;
+    int max_length = 0;
+    for (int node = root - 1; node >= 0; node--) {
+        depth[node] = (uint8_t)(depth[parent[node]] + 1);
+        if (node < n && depth[node] > max_length)
+            max_length = depth[node];
+    }
+    if (max_length > 64)
+        return -1;
+    for (int leaf = 0; leaf < n; leaf++)
+        lengths[leaf_symbol[leaf]] = depth[leaf];
+    uint64_t code = 0;
+    int previous_length = 0;
+    for (int length = 1; length <= max_length; length++) {
+        for (int symbol = 0; symbol < 256; symbol++) {
+            if (lengths[symbol] != length)
+                continue;
+            code <<= length - previous_length;
+            codes[symbol] = code++;
+            previous_length = length;
+        }
+    }
+    return max_length;
 }
 
 /* ------------------------------------------------------------------ */
@@ -835,6 +938,16 @@ static int upbuf_reserve(upbuf *b, int64_t extra)
     return 0;
 }
 
+/* A decoder's first reservation: the declared length, capped at      */
+/* 1 MiB.  A header may declare anything; past the cap the buffer     */
+/* grows only as the body really decodes.                             */
+static inline int64_t first_reservation(int64_t output_length)
+{
+    if (output_length < 0)
+        return 0;
+    return output_length < (1 << 20) ? output_length : (1 << 20);
+}
+
 void uparc_buffer_free(uint8_t *ptr)
 {
     free(ptr);
@@ -886,7 +999,7 @@ int uparc_xmatch_decode(const uint8_t *body, size_t body_len,
     int size = 0;
     bitreader br = {body, body_len, 0, 0, 0};
     int status = UPARC_OK;
-    if (upbuf_reserve(&out, output_length + 8) != 0) {
+    if (upbuf_reserve(&out, first_reservation(output_length) + 8) != 0) {
         *out_ptr = 0;
         return UPARC_ERR_NOMEM;
     }
@@ -1047,7 +1160,7 @@ int uparc_lz77_decode(const uint8_t *body, size_t body_len,
     upbuf out = {0, 0, 0};
     bitreader br = {body, body_len, 0, 0, 0};
     int status = UPARC_OK;
-    if (upbuf_reserve(&out, output_length + 8) != 0) {
+    if (upbuf_reserve(&out, first_reservation(output_length) + 8) != 0) {
         *out_ptr = 0;
         return UPARC_ERR_NOMEM;
     }
@@ -1182,11 +1295,15 @@ int uparc_huffman_decode(const uint8_t *body, size_t body_len,
     upbuf out = {0, 0, 0};
     bitreader br = {body, body_len, 0, 0, 0};
     int status = UPARC_OK;
-    if (upbuf_reserve(&out, output_length) != 0) {
+    if (upbuf_reserve(&out, first_reservation(output_length)) != 0) {
         *out_ptr = 0;
         return UPARC_ERR_NOMEM;
     }
     while (out.len < output_length) {
+        if (upbuf_reserve(&out, 1) != 0) {
+            status = UPARC_ERR_NOMEM;
+            break;
+        }
         br_fill(&br, peek);
         int avail = br.bits;
         uint32_t index;
@@ -1221,10 +1338,6 @@ int uparc_huffman_decode(const uint8_t *body, size_t body_len,
             }
             if (count[length] && codeval >= first[length]
                 && codeval < first[length] + (uint64_t)count[length]) {
-                if (upbuf_reserve(&out, 1) != 0) {
-                    status = UPARC_ERR_NOMEM;
-                    break;
-                }
                 out.p[out.len++] =
                     syms[base[length] + (int)(codeval - first[length])];
                 break;
@@ -1253,7 +1366,7 @@ int uparc_rle_decode(const uint8_t *records, size_t record_len,
     upbuf out = {0, 0, 0};
     size_t position = 0;
     int status = UPARC_OK;
-    if (upbuf_reserve(&out, output_length + 8) != 0) {
+    if (upbuf_reserve(&out, first_reservation(output_length) + 8) != 0) {
         *out_ptr = 0;
         return UPARC_ERR_NOMEM;
     }
@@ -1441,8 +1554,8 @@ int uparc_lz78_decode(const uint8_t *body, size_t body_len,
     upbuf out = {0, 0, 0};
     bitreader br = {body, body_len, 0, 0, 0};
     int status = UPARC_OK;
-    int64_t first = output_length < (1 << 20) ? output_length : (1 << 20);
-    if (!start || !length || upbuf_reserve(&out, first + 8) != 0) {
+    if (!start || !length
+        || upbuf_reserve(&out, first_reservation(output_length) + 8) != 0) {
         free(start);
         free(length);
         free(out.p);
@@ -1511,7 +1624,7 @@ int uparc_lz78_decode(const uint8_t *body, size_t body_len,
 #define AC_MAX_TOTAL   65536
 #define AC_INCREMENT   32
 #define AC_MAX_IMPLICIT_BITS 32
-#define LZMA_MIN_MATCH 4
+#define BYTE_LZ_MIN_MATCH 4  /* the byte-LZ parse's shortest match */
 
 typedef struct {
     int32_t tree[257];          /* Fenwick tree, 1-based               */
@@ -1823,8 +1936,8 @@ int uparc_lzma_decode(const uint8_t *body, size_t body_len,
         acd_shift_in(&d);       /* at most 32 implicit zeros: no error */
     lzma_models *models = lzma_models_new();
     upbuf out = {0, 0, 0};
-    int64_t first = output_length < (1 << 20) ? output_length : (1 << 20);
-    if (!models || upbuf_reserve(&out, first + 8) != 0) {
+    if (!models
+        || upbuf_reserve(&out, first_reservation(output_length) + 8) != 0) {
         free(models);
         free(out.p);
         *out_ptr = 0;
@@ -1859,7 +1972,7 @@ int uparc_lzma_decode(const uint8_t *body, size_t body_len,
                 != UPARC_OK)
                 break;
             int64_t offset = (int64_t)((high << 8) | low) + 1;
-            int64_t run = length + LZMA_MIN_MATCH;
+            int64_t run = length + BYTE_LZ_MIN_MATCH;
             int64_t start = out.len - offset;
             if (start < 0) {
                 status = UPARC_ERR_LZMA_BACKREF;
@@ -1886,6 +1999,125 @@ int uparc_lzma_decode(const uint8_t *body, size_t body_len,
         }
     }
     free(models);
+    if (status != UPARC_OK) {
+        free(out.p);
+        *out_ptr = 0;
+        return status;
+    }
+    *out_ptr = out.p;
+    *out_len = out.len;
+    return UPARC_OK;
+}
+
+/* ------------------------------------------------------------------ */
+/* Zip's byte-token stage: a control byte of 8 flags (MSB first) per  */
+/* 8 tokens, then a literal byte or a 3-byte match (offset - 1 in 16  */
+/* bits, length - 4 in 8) per token.                                  */
+
+int uparc_lzbytes_pack(const uint64_t *values, const uint8_t *widths,
+                       size_t count, uint64_t match_mask,
+                       uint8_t **out_ptr, int64_t *out_len)
+{
+    upbuf out = {0, 0, 0};
+    if (upbuf_reserve(&out, (int64_t)(count / 8 + 1 + 3 * count)) != 0) {
+        *out_ptr = 0;
+        return UPARC_ERR_NOMEM;
+    }
+    for (size_t start = 0; start < count; start += 8) {
+        size_t end = count - start < 8 ? count : start + 8;
+        int64_t flags_position = out.len++;
+        unsigned flags = 0;
+        for (size_t index = start; index < end; index++) {
+            flags <<= 1;
+            if (widths[index] == 9) {
+                if (values[index] > 0xFF)
+                    goto symbol;    /* pure's bytearray.append raises */
+                out.p[out.len++] = (uint8_t)values[index];
+            } else {
+                uint64_t fields = values[index] & match_mask;
+                if (fields >> 24)
+                    goto symbol;    /* pure's to_bytes(3) raises      */
+                flags |= 1;
+                out.p[out.len++] = (uint8_t)(fields >> 16);
+                out.p[out.len++] = (uint8_t)(fields >> 8);
+                out.p[out.len++] = (uint8_t)fields;
+            }
+        }
+        out.p[flags_position] = (uint8_t)(flags << (8 - (end - start)));
+    }
+    *out_ptr = out.p;
+    *out_len = out.len;
+    return UPARC_OK;
+symbol:
+    free(out.p);
+    *out_ptr = 0;
+    return UPARC_ERR_SYMBOL;
+}
+
+int uparc_lzbytes_decode(const uint8_t *body, size_t body_len,
+                         int64_t output_length,
+                         uint8_t **out_ptr, int64_t *out_len)
+{
+    upbuf out = {0, 0, 0};
+    if (upbuf_reserve(&out, first_reservation(output_length) + 8) != 0) {
+        *out_ptr = 0;
+        return UPARC_ERR_NOMEM;
+    }
+    int status = UPARC_OK;
+    size_t position = 0;
+    unsigned flags = 0;
+    int flag_count = 0;
+    while (out.len < output_length) {
+        if (flag_count == 0) {
+            if (position >= body_len) {
+                status = UPARC_ERR_CONTROL_BYTE;
+                break;
+            }
+            flags = body[position++];
+            flag_count = 8;
+        }
+        unsigned flag = flags & 0x80;
+        flags <<= 1;
+        flag_count--;
+        if (flag) {
+            if (body_len - position < 3) {
+                status = UPARC_ERR_MATCH_TOKEN;
+                break;
+            }
+            int64_t offset = (int64_t)((body[position] << 8)
+                                       | body[position + 1]) + 1;
+            int64_t run = body[position + 2] + BYTE_LZ_MIN_MATCH;
+            position += 3;
+            int64_t start = out.len - offset;
+            if (start < 0) {
+                status = UPARC_ERR_LZMA_BACKREF;
+                break;
+            }
+            if (upbuf_reserve(&out, run) != 0) {
+                status = UPARC_ERR_NOMEM;
+                break;
+            }
+            if (offset >= run) {
+                memcpy(out.p + out.len, out.p + start, (size_t)run);
+                out.len += run;
+            } else {
+                for (int64_t step = 0; step < run; step++) {
+                    out.p[out.len] = out.p[start + step];
+                    out.len++;  /* self-overlapping copy */
+                }
+            }
+        } else {
+            if (position >= body_len) {
+                status = UPARC_ERR_LITERAL_TOKEN;
+                break;
+            }
+            if (upbuf_reserve(&out, 1) != 0) {
+                status = UPARC_ERR_NOMEM;
+                break;
+            }
+            out.p[out.len++] = body[position++];
+        }
+    }
     if (status != UPARC_OK) {
         free(out.p);
         *out_ptr = 0;

@@ -20,16 +20,22 @@ Kernels in C: ``plan_frames`` (the generator's frame planner, drawing
 from the caller's ``random.Random`` state), ``synthesize_payload``,
 ``crc32c``, ``rle_records``, ``xmatch_tokens``, ``lz77_tokens``,
 ``bitpack``, ``huffman_pack``, the four decoders (``xmatch_decode``,
-``lz77_decode``, ``huffman_decode``, ``rle_decode``), and the LZ78
-and 7-zip codec stages (``lz78_pack``/``lz78_decode``, the adaptive
-arithmetic coder ``lzma_pack``/``lzma_decode``), which have no
-crossover: they take the C path at every size.
+``lz77_decode``, ``huffman_decode``, ``rle_decode``), and the
+kernels with no crossover, which take the C path at every size:
+``huffman_code_table`` (histogram and code table), Zip's byte-token
+stage (``lzbytes_pack``/``lzbytes_decode``), and the LZ78 and 7-zip
+codec stages (``lz78_pack``/``lz78_decode``, the adaptive arithmetic
+coder ``lzma_pack``/``lzma_decode``).
 
 Kernels with no C form forward to pure: ``words_to_bytes``,
-``bytes_to_words``, ``chunk_words``, ``equal_word_runs``,
-``zero_word_runs`` and ``huffman_code_table``.  On
-every measured workload they are either never called under this
-backend or already as fast as a C port would make them.
+``bytes_to_words``, ``chunk_words``, ``equal_word_runs`` and
+``zero_word_runs``.  On every measured workload they are either never
+called under this backend or already as fast as a C port would make
+them.
+
+Every decoder reserves at most 1 MiB before it reads its body and
+grows the buffer as the body decodes, so a header that declares a
+huge length costs no more memory than the body really yields.
 
 ``plan_frames`` carries one more guard: importing this module plans a
 short stream both ways and compares the ops and the final RNG state.
@@ -106,6 +112,9 @@ _ERR_AC_EXHAUSTED = 16
 _ERR_LZMA_BACKREF = 17
 _ERR_LZMA_OVERRUN = 18
 _ERR_SYMBOL = 19
+_ERR_CONTROL_BYTE = 20
+_ERR_MATCH_TOKEN = 21
+_ERR_LITERAL_TOKEN = 22
 
 _STATIC_MESSAGES = {
     _ERR_EXHAUSTED: "bit stream exhausted",
@@ -121,6 +130,9 @@ _STATIC_MESSAGES = {
     _ERR_AC_EXHAUSTED: "arithmetic code stream exhausted",
     _ERR_LZMA_BACKREF: "back-reference before start",
     _ERR_LZMA_OVERRUN: "LZMA-like stream overran length",
+    _ERR_CONTROL_BYTE: "missing control byte",
+    _ERR_MATCH_TOKEN: "truncated match token",
+    _ERR_LITERAL_TOKEN: "truncated literal token",
 }
 
 # An LZ78 dictionary bound past the input's size never triggers a
@@ -213,11 +225,6 @@ def zero_word_runs(data: bytes,
 def chunk_words(block: Sequence[int], offset: int,
                 frame_words: int) -> Tuple[List[List[int]], List[int]]:
     return pure.chunk_words(block, offset, frame_words)
-
-
-def huffman_code_table(frequencies: Sequence[int]
-                       ) -> Tuple[List[int], List[int]]:
-    return pure.huffman_code_table(frequencies)
 
 
 # -- word streams -------------------------------------------------------
@@ -380,6 +387,15 @@ def bitpack(values: Sequence[int], widths: Sequence[int]) -> bytes:
     return bytes(ffi.buffer(out, written))
 
 
+def huffman_code_table(data: bytes) -> Tuple[List[int], List[int]]:
+    codes = ffi.new("uint64_t[256]")
+    lengths = ffi.new("uint8_t[256]")
+    if _lib.uparc_huffman_code_table(ffi.from_buffer("uint8_t[]", data),
+                                     len(data), codes, lengths) < 0:
+        return pure.huffman_code_table(data)  # codes past 64 bits
+    return ffi.unpack(codes, 256), ffi.unpack(lengths, 256)
+
+
 def huffman_pack(data: bytes, codes: Sequence[int],
                  lengths: Sequence[int]) -> bytes:
     if len(data) < _HUFF_PACK_MIN_BYTES or max(lengths) > 64:
@@ -490,7 +506,7 @@ def rle_decode(records: bytes, output_length: int) -> bytes:
     return _take_buffer(out_ptr, out_len)
 
 
-# -- LZ78 and 7-zip codec stages ----------------------------------------
+# -- LZ78, Zip and 7-zip codec stages -----------------------------------
 # No size crossover: these take the C path at every size.
 
 
@@ -542,6 +558,37 @@ def lzma_decode(body: bytes, output_length: int) -> bytes:
     out_ptr = ffi.new("uint8_t **")
     out_len = ffi.new("int64_t *")
     status = _lib.uparc_lzma_decode(
+        ffi.from_buffer("uint8_t[]", body), len(body), output_length,
+        out_ptr, out_len)
+    if status != _OK:
+        _raise_status(status, 0)
+    return _take_buffer(out_ptr, out_len)
+
+
+def lzbytes_pack(values: Sequence[int], widths: Sequence[int],
+                 match_mask: int) -> bytes:
+    value_buffer = _typed_view(values, "Q", "uint64_t[]")
+    width_buffer = _typed_view(widths, "B", "uint8_t[]")
+    if (value_buffer is None or width_buffer is None
+            or not 0 <= match_mask < 1 << 64 or len(widths) < len(values)):
+        # Past the C types, or pure's IndexError on a missing width.
+        return pure.lzbytes_pack(values, widths, match_mask)
+    out_ptr = ffi.new("uint8_t **")
+    out_len = ffi.new("int64_t *")
+    status = _lib.uparc_lzbytes_pack(
+        value_buffer, width_buffer, len(values), match_mask, out_ptr,
+        out_len)
+    if status == _ERR_SYMBOL:
+        return pure.lzbytes_pack(values, widths, match_mask)  # raises
+    if status != _OK:
+        _raise_status(status, 0)
+    return _take_buffer(out_ptr, out_len)
+
+
+def lzbytes_decode(body: bytes, output_length: int) -> bytes:
+    out_ptr = ffi.new("uint8_t **")
+    out_len = ffi.new("int64_t *")
+    status = _lib.uparc_lzbytes_decode(
         ffi.from_buffer("uint8_t[]", body), len(body), output_length,
         out_ptr, out_len)
     if status != _OK:

@@ -20,7 +20,7 @@ import heapq
 import struct
 from array import array
 from bisect import bisect
-from collections import defaultdict, deque
+from collections import Counter, defaultdict, deque
 from random import Random
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -637,16 +637,18 @@ def lz77_tokens(data: bytes, window_bits: int, length_bits: int,
 # -- Huffman tables and packing ---------------------------------------
 
 
-def huffman_code_table(frequencies: Sequence[int]
-                       ) -> Tuple[List[int], List[int]]:
-    """Canonical Huffman ``(codes, lengths)`` from a 256-bin histogram.
+def huffman_code_table(data: bytes) -> Tuple[List[int], List[int]]:
+    """Canonical Huffman ``(codes, lengths)`` for the bytes of ``data``.
 
-    Code lengths come from the classic two-least-weights merge with
-    the deterministic tie-break :mod:`repro.compress.huffman` has
-    always used (insertion order over symbol-sorted leaves); canonical
-    codewords are assigned in ``(length, symbol)`` order.  Absent
-    symbols have length 0.
+    Code lengths come from the classic two-least-weights merge over
+    the byte histogram, with the deterministic tie-break
+    :mod:`repro.compress.huffman` has always used (insertion order
+    over symbol-sorted leaves); canonical codewords are assigned in
+    ``(length, symbol)`` order.  Absent symbols have length 0.
     """
+    frequencies = [0] * 256
+    for symbol, count in Counter(data).items():
+        frequencies[symbol] = count
     codes = [0] * 256
     lengths = [0] * 256
     symbols = [symbol for symbol in range(256) if frequencies[symbol]]
@@ -1464,8 +1466,8 @@ _LZMA_KIND_LITERAL = 0
 _LZMA_KIND_MATCH = 1
 _LZMA_KIND_EOF = 2
 #: Shortest match of the byte-LZ parse (``repro.compress.lzbytes``),
-#: which the length symbol is relative to.
-_LZMA_MIN_MATCH = 4
+#: which the length symbol and the Zip length byte are relative to.
+_BYTE_LZ_MIN_MATCH = 4
 
 
 class _LzmaModels:
@@ -1533,7 +1535,7 @@ def lzma_decode(body: bytes, output_length: int) -> bytes:
         else:
             offset = ((decoder.decode(models.offset_high) << 8)
                       | decoder.decode(models.offset_low)) + 1
-            run = decoder.decode(models.length) + _LZMA_MIN_MATCH
+            run = decoder.decode(models.length) + _BYTE_LZ_MIN_MATCH
             start = len(out) - offset
             if start < 0:
                 raise CorruptStreamError("back-reference before start")
@@ -1545,4 +1547,78 @@ def lzma_decode(body: bytes, output_length: int) -> bytes:
             previous_byte = 0
         if len(out) > output_length:
             raise CorruptStreamError("LZMA-like stream overran length")
+    return bytes(out)
+
+
+# -- Zip's byte-token stage -------------------------------------------
+
+
+def lzbytes_pack(values: Sequence[int], widths: Sequence[int],
+                 match_mask: int) -> bytes:
+    """Serialize a byte-LZ token stream (Zip's token stage, no header).
+
+    ``(values, widths)`` is an :func:`lz77_tokens` stream as for
+    :func:`lzma_pack`.  Every 8 tokens are led by a control byte whose
+    flags (MSB first) mark matches; a literal is its byte, a match the
+    3 bytes ``value & match_mask`` (``offset - 1`` in the high 16
+    bits, ``length - 4`` in the low 8).  A short final group's flags
+    sit in the high bits of its control byte.
+    """
+    out = bytearray()
+    count = len(values)
+    for start in range(0, count, 8):
+        end = min(start + 8, count)
+        flags_position = len(out)
+        out.append(0)
+        flags = 0
+        for index in range(start, end):
+            flags <<= 1
+            if widths[index] == 9:
+                out.append(values[index])
+            else:
+                flags |= 1
+                out += (values[index] & match_mask).to_bytes(3, "big")
+        out[flags_position] = flags << (8 - (end - start))
+    return bytes(out)
+
+
+def lzbytes_decode(body: bytes, output_length: int) -> bytes:
+    """Decode a :func:`lzbytes_pack` stream up to ``output_length``.
+
+    A final match may overshoot ``output_length``; the overshoot is
+    returned as-is for the codec's length check to reject.
+    """
+    position = 0
+    out = bytearray()
+    flags = 0
+    flag_count = 0
+    while len(out) < output_length:
+        if flag_count == 0:
+            if position >= len(body):
+                raise CorruptStreamError("missing control byte")
+            flags = body[position]
+            position += 1
+            flag_count = 8
+        flag = (flags >> 7) & 1
+        flags = (flags << 1) & 0xFF
+        flag_count -= 1
+        if flag:
+            if position + 3 > len(body):
+                raise CorruptStreamError("truncated match token")
+            offset = ((body[position] << 8) | body[position + 1]) + 1
+            run = body[position + 2] + _BYTE_LZ_MIN_MATCH
+            position += 3
+            start = len(out) - offset
+            if start < 0:
+                raise CorruptStreamError("back-reference before start")
+            if offset >= run:
+                out += out[start:start + run]
+            else:
+                for step in range(run):
+                    out.append(out[start + step])  # self-overlapping
+        else:
+            if position >= len(body):
+                raise CorruptStreamError("truncated literal token")
+            out.append(body[position])
+            position += 1
     return bytes(out)

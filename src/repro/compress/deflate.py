@@ -7,6 +7,11 @@ window, 259-byte max match, the greedy hash-chain parse of the shared
 ``lz77_tokens`` kernel) followed by the canonical Huffman coder from
 :mod:`repro.compress.huffman`.
 
+Every stage runs as accel kernels: ``lz77_tokens`` and
+``lzbytes_pack`` on the way in, then ``huffman_code_table`` and
+``huffman_pack``; ``huffman_decode`` and ``lzbytes_decode`` on the way
+out.  The codec itself only chains them.
+
 It is not bit-compatible with RFC 1951 (no dynamic per-block trees),
 but its compression behaviour on configuration bitstreams sits where
 Zip sits in Table I: clearly above the single-stage codecs.

@@ -11,13 +11,15 @@ Stream layout::
     [bit-packed canonical codewords]
 
 Canonical code assignment makes the table compact (lengths only) and
-the decoder table-driven.
+the decoder table-driven.  Every per-byte stage is an accel kernel:
+``huffman_code_table`` (the byte histogram, the two-least-weights
+merge and canonical code assignment), ``huffman_pack`` and
+``huffman_decode``.
 """
 
 from __future__ import annotations
 
 import struct
-from collections import Counter
 
 from repro import accel
 from repro.compress.base import Codec
@@ -35,10 +37,7 @@ class HuffmanCodec(Codec):
         out = bytearray(struct.pack(">I", len(data)))
         if not data:
             return bytes(out) + bytes(256)
-        histogram = [0] * 256
-        for symbol, count in Counter(data).items():
-            histogram[symbol] = count
-        codes, lengths = accel.huffman_code_table(histogram)
+        codes, lengths = accel.huffman_code_table(data)
         if max(lengths) > _MAX_CODE_LENGTH:
             raise CorruptStreamError("code length overflow")  # unreachable
         out += bytes(lengths)

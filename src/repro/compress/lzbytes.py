@@ -11,7 +11,10 @@ an 8-bit length field (so matches are at most ``MIN_MATCH + 255``).
 
 Token format: a control byte carries 8 flags (MSB first); flag 0 means
 one literal byte follows, flag 1 means a match follows encoded as
-``offset_hi, offset_lo, length - min_match`` (3 bytes).
+``offset_hi, offset_lo, length - min_match`` (3 bytes).  Serializing
+the tokens and decoding them are the ``lzbytes_pack`` and
+``lzbytes_decode`` accel kernels; this stage adds the 4-byte length
+header and checks the decoded length against it.
 """
 
 from __future__ import annotations
@@ -50,63 +53,16 @@ class LzByteStage:
 
     def encode(self, data: bytes) -> bytes:
         values, widths = self.tokens(data)
-        mask = self.match_mask
-        out = bytearray(struct.pack(">I", len(data)))
-        count = len(values)
-        for start in range(0, count, 8):
-            end = min(start + 8, count)
-            flags_position = len(out)
-            out.append(0)
-            flags = 0
-            for index in range(start, end):
-                flags <<= 1
-                if widths[index] == 9:
-                    out.append(values[index])
-                else:
-                    flags |= 1
-                    out += (values[index] & mask).to_bytes(3, "big")
-            out[flags_position] = flags << (8 - (end - start))
-        return bytes(out)
+        return struct.pack(">I", len(data)) + accel.lzbytes_pack(
+            values, widths, self.match_mask)
 
     def decode(self, data: bytes) -> bytes:
         if len(data) < 4:
             raise CorruptStreamError("LZ byte stream truncated")
         (original_length,) = struct.unpack_from(">I", data, 0)
-        position = 4
-        out = bytearray()
-        flags = 0
-        flag_count = 0
-        while len(out) < original_length:
-            if flag_count == 0:
-                if position >= len(data):
-                    raise CorruptStreamError("missing control byte")
-                flags = data[position]
-                position += 1
-                flag_count = 8
-            flag = (flags >> 7) & 1
-            flags = (flags << 1) & 0xFF
-            flag_count -= 1
-            if flag:
-                if position + 3 > len(data):
-                    raise CorruptStreamError("truncated match token")
-                offset = ((data[position] << 8) | data[position + 1]) + 1
-                run = data[position + 2] + MIN_MATCH
-                position += 3
-                start = len(out) - offset
-                if start < 0:
-                    raise CorruptStreamError("back-reference before start")
-                if offset >= run:
-                    out += out[start:start + run]
-                else:
-                    for step in range(run):
-                        out.append(out[start + step])  # self-overlapping
-            else:
-                if position >= len(data):
-                    raise CorruptStreamError("truncated literal token")
-                out.append(data[position])
-                position += 1
+        out = accel.lzbytes_decode(data[4:], original_length)
         if len(out) != original_length:
             raise CorruptStreamError(
                 f"LZ byte stream output length {len(out)} != declared "
                 f"{original_length}")
-        return bytes(out)
+        return out

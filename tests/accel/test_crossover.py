@@ -7,13 +7,15 @@ kernels in call recorders and pin the dispatch decision:
 
 * below its crossover a kernel hands the call to pure,
 * at/above the crossover it takes the C path (pure untouched),
-* the permanent forwarders (``chunk_words``, ``words_to_bytes``,
-  ``huffman_code_table``) hand over at *every* size on every
-  available backend — the regression this file exists to prevent
-  is a backend being selected at a size where it loses;
+* the permanent forwarders (``chunk_words``, ``words_to_bytes``)
+  hand over at *every* size on every available backend — the
+  regression this file exists to prevent is a backend being
+  selected at a size where it loses;
 * the C frame planner hands over when its import-time self-check
   finds the interpreter drawing differently;
-* the LZ78 and 7-zip codec stages take the C path at every size.
+* ``huffman_code_table`` (which builds its own histogram), Zip's
+  byte-token stage and the LZ78 and 7-zip codec stages take the C
+  path at every size.
 
 The native section skips cleanly when the extension is not built.
 """
@@ -82,8 +84,7 @@ def _plan(words):
 
 
 _BIG_DATA = bytes(range(256)) * 72      # 18432 bytes / 4608 words
-_HUFF_CODES, _HUFF_LENGTHS = pure.huffman_code_table(
-    [1 if symbol < 8 else 0 for symbol in range(256)])
+_HUFF_CODES, _HUFF_LENGTHS = pure.huffman_code_table(bytes(range(8)))
 
 # Well-formed streams for the decoder cases (built once from the pure
 # encoders; the above-crossover output is checked against pure).
@@ -296,13 +297,17 @@ def test_native_guard_delegations(native_backend, monkeypatch):
                          ids=["empty", "one-byte", "big"])
 def test_codec_stages_take_c_at_every_size(native_backend, monkeypatch,
                                            data):
-    # LZ78 and 7-zip's entropy stage have no crossover: even an empty
-    # input costs the FFI call less than pure's setup.
-    names = ("lz78_pack", "lz78_decode", "lzma_pack", "lzma_decode")
+    # LZ78, Zip's byte-token stage and 7-zip's entropy stage have no
+    # crossover: even an empty input costs the FFI call less than
+    # pure's setup.
+    names = ("lz78_pack", "lz78_decode", "lzbytes_pack", "lzbytes_decode",
+             "lzma_pack", "lzma_decode")
     calls = {name: _sentinel(monkeypatch, name) for name in names}
     body = native_backend.lz78_pack(data, 1024)
     assert native_backend.lz78_decode(body, len(data), 1024) == data
     values, widths = pure.lz77_tokens(data, 16, 8, 4, 128)
+    body = native_backend.lzbytes_pack(values, widths, (1 << 24) - 1)
+    assert native_backend.lzbytes_decode(body, len(data)) == data
     body = native_backend.lzma_pack(values, widths, (1 << 24) - 1)
     assert native_backend.lzma_decode(body, len(data)) == data
     assert not any(calls.values())
@@ -331,14 +336,15 @@ def test_words_to_bytes_delegates_at_every_size(monkeypatch, size):
             f"{backend.name} words_to_bytes must delegate at size {size}"
 
 
-def test_huffman_code_table_always_delegates(monkeypatch):
-    # The input is a fixed 256-bin histogram; the heap build is too
-    # small for a compiled form to ever pay.
+@pytest.mark.parametrize("size", [0, 1, 8, 4096])
+def test_huffman_code_table_never_delegates(monkeypatch, size):
+    # The kernel builds its own histogram, so its work grows with the
+    # input; native answers in C at every size, even the empty input.
+    data = bytes(index % 7 for index in range(size))
+    want = pure.huffman_code_table(data)
     calls = _sentinel(monkeypatch, "huffman_code_table")
-    histogram = [0] * 256
-    histogram[0] = 90
-    histogram[7] = 10
     for backend in _every_backend():
         calls.clear()
-        backend.huffman_code_table(histogram)
-        assert calls, backend.name
+        assert backend.huffman_code_table(data) == want
+        assert bool(calls) == (backend.name == "pure"), \
+            f"{backend.name} huffman_code_table at size {size}"

@@ -415,33 +415,60 @@ def test_lz77_tokens_byte_lz_layouts(vectorised, window_bits, max_chain):
     assert vectorised.lz77_tokens(*args) == pure.lz77_tokens(*args)
 
 
+# Byte strings whose histograms tie often: a few symbols, each
+# repeated a count drawn from a small set, so equal weights meet in
+# the merge and the (weight, insertion order) tie-break decides.
+tied_histograms = st.lists(
+    st.tuples(st.integers(min_value=0, max_value=255),
+              st.sampled_from([1, 2, 3, 5, 8])),
+    max_size=40,
+).map(lambda runs: b"".join(bytes([symbol]) * count
+                            for symbol, count in runs))
+
+
 @quick
-@given(st.lists(st.integers(min_value=0, max_value=10_000),
-                min_size=256, max_size=256))
-def test_huffman_code_table_matches(vectorised, histogram):
-    if not any(histogram):
-        histogram[0] = 1  # at least one symbol present
-    assert vectorised.huffman_code_table(histogram) == \
-        pure.huffman_code_table(histogram)
+@given(st.one_of(st.binary(max_size=4096), tied_histograms))
+def test_huffman_code_table_matches(vectorised, data):
+    assert vectorised.huffman_code_table(data) == \
+        pure.huffman_code_table(data)
+
+
+def _fibonacci_skewed(symbols):
+    """Symbol k repeated F(k+1) times: the deepest tree for its size."""
+    counts = [1, 1]
+    while len(counts) < symbols:
+        counts.append(counts[-1] + counts[-2])
+    return b"".join(bytes([symbol]) * count
+                    for symbol, count in enumerate(counts))
+
+
+def test_huffman_code_table_boundaries(vectorised):
+    # Empty input (no codes), one symbol (a 1-bit code of 0), all 256
+    # symbols at equal and at ramped weights, and Fibonacci weights,
+    # whose tree is a chain: 26 symbols give a 25-bit code.
+    deep = _fibonacci_skewed(26)
+    cases = (b"", b"\x07", b"\x07" * 300, bytes(range(256)),
+             bytes(range(256)) + bytes(range(128)),
+             b"".join(bytes([symbol]) * (symbol + 1)
+                      for symbol in range(256)),
+             deep, deep[::-1])
+    for data in cases:
+        assert vectorised.huffman_code_table(data) == \
+            pure.huffman_code_table(data)
+    assert max(pure.huffman_code_table(deep)[1]) == 25
 
 
 @quick
 @given(st.binary(min_size=1, max_size=2048))
 def test_huffman_pack_matches(vectorised, data):
-    histogram = [0] * 256
-    for byte in data:
-        histogram[byte] += 1
-    codes, lengths = pure.huffman_code_table(histogram)
+    codes, lengths = pure.huffman_code_table(data)
     assert vectorised.huffman_pack(data, codes, lengths) == \
         pure.huffman_pack(data, codes, lengths)
 
 
 def test_huffman_pack_boundaries(vectorised):
     for data in (b"\x00", b"\x00" * 300, bytes(range(256))):
-        histogram = [0] * 256
-        for byte in data:
-            histogram[byte] += 1
-        codes, lengths = pure.huffman_code_table(histogram)
+        codes, lengths = pure.huffman_code_table(data)
         assert vectorised.huffman_pack(data, codes, lengths) == \
             pure.huffman_pack(data, codes, lengths)
 
@@ -559,10 +586,7 @@ def test_lz77_decode_corrupt_parity(vectorised, body, output_length,
 @quick
 @given(st.binary(min_size=1, max_size=2048))
 def test_huffman_decode_roundtrip_matches(vectorised, data):
-    histogram = [0] * 256
-    for byte in data:
-        histogram[byte] += 1
-    codes, lengths = pure.huffman_code_table(histogram)
+    codes, lengths = pure.huffman_code_table(data)
     body = pure.huffman_pack(data, codes, lengths)
     table = bytes(lengths)
     got = vectorised.huffman_decode(body, len(data), table)
@@ -768,4 +792,150 @@ def test_lzma_pack_symbol_range_parity(vectorised):
             pure.lzma_pack(values, widths, mask)
         with pytest.raises(ValueError) as got:
             vectorised.lzma_pack(values, widths, mask)
+        assert str(got.value) == str(want.value)
+
+
+# -- mutated streams for the older decoders ---------------------------
+# The same bit-flip, truncation and extension mutations as above, of
+# valid streams from the four mode-ii codecs' encoders.
+
+
+@seed(2012)
+@quick
+@given(st.one_of(words, rle_runs), mutations,
+       st.integers(min_value=-2, max_value=2))
+def test_rle_decode_mutated_parity(vectorised, values, mutation, slack):
+    data = pure.words_to_bytes(values)
+    records = _mutated(pure.rle_records(data, len(values)), *mutation)
+    _agree_with_pure(vectorised, "rle_decode", records,
+                     max(0, len(data) + 4 * slack))
+
+
+@seed(2012)
+@quick
+@given(payloads, st.sampled_from([(4, 2, 2), (8, 4, 3), (12, 6, 5)]),
+       mutations, st.integers(min_value=-2, max_value=2))
+def test_lz77_decode_mutated_parity(vectorised, data, layout, mutation,
+                                    slack):
+    window_bits, length_bits, min_match = layout
+    body = _mutated(pure.bitpack(*pure.lz77_tokens(
+        data, window_bits, length_bits, min_match, 8)), *mutation)
+    _agree_with_pure(vectorised, "lz77_decode", body,
+                     max(0, len(data) + slack), window_bits, length_bits,
+                     min_match)
+
+
+@seed(2012)
+@quick
+@given(words, st.sampled_from([2, 8, 16, 64]), mutations,
+       st.integers(min_value=-2, max_value=2))
+def test_xmatch_decode_mutated_parity(vectorised, values, capacity,
+                                      mutation, slack):
+    data = pure.words_to_bytes(values)
+    body = _mutated(pure.bitpack(*pure.xmatch_tokens(
+        data, len(values), capacity)), *mutation)
+    _agree_with_pure(vectorised, "xmatch_decode", body,
+                     max(0, len(data) + 4 * slack), capacity)
+
+
+@seed(2012)
+@quick
+@given(payloads, mutations, st.integers(min_value=-2, max_value=2))
+def test_huffman_decode_mutated_parity(vectorised, data, mutation, slack):
+    # The mutation runs over the length table and the body together,
+    # as they sit in the codec's stream; a table cut short reads as
+    # absent symbols.
+    codes, lengths = pure.huffman_code_table(data)
+    stream = _mutated(bytes(lengths) + pure.huffman_pack(data, codes,
+                                                         lengths),
+                      *mutation)
+    _agree_with_pure(vectorised, "huffman_decode", stream[256:],
+                     max(0, len(data) + slack),
+                     stream[:256].ljust(256, b"\x00"))
+
+
+# -- Zip's byte-token stage -------------------------------------------
+# Zip parses with a 32 KB window: 9-bit literals, 24-bit matches of
+# offset-1 << 8 | length-4 under the mask.
+_ZIP_MASK = (1 << 23) - 1
+
+
+def _zip_tokens(data):
+    return pure.lz77_tokens(data, 15, 8, 4, 64)
+
+
+def _assert_lzbytes_roundtrip(vectorised, data):
+    values, widths = _zip_tokens(data)
+    body = vectorised.lzbytes_pack(values, widths, _ZIP_MASK)
+    assert body == pure.lzbytes_pack(values, widths, _ZIP_MASK)
+    got = vectorised.lzbytes_decode(body, len(data))
+    assert got == pure.lzbytes_decode(body, len(data))
+    assert got == data
+    return values, widths
+
+
+@seed(2012)
+@quick
+@given(payloads)
+def test_lzbytes_roundtrip_matches(vectorised, data):
+    _assert_lzbytes_roundtrip(vectorised, data)
+
+
+def test_lzbytes_boundaries(vectorised):
+    # Empty input (no control byte at all); literals only, in token
+    # counts that fill whole control groups (8, 16, 256) and that leave
+    # a short last group (1, 9, 255); self-overlapping copies (offset
+    # 1 and 2); the longest match, 259 bytes (length byte 255).
+    for data in (b"", bytes(range(1)), bytes(range(8)), bytes(range(9)),
+                 bytes(range(16)), bytes(range(255)), bytes(range(256)),
+                 b"a" * 40, b"ab" * 500):
+        _assert_lzbytes_roundtrip(vectorised, data)
+    for size in (8, 9, 16, 255):
+        values, widths = _assert_lzbytes_roundtrip(vectorised,
+                                                   bytes(range(size)))
+        assert set(widths) == {9} and len(values) == size
+    values, widths = _assert_lzbytes_roundtrip(
+        vectorised, b"xyz" + b"\x00" * 263 + b"xyz")
+    assert any(width != 9 and value & 0xFF == 255
+               for value, width in zip(values, widths))
+
+
+@seed(2012)
+@quick
+@given(st.binary(max_size=512), st.integers(min_value=0, max_value=4096))
+def test_lzbytes_decode_corrupt_parity(vectorised, body, output_length):
+    _agree_with_pure(vectorised, "lzbytes_decode", body, output_length)
+
+
+@seed(2012)
+@quick
+@given(payloads, mutations, st.integers(min_value=-2, max_value=2))
+def test_lzbytes_decode_mutated_parity(vectorised, data, mutation, slack):
+    body = _mutated(pure.lzbytes_pack(*_zip_tokens(data), _ZIP_MASK),
+                    *mutation)
+    _agree_with_pure(vectorised, "lzbytes_decode", body,
+                     max(0, len(data) + slack))
+
+
+def test_lzbytes_decode_every_truncation_parity(vectorised):
+    # Cut a stream of literals, short and self-overlapping matches at
+    # every byte: each of the four error points, and a match token
+    # with one or two of its three bytes, is reached.
+    data = b"abcabcabcd" + bytes(range(40)) + b"z" * 30 + b"abcabc"
+    body = pure.lzbytes_pack(*_zip_tokens(data), _ZIP_MASK)
+    for cut in range(len(body) + 1):
+        _agree_with_pure(vectorised, "lzbytes_decode", body[:cut],
+                         len(data))
+
+
+def test_lzbytes_pack_symbol_range_parity(vectorised):
+    # A literal past 255 or match fields past 24 bits have no byte
+    # form; both backends raise the reference's exception.
+    for values, widths, mask in (([256], [9], _ZIP_MASK),
+                                 ([1 << 24], [25], (1 << 25) - 1),
+                                 ([1, 2], [9], _ZIP_MASK)):
+        with pytest.raises((ValueError, OverflowError, IndexError)) as want:
+            pure.lzbytes_pack(values, widths, mask)
+        with pytest.raises(want.type) as got:
+            vectorised.lzbytes_pack(values, widths, mask)
         assert str(got.value) == str(want.value)

@@ -7,7 +7,7 @@ kernels that codec dispatches — the encode kernels on the compress
 side and the matching bit-serial decode kernel on the decompress
 side.  Together the four codecs cover all ten compressor-stack
 kernels, so a kernel silently bypassing the dispatch facade (and its
-``record`` call) fails here.  The Table I-only codecs, LZ78 and
+``record`` call) fails here.  The Table I-only codecs, LZ78, Zip and
 7-zip, never run in mode ii, so a plain round trip checks theirs.
 Generating a bitstream likewise ticks the frame planner's counter
 once per generated payload.
@@ -18,7 +18,7 @@ import pytest
 from repro import accel, obs
 from repro.bitstream.generator import generate_bitstream
 from repro.core.system import UPaRCSystem
-from repro.compress import Lz78Codec, LzmaLikeCodec
+from repro.compress import DeflateCodec, Lz78Codec, LzmaLikeCodec
 from repro.core.urec import OperationMode
 from repro.units import DataSize
 
@@ -36,6 +36,9 @@ EXPECTED_KERNELS = {
 #: never runs.
 TABLE1_KERNELS = {
     "LZ78": (Lz78Codec(), ("lz78_pack", "lz78_decode")),
+    "Zip": (DeflateCodec(),
+            ("lz77_tokens", "lzbytes_pack", "huffman_code_table",
+             "huffman_pack", "huffman_decode", "lzbytes_decode")),
     "7-zip": (LzmaLikeCodec(),
               ("lz77_tokens", "lzma_pack", "lzma_decode")),
 }

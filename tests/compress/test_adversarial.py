@@ -140,6 +140,40 @@ class TestArithmeticStress:
         assert timer.elapsed_s < 0.050
 
 
+def _failure(codec, stream):
+    """``(exception type, message)`` of decoding ``stream``, or None."""
+    try:
+        codec.decompress(stream)
+    except (CorruptStreamError, MemoryError) as error:
+        return type(error), str(error)
+    return None
+
+
+@pytest.mark.parametrize("backend", accel.available_backends())
+@pytest.mark.parametrize("declared", [0xFFFFFFFF, 0x7FFFFFFF])
+@pytest.mark.parametrize("codec", ALL, ids=lambda c: c.name)
+def test_declared_length_does_not_size_the_decoder(codec, declared,
+                                                   backend):
+    # Native decoders once reserved the declared length before reading
+    # the body: 4 GiB for a patched header, a MemoryError where pure
+    # raises CorruptStreamError.  Work and memory must follow the body,
+    # so the corrupt stream fails as pure fails, in about the time the
+    # valid stream takes to decode (pure's 7-zip decoder alone needs
+    # some 55 ms for these 2 KB on a 2-vCPU host).
+    stream = codec.compress(bytes(range(256)) * 8)
+    patched = struct.pack(">I", declared) + stream[4:]
+    with accel.using("pure"):
+        want = _failure(codec, patched)
+    assert want is not None and want[0] is CorruptStreamError
+    with accel.using(backend):
+        with Timer() as valid:
+            codec.decompress(stream)
+        with Timer() as timer:
+            got = _failure(codec, patched)
+    assert got == want
+    assert timer.elapsed_s < valid.elapsed_s + 0.050
+
+
 class TestDeflateStress:
     def test_match_self_overlap_long(self):
         roundtrip(DeflateCodec(), b"ab" * 10_000)
