@@ -2,13 +2,14 @@
 
 The simulation's datapath cost is concentrated in a handful of
 operations: planning and synthesising frame payloads, bulk
-word<->byte packing, CRC-32C folding, splitting FDRI payloads into
-frames, and the compression codecs' inner loops: the X-MatchPRO,
-LZ77 and RLE token scans, Huffman code tables (histogram included)
-and packing, Zip's byte-token serializer (``lzbytes_pack``), LZ78's
-dictionary coder (``lz78_pack``), 7-zip's adaptive arithmetic coder
-(``lzma_pack``), and the decoder of each.  This package
-exposes those operations as a small kernel API with two
+word<->byte packing, CRC-32C folding (plain bytes, and the
+configuration CRC's word-plus-address fold ``crc32c_words``),
+splitting FDRI payloads into frames, and the compression codecs'
+inner loops: the X-MatchPRO, LZ77 and RLE token scans, Huffman code
+tables (histogram included) and packing, Zip's byte-token serializer
+(``lzbytes_pack``), LZ78's dictionary coder (``lz78_pack``), 7-zip's
+adaptive arithmetic coder (``lzma_pack``), and the decoder of each.
+This package exposes those operations as a small kernel API with two
 interchangeable implementations:
 
 * :mod:`repro.accel.pure` — tuned stdlib Python, always available,
@@ -61,6 +62,7 @@ __all__ = [
     "bytes_to_words",
     "chunk_words",
     "crc32c",
+    "crc32c_words",
     "equal_word_runs",
     "huffman_code_table",
     "huffman_decode",
@@ -233,6 +235,27 @@ def crc32c(data: bytes, crc: int = 0) -> int:
         backend = _resolve()
     record("crc32c", len(data))
     return backend.crc32c(data, crc)
+
+
+def crc32c_words(data: bytes, address: int, crc: int = 0) -> int:
+    """CRC-32C over each big-endian word of ``data``, ``address`` after each.
+
+    Equal to :func:`crc32c` over the interleaved ``[4 data bytes]
+    [address byte]`` blob, chained through ``crc``; empty ``data``
+    returns ``crc`` unchanged.  Raises :class:`ValueError` before any
+    backend runs when ``data`` is not whole words or ``address`` is
+    not a byte.
+    """
+    if len(data) % 4:
+        raise ValueError(
+            f"crc32c_words needs whole 4-byte words, got {len(data)} bytes")
+    if not 0 <= address <= 0xFF:
+        raise ValueError(f"address byte {address} is outside 0..255")
+    backend = _active
+    if backend is None:
+        backend = _resolve()
+    record("crc32c_words", len(data))
+    return backend.crc32c_words(data, address, crc)
 
 
 def words_to_bytes(words: Sequence[int]) -> bytes:

@@ -54,6 +54,8 @@ typedef struct {
 } uparc_mixture;
 void uparc_init(void);
 uint32_t uparc_crc32c(const uint8_t *data, size_t len, uint32_t crc);
+uint32_t uparc_crc32c_words(const uint8_t *data, size_t word_count,
+                            uint8_t address, uint32_t crc);
 int64_t uparc_bitpack(const uint64_t *values, const uint8_t *widths,
                       size_t count, uint8_t *out);
 int64_t uparc_huffman_pack(const uint8_t *data, size_t len,

@@ -112,6 +112,28 @@ uint32_t uparc_crc32c(const uint8_t *data, size_t len, uint32_t crc)
     return crc ^ 0xFFFFFFFFu;
 }
 
+/* CRC-32C over word_count big-endian words, each followed by the     */
+/* byte `address`: uparc_crc32c over the interleaved                  */
+/* [4 data bytes][address] blob, without building the blob.  Slicing  */
+/* by 5: the address byte's term, crc_tables[0][address], is one      */
+/* constant, so each word costs four table lookups.                   */
+uint32_t uparc_crc32c_words(const uint8_t *data, size_t word_count,
+                            uint8_t address, uint32_t crc)
+{
+    const uint32_t address_term = crc_tables[0][address];
+    crc ^= 0xFFFFFFFFu;
+    for (size_t i = 0; i < word_count; i++, data += 4) {
+        uint32_t low = crc ^ ((uint32_t)data[0]
+                              | ((uint32_t)data[1] << 8)
+                              | ((uint32_t)data[2] << 16)
+                              | ((uint32_t)data[3] << 24));
+        crc = crc_tables[4][low & 0xFF] ^ crc_tables[3][(low >> 8) & 0xFF]
+            ^ crc_tables[2][(low >> 16) & 0xFF] ^ crc_tables[1][low >> 24]
+            ^ address_term;
+    }
+    return crc ^ 0xFFFFFFFFu;
+}
+
 /* ------------------------------------------------------------------ */
 /* MSB-first bit packing.  Widths are at most 64 (the TokenStream     */
 /* contract), so a 128-bit accumulator never overflows (7 carried     */
@@ -598,18 +620,21 @@ typedef struct {
     uint32_t out[MT_N];   /* the current key's tempered outputs */
 } mt_state;
 
-/* genrand_uint32's tempering, applied to the whole key at once (a    */
-/* loop the compiler vectorises); out[i] is what the i-th draw from   */
-/* this key returns.                                                  */
-static void mt_temper(mt_state *mt)
+/* genrand_uint32's tempering, applied to the whole key at once;      */
+/* out[i] is what the i-th draw from this key returns.  The restrict  */
+/* parameters tell the compiler key and out never overlap, which is   */
+/* what lets it vectorise the loop (through the struct pointer it     */
+/* could not rule the aliasing out and kept the loop scalar).         */
+static void mt_temper(const uint32_t *restrict key,
+                      uint32_t *restrict out)
 {
     for (int i = 0; i < MT_N; i++) {
-        uint32_t y = mt->key[i];
+        uint32_t y = key[i];
         y ^= y >> 11;
         y ^= (y << 7) & 0x9d2c5680u;
         y ^= (y << 15) & 0xefc60000u;
         y ^= y >> 18;
-        mt->out[i] = y;
+        out[i] = y;
     }
 }
 
@@ -635,7 +660,7 @@ static void mt_twist(uint32_t *key)
 static void mt_refill(mt_state *mt)
 {
     mt_twist(mt->key);
-    mt_temper(mt);
+    mt_temper(mt->key, mt->out);
     mt->index = 0;
 }
 
@@ -751,7 +776,7 @@ int64_t uparc_plan_frames(uint32_t *key, const uparc_mixture *mix,
     mt_state mt;
     mt.key = key;
     mt.index = key[MT_N];
-    mt_temper(&mt);
+    mt_temper(mt.key, mt.out);
     size_t n = 0;
     for (size_t frame = 0; frame < frame_count; frame++) {
         if (mt_random(&mt) >= mix->utilization) {

@@ -22,6 +22,7 @@ from the caller's ``random.Random`` state), ``synthesize_payload``,
 ``bitpack``, ``huffman_pack``, the four decoders (``xmatch_decode``,
 ``lz77_decode``, ``huffman_decode``, ``rle_decode``), and the
 kernels with no crossover, which take the C path at every size:
+``crc32c_words`` (the configuration CRC's word-plus-address fold),
 ``huffman_code_table`` (histogram and code table), Zip's byte-token
 stage (``lzbytes_pack``/``lzbytes_decode``), and the LZ78 and 7-zip
 codec stages (``lz78_pack``/``lz78_decode``, the adaptive arithmetic
@@ -198,6 +199,13 @@ def crc32c(data: bytes, crc: int = 0) -> int:
         return pure.crc32c(data, crc)
     return _lib.uparc_crc32c(ffi.from_buffer("uint8_t[]", data),
                              len(data), crc & 0xFFFFFFFF)
+
+
+def crc32c_words(data: bytes, address: int, crc: int = 0) -> int:
+    # No crossover: the fold builds no blob, so C wins at every length.
+    return _lib.uparc_crc32c_words(ffi.from_buffer("uint8_t[]", data),
+                                   len(data) // 4, address,
+                                   crc & 0xFFFFFFFF)
 
 
 # -- pure forwarders ----------------------------------------------------

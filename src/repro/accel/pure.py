@@ -96,6 +96,33 @@ def crc32c(data: bytes, crc: int = 0) -> int:
     return crc ^ 0xFFFFFFFF
 
 
+# crc32c_words folds through this private binding, not the public
+# name, so a wrapper installed on the public kernel (the layer
+# tracer's) counts only the dispatched crc32c calls.
+_crc32c = crc32c
+
+
+def crc32c_words(data: bytes, address: int, crc: int = 0) -> int:
+    """CRC-32C over each big-endian word of ``data``, ``address`` after each.
+
+    The configuration CRC's register-write convention: every 4-byte
+    word is followed by one byte carrying the register address.  The
+    reference builds that interleaved ``[4 data bytes][address byte]``
+    blob in bulk (strided slice assignment) and folds it with one
+    :func:`crc32c` call.  ``len(data)`` is a multiple of 4 (the
+    dispatch function checks it).
+    """
+    count = len(data) // 4
+    if count == 0:
+        return crc
+    blob = bytearray([address]) * (count * 5)
+    blob[0::5] = data[0::4]
+    blob[1::5] = data[1::4]
+    blob[2::5] = data[2::4]
+    blob[3::5] = data[3::4]
+    return _crc32c(bytes(blob), crc)
+
+
 def words_to_bytes(words: Sequence[int]) -> bytes:
     """Big-endian word serialization (configuration byte order)."""
     try:

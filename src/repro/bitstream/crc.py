@@ -19,9 +19,11 @@ backend keeps the slicing-by-8 table walk, the native backend runs
 the same tables in C.  Both are bit-identical.  This CRC runs over
 every FDRI word of every simulated reconfiguration, but as one bulk
 fold per FDRI chunk (:meth:`ConfigCrc.update_block_bytes`), not once
-per word; ``python -m bench trace`` puts ``accel.crc32c`` at a few
-percent of a ``mode_ii`` op with the native backend, not the dominant
-cost.
+per word: the ``accel.crc32c_words`` kernel folds each data word and
+its address byte straight from the packed payload (natively by
+slicing over five bytes, with no interleaved copy built).  The
+single register writes (:meth:`ConfigCrc.update`, a few per
+bitstream) stay on ``accel.crc32c``.
 """
 
 from __future__ import annotations
@@ -59,21 +61,12 @@ class ConfigCrc:
                            packed: bytes) -> None:
         """Fold consecutive writes of the big-endian ``packed`` words.
 
-        Bit-identical to calling :meth:`update` once per word — the
-        interleaved ``[4 data bytes][address byte]`` blob is built in
-        bulk (strided slice assignment) and folded with one
-        :func:`crc32c` call, which is what makes large FDRI payloads
-        cheap.
+        Bit-identical to calling :meth:`update` once per word, in one
+        :func:`repro.accel.crc32c_words` call.  ``packed`` must hold
+        whole words; a partial word raises :class:`ValueError`.
         """
-        count = len(packed) // 4
-        if count == 0:
-            return
-        blob = bytearray([register_address & 0x1F]) * (count * 5)
-        blob[0::5] = packed[0::4]
-        blob[1::5] = packed[1::4]
-        blob[2::5] = packed[2::4]
-        blob[3::5] = packed[3::4]
-        self._value = accel.crc32c(bytes(blob), self._value)
+        self._value = accel.crc32c_words(packed, register_address & 0x1F,
+                                         self._value)
 
     def check(self, expected: int) -> bool:
         """The CRC-register write comparison."""

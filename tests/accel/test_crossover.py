@@ -13,9 +13,10 @@ kernels in call recorders and pin the dispatch decision:
   selected at a size where it loses;
 * the C frame planner hands over when its import-time self-check
   finds the interpreter drawing differently;
-* ``huffman_code_table`` (which builds its own histogram), Zip's
-  byte-token stage and the LZ78 and 7-zip codec stages take the C
-  path at every size.
+* ``huffman_code_table`` (which builds its own histogram), the
+  configuration CRC's word fold ``crc32c_words``, Zip's byte-token
+  stage and the LZ78 and 7-zip codec stages take the C path at every
+  size.
 
 The native section skips cleanly when the extension is not built.
 """
@@ -348,3 +349,17 @@ def test_huffman_code_table_never_delegates(monkeypatch, size):
         assert backend.huffman_code_table(data) == want
         assert bool(calls) == (backend.name == "pure"), \
             f"{backend.name} huffman_code_table at size {size}"
+
+
+@pytest.mark.parametrize("words", [0, 1, 8, 4096])
+def test_crc32c_words_never_delegates(monkeypatch, words):
+    # The C fold builds no interleaved blob, so native answers in C at
+    # every length, even the empty one.
+    data = bytes(index % 251 for index in range(4 * words))
+    want = pure.crc32c_words(data, 2, 0x1234)
+    calls = _sentinel(monkeypatch, "crc32c_words")
+    for backend in _every_backend():
+        calls.clear()
+        assert backend.crc32c_words(data, 2, 0x1234) == want
+        assert bool(calls) == (backend.name == "pure"), \
+            f"{backend.name} crc32c_words at {words} words"

@@ -88,6 +88,24 @@ def test_crc32c_chaining_matches(vectorised, chunks):
     assert crc_np == crc_py
 
 
+word_blocks = st.integers(min_value=0, max_value=1024).flatmap(
+    lambda count: st.binary(min_size=4 * count, max_size=4 * count))
+
+
+@quick
+@given(word_blocks, st.integers(min_value=0, max_value=0xFF),
+       st.integers(min_value=0, max_value=0xFFFFFFFF), st.data())
+def test_crc32c_words_matches(vectorised, data, address, crc, draw):
+    whole = pure.crc32c_words(data, address, crc)
+    assert vectorised.crc32c_words(data, address, crc) == whole
+    # Splitting at any word boundary and chaining is the same fold.
+    split = 4 * draw.draw(st.integers(min_value=0,
+                                      max_value=len(data) // 4))
+    for backend in (vectorised, pure):
+        head = backend.crc32c_words(data[:split], address, crc)
+        assert backend.crc32c_words(data[split:], address, head) == whole
+
+
 @quick
 @given(words)
 def test_word_packing_matches(vectorised, values):

@@ -10,7 +10,9 @@ kernels, so a kernel silently bypassing the dispatch facade (and its
 ``record`` call) fails here.  The Table I-only codecs, LZ78, Zip and
 7-zip, never run in mode ii, so a plain round trip checks theirs.
 Generating a bitstream likewise ticks the frame planner's counter
-once per generated payload.
+once per generated payload, and the FDRI configuration CRC's word
+fold ticks ``crc32c_words`` on both sides of the stream: once in the
+generator, again in the configuration logic that absorbs it.
 """
 
 import pytest
@@ -90,6 +92,26 @@ def test_generate_bitstream_ticks_plan_frames(backend):
     # One plan covers the whole FDRI payload.
     assert counters.get(f"accel.{backend}.plan_frames.bytes", 0) == \
         len(bitstream.payload_data)
+
+
+@pytest.mark.parametrize("backend", accel.available_backends())
+def test_generate_and_mode_ii_run_tick_crc32c_words(backend):
+    with accel.using(backend):
+        with obs.observed(metrics=True) as observation:
+            bitstream = _bitstream()
+            generated = observation.registry.snapshot()["counters"].get(
+                f"accel.{backend}.crc32c_words.calls", 0)
+            result = UPaRCSystem().run(bitstream,
+                                       mode=OperationMode.COMPRESSED)
+    assert result.mode == "compressed"
+    counters = observation.registry.snapshot()["counters"]
+    calls = counters.get(f"accel.{backend}.crc32c_words.calls", 0)
+    assert generated >= 1, f"generator did not fold the FDRI CRC ({backend})"
+    assert calls - generated >= 1, \
+        f"configuration logic did not fold the FDRI CRC ({backend})"
+    # Both sides fold the whole FDRI payload.
+    assert counters.get(f"accel.{backend}.crc32c_words.bytes", 0) >= \
+        2 * len(bitstream.payload_data)
 
 
 def test_expected_kernel_map_covers_every_new_kernel():
