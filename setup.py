@@ -23,7 +23,7 @@ setup(
     ),
     package_dir={"": "src"},
     packages=find_packages(where="src"),
-    install_requires=["networkx"],
+    install_requires=[],
     python_requires=">=3.9",
     **cffi_kwargs,
 )

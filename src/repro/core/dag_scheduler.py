@@ -19,16 +19,15 @@ Resource model:
   Related Work opens with.
 
 Scheduling is priority list scheduling over a topological order, with
-the critical-path (longest downstream work) priority; networkx
-provides the graph machinery.
+the critical-path (longest downstream work) priority; the stdlib
+:mod:`graphlib` gives the topological order and finds cycles.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
-
-import networkx as nx
+from graphlib import CycleError, TopologicalSorter
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.bitstream.generator import PartialBitstream
 from repro.core.scheduler import TimelineEntry
@@ -100,36 +99,42 @@ class DagScheduler:
 
     # -- graph utilities -------------------------------------------------------
 
-    def _build_graph(self, tasks: Sequence[DagTask]) -> nx.DiGraph:
+    def _build_graph(self, tasks: Sequence[DagTask]
+                     ) -> Tuple[Dict[str, DagTask], Dict[str, List[str]]]:
+        """Validate ``tasks``; return them by name, and each task's
+        successors keyed in a topological order."""
         by_name = {task.name: task for task in tasks}
         if len(by_name) != len(tasks):
             raise PolicyError("duplicate task names in graph")
-        graph = nx.DiGraph()
-        for task in tasks:
-            graph.add_node(task.name, task=task)
         for task in tasks:
             for dep in task.deps:
                 if dep not in by_name:
                     raise PolicyError(
                         f"task {task.name!r} depends on unknown {dep!r}"
                     )
-                graph.add_edge(dep, task.name)
-        if not nx.is_directed_acyclic_graph(graph):
-            cycle = nx.find_cycle(graph)
-            raise PolicyError(f"dependency cycle: {cycle}")
-        return graph
+        try:
+            order = list(TopologicalSorter(
+                {task.name: task.deps for task in tasks}).static_order())
+        except CycleError as error:
+            cycle = " -> ".join(map(repr, error.args[1]))
+            raise PolicyError(f"dependency cycle: {cycle}") from None
+        successors: Dict[str, List[str]] = {name: [] for name in order}
+        for task in tasks:
+            for dep in task.deps:
+                successors[dep].append(task.name)
+        return by_name, successors
 
-    def _priorities(self, graph: nx.DiGraph) -> Dict[str, int]:
+    def _priorities(self, by_name: Dict[str, DagTask],
+                    successors: Dict[str, List[str]]) -> Dict[str, int]:
         """Critical-path length (this task's work + longest successor
         chain), the classic HLFET priority."""
         priorities: Dict[str, int] = {}
-        for name in reversed(list(nx.topological_sort(graph))):
-            task: DagTask = graph.nodes[name]["task"]
+        for name in reversed(successors):
+            task = by_name[name]
             own = (task.compute_ps
                    + self.reconfigure_ps(task.bitstream.size))
             downstream = max(
-                (priorities[successor]
-                 for successor in graph.successors(name)),
+                (priorities[successor] for successor in successors[name]),
                 default=0,
             )
             priorities[name] = own + downstream
@@ -138,8 +143,8 @@ class DagScheduler:
     # -- scheduling ----------------------------------------------------------------
 
     def schedule(self, tasks: Sequence[DagTask]) -> DagScheduleReport:
-        graph = self._build_graph(tasks)
-        priorities = self._priorities(graph)
+        by_name, successors = self._build_graph(tasks)
+        priorities = self._priorities(by_name, successors)
         report = DagScheduleReport()
 
         manager_free = 0      # staging/preload path
@@ -148,8 +153,7 @@ class DagScheduler:
         region_module: Dict[str, Optional[str]] = {}
         finish: Dict[str, int] = {}
 
-        ready = {name for name in graph.nodes
-                 if graph.in_degree(name) == 0}
+        ready = {task.name for task in tasks if not task.deps}
         completed = set()
 
         while ready:
@@ -157,7 +161,7 @@ class DagScheduler:
             # deterministically.
             name = max(ready, key=lambda n: (priorities[n], n))
             ready.remove(name)
-            task: DagTask = graph.nodes[name]["task"]
+            task = by_name[name]
             deps_done = max((finish[dep] for dep in task.deps), default=0)
 
             if region_module.get(task.region) == task.module:
@@ -191,9 +195,9 @@ class DagScheduler:
                 name, "compute", compute_start, compute_end))
 
             completed.add(name)
-            for successor in graph.successors(name):
+            for successor in successors[name]:
                 if all(dep in completed
-                       for dep in graph.predecessors(successor)):
+                       for dep in by_name[successor].deps):
                     ready.add(successor)
 
         if len(completed) != len(tasks):

@@ -115,7 +115,7 @@ class Manager:
                     bitstream.raw_bytes)
                 if len(stored) % 4:
                     stored += b"\x00" * (4 - len(stored) % 4)
-                ratio = (1 - len(stored) / len(bitstream.raw_bytes)) * 100
+                ratio = (1 - len(stored) / bitstream.size.bytes) * 100
             else:
                 stored = parsed.raw
             stored_words = len(stored) // 4
