@@ -135,56 +135,113 @@ uint32_t uparc_crc32c_words(const uint8_t *data, size_t word_count,
 }
 
 /* ------------------------------------------------------------------ */
-/* MSB-first bit packing.  Widths are at most 64 (the TokenStream     */
-/* contract), so a 128-bit accumulator never overflows (7 carried     */
-/* bits + 64 new ones).  Zero-padded final byte, exactly like the     */
-/* reference BitWriter.                                               */
+/* Big-endian 8-byte loads and stores, for the bit writer and reader. */
 
+#if defined(__GNUC__) && __BYTE_ORDER__ == __ORDER_LITTLE_ENDIAN__
+static inline uint64_t load_be64(const uint8_t *p)
+{
+    uint64_t v;
+    memcpy(&v, p, sizeof v);
+    return __builtin_bswap64(v);
+}
+
+static inline void store_be64(uint8_t *p, uint64_t v)
+{
+    v = __builtin_bswap64(v);
+    memcpy(p, &v, sizeof v);
+}
+#else
+static inline uint64_t load_be64(const uint8_t *p)
+{
+    uint64_t v = 0;
+    for (int k = 0; k < 8; k++)
+        v = (v << 8) | p[k];
+    return v;
+}
+
+static inline void store_be64(uint8_t *p, uint64_t v)
+{
+    for (int k = 0; k < 8; k++)
+        p[k] = (uint8_t)(v >> (56 - 8 * k));
+}
+#endif
+
+/* ------------------------------------------------------------------ */
+/* MSB-first bit writer for the packers (bitpack, huffman_pack and    */
+/* lz78_pack).  The low `bits` (< 8) bits of `acc` are pending, so a  */
+/* put of up to 56 bits fits the 64-bit accumulator.  Every put       */
+/* stores all pending bits, left-aligned and zero-padded, as 8 big-   */
+/* endian bytes at p and advances p past the whole bytes: the partial */
+/* byte is rewritten by the next store, and after the last put it     */
+/* already is the reference BitWriter's zero-padded final byte.  No   */
+/* branch per byte; the output needs 8 bytes of slack past the packed */
+/* length.                                                            */
+
+typedef struct {
+    uint8_t *p;
+    uint64_t acc;
+    unsigned bits;
+} bitsink;
+
+static inline void bs_put(bitsink *w, uint64_t value, unsigned width)
+{
+    w->acc = (w->acc << width) | value;
+    w->bits += width;
+    /* Two shifts: a plain << (64 - bits) is undefined at bits == 0.  */
+    store_be64(w->p, (w->acc << (63 - w->bits)) << 1);
+    w->p += w->bits >> 3;
+    w->bits &= 7;
+}
+
+/* Any width up to 64: above 56 the field goes in as two puts.        */
+static inline void bs_put_wide(bitsink *w, uint64_t value, unsigned width)
+{
+    if (width > 56) {
+        bs_put(w, value >> 32, width - 32);
+        value &= 0xFFFFFFFFu;
+        width = 32;
+    }
+    bs_put(w, value, width);
+}
+
+/* Bytes written, counting the zero-padded final byte.                */
+static inline int64_t bs_length(const bitsink *w, const uint8_t *out)
+{
+    return (int64_t)(w->p - out) + (w->bits != 0);
+}
+
+/* Widths are at most 64 (the TokenStream contract).                  */
 int64_t uparc_bitpack(const uint64_t *values, const uint8_t *widths,
                       size_t count, uint8_t *out)
 {
-    unsigned __int128 acc = 0;
-    int bits = 0;
-    uint8_t *p = out;
+    bitsink w = {out, 0, 0};
     for (size_t i = 0; i < count; i++) {
-        int width = widths[i];
-        if (width > 64)
+        if (widths[i] > 64)
             return -1;  /* caller falls back to the arbitrary-width pure form */
-        acc = (acc << width) | values[i];
-        bits += width;
-        while (bits >= 8) {
-            bits -= 8;
-            *p++ = (uint8_t)(acc >> bits);
-        }
-        acc &= ((unsigned __int128)1 << bits) - 1;
+        bs_put_wide(&w, values[i], widths[i]);
     }
-    if (bits)
-        *p++ = (uint8_t)(acc << (8 - bits));
-    return (int64_t)(p - out);
+    return bs_length(&w, out);
 }
 
 /* Per-byte table encode + pack fused, as in the pure huffman_pack.   */
+/* Code lengths are at most 64; the split only runs past 56 bits.     */
 int64_t uparc_huffman_pack(const uint8_t *data, size_t len,
                            const uint64_t *codes, const uint8_t *lengths,
                            uint8_t *out)
 {
-    unsigned __int128 acc = 0;
-    int bits = 0;
-    uint8_t *p = out;
-    for (size_t i = 0; i < len; i++) {
-        int byte = data[i];
-        int width = lengths[byte];
-        acc = (acc << width) | codes[byte];
-        bits += width;
-        while (bits >= 8) {
-            bits -= 8;
-            *p++ = (uint8_t)(acc >> bits);
-        }
-        acc &= ((unsigned __int128)1 << bits) - 1;
+    bitsink w = {out, 0, 0};
+    int longest = 0;
+    for (int symbol = 0; symbol < 256; symbol++)
+        if (lengths[symbol] > longest)
+            longest = lengths[symbol];
+    if (longest > 56) {
+        for (size_t i = 0; i < len; i++)
+            bs_put_wide(&w, codes[data[i]], lengths[data[i]]);
+    } else {
+        for (size_t i = 0; i < len; i++)
+            bs_put(&w, codes[data[i]], lengths[data[i]]);
     }
-    if (bits)
-        *p++ = (uint8_t)(acc << (8 - bits));
-    return (int64_t)(p - out);
+    return bs_length(&w, out);
 }
 
 /* ------------------------------------------------------------------ */
@@ -304,6 +361,7 @@ static uint8_t xm_code[16];
 static uint8_t xm_clen[16];
 static int8_t xm_peek_mask[32];   /* 5-bit window -> mask, -1 unassigned */
 static uint8_t xm_peek_len[32];
+static int xm_ranks_by_count;     /* the one-pass scan's premise holds   */
 
 static void build_xmatch_tables(void)
 {
@@ -326,6 +384,26 @@ static void build_xmatch_tables(void)
             xm_peek_len[(code << (5 - len)) | pad] = (uint8_t)len;
         }
     }
+    /* The scan ranks entries by matched-byte count, not by score.    */
+    /* That is the same order only if every mask with at least two   */
+    /* matched bytes has a code, all masks of one count share a code  */
+    /* length (so a count has one score), and scores rise with the    */
+    /* count.  Otherwise uparc_xmatch_tokens declines (returns -1).   */
+    int count_score[5] = {-1, -1, -1, -1, -1};
+    int ranks = 1;
+    for (int m = 0; m < 16; m++) {
+        int matched = __builtin_popcount(m);
+        if (matched < 2)
+            continue;
+        if (xm_score[m] < 0 || (count_score[matched] >= 0
+                                && count_score[matched] != xm_score[m]))
+            ranks = 0;
+        count_score[matched] = xm_score[m];
+    }
+    for (int matched = 2; matched < 4; matched++)
+        if (count_score[matched] >= count_score[matched + 1])
+            ranks = 0;
+    xm_ranks_by_count = ranks;
 }
 
 static inline int xm_index_bits(int size)
@@ -342,15 +420,124 @@ static inline uint32_t load_be32(const uint8_t *p)
         | ((uint32_t)p[2] << 8) | (uint32_t)p[3];
 }
 
+/* Mask bit i set => byte i of x is zero (byte 0 = MSB).              */
+static inline int xm_zero_bytes(uint32_t x)
+{
+    return (!(x & 0xFF000000u)) | ((!(x & 0x00FF0000u)) << 1)
+        | ((!(x & 0x0000FF00u)) << 2) | ((!(x & 0x000000FFu)) << 3);
+}
+
+/* The encoder's CAM.  Entries never move: slot k holds a word and    */
+/* its location, i.e. its move-to-front rank in the reference's list. */
+/* A slot past size keeps rank k, so every update is one rule: each   */
+/* rank below r moves back one and the slot ranked r takes the word   */
+/* at rank 0, where r is the matched location, or for a miss size (a  */
+/* fresh slot) or, when full, size - 1 (the oldest entry, evicted).   */
+/* Slots are scanned in groups of four, up to the capacity rounded up.*/
+typedef struct {
+    int32_t word[64];
+    int32_t rank[64];
+} xm_cam;
+
+#if defined(__GNUC__)
+typedef int32_t v4i __attribute__((vector_size(16)));
+#endif
+
+/* The CAM search in one pass: the max over the entries (rank < size) */
+/* of matched_bytes << 10 | (63 - location) << 4 | zero-byte mask.    */
+/* The winner has the most matching bytes and the lowest location     */
+/* among those (locations are distinct, so the mask only rides        */
+/* along).  Entries are distinct too: four bytes is the full match,   */
+/* fewer than two a miss.  With xm_ranks_by_count this is the         */
+/* reference's rule (a full match first, then the best score, lowest  */
+/* location).                                                         */
+static inline int xm_best(const xm_cam *cam, int slots, int size,
+                          uint32_t word)
+{
+    int k = 0, best = 0;
+#if defined(__GNUC__)
+    const v4i w = {(int32_t)word, (int32_t)word, (int32_t)word,
+                   (int32_t)word};
+    const v4i limit = {size, size, size, size};
+    const v4i zero = {0, 0, 0, 0};
+    v4i keys = zero;
+    for (; k + 4 <= slots; k += 4) {
+        v4i entry, rank;
+        memcpy(&entry, cam->word + k, sizeof entry);
+        memcpy(&rank, cam->rank + k, sizeof rank);
+        v4i x = entry ^ w;
+        /* -1 per lane where that byte matches (byte 0 = MSB).        */
+        v4i b0 = (x & (int32_t)0xFF000000) == zero;
+        v4i b1 = (x & 0x00FF0000) == zero;
+        v4i b2 = (x & 0x0000FF00) == zero;
+        v4i b3 = (x & 0x000000FF) == zero;
+        v4i mask = (b0 & 1) | (b1 & 2) | (b2 & 4) | (b3 & 8);
+        v4i matched = -(b0 + b1 + b2 + b3);
+        v4i key = ((matched << 10) | ((63 - rank) << 4) | mask)
+            & (rank < limit);
+        v4i larger = key > keys;
+        keys = (key & larger) | (keys & ~larger);
+    }
+    for (int lane = 0; lane < 4; lane++)
+        best = keys[lane] > best ? keys[lane] : best;
+#endif
+    for (; k < slots; k++) {
+        if (cam->rank[k] >= size)
+            continue;
+        int mask = xm_zero_bytes((uint32_t)cam->word[k] ^ word);
+        int key = __builtin_popcount(mask) << 10
+            | (63 - cam->rank[k]) << 4 | mask;
+        best = key > best ? key : best;
+    }
+    return best;
+}
+
+static inline void xm_to_front(xm_cam *cam, int slots, int r,
+                               uint32_t word)
+{
+    int k = 0;
+#if defined(__GNUC__)
+    const v4i w = {(int32_t)word, (int32_t)word, (int32_t)word,
+                   (int32_t)word};
+    const v4i at = {r, r, r, r};
+    for (; k + 4 <= slots; k += 4) {
+        v4i entry, rank;
+        memcpy(&entry, cam->word + k, sizeof entry);
+        memcpy(&rank, cam->rank + k, sizeof rank);
+        v4i hit = rank == at;
+        rank = (rank - (rank < at)) & ~hit;   /* -1 per lane: + 1 */
+        entry = (entry & ~hit) | (w & hit);
+        memcpy(cam->word + k, &entry, sizeof entry);
+        memcpy(cam->rank + k, &rank, sizeof rank);
+    }
+#endif
+    for (; k < slots; k++) {
+        if (cam->rank[k] == r) {
+            cam->rank[k] = 0;
+            cam->word[k] = (int32_t)word;
+        } else if (cam->rank[k] < r) {
+            cam->rank[k]++;
+        }
+    }
+}
+
 /* The X-MatchPRO coding loop: zero-run tokens, equal-run collapse,
  * full/partial CAM matches with move-to-front update, misses.  Token
- * buffers must hold word_count + 8 entries.  Returns the token count.
+ * buffers must hold word_count + 8 entries.  Returns the token count,
+ * or -1 when the mask code breaks the one-pass scan's premise.
  */
 int64_t uparc_xmatch_tokens(const uint8_t *data, size_t word_count,
                             int capacity, uint64_t *values,
                             uint8_t *widths)
 {
-    uint32_t dict[64];
+    if (!xm_ranks_by_count)
+        return -1;
+    xm_cam cam;
+    for (int k = 0; k < 64; k++) {
+        cam.word[k] = 0;
+        cam.rank[k] = k;
+    }
+    int slots = (capacity + 3) & ~3;
     int size = 0;
     int ibits = 1;
     int full0 = 3;              /* width of a full match at location 0 */
@@ -408,89 +595,38 @@ int64_t uparc_xmatch_tokens(const uint8_t *data, size_t word_count,
         }
         previous = (int64_t)word;
         index++;
-        /* Full match: entries are distinct, first hit is the hit.    */
-        int location = -1;
-        for (int l = 0; l < size; l++) {
-            if (dict[l] == word) {
-                location = l;
-                break;
-            }
-        }
-        if (location >= 0) {
-            values[n] = (uint64_t)location << 1;
-            widths[n] = (uint8_t)(2 + ibits);
-            n++;
-            if (location) {
-                memmove(&dict[1], &dict[0],
-                        (size_t)location * sizeof(uint32_t));
-                dict[0] = word;
-            }
-            continue;
-        }
-        /* Partial match: best score, lowest location on ties (the
-         * scan ascends and the update is strictly greater).          */
-        int best_location = -1;
-        int best_score = -1;
-        int best_mask = 0;
-        for (int l = 0; l < size; l++) {
-            uint32_t x = dict[l] ^ word;
-            int mask = (!(x & 0xFF000000u))
-                | ((!(x & 0x00FF0000u)) << 1)
-                | ((!(x & 0x0000FF00u)) << 2)
-                | ((!(x & 0x000000FFu)) << 3);
-            int points = xm_score[mask];
-            if (points > best_score) {
-                best_score = points;
-                best_location = l;
-                best_mask = mask;
-            }
-        }
-        if (best_score >= 0) {
-            int mask = best_mask;
+        int best = xm_best(&cam, slots, size, word);
+        if (best >> 10 >= 2) {
+            /* Full or partial match: location, mask code, then the
+             * unmatched bytes MSB first (a full match has none).     */
+            int location = 63 - ((best >> 4) & 63);
+            int mask = best & 15;
             int clen = xm_clen[mask];
-            uint64_t token = ((uint64_t)best_location << clen)
-                | xm_code[mask];
+            uint64_t token = ((uint64_t)location << clen) | xm_code[mask];
             int width = 1 + ibits + clen;
-            if (!(mask & 1)) {
-                token = (token << 8) | (word >> 24);
-                width += 8;
-            }
-            if (!(mask & 2)) {
-                token = (token << 8) | ((word >> 16) & 0xFF);
-                width += 8;
-            }
-            if (!(mask & 4)) {
-                token = (token << 8) | ((word >> 8) & 0xFF);
-                width += 8;
-            }
-            if (!(mask & 8)) {
-                token = (token << 8) | (word & 0xFF);
-                width += 8;
+            for (int lane = 0; lane < 4; lane++) {
+                int shift = ((mask >> lane) & 1) ? 0 : 8;
+                token = (token << shift)
+                    | (((word >> (24 - 8 * lane)) & 0xFF) & -(shift >> 3));
+                width += shift;
             }
             values[n] = token;
             widths[n] = (uint8_t)width;
             n++;
-            memmove(&dict[1], &dict[0],
-                    (size_t)best_location * sizeof(uint32_t));
-            dict[0] = word;
+            xm_to_front(&cam, slots, location, word);
             continue;
         }
         /* Miss: raw 34-bit token, insert at the dictionary front.    */
         values[n] = (3ULL << 32) | word;
         widths[n] = 34;
         n++;
+        xm_to_front(&cam, slots, size < capacity ? size : size - 1, word);
         if (size < capacity) {
-            memmove(&dict[1], &dict[0], (size_t)size * sizeof(uint32_t));
-            dict[0] = word;
             size++;
             if (size > 1) {
                 ibits = xm_index_bits(size);
                 full0 = 2 + ibits;
             }
-        } else {
-            memmove(&dict[1], &dict[0],
-                    (size_t)(size - 1) * sizeof(uint32_t));
-            dict[0] = word;
         }
     }
     return n;
@@ -978,36 +1114,59 @@ void uparc_buffer_free(uint8_t *ptr)
     free(ptr);
 }
 
-/* Bit reader: low `bits` bits of `acc` are valid.  Exhaustion is     */
-/* "field wider than every bit left in acc plus body", which is       */
-/* exactly when the reference's cursor raises (its refill always      */
-/* tops the accumulator past any fixed field when body remains).      */
+/* Bit reader: a bit position into the body.  A read loads the 8      */
+/* body bytes at the position's byte (assembled byte by byte, zero-   */
+/* padded, within the last 7), so one window holds the next 57 bits   */
+/* or all that remain.  Exhaustion is "field wider than the bits      */
+/* left", which is exactly when the reference's cursor raises.  Fields */
+/* are at most 57 bits wide.                                          */
 
 typedef struct {
     const uint8_t *body;
     size_t len;
-    size_t pos;
-    uint64_t acc;
-    int bits;
+    uint64_t pos;    /* bits consumed */
+    uint64_t end;    /* 8 * len       */
 } bitreader;
 
-static inline void br_fill(bitreader *br, int need)
+static inline bitreader br_open(const uint8_t *body, size_t len)
 {
-    while (br->bits < need && br->pos < br->len) {
-        br->acc = (br->acc << 8) | br->body[br->pos++];
-        br->bits += 8;
+    bitreader br = {body, len, 0, (uint64_t)len * 8};
+    return br;
+}
+
+static inline uint64_t br_left(const bitreader *br)
+{
+    return br->end - br->pos;
+}
+
+/* The stream from pos, MSB-aligned, zeros past its end.              */
+static inline uint64_t br_window(const bitreader *br)
+{
+    size_t byte = (size_t)(br->pos >> 3);
+    uint64_t window;
+    if (br->len - byte >= 8) {
+        window = load_be64(br->body + byte);
+    } else {
+        window = 0;
+        for (int k = 0; byte + (size_t)k < br->len; k++)
+            window |= (uint64_t)br->body[byte + k] << (56 - 8 * k);
     }
+    return window << (br->pos & 7);
+}
+
+/* The top `width` bits of a window (0 <= width <= 63).               */
+static inline uint64_t win_bits(uint64_t window, int width)
+{
+    return (window >> 1) >> (63 - width);
 }
 
 /* Returns nonzero when the stream is exhausted for this field.       */
 static inline int br_read(bitreader *br, int width, uint64_t *out)
 {
-    br_fill(br, width);
-    if (br->bits < width)
+    if ((uint64_t)width > br_left(br))
         return 1;
-    br->bits -= width;
-    *out = (br->acc >> br->bits)
-        & (width == 64 ? ~0ULL : (1ULL << width) - 1);
+    *out = win_bits(br_window(br), width);
+    br->pos += (uint64_t)width;
     return 0;
 }
 
@@ -1022,45 +1181,45 @@ int uparc_xmatch_decode(const uint8_t *body, size_t body_len,
     upbuf out = {0, 0, 0};
     uint32_t dict[65];
     int size = 0;
-    bitreader br = {body, body_len, 0, 0, 0};
+    int ibits = 1;
+    bitreader br = br_open(body, body_len);
     int status = UPARC_OK;
     if (upbuf_reserve(&out, first_reservation(output_length) + 8) != 0) {
         *out_ptr = 0;
         return UPARC_ERR_NOMEM;
     }
+    /* A token is at most 34 bits (a miss; a match is at most 1 + 6 + */
+    /* 5 + 16), so one window holds it; the field checks below keep   */
+    /* the reference's order of error points.                         */
     while (out.len < output_length) {
-        uint64_t bit;
-        if (br_read(&br, 1, &bit)) {
+        uint64_t left = br_left(&br);
+        if (!left) {
             status = UPARC_ERR_EXHAUSTED;
             break;
         }
-        if (!bit) {             /* '0': dictionary match */
+        uint64_t window = br_window(&br);
+        if (!(window >> 63)) {  /* '0': dictionary match */
             if (!size) {
                 status = UPARC_ERR_EMPTY_DICT;
                 break;
             }
-            uint64_t location;
-            if (br_read(&br, xm_index_bits(size), &location)) {
+            int used = 1 + ibits;
+            if ((uint64_t)used > left) {
                 status = UPARC_ERR_EXHAUSTED;
                 break;
             }
-            if ((int)location >= size) {
-                *detail = (int64_t)location;
+            int location = (int)win_bits(window << 1, ibits);
+            if (location >= size) {
+                *detail = location;
                 status = UPARC_ERR_DICT_RANGE;
                 break;
             }
-            br_fill(&br, 5);
-            int avail = br.bits;
-            uint64_t peek;
-            if (avail >= 5)
-                peek = (br.acc >> (avail - 5)) & 31;
-            else
-                peek = (br.acc & ((1ULL << avail) - 1)) << (5 - avail);
+            uint64_t peek = win_bits(window << used, 5);  /* zero-padded */
             int mask = xm_peek_mask[peek];
             if (mask < 0) {
                 /* Both unassigned patterns start '11'; the decoder
                  * only reaches the 3-bit selector with 5 bits left. */
-                if (avail < 5) {
+                if (left - (uint64_t)used < 5) {
                     status = UPARC_ERR_EXHAUSTED;
                     break;
                 }
@@ -1068,32 +1227,23 @@ int uparc_xmatch_decode(const uint8_t *body, size_t body_len,
                 status = UPARC_ERR_MATCH_TYPE;
                 break;
             }
-            int width = xm_peek_len[peek];
-            if (width > br.bits) {
+            used += xm_peek_len[peek];
+            /* The code, then one byte per unmatched lane.            */
+            if ((uint64_t)(used + 8 * (4 - __builtin_popcount(mask)))
+                    > left) {
                 status = UPARC_ERR_EXHAUSTED;
                 break;
             }
-            br.bits -= width;
             uint32_t word = dict[location];
-            if (mask != 0xF) {
-                int failed = 0;
-                for (int lane = 0; lane < 4; lane++) {
-                    if (mask & (1 << lane))
-                        continue;
-                    uint64_t lit;
-                    if (br_read(&br, 8, &lit)) {
-                        failed = 1;
-                        break;
-                    }
-                    int shift = 24 - 8 * lane;
-                    word = (word & ~(0xFFu << shift))
-                        | ((uint32_t)lit << shift);
-                }
-                if (failed) {
-                    status = UPARC_ERR_EXHAUSTED;
-                    break;
-                }
+            for (int lane = 0; lane < 4; lane++) {
+                if (mask & (1 << lane))
+                    continue;
+                int shift = 24 - 8 * lane;
+                word = (word & ~(0xFFu << shift))
+                    | ((uint32_t)win_bits(window << used, 8) << shift);
+                used += 8;
             }
+            br.pos += (uint64_t)used;
             if (upbuf_reserve(&out, 4) != 0) {
                 status = UPARC_ERR_NOMEM;
                 break;
@@ -1105,62 +1255,57 @@ int uparc_xmatch_decode(const uint8_t *body, size_t body_len,
             memmove(&dict[1], &dict[0],
                     (size_t)location * sizeof(uint32_t));
             dict[0] = word;
-        } else {
-            if (br_read(&br, 1, &bit)) {
+        } else if (left < 2) {
+            status = UPARC_ERR_EXHAUSTED;
+            break;
+        } else if (!((window >> 62) & 1)) {  /* '10': zero run */
+            br.pos += 2;
+            int64_t run = 0;
+            uint64_t chunk;
+            do {
+                if (br_read(&br, 8, &chunk)) {
+                    status = UPARC_ERR_EXHAUSTED;
+                    break;
+                }
+                run += (int64_t)chunk;
+            } while (chunk == 255);
+            if (status != UPARC_OK)
+                break;
+            if (!run) {
+                status = UPARC_ERR_ZERO_RUN;
+                break;
+            }
+            if (upbuf_reserve(&out, 4 * run) != 0) {
+                status = UPARC_ERR_NOMEM;
+                break;
+            }
+            memset(out.p + out.len, 0, (size_t)(4 * run));
+            out.len += 4 * run;
+        } else {                /* '11': miss */
+            if (left < 34) {
                 status = UPARC_ERR_EXHAUSTED;
                 break;
             }
-            if (!bit) {         /* '10': zero run */
-                int64_t run = 0;
-                int failed = 0;
-                for (;;) {
-                    uint64_t chunk;
-                    if (br_read(&br, 8, &chunk)) {
-                        failed = 1;
-                        break;
-                    }
-                    run += (int64_t)chunk;
-                    if (chunk != 255)
-                        break;
-                }
-                if (failed) {
-                    status = UPARC_ERR_EXHAUSTED;
-                    break;
-                }
-                if (!run) {
-                    status = UPARC_ERR_ZERO_RUN;
-                    break;
-                }
-                if (upbuf_reserve(&out, 4 * run) != 0) {
-                    status = UPARC_ERR_NOMEM;
-                    break;
-                }
-                memset(out.p + out.len, 0, (size_t)(4 * run));
-                out.len += 4 * run;
-            } else {            /* '11': miss */
-                uint64_t word;
-                if (br_read(&br, 32, &word)) {
-                    status = UPARC_ERR_EXHAUSTED;
-                    break;
-                }
-                if (upbuf_reserve(&out, 4) != 0) {
-                    status = UPARC_ERR_NOMEM;
-                    break;
-                }
-                out.p[out.len++] = (uint8_t)(word >> 24);
-                out.p[out.len++] = (uint8_t)(word >> 16);
-                out.p[out.len++] = (uint8_t)(word >> 8);
-                out.p[out.len++] = (uint8_t)word;
-                if (size < capacity) {
-                    memmove(&dict[1], &dict[0],
-                            (size_t)size * sizeof(uint32_t));
-                    size++;
-                } else {
-                    memmove(&dict[1], &dict[0],
-                            (size_t)(capacity - 1) * sizeof(uint32_t));
-                }
-                dict[0] = (uint32_t)word;
+            uint32_t word = (uint32_t)win_bits(window << 2, 32);
+            br.pos += 34;
+            if (upbuf_reserve(&out, 4) != 0) {
+                status = UPARC_ERR_NOMEM;
+                break;
             }
+            out.p[out.len++] = (uint8_t)(word >> 24);
+            out.p[out.len++] = (uint8_t)(word >> 16);
+            out.p[out.len++] = (uint8_t)(word >> 8);
+            out.p[out.len++] = (uint8_t)word;
+            if (size < capacity) {
+                memmove(&dict[1], &dict[0],
+                        (size_t)size * sizeof(uint32_t));
+                size++;
+                ibits = xm_index_bits(size);
+            } else {
+                memmove(&dict[1], &dict[0],
+                        (size_t)(capacity - 1) * sizeof(uint32_t));
+            }
+            dict[0] = word;
         }
     }
     if (status != UPARC_OK) {
@@ -1183,27 +1328,31 @@ int uparc_lz77_decode(const uint8_t *body, size_t body_len,
                       int64_t *detail)
 {
     upbuf out = {0, 0, 0};
-    bitreader br = {body, body_len, 0, 0, 0};
+    bitreader br = br_open(body, body_len);
     int status = UPARC_OK;
+    /* A match token parses from one window: the wrapper keeps it     */
+    /* within 48 bits, under the window's 57.                         */
+    int match_bits = 1 + window_bits + length_bits;
     if (upbuf_reserve(&out, first_reservation(output_length) + 8) != 0) {
         *out_ptr = 0;
         return UPARC_ERR_NOMEM;
     }
     while (out.len < output_length) {
-        uint64_t bit;
-        if (br_read(&br, 1, &bit)) {
+        uint64_t left = br_left(&br);
+        if (!left) {
             status = UPARC_ERR_EXHAUSTED;
             break;
         }
-        if (bit) {              /* match token */
-            uint64_t offset_raw, length_raw;
-            if (br_read(&br, window_bits, &offset_raw)
-                || br_read(&br, length_bits, &length_raw)) {
+        uint64_t window = br_window(&br);
+        if (window >> 63) {     /* match token */
+            if ((uint64_t)match_bits > left) {
                 status = UPARC_ERR_EXHAUSTED;
                 break;
             }
-            int64_t offset = (int64_t)offset_raw + 1;
-            int64_t run = (int64_t)length_raw + min_match;
+            int64_t offset = (int64_t)win_bits(window << 1, window_bits) + 1;
+            int64_t run = (int64_t)win_bits(window << (1 + window_bits),
+                                            length_bits) + min_match;
+            br.pos += (uint64_t)match_bits;
             int64_t start = out.len - offset;
             if (start < 0) {
                 *detail = offset;
@@ -1224,8 +1373,7 @@ int uparc_lz77_decode(const uint8_t *body, size_t body_len,
                 }
             }
         } else {
-            uint64_t literal;
-            if (br_read(&br, 8, &literal)) {
+            if (left < 9) {
                 status = UPARC_ERR_EXHAUSTED;
                 break;
             }
@@ -1233,7 +1381,8 @@ int uparc_lz77_decode(const uint8_t *body, size_t body_len,
                 status = UPARC_ERR_NOMEM;
                 break;
             }
-            out.p[out.len++] = (uint8_t)literal;
+            out.p[out.len++] = (uint8_t)win_bits(window << 1, 8);
+            br.pos += 9;
         }
     }
     if (status != UPARC_OK) {
@@ -1318,33 +1467,35 @@ int uparc_huffman_decode(const uint8_t *body, size_t body_len,
         }
     }
     upbuf out = {0, 0, 0};
-    bitreader br = {body, body_len, 0, 0, 0};
+    bitreader br = br_open(body, body_len);
     int status = UPARC_OK;
     if (upbuf_reserve(&out, first_reservation(output_length)) != 0) {
         *out_ptr = 0;
         return UPARC_ERR_NOMEM;
     }
     while (out.len < output_length) {
-        if (upbuf_reserve(&out, 1) != 0) {
+        /* Table-decode symbols from one window while the next `peek` */
+        /* bits (zero-padded near the end) lie in its first 57.       */
+        int64_t stop = output_length - out.len < 57
+            ? output_length : out.len + 57;
+        if (upbuf_reserve(&out, stop - out.len) != 0) {
             status = UPARC_ERR_NOMEM;
             break;
         }
-        br_fill(&br, peek);
-        int avail = br.bits;
-        uint32_t index;
-        if (avail >= peek)
-            index = (uint32_t)((br.acc >> (avail - peek))
-                               & ((1u << peek) - 1));
-        else
-            index = (uint32_t)(((br.acc & ((1ULL << avail) - 1))
-                                << (peek - avail)) & ((1u << peek) - 1));
-        uint16_t entry = ptable[index];
-        int elen = entry >> 8;
-        if (entry && elen <= avail) {
-            br.bits -= elen;
+        uint64_t window = br_window(&br);
+        uint64_t left = br_left(&br);
+        int used = 0;
+        while (out.len < stop && used <= 57 - peek) {
+            uint16_t entry = ptable[win_bits(window << used, peek)];
+            int elen = entry >> 8;
+            if (!entry || (uint64_t)(used + elen) > left)
+                break;
+            used += elen;
             out.p[out.len++] = (uint8_t)entry;
-            continue;
         }
+        br.pos += (uint64_t)used;
+        if (used)
+            continue;
         /* Long code, or the stream ran dry mid-codeword: bit-by-bit
          * walk for exact error parity with the reference.            */
         uint64_t codeval = 0;
@@ -1453,34 +1604,6 @@ int uparc_rle_decode(const uint8_t *records, size_t record_len,
 }
 
 /* ------------------------------------------------------------------ */
-/* Bit writer for the packers: at most 7 bits carry between writes,   */
-/* so fields up to 56 bits fit the accumulator.  The caller reserves  */
-/* the output; zero-padded final byte, like the reference BitWriter.  */
-
-typedef struct {
-    upbuf out;
-    uint64_t acc;
-    int bits;
-} bitwriter;
-
-static inline void bw_put(bitwriter *bw, uint64_t value, int width)
-{
-    bw->acc = (bw->acc << width) | value;
-    bw->bits += width;
-    while (bw->bits >= 8) {
-        bw->bits -= 8;
-        bw->out.p[bw->out.len++] = (uint8_t)(bw->acc >> bw->bits);
-    }
-    bw->acc &= (1ULL << bw->bits) - 1;
-}
-
-static inline void bw_flush(bitwriter *bw)
-{
-    if (bw->bits)
-        bw->out.p[bw->out.len++] = (uint8_t)(bw->acc << (8 - bw->bits));
-}
-
-/* ------------------------------------------------------------------ */
 /* LZ78 dictionary coder.                                             */
 /*                                                                    */
 /* The dictionary never holds more phrases than there are input bytes */
@@ -1488,12 +1611,10 @@ static inline void bw_flush(bitwriter *bw)
 /* clamped to that before sizing anything: beyond it no reset can     */
 /* happen, and the clamp changes nothing the reference would do.      */
 
+/* The smallest width >= 1 with size < 1 << width.                    */
 static inline int lz78_index_width(int64_t size)
 {
-    int width = 1;
-    while (((int64_t)1 << width) <= size)
-        width++;
-    return width;
+    return 64 - __builtin_clzll((uint64_t)size | 1);
 }
 
 /* The encoder's (index, byte) -> phrase map is an open-addressing    */
@@ -1511,15 +1632,17 @@ int uparc_lz78_pack(const uint8_t *data, size_t len, int64_t max_entries,
     uint64_t *keys = (uint64_t *)calloc(slot_mask + 1, sizeof(uint64_t));
     int64_t *phrase = (int64_t *)malloc((slot_mask + 1) * sizeof(int64_t));
     size_t *filled = (size_t *)malloc((size_t)live * sizeof(size_t));
-    /* One token per consumed byte at most, each index + 8 bits wide. */
+    /* One token per consumed byte at most, each index + 8 bits wide, */
+    /* and the bit writer's 8 bytes of store slack.                   */
     int64_t bound = (int64_t)((len + 1)
                               * (size_t)(lz78_index_width(live) + 8) / 8) + 8;
-    bitwriter bw = {{0, 0, 0}, 0, 0};
-    if (!keys || !phrase || !filled || upbuf_reserve(&bw.out, bound) != 0) {
+    uint8_t *out = (uint8_t *)malloc((size_t)bound);
+    bitsink bw = {out, 0, 0};
+    if (!keys || !phrase || !filled || !out) {
         free(keys);
         free(phrase);
         free(filled);
-        free(bw.out.p);
+        free(out);
         *out_ptr = 0;
         return UPARC_ERR_NOMEM;
     }
@@ -1540,9 +1663,9 @@ int uparc_lz78_pack(const uint8_t *data, size_t len, int64_t max_entries,
             index = phrase[slot];
             position++;
         }
-        bw_put(&bw, (uint64_t)index, lz78_index_width(count));
+        bs_put_wide(&bw, (uint64_t)index, lz78_index_width(count));
         if (position < len) {
-            bw_put(&bw, data[position], 8);
+            bs_put(&bw, data[position], 8);
             keys[slot] = key;
             phrase[slot] = count + 1;
             filled[count++] = slot;
@@ -1556,12 +1679,11 @@ int uparc_lz78_pack(const uint8_t *data, size_t len, int64_t max_entries,
         /* else: the input ended exactly on a dictionary phrase; the  */
         /* index-only token is the last one and carries no byte.      */
     }
-    bw_flush(&bw);
     free(keys);
     free(phrase);
     free(filled);
-    *out_ptr = bw.out.p;
-    *out_len = bw.out.len;
+    *out_ptr = out;
+    *out_len = bs_length(&bw, out);
     return UPARC_OK;
 }
 
@@ -1577,7 +1699,7 @@ int uparc_lz78_decode(const uint8_t *body, size_t body_len,
     int64_t *start = (int64_t *)malloc((size_t)(live + 1) * sizeof(int64_t));
     int64_t *length = (int64_t *)malloc((size_t)(live + 1) * sizeof(int64_t));
     upbuf out = {0, 0, 0};
-    bitreader br = {body, body_len, 0, 0, 0};
+    bitreader br = br_open(body, body_len);
     int status = UPARC_OK;
     if (!start || !length
         || upbuf_reserve(&out, first_reservation(output_length) + 8) != 0) {
@@ -1590,12 +1712,17 @@ int uparc_lz78_decode(const uint8_t *body, size_t body_len,
     start[0] = 0;
     length[0] = 0;
     int64_t count = 0;
+    /* A token (index, byte) parses from one window: the index is     */
+    /* under 49 bits for any body under 2^48 bytes.                   */
     while (out.len < output_length) {
-        uint64_t index;
-        if (br_read(&br, lz78_index_width(count), &index)) {
+        int width = lz78_index_width(count);
+        uint64_t left = br_left(&br);
+        if ((uint64_t)width > left) {
             status = UPARC_ERR_EXHAUSTED;
             break;
         }
+        uint64_t window = br_window(&br);
+        uint64_t index = win_bits(window, width);
         if (index > (uint64_t)count) {
             *detail = (int64_t)index;
             status = UPARC_ERR_LZ78_INDEX;
@@ -1611,16 +1738,16 @@ int uparc_lz78_decode(const uint8_t *body, size_t body_len,
             out.len += run;
             break;
         }
-        uint64_t byte;
-        if (br_read(&br, 8, &byte)) {
+        if ((uint64_t)width + 8 > left) {
             status = UPARC_ERR_EXHAUSTED;
             break;
         }
+        br.pos += (uint64_t)width + 8;
         count++;
         start[count] = out.len;
         length[count] = run + 1;
         out.len += run;
-        out.p[out.len++] = (uint8_t)byte;
+        out.p[out.len++] = (uint8_t)win_bits(window << width, 8);
         if (count >= max_entries)
             count = 0;
     }

@@ -181,13 +181,18 @@ def _typed_view(sequence, typecode: str, ctype: str):
     return ffi.from_buffer(ctype, sequence)
 
 
+# For buffers the C side fills before anything reads them: no zero
+# fill, so pages past what a kernel writes are never touched.
+_new_unzeroed = ffi.new_allocator(should_clear_after_alloc=False)
+
+
 def _token_arrays(values, widths, count: int) -> "pure.TokenStream":
     """C token buffers -> the ``(array('Q'), array('B'))`` contract."""
     value_array = array("Q")
     width_array = array("B")
     if count:
-        value_array.frombytes(bytes(ffi.buffer(values, 8 * count)))
-        width_array.frombytes(bytes(ffi.buffer(widths, count)))
+        value_array.frombytes(ffi.buffer(values, 8 * count))
+        width_array.frombytes(ffi.buffer(widths, count))
     return value_array, width_array
 
 
@@ -388,7 +393,8 @@ def bitpack(values: Sequence[int], widths: Sequence[int]) -> bytes:
         # Values beyond 64 bits: only the bigint pure form packs
         # them (no kernel emits such tokens; property tests do).
         return pure.bitpack(values, widths)
-    out = ffi.new("uint8_t[]", 8 * count + 1)
+    # At most 8 bytes a token, plus the writer's 8-byte store slack.
+    out = _new_unzeroed("uint8_t[]", 8 * count + 8)
     written = _lib.uparc_bitpack(value_buffer, width_buffer, count, out)
     if written < 0:  # a width above 64: pure handles arbitrary widths
         return pure.bitpack(values, widths)
@@ -406,9 +412,11 @@ def huffman_code_table(data: bytes) -> Tuple[List[int], List[int]]:
 
 def huffman_pack(data: bytes, codes: Sequence[int],
                  lengths: Sequence[int]) -> bytes:
-    if len(data) < _HUFF_PACK_MIN_BYTES or max(lengths) > 64:
+    longest = max(lengths)
+    if len(data) < _HUFF_PACK_MIN_BYTES or longest > 64:
         return pure.huffman_pack(data, codes, lengths)
-    out = ffi.new("uint8_t[]", 8 * len(data) + 1)
+    # The longest code per byte, plus the writer's 8-byte store slack.
+    out = _new_unzeroed("uint8_t[]", (longest * len(data) + 7) // 8 + 8)
     written = _lib.uparc_huffman_pack(
         ffi.from_buffer("uint8_t[]", data), len(data),
         ffi.from_buffer("uint64_t[]", array("Q", codes)),
@@ -423,11 +431,13 @@ def xmatch_tokens(data: bytes, word_count: int,
                   capacity: int) -> "pure.TokenStream":
     if word_count < _XMATCH_MIN_WORDS or not 2 <= capacity <= 64:
         return pure.xmatch_tokens(data, word_count, capacity)
-    values = ffi.new("uint64_t[]", word_count + 8)
-    widths = ffi.new("uint8_t[]", word_count + 8)
+    values = _new_unzeroed("uint64_t[]", word_count + 8)
+    widths = _new_unzeroed("uint8_t[]", word_count + 8)
     count = _lib.uparc_xmatch_tokens(
         ffi.from_buffer("uint8_t[]", data), word_count, capacity,
         values, widths)
+    if count < 0:  # the mask code no longer ranks matches by byte count
+        return pure.xmatch_tokens(data, word_count, capacity)
     return _token_arrays(values, widths, count)
 
 
@@ -440,8 +450,8 @@ def lz77_tokens(data: bytes, window_bits: int, length_bits: int,
             or window_bits + length_bits + 1 > 64):
         return pure.lz77_tokens(data, window_bits, length_bits,
                                 min_match, max_chain)
-    values = ffi.new("uint64_t[]", length + 1)
-    widths = ffi.new("uint8_t[]", length + 1)
+    values = _new_unzeroed("uint64_t[]", length + 1)
+    widths = _new_unzeroed("uint8_t[]", length + 1)
     head = ffi.new("int32_t[]", 1 << 15)
     prev = ffi.new("int32_t[]", length)
     count = _lib.uparc_lz77_tokens(
@@ -470,8 +480,9 @@ def xmatch_decode(body: bytes, output_length: int,
 
 def lz77_decode(body: bytes, output_length: int, window_bits: int,
                 length_bits: int, min_match: int) -> bytes:
-    # The 48-bit cap keeps the C bit reader's refill horizon aligned
-    # with the reference's 6-byte refill (same exhaustion points).
+    # The 48-bit cap keeps a match token within the reference's 6-byte
+    # refill (so it raises exactly where the bits run out, as C does)
+    # and within the C reader's 57-bit window.
     if (len(body) < _LZ77_DEC_MIN_BYTES
             or window_bits + length_bits + 1 > 48):
         return pure.lz77_decode(body, output_length, window_bits,

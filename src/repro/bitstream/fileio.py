@@ -58,7 +58,7 @@ class LoadedBitstream:
 
     @property
     def size(self) -> DataSize:
-        return DataSize(len(self.raw_bytes))
+        return DataSize(4 * len(self.raw_words))
 
     @property
     def frame_payload(self) -> bytes:

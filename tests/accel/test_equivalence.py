@@ -32,6 +32,11 @@ from repro.errors import CorruptStreamError
 from repro.units import DataSize
 
 
+#: The native backend's size crossovers as shipped, recorded before the
+#: fixture zeroes them, for the tests that cross one on purpose.
+_CROSSOVERS = {}
+
+
 @pytest.fixture(autouse=True, params=["native"])
 def vectorised(request, monkeypatch):
     """The native backend with every delegation threshold removed."""
@@ -41,6 +46,7 @@ def vectorised(request, monkeypatch):
     for attribute in dir(backend):
         if attribute.startswith("_") and "_MIN_" in attribute \
                 and isinstance(getattr(backend, attribute), int):
+            _CROSSOVERS.setdefault(attribute, getattr(backend, attribute))
             monkeypatch.setattr(backend, attribute, 0)
     # Compare the C planner itself even where its import-time
     # self-check sent it to pure: a mismatch then fails here with a
@@ -380,6 +386,41 @@ def test_bitpack_boundaries(vectorised):
                                                               widths)
 
 
+_WRITER_WIDTHS = (0, 1, 7, 8, 55, 56, 57, 63, 64)
+
+
+@pytest.mark.parametrize("width", _WRITER_WIDTHS)
+def test_bitpack_writer_widths(vectorised, monkeypatch, width):
+    # All-ones tokens of one width, from one token to long runs; the
+    # widths straddle the writer's 56-bit split and its 8-byte stores,
+    # and runs of 64-bit tokens fill the output up to its 8 bytes of
+    # slack.  The counts straddle the shipped crossover, under it and
+    # with it zeroed (every count in C).
+    crossover = _CROSSOVERS["_BITPACK_MIN_TOKENS"]
+    for threshold in (0, crossover):
+        monkeypatch.setattr(vectorised, "_BITPACK_MIN_TOKENS", threshold)
+        for count in (1, crossover - 1, crossover, crossover + 1, 300):
+            values = [(1 << width) - 1] * count
+            widths = [width] * count
+            assert vectorised.bitpack(values, widths) == \
+                pure.bitpack(values, widths)
+
+
+@pytest.mark.parametrize("lead", [0, 1, 3, 7])
+def test_bitpack_writer_mixed_widths(vectorised, lead):
+    # Every writer width after every bit phase, all-ones and alternating
+    # patterns, so a split or a store that drops or smears a bit shows.
+    values, widths = [1] * lead, [1] * lead
+    for width in _WRITER_WIDTHS:
+        for other in _WRITER_WIDTHS:
+            for pattern in ((1 << 64) - 1, 0xAAAAAAAAAAAAAAAA):
+                values += [pattern & ((1 << width) - 1),
+                           pattern & ((1 << other) - 1)]
+                widths += [width, other]
+    assert vectorised.bitpack(values, widths) == pure.bitpack(values,
+                                                              widths)
+
+
 @quick
 @given(words, st.binary(max_size=3),
        st.integers(min_value=2, max_value=64))
@@ -395,6 +436,95 @@ def test_xmatch_tokens_boundaries(vectorised):
         got = vectorised.xmatch_tokens(data, len(data) // 4, 8)
         want = pure.xmatch_tokens(data, len(data) // 4, 8)
         assert got == want
+
+
+# The native scan finds full and partial matches in one pass: the max
+# over entries of (matched bytes, -location).  These streams pin the
+# cases where that could part from the reference's rule (a full match
+# first, then the best score, the lowest location on ties).
+
+
+def _assert_same_xmatch_tokens(vectorised, values, capacity):
+    data = pure.words_to_bytes(values)
+    want = pure.xmatch_tokens(data, len(values), capacity)
+    assert vectorised.xmatch_tokens(data, len(values), capacity) == want
+    return want
+
+
+def test_xmatch_tokens_tie_on_matched_bytes(vectorised):
+    # Two entries match the probe in as many bytes through different
+    # masks; whichever went in last sits at location 0 and must win.
+    # The two-byte pair shares one byte, so both go in as misses.  The
+    # three-byte pair shares two, so each goes in by replacing a helper
+    # word it shares three bytes with (a partial match).
+    probe = 0x11223344
+    two_high, two_odd = 0x1122EEFF, 0xAA22CC44
+    three_low, three_mid = 0x11223399, 0x11AA3344
+    helper_low, helper_mid = 0x1122BB99, 0x77AA3344
+    streams = (([two_high, two_odd, probe], 23),
+               ([two_odd, two_high, probe], 23),
+               ([helper_low, three_low, helper_mid, three_mid, probe], 14),
+               ([helper_mid, three_mid, helper_low, three_low, probe], 14))
+    for values, width in streams:
+        for capacity in (2, 8, 64):
+            _, widths = _assert_same_xmatch_tokens(vectorised, values,
+                                                   capacity)
+            # '0', a 1-bit location, the mask code, the literal bytes:
+            # a partial match, not a miss or a full match.
+            assert widths[-1] == width
+
+
+def test_xmatch_tokens_full_match_behind_partial(vectorised):
+    # The word shares three bytes with the entry at location 0 and all
+    # four with the one at location 1: the full match must win.  A
+    # word sharing three bytes with the target would replace it, so
+    # the near word gets in along a chain of partial matches that
+    # each beat the target: far (one byte in common with the target)
+    # goes in by a miss, then step replaces far, then near replaces
+    # step (a three-byte tie, won by step's lower location).
+    target, far, step, near = 0x12345678, 0xAABB56FF, 0xAA3456FF, 0x123456FF
+    for capacity in (2, 3, 8, 64):
+        tokens, widths = _assert_same_xmatch_tokens(
+            vectorised, [target, far, step, near, target], capacity)
+        # '0', location 1 in one bit, '0': the full-match code.
+        assert (tokens[-1], widths[-1]) == (0b010, 3)
+
+
+@pytest.mark.parametrize("capacity", [2, 3, 5, 7, 8, 63, 64])
+def test_xmatch_tokens_filling_and_full_dictionary(vectorised, capacity):
+    # Words with no byte in common miss and fill the dictionary; probes
+    # between the misses hit every location, full and partial.  While
+    # it fills, the probes 0x00000100 and 0x01000000 share three bytes
+    # with an all-zero word: a lane past the dictionary's size must
+    # never answer them.  Past capacity the oldest entries are evicted
+    # and probing them again must miss.
+    distinct = [index * 0x01010101 for index in range(1, capacity + 4)]
+    values = []
+    for count, word in enumerate(distinct, start=1):
+        values.append(word)
+        values += [0x00000100, 0x01000000]
+        for back in sorted({0, count // 2, count - 1}):
+            if back < min(count, capacity):
+                probe = distinct[count - 1 - back]
+                values += [probe, probe ^ 0xFF, probe ^ 0xFFFF]
+    values += distinct[:4] + distinct[-capacity:] + distinct[::-1]
+    _assert_same_xmatch_tokens(vectorised, values, capacity)
+
+
+def test_xmatch_mask_codes_rank_by_matched_bytes():
+    # What the one-pass scan relies on: every mask with at least two
+    # matched bytes has a code and no other mask does, all masks with
+    # one matched-byte count share one code length, and the score
+    # (8 per matched byte minus the code length) rises with the count.
+    length_of = {}
+    for mask in range(16):
+        matched = bin(mask).count("1")
+        assert (mask in accel.XMATCH_MASK_CODES) == (matched >= 2)
+        if matched >= 2:
+            _, length = accel.XMATCH_MASK_CODES[mask]
+            assert length_of.setdefault(matched, length) == length
+    scores = [8 * matched - length_of[matched] for matched in (2, 3, 4)]
+    assert scores == sorted(set(scores))
 
 
 @quick
@@ -489,6 +619,23 @@ def test_huffman_pack_boundaries(vectorised):
         codes, lengths = pure.huffman_code_table(data)
         assert vectorised.huffman_pack(data, codes, lengths) == \
             pure.huffman_pack(data, codes, lengths)
+    # Fibonacci weights: a chain tree with codes up to 25 bits.  Pack
+    # the skewed bytes themselves and runs of the longest codes.
+    deep = _fibonacci_skewed(26)
+    codes, lengths = pure.huffman_code_table(deep)
+    assert max(lengths) == 25
+    for data in (deep, deep[::-1], bytes([24, 25]) * 400,
+                 bytes(range(26)) * 50):
+        assert vectorised.huffman_pack(data, codes, lengths) == \
+            pure.huffman_pack(data, codes, lengths)
+    # The packer takes any table: all-ones codes at the writer's
+    # boundary widths, 57-64 bits included, which no real table has.
+    lengths = [_WRITER_WIDTHS[symbol % len(_WRITER_WIDTHS)]
+               for symbol in range(256)]
+    codes = [(1 << length) - 1 for length in lengths]
+    data = bytes(range(len(_WRITER_WIDTHS))) * 40
+    assert vectorised.huffman_pack(data, codes, lengths) == \
+        pure.huffman_pack(data, codes, lengths)
 
 
 # Runs at the RLE record-format edges: a 3-word run (control 0x81),
@@ -944,6 +1091,59 @@ def test_lzbytes_decode_every_truncation_parity(vectorised):
     for cut in range(len(body) + 1):
         _agree_with_pure(vectorised, "lzbytes_decode", body[:cut],
                          len(data))
+
+
+# The same cut at every byte for the bit-serial decoders: a truncated
+# body runs out inside each field of each token kind, first where the
+# reader's window is a plain 8-byte load and then, near the end, where
+# it is assembled byte by byte.
+
+
+def test_xmatch_decode_every_truncation_parity(vectorised):
+    # Misses, full matches at several locations, two- and three-byte
+    # partial matches, an equal run, and zero runs of 3 and 300 words
+    # (a 255 chunk and its continuation).
+    values = [0x12345678, 0x9ABCDEF0, 0x12345678, 0x12345678, 0x12345678,
+              0, 0, 0, 0x9ABCDE00, 0x12AB5678, 0x0BADCAFE, 0x9A00DE00]
+    values += [0] * 300 + [0x12345678, 0x11111111, 0x9ABCDEF0,
+                           0x9ABC0000 | 0x77, 0x22222222]
+    data = pure.words_to_bytes(values)
+    for capacity in (2, 8, 64):
+        body = pure.bitpack(*pure.xmatch_tokens(data, len(values),
+                                                capacity))
+        for cut in range(len(body) + 1):
+            _agree_with_pure(vectorised, "xmatch_decode", body[:cut],
+                             len(data), capacity)
+
+
+@pytest.mark.parametrize("layout", [(4, 2, 2), (12, 6, 5), (16, 16, 3)])
+def test_lz77_decode_every_truncation_parity(vectorised, layout):
+    # Literals, far and near matches and self-overlapping copies; the
+    # widest layout's 33-bit match tokens span a window's 8 bytes.
+    window_bits, length_bits, min_match = layout
+    data = (b"abcabcabcd" + bytes(range(40)) + b"z" * 30 + b"abcabc"
+            + bytes(range(40)) + b"ab" * 20)
+    body = pure.bitpack(*pure.lz77_tokens(data, window_bits, length_bits,
+                                          min_match, 8))
+    for cut in range(len(body) + 1):
+        _agree_with_pure(vectorised, "lz77_decode", body[:cut], len(data),
+                         window_bits, length_bits, min_match)
+
+
+def test_huffman_decode_every_truncation_parity(vectorised):
+    # A skewed table (1-bit codes, the table-decoded window) and the
+    # Fibonacci chain (codes up to 25 bits, past the 12-bit table: the
+    # bit-by-bit walk).
+    skewed = b"\x00" * 60 + bytes(range(12)) * 3
+    deep = _fibonacci_skewed(26)
+    for table_source, data in ((skewed, skewed),
+                               (deep, deep[:200] + deep[-60:]
+                                + bytes(range(26)))):
+        codes, lengths = pure.huffman_code_table(table_source)
+        body = pure.huffman_pack(data, codes, lengths)
+        for cut in range(len(body) + 1):
+            _agree_with_pure(vectorised, "huffman_decode", body[:cut],
+                             len(data), bytes(lengths))
 
 
 def test_lzbytes_pack_symbol_range_parity(vectorised):

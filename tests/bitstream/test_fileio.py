@@ -37,6 +37,16 @@ def test_loaded_views_match_generated(tmp_path, small_bitstream):
     assert loaded.size == small_bitstream.size
 
 
+def test_loaded_size_counts_raw_bytes(tmp_path, small_bitstream):
+    # size comes from the word count; it must still equal the length
+    # of the stream raw_bytes builds.
+    path = tmp_path / "module.bit"
+    save_bit(small_bitstream, path)
+    loaded = load_bit(path, VIRTEX5_SX50T)
+    assert loaded.size.bytes == len(loaded.raw_bytes)
+    assert loaded.size.bytes == len(small_bitstream.raw_bytes)
+
+
 def test_device_check_enforced(tmp_path, small_bitstream):
     path = tmp_path / "module.bit"
     save_bit(small_bitstream, path)
