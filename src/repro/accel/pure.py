@@ -339,11 +339,8 @@ def chunk_words(block: Sequence[int], offset: int,
 def bitpack(values: Sequence[int], widths: Sequence[int]) -> bytes:
     """MSB-first concatenation of ``(value, width)`` tokens.
 
-    The final byte is zero-padded, exactly like
-    ``BitWriter.getvalue()`` — a token stream packed here is
-    byte-identical to the same tokens written through a
-    :class:`~repro.compress.bitio.BitWriter`.  Widths must be in
-    [0, 64] and values must fit their width.
+    The final byte is zero-padded.  Widths must be in [0, 64] and
+    values must fit their width.
     """
     buf = bytearray()
     append = buf.append
@@ -434,10 +431,10 @@ def xmatch_tokens(data: bytes, word_count: int,
     :class:`repro.compress.xmatchpro.XMatchProCodec` — zero-run
     tokens, full/partial dictionary matches with move-to-front update,
     and misses — returning the ``(values, widths)`` token arrays whose
-    :func:`bitpack` is byte-identical to the historical per-token
-    ``BitWriter`` stream.  Long zero-run tokens are split across array
-    entries (the bit stream is a plain concatenation, so the split is
-    invisible); every width is <= 58 bits.
+    :func:`bitpack` is the codec's bit stream.  Long zero-run tokens
+    are split across array entries (the bit stream is a plain
+    concatenation, so the split is invisible); every width is <= 58
+    bits.
 
     Two scan-level collapses keep the hot loop short:
 
@@ -713,9 +710,9 @@ def huffman_pack(data: bytes, codes: Sequence[int],
                  lengths: Sequence[int]) -> bytes:
     """Encode ``data`` through a 256-entry code table and bit-pack it.
 
-    Equivalent to one ``write_bits(codes[b], lengths[b])`` per input
-    byte followed by ``BitWriter.getvalue()`` (zero-padded final
-    byte), fused into a single accumulator loop.
+    Equivalent to :func:`bitpack` over one ``(codes[b], lengths[b])``
+    token per input byte (zero-padded final byte), fused into a single
+    accumulator loop.
     """
     buf = bytearray()
     append = buf.append

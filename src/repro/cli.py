@@ -280,9 +280,9 @@ def build_parser() -> argparse.ArgumentParser:
             continue
         if name == "sanitize":
             sub = subparsers.add_parser(
-                name, help="run scripts under the dynamic race & "
-                           "determinism sanitizers (exit 0 clean, "
-                           "1 findings, 2 usage error)")
+                name, help="run scripts under the S903 determinism "
+                           "sanitizer (exit 0 clean, 1 findings, "
+                           "2 usage error)")
             from repro.sanitize.cli import add_sanitize_arguments
             add_sanitize_arguments(sub)
             continue
@@ -302,10 +302,10 @@ def build_parser() -> argparse.ArgumentParser:
                              help="collect the metrics registry and "
                                   "print it after the run")
             sub.add_argument("--sanitize", action="store_true",
-                             help="run under the dynamic race & "
-                                  "determinism sanitizers (implies a "
-                                  "seeded re-run; findings fail the "
-                                  "command)")
+                             help="re-run under the S903 "
+                                  "determinism sanitizer (seeded "
+                                  "same-instant perturbation; "
+                                  "findings fail the command)")
         if name == "table3":
             sub.add_argument("--size-kb", type=float, default=216.5,
                              help="bitstream size (default 216.5)")

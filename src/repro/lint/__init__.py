@@ -10,10 +10,9 @@ It is a two-pass whole-program analyzer: pass 1 builds a
 :class:`~repro.lint.project.ProjectIndex` (imports, call graph,
 per-function parameter names and global reads), pass 2 runs local
 rules plus project rules (sweep process-safety, cache-key purity,
-accel backend-contract conformance) against it.  Rules may attach
-mechanically safe fixes, applied with ``--fix`` or previewed with
-``--show-fixes``.  An incremental cache makes warm re-lints
-near-instant.
+accel backend-contract conformance) against it.  The analyzer only
+reports; it never edits a file.  An incremental cache makes warm
+re-lints near-instant.
 
 Typical use::
 
@@ -34,7 +33,6 @@ from repro.lint.analyzer import (
     lint_source,
 )
 from repro.lint.cache import LintCache
-from repro.lint.fix import FixPlan, plan_fixes, write_changes
 from repro.lint.project import ProjectIndex
 from repro.lint.registry import (
     Checker,
@@ -49,13 +47,10 @@ from repro.lint.reporters import (
     format_sarif,
     format_text,
 )
-from repro.lint.violations import Edit, Fix, Violation
+from repro.lint.violations import Violation
 
 __all__ = [
     "Checker",
-    "Edit",
-    "Fix",
-    "FixPlan",
     "LintCache",
     "ProjectChecker",
     "ProjectIndex",
@@ -72,7 +67,5 @@ __all__ = [
     "lint_files",
     "lint_paths",
     "lint_source",
-    "plan_fixes",
     "register",
-    "write_changes",
 ]

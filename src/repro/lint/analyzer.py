@@ -29,7 +29,6 @@ import ast
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Sequence
 
-from repro.lint.fix import delete_span_fix
 from repro.lint.project import ProjectIndex, module_name_for
 from repro.lint.registry import all_rules, get_rule
 from repro.lint.summaries import ModuleSummary, summarize_module
@@ -147,17 +146,11 @@ def _run_checkers(tree: ast.Module, source: str, path: str,
         if ALL not in rules and not (rules & checked_rules):
             continue
         listed = ",".join(sorted(rules))
-        span = suppressions.line_spans.get(line)
-        fix = None
-        if span is not None:
-            fix = delete_span_fix(line, span[0], line, span[1],
-                                  "delete the unused suppression comment")
         kept.append(Violation(
             path=path, line=line, col=0,
             rule_id=UNUSED_SUPPRESSION_RULE,
             message=f"unused suppression: disable={listed} matches "
-                    f"no violation on this line; delete it",
-            fix=fix))
+                    f"no violation on this line; delete it"))
     return sorted(kept)
 
 

@@ -20,7 +20,6 @@ from typing import List
 
 from repro.lint.analyzer import collect_files, lint_files
 from repro.lint.cache import LintCache
-from repro.lint.fix import plan_fixes, write_changes
 from repro.lint.registry import all_rules
 from repro.lint.reporters import (
     format_json,
@@ -55,12 +54,6 @@ def add_lint_arguments(parser: argparse.ArgumentParser) -> None:
                              f"{DEFAULT_CACHE_DIR})")
     parser.add_argument("--no-cache", action="store_true",
                         help="disable the incremental analysis cache")
-    parser.add_argument("--fix", action="store_true",
-                        help="apply mechanically safe fixes, then "
-                             "re-lint and report what remains")
-    parser.add_argument("--show-fixes", action="store_true",
-                        help="preview auto-fixes as unified diffs "
-                             "without writing anything")
 
 
 def run_lint(args: argparse.Namespace) -> int:
@@ -93,21 +86,6 @@ def run_lint(args: argparse.Namespace) -> int:
 
     cache = None if args.no_cache else LintCache(args.cache_dir)
     violations = lint_files(files, select=select, cache=cache)
-
-    if args.fix or args.show_fixes:
-        plan = plan_fixes(violations)
-        if args.show_fixes and plan.changes:
-            print(plan.render_diffs())
-        if plan.changes:
-            noun = "file" if len(plan.changes) == 1 else "files"
-            print(f"{plan.applied_count} auto-fixable violation(s) "
-                  f"in {len(plan.changes)} {noun}"
-                  + (f"; {plan.skipped_count} skipped (conflicting "
-                     f"edits)" if plan.skipped_count else ""))
-        if args.fix and plan.changes:
-            write_changes(plan)
-            print(f"applied {plan.applied_count} fix(es); re-linting")
-            violations = lint_files(files, select=select, cache=cache)
 
     if args.format == "json":
         formatter = format_json

@@ -14,7 +14,7 @@ from fnmatch import fnmatch
 from pathlib import PurePosixPath
 from typing import Dict, List, Tuple, Type
 
-from repro.lint.violations import Fix, Violation
+from repro.lint.violations import Violation
 
 
 class Checker(ast.NodeVisitor):
@@ -37,15 +37,13 @@ class Checker(ast.NodeVisitor):
         self.path = path
         self.violations: List[Violation] = []
 
-    def report(self, node: ast.AST, message: str,
-               fix: Fix = None) -> None:
+    def report(self, node: ast.AST, message: str) -> None:
         self.violations.append(Violation(
             path=self.path,
             line=getattr(node, "lineno", 1),
             col=getattr(node, "col_offset", 0),
             rule_id=self.rule_id,
             message=message,
-            fix=fix,
         ))
 
     @classmethod

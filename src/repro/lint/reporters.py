@@ -104,8 +104,6 @@ def format_sarif(violations: Sequence[Violation],
                 },
             }],
         }
-        if violation.fix is not None:
-            result["fixes"] = [_sarif_fix(violation)]
         results.append(result)
 
     payload = {
@@ -124,30 +122,6 @@ def format_sarif(violations: Sequence[Violation],
         }],
     }
     return json.dumps(payload, indent=2, sort_keys=True)
-
-
-def _sarif_fix(violation: Violation) -> dict:
-    """SARIF 2.1.0 ``fix`` object: one artifactChange per violation."""
-    replacements = []
-    for edit in violation.fix.edits:
-        replacements.append({
-            "deletedRegion": {
-                "startLine": edit.line,
-                "startColumn": edit.col + 1,
-                "endLine": edit.end_line,
-                "endColumn": edit.end_col + 1,
-            },
-            "insertedContent": {"text": edit.text},
-        })
-    return {
-        "description": {"text": violation.fix.description},
-        "artifactChanges": [{
-            "artifactLocation": {
-                "uri": PurePosixPath(violation.path).as_posix(),
-            },
-            "replacements": replacements,
-        }],
-    }
 
 
 def format_rule_listing() -> str:

@@ -21,7 +21,6 @@ import ast
 from typing import List, Optional, Tuple
 
 from repro.lint.astutils import terminal_name
-from repro.lint.fix import insert_statement_fix
 from repro.lint.registry import ProjectChecker, register
 from repro.lint.summaries import FunctionSummary, ModuleSummary
 
@@ -212,15 +211,10 @@ class DispatchMissingRecord(_BackendChecker):
                    and terminal_name(child.func) == "record"
                    for child in ast.walk(definition)):
                 continue
-            fix = insert_statement_fix(
-                definition,
-                f'record("{definition.name}", 0)',
-                f"insert a record() call into '{definition.name}'",
-            )
             self.report(definition, (
                 f"dispatch function '{definition.name}' never calls "
                 f"record(); its traffic is invisible to the accel "
-                f"counters"), fix=fix)
+                f"counters"))
 
 
 @register

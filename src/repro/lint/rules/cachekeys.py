@@ -14,7 +14,6 @@ from __future__ import annotations
 import ast
 from typing import Dict, Iterator, List, Optional, Set
 
-from repro.lint.fix import append_argument_fix
 from repro.lint.registry import ProjectChecker, register
 from repro.lint.astutils import dotted_name, terminal_name
 
@@ -126,8 +125,6 @@ class UnsortedJsonKeyRule(_FunctionRule):
     rationale = ("hashing insertion-ordered JSON forks the cache: "
                  "equal params, different key")
 
-    _FIX_NOTE = "add sort_keys=True to the json.dumps call"
-
     def check_function(self, node: ast.AST) -> None:
         unsorted_vars = self._unsorted_dump_vars(node)
         for raw in _hash_inputs(node):
@@ -135,22 +132,17 @@ class UnsortedJsonKeyRule(_FunctionRule):
             if _is_json_dumps(value) and not _has_sort_keys(value):
                 self.report(value, "json.dumps(...) hashed without "
                                    "sort_keys=True; key depends on "
-                                   "dict insertion order",
-                            fix=append_argument_fix(
-                                value, "sort_keys=True", self._FIX_NOTE))
+                                   "dict insertion order")
             elif isinstance(value, ast.Name) \
                     and value.id in unsorted_vars:
                 self.report(value, f"{value.id!r} holds json.dumps "
                                    f"output without sort_keys=True "
                                    f"and is hashed; key depends on "
-                                   f"dict insertion order",
-                            fix=append_argument_fix(
-                                unsorted_vars[value.id],
-                                "sort_keys=True", self._FIX_NOTE))
+                                   f"dict insertion order")
 
     @staticmethod
-    def _unsorted_dump_vars(node: ast.AST) -> Dict[str, ast.Call]:
-        dumps: Dict[str, ast.Call] = {}
+    def _unsorted_dump_vars(node: ast.AST) -> Set[str]:
+        dumps: Set[str] = set()
         for child in _scope_nodes(node):
             if not isinstance(child, ast.Assign):
                 continue
@@ -158,7 +150,7 @@ class UnsortedJsonKeyRule(_FunctionRule):
             if _is_json_dumps(value) and not _has_sort_keys(value):
                 for target in child.targets:
                     if isinstance(target, ast.Name):
-                        dumps[target.id] = value
+                        dumps.add(target.id)
         return dumps
 
 

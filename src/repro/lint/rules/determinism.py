@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import ast
 
-from repro.lint.fix import wrap_call_fix
 from repro.lint.registry import Checker, register
 from repro.lint.astutils import dotted_name, terminal_name
 
@@ -199,17 +198,13 @@ class UnorderedIterationRule(Checker):
         if (name in self._ORDER_SENSITIVE_WRAPPERS and len(node.args) == 1
                 and self._is_set_expression(node.args[0])):
             self.report(node, f"{name}() over a set materializes hash "
-                              f"order; use sorted() instead",
-                        fix=wrap_call_fix(node.args[0], "sorted",
-                                          "wrap the set in sorted()"))
+                              f"order; use sorted() instead")
         self.generic_visit(node)
 
     def _check_iterable(self, iterable: ast.AST, where: str) -> None:
         if self._is_set_expression(iterable):
             self.report(iterable, f"{where} iterates a set in hash order; "
-                                  f"wrap it in sorted()",
-                        fix=wrap_call_fix(iterable, "sorted",
-                                          "wrap the set in sorted()"))
+                                  f"wrap it in sorted()")
 
     @staticmethod
     def _is_set_expression(node: ast.AST) -> bool:

@@ -18,7 +18,6 @@ from __future__ import annotations
 import ast
 from typing import Optional, Set
 
-from repro.lint.fix import wrap_call_fix
 from repro.lint.registry import ProjectChecker, register
 from repro.lint.astutils import dotted_name, terminal_name
 
@@ -198,10 +197,7 @@ class UnorderedDigestInputRule(ProjectChecker):
                 self.report(view, f"dict .{view.func.attr}() iterated "
                                   f"inside digest/key construction "
                                   f"without sorted(); order is not "
-                                  f"part of the value",
-                            fix=wrap_call_fix(
-                                view, "sorted",
-                                f"wrap .{view.func.attr}() in sorted()"))
+                                  f"part of the value")
         self.generic_visit(node)
 
     visit_AsyncFunctionDef = visit_FunctionDef

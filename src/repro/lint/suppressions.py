@@ -24,7 +24,7 @@ import io
 import re
 import tokenize
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Set, Tuple
+from typing import Dict, FrozenSet, Set
 
 _DIRECTIVE = re.compile(
     r"#\s*repro-lint:\s*disable=([A-Za-z0-9_*]+(?:\s*,\s*[A-Za-z0-9_*]+)*)"
@@ -40,17 +40,11 @@ class SuppressionIndex:
     #: File-scoped directives by the line they are written on.
     file_lines: Dict[int, FrozenSet[str]] = field(default_factory=dict)
     line_rules: Dict[int, FrozenSet[str]] = field(default_factory=dict)
-    #: For line-scoped directives whose comment is *only* the
-    #: directive: ``line -> (delete_from_col, delete_to_col)``, the
-    #: span covering the comment plus the whitespace before it.  This
-    #: is what lets W001 offer a mechanical deletion.
-    line_spans: Dict[int, Tuple[int, int]] = field(default_factory=dict)
 
     @classmethod
     def from_source(cls, source: str) -> "SuppressionIndex":
         file_lines: Dict[int, Set[str]] = {}
         line_rules: Dict[int, Set[str]] = {}
-        line_spans: Dict[int, Tuple[int, int]] = {}
         try:
             tokens = tokenize.generate_tokens(io.StringIO(source).readline)
             for token in tokens:
@@ -61,14 +55,8 @@ class SuppressionIndex:
                     continue
                 rules = {part.strip() for part in match.group(1).split(",")}
                 line_no = token.start[0]
-                prefix = token.line[:token.start[1]]
-                if prefix.strip():
+                if token.line[:token.start[1]].strip():
                     line_rules.setdefault(line_no, set()).update(rules)
-                    if token.string.strip() == match.group(0).strip():
-                        line_spans[line_no] = (
-                            len(prefix.rstrip()),
-                            token.start[1] + len(token.string),
-                        )
                 else:
                     file_lines.setdefault(line_no, set()).update(rules)
         except tokenize.TokenizeError:
@@ -78,7 +66,6 @@ class SuppressionIndex:
                         for line, rules in file_lines.items()},
             line_rules={line: frozenset(rules)
                         for line, rules in line_rules.items()},
-            line_spans=line_spans,
         )
 
     @property

@@ -1,37 +1,34 @@
-"""``python -m repro sanitize`` — run scripts under the sanitizers.
+"""``python -m repro sanitize`` — run scripts under the S903 sanitizer.
 
-Each target script (default: the whole ``examples/`` corpus) is
-executed two ways:
-
-1. once under the :class:`~repro.sanitize.race.RaceSanitizer`
-   (S901/S902 happens-before race detection);
-2. once unperturbed and once per ``--seeds`` entry under the
-   :class:`~repro.sanitize.determinism.DeterminismSanitizer`
-   (S903 order-divergence via digest diffing).  ``--seeds`` must name
-   at least one integer; ``--no-determinism`` is the only way to skip
-   this pass.
+Each target script (default: the whole ``examples/`` corpus) runs once
+unperturbed and once per ``--seeds`` entry under the
+:class:`~repro.sanitize.determinism.DeterminismSanitizer` (S903
+order-divergence via digest diffing).  ``--seeds`` must name at least
+one integer.
 
 Exit codes follow the lint CLI: 0 clean, 1 unjustified findings,
 2 usage error.  ``--justify FILE`` suppresses known-benign findings
-(one ``Type.attr``, ``S901:Type.attr`` or scenario-name entry per
-line, ``#`` comments); justified findings are reported but do not
-fail the run.  ``--sarif FILE`` writes the findings as SARIF 2.1.0
-through the lint package's reporter, for CI's inline annotations.
+(one scenario-name entry per line, ``#`` comments); justified findings
+are reported but do not fail the run.  ``--sarif FILE`` writes the
+findings as SARIF 2.1.0 through the lint package's reporter, for CI's
+inline annotations.
 """
 
 from __future__ import annotations
 
 import argparse
-import io
 import os
 import runpy
 import sys
-from contextlib import redirect_stdout
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.lint.reporters import format_sarif
 from repro.lint.violations import Violation
-from repro.sanitize.determinism import DeterminismSanitizer
+from repro.sanitize.determinism import (
+    DEFAULT_SEEDS,
+    DeterminismSanitizer,
+    DivergenceFinding,
+)
 
 EXIT_CLEAN = 0
 EXIT_FINDINGS = 1
@@ -40,12 +37,6 @@ EXIT_USAGE = 2
 #: SARIF metadata for the dynamic rules (they live outside the lint
 #: registry; see ``format_sarif``'s ``extra_rules``).
 SANITIZE_RULE_METADATA: Dict[str, tuple] = {
-    "S901": ("dynamic-write-write-race",
-             "two happens-before-unordered same-instant callbacks "
-             "both wrote the attribute"),
-    "S902": ("dynamic-read-write-race",
-             "a read and a write of the attribute in the same "
-             "instant are not ordered by happens-before"),
     "S903": ("dynamic-order-divergence",
              "run output diverged under a legal seeded perturbation "
              "of same-instant event order"),
@@ -55,22 +46,16 @@ SANITIZE_RULE_METADATA: Dict[str, tuple] = {
 def add_sanitize_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "paths", nargs="*",
-        help="scripts to run under the sanitizers (default: every "
+        help="scripts to run under the sanitizer (default: every "
              "script in examples/)")
+    default_seeds = ",".join(str(seed) for seed in DEFAULT_SEEDS)
     parser.add_argument(
-        "--seeds", default="1,2,3", metavar="N[,N...]",
-        help="perturbation seeds for the determinism pass "
-             "(default: 1,2,3)")
-    parser.add_argument(
-        "--no-reads", action="store_true",
-        help="skip read tracking (S902); writes-only is faster")
-    parser.add_argument(
-        "--no-determinism", action="store_true",
-        help="skip the perturbed re-runs (race pass only)")
+        "--seeds", default=default_seeds, metavar="N[,N...]",
+        help=f"perturbation seeds (default: {default_seeds})")
     parser.add_argument(
         "--justify", default=None, metavar="FILE",
-        help="file of justified findings (Type.attr, S901:Type.attr "
-             "or scenario-name entries; '#' comments)")
+        help="file of justified findings (scenario-name entries; "
+             "'#' comments)")
     parser.add_argument(
         "--sarif", default=None, metavar="FILE",
         help="write dynamic findings as SARIF 2.1.0 to FILE")
@@ -101,8 +86,7 @@ def _parse_seeds(raw: str) -> Tuple[int, ...]:
     """The ``--seeds`` list; ``ValueError`` says what is wrong with it.
 
     An empty list is rejected rather than read as "no perturbed runs":
-    S903 is the only check for order-dependent container mutation, so
-    skipping it takes an explicit ``--no-determinism``.
+    without a perturbed run the sanitizer checks nothing.
     """
     try:
         seeds = tuple(int(part) for part in raw.split(",") if part)
@@ -110,8 +94,7 @@ def _parse_seeds(raw: str) -> Tuple[int, ...]:
         seeds = ()
     if not seeds:
         raise ValueError(f"--seeds {raw!r}: expected comma-separated "
-                         f"integers such as 1,2,3 (--no-determinism "
-                         f"skips the perturbed runs)")
+                         f"integers such as 1,2,3")
     return seeds
 
 
@@ -149,13 +132,12 @@ def run_sanitize(args: argparse.Namespace) -> int:
         print(f"repro sanitize: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 
-    all_findings: List[Any] = []
+    all_findings: List[DivergenceFinding] = []
     root = os.getcwd()
     for script in scripts:
         name = os.path.relpath(script, root)
-        findings = sanitize_script(
-            script, seeds=() if args.no_determinism else seeds,
-            track_reads=not args.no_reads, justified=justified)
+        findings = sanitize_script(script, seeds=seeds,
+                                   justified=justified)
         all_findings.extend(findings)
         unjustified = [finding for finding in findings
                        if not finding.justified]
@@ -167,8 +149,7 @@ def run_sanitize(args: argparse.Namespace) -> int:
             print(f"  {finding.describe()}{marker}")
 
     if args.sarif:
-        payload = format_sanitize_sarif(all_findings, len(scripts),
-                                        root=root)
+        payload = format_sanitize_sarif(all_findings, len(scripts))
         with open(args.sarif, "w") as handle:
             handle.write(payload + "\n")
         print(f"\nsarif: {len(all_findings)} finding(s) -> {args.sarif}")
@@ -182,49 +163,32 @@ def run_sanitize(args: argparse.Namespace) -> int:
 
 
 def sanitize_script(script: str, seeds: Sequence[int],
-                    track_reads: bool = True,
-                    justified: Tuple[str, ...] = ()) -> List[Any]:
-    """Run one script under both sanitizers; return its findings."""
-    from repro.sanitize import sanitized
-
-    findings: List[Any] = []
-    with sanitized(track_reads=track_reads,
-                   justified=justified) as sanitizer:
-        with redirect_stdout(io.StringIO()):
-            _run_script(script)
-    findings.extend(sanitizer.findings)
-    if seeds:
-        determinism = DeterminismSanitizer(seeds=tuple(seeds),
-                                           justified=justified)
-        determinism.check(lambda: _run_script(script),
-                          name=os.path.basename(script))
-        findings.extend(determinism.findings)
-    return findings
+                    justified: Tuple[str, ...] = (),
+                    ) -> List[DivergenceFinding]:
+    """Run one script under the S903 sanitizer; return its findings."""
+    determinism = DeterminismSanitizer(seeds=tuple(seeds),
+                                       justified=justified)
+    return determinism.check(lambda: _run_script(script),
+                             name=os.path.basename(script))
 
 
 def run_sanitized_command(command: Any, args: argparse.Namespace,
                           label: str) -> int:
-    """Back the ``--sanitize`` flag on table/figure commands.
+    """Back the ``--sanitize`` flag on table/figure and serve commands.
 
-    Runs ``command(args)`` under the race sanitizer plus a seeded
-    determinism check, prints any findings, and turns them into a
-    non-zero exit code.
+    Runs ``command(args)`` once for its output and exit code, then
+    re-checks it under the S903 sanitizer at :data:`DEFAULT_SEEDS`,
+    prints any findings, and turns them into a non-zero exit code.
     """
     from repro import accel
-    from repro.sanitize import sanitized
 
-    with sanitized() as sanitizer:
-        result = command(args)
-    findings: List[Any] = list(sanitizer.findings)
-    determinism = DeterminismSanitizer(seeds=(1,))
-    determinism.check(lambda: command(args), name=label)
-    findings.extend(determinism.findings)
+    result = command(args)
+    determinism = DeterminismSanitizer()
+    findings = determinism.check(lambda: command(args), name=label)
     for finding in findings:
         print(f"sanitize: {finding.describe()}")
-    unjustified = sum(1 for finding in findings
-                      if not finding.justified)
-    if unjustified:
-        print(f"sanitize: {unjustified} unjustified finding(s) in "
+    if findings:
+        print(f"sanitize: {len(findings)} unjustified finding(s) in "
               f"{label} (accel.backend={accel.backend_name()})")
         return EXIT_FINDINGS
     print(f"sanitize: {label} clean "
@@ -233,43 +197,23 @@ def run_sanitized_command(command: Any, args: argparse.Namespace,
     return int(result) if result is not None else EXIT_CLEAN
 
 
-def findings_to_violations(findings: Sequence[Any],
-                           root: Optional[str] = None) -> List[Violation]:
-    """Convert dynamic findings to lint ``Violation`` records.
+def findings_to_violations(findings: Sequence[DivergenceFinding],
+                           ) -> List[Violation]:
+    """Convert S903 findings to lint ``Violation`` records.
 
-    Each finding anchors at its first concrete schedule site (relative
-    to ``root`` when given) so SARIF consumers can annotate the line
-    that scheduled one side of the race; a finding without one (S903)
-    anchors at its scenario.
+    Each finding anchors at line 1 of its scenario (the script's base
+    name, or the command label), so SARIF consumers can annotate it.
     """
-    violations: List[Violation] = []
-    for finding in findings:
-        path, line = "<dynamic>", 1
-        for candidate_path, candidate_line \
-                in getattr(finding, "schedule_sites", ()):
-            if candidate_path and not candidate_path.startswith("<"):
-                path, line = candidate_path, candidate_line
-                break
-        else:
-            scenario = getattr(finding, "scenario", None)
-            if scenario:
-                path = scenario
-        if root is not None and os.path.isabs(path):
-            try:
-                path = os.path.relpath(path, root)
-            except ValueError:
-                pass
-        violations.append(Violation(path=path, line=line, col=0,
-                                    rule_id=finding.rule_id,
-                                    message=finding.describe()))
-    return violations
+    return [Violation(path=finding.scenario, line=1, col=0,
+                      rule_id=finding.rule_id,
+                      message=finding.describe())
+            for finding in findings]
 
 
-def format_sanitize_sarif(findings: Sequence[Any],
-                          files_checked: int,
-                          root: Optional[str] = None) -> str:
-    """SARIF 2.1.0 for dynamic findings (shared lint reporter)."""
-    return format_sarif(findings_to_violations(findings, root=root),
+def format_sanitize_sarif(findings: Sequence[DivergenceFinding],
+                          files_checked: int) -> str:
+    """SARIF 2.1.0 for S903 findings (shared lint reporter)."""
+    return format_sarif(findings_to_violations(findings),
                         files_checked,
                         extra_rules=SANITIZE_RULE_METADATA,
                         tool_name="repro.sanitize")

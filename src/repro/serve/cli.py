@@ -5,7 +5,7 @@ Usage::
     python -m repro serve run                    # default scenario
     python -m repro serve run --requests 20000 --load 1.5 --preempt
     python -m repro serve run --json report.json --metrics
-    python -m repro serve run --sanitize         # S901-S903 checked
+    python -m repro serve run --sanitize         # S903 checked
     python -m repro serve bench -j 4             # SLO curve, 4 workers
     python -m repro serve bench --output BENCH_serve.json
 
@@ -46,9 +46,9 @@ def add_serve_arguments(parser: argparse.ArgumentParser) -> None:
                      help="print the serve.* metrics registry after "
                           "the run")
     run.add_argument("--sanitize", action="store_true",
-                     help="run under the dynamic race & determinism "
-                          "sanitizers (implies a seeded re-run; "
-                          "findings fail the command)")
+                     help="re-run under the S903 determinism "
+                          "sanitizer (seeded same-instant "
+                          "perturbation; findings fail the command)")
 
     bench = sub.add_parser(
         "bench", help="sweep the scenario across load levels (SLO "

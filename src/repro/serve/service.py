@@ -5,8 +5,8 @@ request stream on a single :class:`~repro.sim.kernel.Simulator`.  The
 design goal is *order-independence under same-instant perturbation*
 (the S903 determinism contract) while still putting real concurrency
 on the kernel — several boards can complete at one instant, and a
-completion can share an instant with a pass — so the race sanitizers
-have something to check.
+completion can share an instant with a pass — so the S903 sanitizer
+has something to check.
 
 The structure that achieves it:
 

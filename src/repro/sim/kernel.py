@@ -58,7 +58,7 @@ def set_construction_hook(
     """Install (or clear, with ``None``) the construction hook.
 
     Returns the previously installed hook so callers can restore it —
-    the ``repro.sanitize`` context managers nest this way.
+    ``repro.sanitize``'s recorded runs nest this way.
     """
     global _construction_hook
     previous = _construction_hook

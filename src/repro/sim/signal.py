@@ -14,11 +14,9 @@ registered while an event is triggering fires exactly once.  A raising
 waiter no longer loses the waiters queued after it.
 
 When a dynamic sanitizer is attached to the simulator
-(``sim.sanitizer``, see :mod:`repro.sanitize`), registration and
-delivery report the trigger→waiter / set→observer synchronization
-edges so the happens-before tracker can order callbacks that
-communicate through an :class:`Event` or :class:`Signal` rather than
-through the scheduler.
+(``sim.sanitizer``, see :mod:`repro.sanitize`), each delivery runs
+through it, so the task stream names waiters and observers by the
+:class:`Event` or :class:`Signal` that delivered to them.
 """
 
 from __future__ import annotations
@@ -76,8 +74,6 @@ class Signal:
     def observe(self, observer: Observer) -> Callable[[], None]:
         """Register a change observer; returns an unsubscribe closure."""
         self._observers.append(observer)
-        if self._sim.sanitizer is not None:
-            self._sim.sanitizer.on_subscribe(self, observer)
 
         def unsubscribe() -> None:
             if observer in self._observers:
@@ -136,8 +132,6 @@ class Event:
             callback(self)
         else:
             self._waiters.append(callback)
-            if self._sim.sanitizer is not None:
-                self._sim.sanitizer.on_subscribe(self, callback)
 
     def __repr__(self) -> str:
         state = "triggered" if self.triggered else "pending"

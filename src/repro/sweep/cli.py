@@ -51,9 +51,10 @@ def add_sweep_arguments(parser: argparse.ArgumentParser) -> None:
                         help="collect per-worker metrics registries, "
                              "merge them and print the roll-up")
     parser.add_argument("--sanitize", action="store_true",
-                        help="run the grid under the dynamic race "
-                             "sanitizer (forces -j 1: instrumentation "
-                             "is in-process; findings fail the sweep)")
+                        help="re-run the grid under the S903 "
+                             "determinism sanitizer (forces -j 1 and "
+                             "no cache: perturbation is in-process; "
+                             "findings fail the sweep)")
 
 
 def _result_rows(results: List[SweepResult]) -> List[List[object]]:
@@ -75,19 +76,22 @@ def run_sweep(args: argparse.Namespace) -> int:
     sanitize = getattr(args, "sanitize", False)
     jobs = args.jobs
     if sanitize:
-        # The sanitizer instruments classes in this process; worker
-        # processes would escape it, and a sanitized sweep must also
-        # actually execute every cell rather than replay the cache.
+        # The sanitizer perturbs simulators built in this process;
+        # worker processes would escape it, and a sanitized sweep must
+        # also actually execute every cell rather than replay the cache.
         jobs = 1
         cache_dir = None
     engine = SweepEngine(grid, jobs=jobs, cache_dir=cache_dir,
                          collect_metrics=getattr(args, "metrics", False))
+    results = engine.run()
     if sanitize:
-        from repro.sanitize import sanitized
-        with sanitized() as sanitizer:
-            results = engine.run()
-    else:
-        results = engine.run()
+        from repro.sanitize import DeterminismSanitizer
+        determinism = DeterminismSanitizer()
+        # Digest the result records, not the printed table: the
+        # table's wall time differs between runs.
+        determinism.check(
+            lambda: [result.to_record() for result in engine.run()],
+            name=f"sweep {grid.name}")
 
     value_header = ("MB/s" if grid.workload == "reconfigure"
                     else "ratio %")
@@ -123,12 +127,11 @@ def run_sweep(args: argparse.Namespace) -> int:
               if result.workload == "reconfigure" and not result.verified]
     if sanitize:
         from repro import accel
-        unjustified = [finding for finding in sanitizer.findings
-                       if not finding.justified]
-        for finding in unjustified:
+        for finding in determinism.findings:
             print(f"sanitize: {finding.describe()}")
-        print(f"sanitize: {len(unjustified)} unjustified finding(s) "
-              f"(accel.backend={accel.backend_name()})")
-        if unjustified:
+        print(f"sanitize: {len(determinism.findings)} unjustified "
+              f"finding(s) ({len(determinism.seeds)} perturbation "
+              f"seed(s), accel.backend={accel.backend_name()})")
+        if determinism.findings:
             return 1
     return 1 if failed else 0

@@ -18,7 +18,6 @@ from repro.compress import (
 )
 from repro import accel
 from repro.accel.pure import AdaptiveModel
-from repro.compress.bitio import BitReader, BitWriter
 
 # LZ-ish payloads: random bytes mixed with repetitions, the worst and
 # best cases for dictionary coders.
@@ -89,20 +88,6 @@ def test_deflate_roundtrip(data):
 def test_lzma_like_roundtrip(data):
     codec = LzmaLikeCodec()
     assert codec.decompress(codec.compress(data)) == data
-
-
-@settings(max_examples=60, deadline=None)
-@given(st.lists(st.tuples(st.integers(min_value=0, max_value=65535),
-                          st.integers(min_value=1, max_value=16)),
-                max_size=200))
-def test_bitio_roundtrip(values):
-    writer = BitWriter()
-    clipped = [(value % (1 << width), width) for value, width in values]
-    for value, width in clipped:
-        writer.write_bits(value, width)
-    reader = BitReader(writer.getvalue())
-    for value, width in clipped:
-        assert reader.read_bits(width) == value
 
 
 #: Byte-LZ token layout of the 7-zip stand-in: literals are 9 bits

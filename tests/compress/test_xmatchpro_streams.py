@@ -18,7 +18,7 @@ import struct
 
 import pytest
 
-from repro.compress.bitio import BitWriter
+from repro.accel import bitpack
 from repro.compress.xmatchpro import XMatchProCodec
 from repro.errors import CorruptStreamError
 
@@ -69,10 +69,15 @@ def test_zero_run_with_unaligned_tail(codec):
 
 # -- corrupt streams ---------------------------------------------------
 
-def _stream(original_length, tail=b"", bits=None):
-    """Assemble a raw X-MatchPRO stream from header parts + token bits."""
+def _stream(original_length, *tokens, tail=b""):
+    """Assemble a raw X-MatchPRO stream from header parts + tokens.
+
+    Each token is a ``(value, width)`` pair, packed MSB first.
+    """
     header = struct.pack(">I", original_length) + bytes([len(tail)]) + tail
-    return header + (bits.getvalue() if bits is not None else b"")
+    values = [value for value, _width in tokens]
+    widths = [width for _value, width in tokens]
+    return header + bitpack(values, widths)
 
 
 def test_truncated_header_rejected(codec):
@@ -94,41 +99,40 @@ def test_truncated_tail_rejected(codec):
 
 
 def test_zero_length_zero_run_rejected(codec):
-    bits = BitWriter()
-    bits.write_bits(0b10, 2)   # zero-run prefix
-    bits.write_bits(0, 8)      # run counter 0: invalid
+    blob = _stream(4,
+                   (0b10, 2),          # zero-run prefix
+                   (0, 8))             # run counter 0: invalid
     with pytest.raises(CorruptStreamError, match="zero-length"):
-        codec.decompress(_stream(4, bits=bits))
+        codec.decompress(blob)
 
 
 def test_match_against_empty_dictionary_rejected(codec):
-    bits = BitWriter()
-    bits.write_bit(0)          # match prefix with nothing inserted yet
+    blob = _stream(4, (0, 1))   # match prefix with nothing inserted yet
     with pytest.raises(CorruptStreamError, match="empty dictionary"):
-        codec.decompress(_stream(4, bits=bits))
+        codec.decompress(blob)
 
 
 def test_dictionary_location_out_of_range_rejected(codec):
-    bits = BitWriter()
-    bits.write_bits(0b11, 2)                     # miss: insert one word
-    bits.write_bits(0xDEADBEEF, 32)
-    bits.write_bit(0)                            # match prefix
-    bits.write_bits(1, 1)                        # location 1, size-1 dict
-    bits.write_bit(0)                            # full-match mask
+    blob = _stream(8,
+                   (0b11, 2),          # miss: insert one word
+                   (0xDEADBEEF, 32),
+                   (0, 1),             # match prefix
+                   (1, 1),             # location 1, size-1 dict
+                   (0, 1))             # full-match mask
     with pytest.raises(CorruptStreamError, match="out of range"):
-        codec.decompress(_stream(8, bits=bits))
+        codec.decompress(blob)
 
 
 def test_invalid_match_type_code_rejected(codec):
-    bits = BitWriter()
-    bits.write_bits(0b11, 2)                     # miss: insert one word
-    bits.write_bits(0xDEADBEEF, 32)
-    bits.write_bit(0)                            # match prefix
-    bits.write_bits(0, 1)                        # location 0
-    bits.write_bits(0b11, 2)                     # mask class '11'
-    bits.write_bits(7, 3)                        # selector 7: only 0-5 valid
+    blob = _stream(8,
+                   (0b11, 2),          # miss: insert one word
+                   (0xDEADBEEF, 32),
+                   (0, 1),             # match prefix
+                   (0, 1),             # location 0
+                   (0b11, 2),          # mask class '11'
+                   (7, 3))             # selector 7: only 0-5 valid
     with pytest.raises(CorruptStreamError, match="match-type"):
-        codec.decompress(_stream(8, bits=bits))
+        codec.decompress(blob)
 
 
 def test_truncated_token_stream_rejected(codec):

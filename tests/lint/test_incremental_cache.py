@@ -150,19 +150,3 @@ def test_clear_removes_the_store(tmp_path):
     cache.clear()
     assert not root.exists()
     assert lint_files(files, cache=LintCache(str(root))) == cold
-
-
-def test_fixes_survive_the_result_cache(tmp_path):
-    # Violation.fix must round-trip through the JSON result store: a
-    # warm --fix run plans from cached findings.
-    import shutil
-
-    fixtures = Path(__file__).resolve().parent / "fixtures"
-    target = tmp_path / "d103_unordered_iteration.py"
-    shutil.copy(fixtures / "d103_unordered_iteration.py", target)
-    cache = LintCache(str(tmp_path / "cache"))
-    cold = lint_files([target], select=["D103"], cache=cache)
-    warm = lint_files([target], select=["D103"], cache=cache)
-    assert cold == warm
-    assert warm and all(v.fix is not None for v in warm)
-    assert [v.fix for v in warm] == [v.fix for v in cold]

@@ -64,7 +64,7 @@ def test_sarif_document_is_structurally_valid_2_1_0():
 
     violations = lint_file(FIXTURES / "d103_unordered_iteration.py",
                            select=["D103"])
-    assert violations and all(v.fix is not None for v in violations)
+    assert violations
     payload = json.loads(format_sarif(violations, files_checked=1))
 
     assert payload["$schema"] == SARIF_SCHEMA
@@ -85,38 +85,3 @@ def test_sarif_document_is_structurally_valid_2_1_0():
         uri = location["physicalLocation"]["artifactLocation"]["uri"]
         assert "\\" not in uri  # posix-normalized
         assert region["startLine"] >= 1 and region["startColumn"] >= 1
-
-
-def test_sarif_fix_objects_mirror_the_edits():
-    from repro.lint.reporters import format_sarif
-
-    violations = lint_file(FIXTURES / "d103_unordered_iteration.py",
-                           select=["D103"])
-    payload = json.loads(format_sarif(violations, files_checked=1))
-    for violation, result in zip(violations,
-                                 payload["runs"][0]["results"]):
-        [fix] = result["fixes"]
-        assert fix["description"]["text"] == violation.fix.description
-        [change] = fix["artifactChanges"]
-        assert change["artifactLocation"]["uri"] \
-            == result["locations"][0]["physicalLocation"][
-                "artifactLocation"]["uri"]
-        assert len(change["replacements"]) == len(violation.fix.edits)
-        for edit, replacement in zip(violation.fix.edits,
-                                     change["replacements"]):
-            region = replacement["deletedRegion"]
-            assert region["startLine"] == edit.line
-            assert region["startColumn"] == edit.col + 1  # 1-based
-            assert region["endLine"] == edit.end_line
-            assert region["endColumn"] == edit.end_col + 1
-            assert replacement["insertedContent"]["text"] == edit.text
-
-
-def test_unfixable_results_carry_no_fixes_key():
-    from repro.lint.reporters import format_sarif
-
-    violations = lint_file(FIXTURES / "f301_float_equality.py",
-                           select=["F301"])
-    payload = json.loads(format_sarif(violations, files_checked=1))
-    assert all("fixes" not in result
-               for result in payload["runs"][0]["results"])

@@ -9,12 +9,13 @@ from pathlib import Path
 
 import pytest
 
+from repro.sanitize import DeterminismSanitizer
 from repro.sanitize.cli import (
     SANITIZE_RULE_METADATA,
     findings_to_violations,
     format_sanitize_sarif,
 )
-from tests.sanitize.test_race import run_watched
+from tests.sanitize.test_determinism import overwrite
 
 SRC = str(Path(__file__).resolve().parents[2] / "src")
 
@@ -85,11 +86,6 @@ def test_justify_file_downgrades_findings(racy_script, tmp_path):
     assert "[justified]" in result.stdout
 
 
-def test_no_determinism_skips_the_perturbed_runs(racy_script, tmp_path):
-    result = run_cli(str(racy_script), "--no-determinism", cwd=tmp_path)
-    assert result.returncode == 0, result.stdout + result.stderr
-
-
 def test_sarif_output_is_written(racy_script, tmp_path):
     sarif = tmp_path / "out.sarif"
     result = run_cli(str(racy_script), "--seeds", "1,2,3,4,5,6,7,8",
@@ -115,44 +111,40 @@ def test_no_scripts_anywhere_is_a_usage_error(tmp_path):
 @pytest.mark.parametrize("seeds", ["abc", "1,x", ",", ""],
                          ids=["word", "bad-entry", "comma", "empty"])
 def test_bad_seeds_are_a_usage_error(clean_script, tmp_path, seeds):
-    # An empty list must not silently skip S903; --no-determinism is
-    # the one way to do that.
+    # An empty list must not silently skip the perturbed runs.
     result = run_cli(str(clean_script), "--seeds", seeds, cwd=tmp_path)
     assert result.returncode == 2, result.stdout + result.stderr
     assert result.stdout == ""
     assert result.stderr.startswith("repro sanitize: error: --seeds")
 
 
-def _write_write_race():
-    def drive(sim, device):
-        sim.call_at(100, device.bump)
-        sim.call_at(100, device.stash)
-
-    return run_watched(drive).findings
+def _order_divergence():
+    return DeterminismSanitizer().check(overwrite,
+                                        name="racy_scenario.py")
 
 
 def test_findings_convert_to_violations_with_relative_paths():
-    findings = _write_write_race()
-    violations = findings_to_violations(
-        findings, root=os.path.dirname(__file__))
+    findings = _order_divergence()
+    violations = findings_to_violations(findings)
     assert violations
     for violation in violations:
-        assert violation.rule_id.startswith("S9")
-        assert violation.path == os.path.basename(__file__)
-        assert violation.line >= 1
+        assert violation.rule_id == "S903"
+        # anchored at its scenario: the script's base name
+        assert violation.path == "racy_scenario.py"
+        assert violation.line == 1
 
 
 def test_sanitize_sarif_is_valid_and_carries_rule_metadata():
-    payload = json.loads(format_sanitize_sarif(_write_write_race(), 1))
+    payload = json.loads(format_sanitize_sarif(_order_divergence(), 1))
     assert payload["version"] == "2.1.0"
     [run] = payload["runs"]
     assert run["tool"]["driver"]["name"] == "repro.sanitize"
     rules = {rule["id"]: (rule["name"], rule["shortDescription"]["text"])
              for rule in run["tool"]["driver"]["rules"]}
-    assert "S901" in rules
-    assert rules == {rule_id: SANITIZE_RULE_METADATA[rule_id]
-                     for rule_id in rules}
-    assert set(SANITIZE_RULE_METADATA) == {"S901", "S902", "S903"}
+    assert rules == {"S903": SANITIZE_RULE_METADATA["S903"]}
+    assert set(SANITIZE_RULE_METADATA) == {"S903"}
     assert run["results"]
     for result in run["results"]:
         assert result["ruleId"] in rules
+        location = result["locations"][0]["physicalLocation"]
+        assert location["artifactLocation"]["uri"] == "racy_scenario.py"

@@ -1,7 +1,12 @@
 """DeterminismSanitizer: digest diffing under seeded perturbation."""
 
-from repro.sanitize import DeterminismSanitizer
-from repro.sim import Simulator
+import argparse
+
+import pytest
+
+from repro.sanitize import DEFAULT_SEEDS, DeterminismSanitizer
+from repro.sanitize.cli import run_sanitized_command
+from repro.sim import Delay, Event, Process, Signal, Simulator
 
 
 def order_independent():
@@ -171,3 +176,182 @@ def test_perturbation_respects_scheduler_before_scheduled():
         sim.call_at(100, lambda: order.append("sibling"))
         sim.run()
         assert order.index("parent") < order.index("child")
+
+
+# -- planted same-instant races ---------------------------------------
+#
+# Each scenario below plants one same-instant attribute race whose
+# outcome reaches the returned output; S903 must flag every one at the
+# default seeds.  ``bump()`` + ``bump()`` races too, but the two
+# increments commute, so the output is order-independent and clean.
+
+
+class Device:
+    """Plain model object two callbacks can race on."""
+
+    def __init__(self):
+        self.value = 0
+        self.log = []
+
+    def bump(self):
+        self.value += 1
+
+    def double(self):
+        self.value *= 2
+
+    def stash(self):
+        self.value = 99
+
+    def observe(self):
+        self.log.append(self.value)
+
+
+def _setter(device, value):
+    return lambda *_args: setattr(device, "value", value)
+
+
+def overwrite():
+    sim, device = Simulator(), Device()
+    sim.call_at(100, device.stash)
+    sim.call_at(100, _setter(device, 7))
+    sim.run()
+    return device.value
+
+
+def non_commuting():
+    sim, device = Simulator(), Device()
+    sim.call_at(100, device.bump)
+    sim.call_at(100, device.double)
+    sim.run()
+    return device.value
+
+
+def read_into_log():
+    sim, device = Simulator(), Device()
+    sim.call_at(100, device.bump)
+    sim.call_at(100, device.observe)
+    sim.run()
+    return device.log
+
+
+def read_decides_schedule():
+    sim, device = Simulator(), Device()
+
+    def maybe_schedule():
+        if device.value == 0:
+            sim.call_at(200, device.bump)
+
+    sim.call_at(100, maybe_schedule)
+    sim.call_at(100, device.stash)
+    sim.run()
+    return device.value
+
+
+def last_writer(count):
+    def scenario():
+        sim, device = Simulator(), Device()
+        for value in range(count):
+            sim.call_at(100, _setter(device, value))
+        sim.run()
+        return device.value
+
+    return scenario
+
+
+def three_instant_race():
+    """One race at three instants, each sampled 50 ps later.
+
+    Seed 1's shuffle happens to keep the writers' FIFO order at all
+    three instants; seeds 2 and 3 do not.
+    """
+    sim, device = Simulator(), Device()
+    for time_ps in (100, 200, 300):
+        sim.call_at(time_ps + 50, device.observe)
+        sim.call_at(time_ps, device.stash)
+        sim.call_at(time_ps, _setter(device, 7))
+    sim.run()
+    return device.log
+
+
+def process_resume_vs_callback():
+    sim, device = Simulator(), Device()
+
+    def body():
+        yield Delay(100)
+        device.value = "process"
+
+    Process(sim, body(), name="writer")
+    sim.call_at(100, _setter(device, "callback"))
+    sim.run()
+    return device.value
+
+
+def event_waiter_vs_callback():
+    sim, device = Simulator(), Device()
+    done = Event(sim, "done")
+    done.add_waiter(_setter(device, "waiter"))
+    sim.call_at(100, done.trigger)
+    sim.call_at(100, _setter(device, "callback"))
+    sim.run()
+    return device.value
+
+
+def signal_observer_vs_callback():
+    sim, device = Simulator(), Device()
+    level = Signal(sim, "level")
+    level.observe(_setter(device, "observer"))
+    sim.call_at(100, lambda: level.set(1))
+    sim.call_at(100, _setter(device, "callback"))
+    sim.run()
+    return device.value
+
+
+def commuting_bumps():
+    sim, device = Simulator(), Device()
+    sim.call_at(100, device.bump)
+    sim.call_at(100, device.bump)
+    sim.run()
+    return device.value
+
+
+PLANTED_RACES = {
+    "overwrite": (overwrite, True),
+    "non-commuting": (non_commuting, True),
+    "read-into-log": (read_into_log, True),
+    "read-decides-schedule": (read_decides_schedule, True),
+    "last-writer-3": (last_writer(3), True),
+    "last-writer-10": (last_writer(10), True),
+    "three-instants": (three_instant_race, True),
+    "process-resume": (process_resume_vs_callback, True),
+    "event-waiter": (event_waiter_vs_callback, True),
+    "signal-observer": (signal_observer_vs_callback, True),
+    "commuting-bumps": (commuting_bumps, False),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PLANTED_RACES))
+def test_planted_races_are_flagged_at_the_default_seeds(name):
+    scenario, racy = PLANTED_RACES[name]
+    sanitizer = DeterminismSanitizer(seeds=DEFAULT_SEEDS)
+    findings = sanitizer.check(scenario, name=name)
+    if racy:
+        assert findings, f"S903 missed the planted {name} race"
+        assert any("output digest" in f.detail for f in findings)
+    else:
+        assert findings == []
+
+
+def test_sanitized_command_uses_every_default_seed(capsys):
+    # Seed 1 alone misses the three-instant race; the --sanitize
+    # entry points must run the full default seed set.
+    assert DeterminismSanitizer(seeds=(1,)).check(three_instant_race) \
+        == []
+
+    def command(_args):
+        print(three_instant_race())
+        return 0
+
+    assert run_sanitized_command(command, argparse.Namespace(),
+                                 "racy-command") == 1
+    out = capsys.readouterr().out
+    assert "S903" in out and "racy-command" in out

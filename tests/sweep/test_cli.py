@@ -45,8 +45,9 @@ def test_sweep_sanitize_forces_serial_uncached_and_passes(tmp_path,
     assert main(["sweep", "smoke", "-j", "4", "--cache-dir", cache_dir,
                  "--sanitize"]) == 0
     out = capsys.readouterr().out
-    # workers would escape instrumentation and cache hits would skip
+    # workers would escape perturbation and cache hits would skip
     # execution entirely, so --sanitize overrides both.
     assert "-j 1" in out
     assert "cache off" in out
     assert "sanitize: 0 unjustified" in out
+    assert "3 perturbation seed(s)" in out
