@@ -67,9 +67,11 @@ typedef struct {
 #define UPARC_ERR_LITERAL_TOKEN 22 /* "truncated literal token"        */
 
 /* ------------------------------------------------------------------ */
-/* CRC-32C (Castagnoli), slicing-by-8 — same tables as the pure form. */
+/* CRC-32C (Castagnoli), the pure form's polynomial.  crc_tables[d]  */
+/* is byte x followed by d zero bytes: tables 0-7 slice uparc_crc32c  */
+/* by 8 bytes, tables 0-19 slice uparc_crc32c_words by four words.    */
 
-static uint32_t crc_tables[8][256];
+static uint32_t crc_tables[20][256];
 
 static void build_crc_tables(void)
 {
@@ -79,10 +81,16 @@ static void build_crc_tables(void)
             crc = (crc & 1) ? (crc >> 1) ^ 0x82F63B78u : crc >> 1;
         crc_tables[0][byte] = crc;
     }
-    for (int d = 1; d < 8; d++)
+    for (int d = 1; d < 20; d++)
         for (int byte = 0; byte < 256; byte++)
             crc_tables[d][byte] = (crc_tables[d - 1][byte] >> 8)
                 ^ crc_tables[0][crc_tables[d - 1][byte] & 0xFF];
+}
+
+static inline uint32_t load_le32(const uint8_t *p)
+{
+    return (uint32_t)p[0] | ((uint32_t)p[1] << 8)
+        | ((uint32_t)p[2] << 16) | ((uint32_t)p[3] << 24);
 }
 
 uint32_t uparc_crc32c(const uint8_t *data, size_t len, uint32_t crc)
@@ -91,14 +99,8 @@ uint32_t uparc_crc32c(const uint8_t *data, size_t len, uint32_t crc)
     size_t i = 0;
     size_t end8 = len - (len & 7);
     while (i < end8) {
-        uint32_t low = crc ^ ((uint32_t)data[i]
-                              | ((uint32_t)data[i + 1] << 8)
-                              | ((uint32_t)data[i + 2] << 16)
-                              | ((uint32_t)data[i + 3] << 24));
-        uint32_t high = (uint32_t)data[i + 4]
-            | ((uint32_t)data[i + 5] << 8)
-            | ((uint32_t)data[i + 6] << 16)
-            | ((uint32_t)data[i + 7] << 24);
+        uint32_t low = crc ^ load_le32(data + i);
+        uint32_t high = load_le32(data + i + 4);
         crc = crc_tables[7][low & 0xFF] ^ crc_tables[6][(low >> 8) & 0xFF]
             ^ crc_tables[5][(low >> 16) & 0xFF] ^ crc_tables[4][low >> 24]
             ^ crc_tables[3][high & 0xFF] ^ crc_tables[2][(high >> 8) & 0xFF]
@@ -114,22 +116,39 @@ uint32_t uparc_crc32c(const uint8_t *data, size_t len, uint32_t crc)
 
 /* CRC-32C over word_count big-endian words, each followed by the     */
 /* byte `address`: uparc_crc32c over the interleaved                  */
-/* [4 data bytes][address] blob, without building the blob.  Slicing  */
-/* by 5: the address byte's term, crc_tables[0][address], is one      */
-/* constant, so each word costs four table lookups.                   */
+/* [4 data bytes][address] blob, without building the blob.  Each     */
+/* step folds four words (a 20-byte block, slicing by 20): the four   */
+/* address bytes sit at block offsets 4, 9, 14 and 19, so their terms */
+/* are one constant per call and a step costs 16 table lookups.  The  */
+/* last 0-3 words fold one at a time (slicing by 5).                  */
 uint32_t uparc_crc32c_words(const uint8_t *data, size_t word_count,
                             uint8_t address, uint32_t crc)
 {
-    const uint32_t address_term = crc_tables[0][address];
+    const uint32_t block_term = crc_tables[15][address]
+        ^ crc_tables[10][address] ^ crc_tables[5][address]
+        ^ crc_tables[0][address];
+    const uint32_t word_term = crc_tables[0][address];
     crc ^= 0xFFFFFFFFu;
-    for (size_t i = 0; i < word_count; i++, data += 4) {
-        uint32_t low = crc ^ ((uint32_t)data[0]
-                              | ((uint32_t)data[1] << 8)
-                              | ((uint32_t)data[2] << 16)
-                              | ((uint32_t)data[3] << 24));
+    for (; word_count >= 4; word_count -= 4, data += 16) {
+        uint32_t w0 = crc ^ load_le32(data);
+        uint32_t w1 = load_le32(data + 4);
+        uint32_t w2 = load_le32(data + 8);
+        uint32_t w3 = load_le32(data + 12);
+        crc = crc_tables[19][w0 & 0xFF] ^ crc_tables[18][(w0 >> 8) & 0xFF]
+            ^ crc_tables[17][(w0 >> 16) & 0xFF] ^ crc_tables[16][w0 >> 24]
+            ^ crc_tables[14][w1 & 0xFF] ^ crc_tables[13][(w1 >> 8) & 0xFF]
+            ^ crc_tables[12][(w1 >> 16) & 0xFF] ^ crc_tables[11][w1 >> 24]
+            ^ crc_tables[9][w2 & 0xFF] ^ crc_tables[8][(w2 >> 8) & 0xFF]
+            ^ crc_tables[7][(w2 >> 16) & 0xFF] ^ crc_tables[6][w2 >> 24]
+            ^ crc_tables[4][w3 & 0xFF] ^ crc_tables[3][(w3 >> 8) & 0xFF]
+            ^ crc_tables[2][(w3 >> 16) & 0xFF] ^ crc_tables[1][w3 >> 24]
+            ^ block_term;
+    }
+    for (; word_count > 0; word_count--, data += 4) {
+        uint32_t low = crc ^ load_le32(data);
         crc = crc_tables[4][low & 0xFF] ^ crc_tables[3][(low >> 8) & 0xFF]
             ^ crc_tables[2][(low >> 16) & 0xFF] ^ crc_tables[1][low >> 24]
-            ^ address_term;
+            ^ word_term;
     }
     return crc ^ 0xFFFFFFFFu;
 }

@@ -16,7 +16,7 @@ it.
 from __future__ import annotations
 
 import enum
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.bitstream.crc import ConfigCrc
 from repro.bitstream.device import DeviceInfo
@@ -40,11 +40,35 @@ class ConfigurationMemory:
 
     Frames are kept as their big-endian bytes, the form the stream
     carries them in; the word-list methods pack and unpack at the edge.
+
+    An in-geometry :meth:`write_frames` stores its run whole: the
+    packed FARs it covers and the run's bytes wait in a pending list,
+    and are split into frames only when something reads the store
+    (or writes a single frame).  Runs fold in write order, so a later
+    write to a FAR still wins.  A bulk configuration that nothing
+    reads back costs one list append instead of one slice and one
+    dictionary entry per frame.
     """
 
     def __init__(self, device: DeviceInfo) -> None:
         self.device = device
         self._frames: Dict[int, bytes] = {}
+        #: Unsplit runs, oldest first: (packed FARs, the run's bytes).
+        self._pending: List[Tuple[Sequence[int], bytes]] = []
+        self._pending_frames = 0
+
+    def _settle(self) -> None:
+        """Split every pending run into ``_frames``, in write order."""
+        if not self._pending:
+            return
+        frame_bytes = self.device.frame_bytes
+        frames = self._frames
+        for keys, data in self._pending:
+            frames.update(zip(keys, [
+                data[offset:offset + frame_bytes]
+                for offset in range(0, len(data), frame_bytes)]))
+        self._pending.clear()
+        self._pending_frames = 0
 
     def write_frame(self, address: FrameAddress, words: List[int]) -> None:
         if len(words) != self.device.frame_words:
@@ -52,15 +76,16 @@ class ConfigurationMemory:
                 f"frame write of {len(words)} words; {self.device.name} "
                 f"frames are {self.device.frame_words} words"
             )
+        self._settle()
         self._frames[address.pack()] = words_to_bytes(words)
 
     def write_frames(self, start: FrameAddress, data: bytes) -> FrameAddress:
         """Store whole frames from ``start`` on; returns the next FAR.
 
         ``data`` holds consecutive frames in device order, exactly as
-        FDRI auto-increment writes them.  An in-geometry run is one
-        dictionary update against the layout's packed FARs (wrapping
-        at the end of the cycle); an out-of-geometry start steps with
+        FDRI auto-increment writes them.  An in-geometry run becomes
+        one pending run against the layout's packed FARs (wrapping at
+        the end of the cycle); an out-of-geometry start steps with
         :meth:`FrameAddress.next_in` frame by frame.
         """
         device = self.device
@@ -70,35 +95,49 @@ class ConfigurationMemory:
                 f"frame write of {len(data)} bytes; {device.name} "
                 f"frames are {frame_bytes} bytes"
             )
+        if not isinstance(data, bytes):
+            data = bytes(data)  # the caller may mutate its buffer
         count = len(data) // frame_bytes
-        frames = [data[offset:offset + frame_bytes]
-                  for offset in range(0, len(data), frame_bytes)]
         layout = frame_layout(device, start.block_type)
         first = layout.position(start)
         if first is None:
+            self._settle()
             address = start
-            for frame in frames:
-                self._frames[address.pack()] = frame
+            for offset in range(0, len(data), frame_bytes):
+                self._frames[address.pack()] = \
+                    data[offset:offset + frame_bytes]
                 address = address.next_in(device)
             return address
         cycle = len(layout)
         end = first + count
         if end <= cycle:
-            keys = layout.packed[first:end]
+            keys: Sequence[int] = layout.packed[first:end]
         else:
             keys = [layout.packed[index % cycle]
                     for index in range(first, end)]
-        self._frames.update(zip(keys, frames))
+        # Pending runs never hold more frames than the device has, so
+        # a memory nothing reads stays as small as a settled one.
+        if self._pending_frames >= cycle:
+            self._settle()
+        self._pending.append((keys, data))
+        self._pending_frames += count
         return layout.addresses[end % cycle]
 
     def read_frame(self, address: FrameAddress) -> Optional[List[int]]:
         """Frame contents, or None if never configured."""
+        self._settle()
         frame = self._frames.get(address.pack())
         return bytes_to_words(frame) if frame is not None else None
 
     @property
     def configured_frames(self) -> int:
+        self._settle()
         return len(self._frames)
+
+    def snapshot(self) -> Dict[int, bytes]:
+        """Every configured frame: ``{packed FAR: frame bytes}`` (a copy)."""
+        self._settle()
+        return dict(self._frames)
 
     def frames_from(self, start: FrameAddress,
                     count: int) -> List[Optional[List[int]]]:

@@ -176,15 +176,19 @@ def run_sanitized_command(command: Any, args: argparse.Namespace,
                           label: str) -> int:
     """Back the ``--sanitize`` flag on table/figure and serve commands.
 
-    Runs ``command(args)`` once for its output and exit code, then
-    re-checks it under the S903 sanitizer at :data:`DEFAULT_SEEDS`,
-    prints any findings, and turns them into a non-zero exit code.
+    Runs ``command(args)`` under the S903 sanitizer at
+    :data:`DEFAULT_SEEDS`: once unperturbed, then once per seed.  The
+    unperturbed run's captured output is printed and its exit code
+    kept, so the command runs ``1 + len(DEFAULT_SEEDS)`` times; any
+    finding turns into a non-zero exit code.
     """
     from repro import accel
 
-    result = command(args)
     determinism = DeterminismSanitizer()
     findings = determinism.check(lambda: command(args), name=label)
+    baseline = determinism.runs[0]
+    sys.stdout.write(baseline.stdout)
+    result = baseline.result
     for finding in findings:
         print(f"sanitize: {finding.describe()}")
     if findings:

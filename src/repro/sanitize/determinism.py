@@ -83,13 +83,20 @@ class StreamRecorder(TrackerListener):
 
 @dataclass
 class RunRecord:
-    """Digests of one (possibly perturbed) scenario execution."""
+    """Digests of one (possibly perturbed) scenario execution.
+
+    ``stdout`` and ``result`` are what the scenario printed and
+    returned, so a caller that wants the run's output need not run
+    it again.
+    """
 
     seed: Optional[int]
     stream_digest: str
     instants: Tuple[Tuple[int, str], ...]
     output_digest: str
     tasks_run: int
+    stdout: str = ""
+    result: Any = None
 
     @classmethod
     def empty(cls, seed: Optional[int]) -> "RunRecord":
@@ -181,8 +188,9 @@ class DeterminismSanitizer:
         for _tracker, recorder in recorders:
             merged.update(recorder.digest.encode("ascii"))
             instants.extend(recorder.instants)
+        stdout = captured.getvalue()
         output = hashlib.sha256()
-        output.update(captured.getvalue().encode("utf-8", "replace"))
+        output.update(stdout.encode("utf-8", "replace"))
         output.update(
             _ADDRESS_RE.sub("0x", repr(result)).encode("utf-8",
                                                        "replace"))
@@ -193,6 +201,8 @@ class DeterminismSanitizer:
             output_digest=output.hexdigest(),
             tasks_run=sum(tracker.tasks_run
                           for tracker, _recorder in recorders),
+            stdout=stdout,
+            result=result,
         )
 
     def _diff(self, name: str, baseline: RunRecord,

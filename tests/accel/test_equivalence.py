@@ -112,6 +112,31 @@ def test_crc32c_words_matches(vectorised, data, address, crc, draw):
         assert backend.crc32c_words(data[split:], address, head) == whole
 
 
+# The C fold steps four words at a time and finishes the last 0-3
+# words one by one: pin every tail length around one, two and four
+# steps, whatever hypothesis draws.
+_CRC_WORD_BLOCK = bytes(Random(27).getrandbits(8) for _ in range(4 * 17))
+
+
+@pytest.mark.parametrize("address", [0, 1, 255])
+@pytest.mark.parametrize("count", [*range(10), 15, 16, 17])
+def test_crc32c_words_pinned_lengths(vectorised, count, address):
+    data = _CRC_WORD_BLOCK[:4 * count]
+    for crc in (0, 0xFFFFFFFF, 0x1EDC6F41):
+        assert vectorised.crc32c_words(data, address, crc) \
+            == pure.crc32c_words(data, address, crc)
+
+
+@pytest.mark.parametrize("address", [0, 1, 255])
+@pytest.mark.parametrize("split", range(10))
+def test_crc32c_words_chains_at_every_word_of_nine(vectorised, split,
+                                                   address):
+    data = _CRC_WORD_BLOCK[:36]
+    whole = pure.crc32c_words(data, address, 0x89ABCDEF)
+    head = vectorised.crc32c_words(data[:4 * split], address, 0x89ABCDEF)
+    assert vectorised.crc32c_words(data[4 * split:], address, head) == whole
+
+
 @quick
 @given(words)
 def test_word_packing_matches(vectorised, values):

@@ -199,7 +199,7 @@ def outcome(feed):
         error = None
     except Exception as exc:  # compared by type and message below
         error = (type(exc), str(exc))
-    state = (dict(logic.memory._frames), logic.frames_written,
+    state = (logic.memory.snapshot(), logic.frames_written,
              logic.crc_checks_passed, logic._far, logic.sync_count,
              logic.desync_count, bytes(logic._frame_buffer))
     return error, state

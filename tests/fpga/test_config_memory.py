@@ -1,17 +1,22 @@
 """Configuration memory and packet-interpreting logic."""
 
+import dataclasses
+import tracemalloc
+
 import pytest
 
 from repro.bitstream.device import VIRTEX5_SX50T, VIRTEX6_LX240T
 from repro.bitstream.format import (
     Command,
+    ConfigPacket,
     ConfigRegister,
+    Opcode,
     SYNC_WORD,
     command_packet,
     words_to_bytes,
     write_packet,
 )
-from repro.bitstream.frames import BlockType, FrameAddress
+from repro.bitstream.frames import BlockType, FrameAddress, frame_layout
 from repro.bitstream.generator import REGION_ORIGIN, generate_bitstream
 from repro.errors import BitstreamFormatError, DeviceMismatchError
 from repro.fpga.config_memory import (
@@ -62,6 +67,109 @@ class TestConfigurationMemory:
         frame = memory.read_frame(address)
         frame[0] = 99
         assert memory.read_frame(address)[0] == 7
+
+
+def run_of(*fills):
+    """Consecutive frames, frame ``i`` filled with the word ``fills[i]``."""
+    return b"".join(words_to_bytes([fill] * VIRTEX5_SX50T.frame_words)
+                    for fill in fills)
+
+
+def frame_of(fill):
+    return [fill] * VIRTEX5_SX50T.frame_words
+
+
+class TestFrameRuns:
+    """``write_frames`` keeps in-geometry runs whole until a read."""
+
+    layout = frame_layout(VIRTEX5_SX50T)
+
+    def test_later_single_frame_write_wins_over_a_run(self, memory):
+        start = self.layout.addresses[10]
+        memory.write_frames(start, run_of(1, 2, 3))
+        inside = self.layout.addresses[11]
+        memory.write_frame(inside, frame_of(9))
+        assert memory.frames_from(start, 3) == \
+            [frame_of(1), frame_of(9), frame_of(3)]
+
+    def test_overlapping_runs_fold_in_write_order(self, memory):
+        addresses = self.layout.addresses
+        memory.write_frames(addresses[0], run_of(1, 1, 1, 1))
+        memory.write_frames(addresses[2], run_of(2, 2, 2, 2))
+        memory.write_frames(addresses[1], run_of(3))
+        fills = [1, 3, 2, 2, 2, 2]
+        assert memory.snapshot() == {
+            address.pack(): words_to_bytes(frame_of(fill))
+            for address, fill in zip(addresses, fills)}
+
+    def test_configured_frames_counts_unique_fars(self, memory):
+        addresses = self.layout.addresses
+        memory.write_frames(addresses[0], run_of(1, 1, 1))
+        memory.write_frames(addresses[1], run_of(2, 2, 2))
+        assert memory.configured_frames == 4
+
+    def test_run_wraps_the_layout_cycle(self, memory):
+        addresses = self.layout.addresses
+        following = memory.write_frames(addresses[-2], run_of(1, 2, 3, 4))
+        assert following == addresses[2]
+        assert memory.read_frame(addresses[-2]) == frame_of(1)
+        assert memory.read_frame(addresses[-1]) == frame_of(2)
+        assert memory.read_frame(addresses[0]) == frame_of(3)
+        assert memory.read_frame(addresses[1]) == frame_of(4)
+        assert memory.configured_frames == 4
+
+    def test_out_of_geometry_start_after_a_pending_run(self, memory):
+        # Minor 36 is past the device's 36 minor frames: the write
+        # steps arithmetically, and its second frame wraps into
+        # geometry at the run's second frame.
+        outside = FrameAddress(BlockType.CLB_IO_CLK, 0, 0, 5, 36)
+        inside = FrameAddress(BlockType.CLB_IO_CLK, 0, 0, 6, 0)
+        assert outside.next_in(VIRTEX5_SX50T) == inside
+        start = self.layout.addresses[self.layout.position(inside) - 1]
+        memory.write_frames(start, run_of(1, 2, 3))
+        following = memory.write_frames(outside, run_of(8, 9))
+        assert following == inside.next_in(VIRTEX5_SX50T)
+        assert memory.read_frame(outside) == frame_of(8)
+        assert memory.frames_from(start, 3) == \
+            [frame_of(1), frame_of(9), frame_of(3)]
+
+    def test_fdro_readback_straight_after_a_bulk_write(self, logic):
+        start = self.layout.addresses[40]
+        logic.memory.write_frames(start, run_of(5, 6))
+        sequence = [SYNC_WORD]
+        sequence += command_packet(Command.RCFG).encode()
+        sequence += write_packet(ConfigRegister.FAR,
+                                 [start.pack()]).encode()
+        sequence += ConfigPacket(Opcode.READ, ConfigRegister.FDRO,
+                                 [0] * 82, type2=True).encode()[:2]
+        logic.feed_words(words_to_bytes(sequence))
+        assert logic.readback_data == frame_of(5) + frame_of(6)
+
+    def test_mutating_the_callers_buffer_leaves_frames_alone(self, memory):
+        buffer = bytearray(run_of(1, 2))
+        memory.write_frames(self.layout.addresses[0], buffer)
+        buffer[:] = bytes(len(buffer))
+        assert memory.frames_from(self.layout.addresses[0], 2) == \
+            [frame_of(1), frame_of(2)]
+
+    def test_unread_runs_hold_no_more_than_the_device(self):
+        # A 72-frame device: 200 unread full-cycle runs would pin
+        # 200 x 11.8 KB if pending runs were never folded.
+        tiny = dataclasses.replace(VIRTEX5_SX50T, name="tiny", columns=1,
+                                   rows=2)
+        memory = ConfigurationMemory(tiny)
+        start = frame_layout(tiny).addresses[0]
+        cycle = len(frame_layout(tiny))
+        run = bytes(cycle * tiny.frame_bytes)
+        tracemalloc.start()
+        try:
+            for fill in range(200):
+                memory.write_frames(start, bytes([fill]) + run[1:])
+            held, _peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert held < 8 * len(run)
+        assert memory.configured_frames == cycle
 
 
 class TestConfigurationLogic:

@@ -355,3 +355,19 @@ def test_sanitized_command_uses_every_default_seed(capsys):
                                  "racy-command") == 1
     out = capsys.readouterr().out
     assert "S903" in out and "racy-command" in out
+
+
+def test_sanitized_command_reuses_the_unperturbed_run(capsys):
+    calls = []
+
+    def command(_args):
+        calls.append(len(calls))
+        print("table row")
+        return 3
+
+    assert run_sanitized_command(command, argparse.Namespace(),
+                                 "counting-command") == 3
+    assert len(calls) == 1 + len(DEFAULT_SEEDS)
+    out = capsys.readouterr().out
+    assert out.count("table row") == 1
+    assert out.index("table row") < out.index("sanitize: counting-command")
