@@ -115,8 +115,9 @@ class ConfigurationMemory:
         else:
             keys = [layout.packed[index % cycle]
                     for index in range(first, end)]
-        # Pending runs never hold more frames than the device has, so
-        # a memory nothing reads stays as small as a settled one.
+        # Fold once the pending runs cover a whole layout cycle: a
+        # memory that is never read then holds about one device of
+        # frames, as a settled one would, not every run ever written.
         if self._pending_frames >= cycle:
             self._settle()
         self._pending.append((keys, data))

@@ -83,15 +83,21 @@ def run_sweep(args: argparse.Namespace) -> int:
         cache_dir = None
     engine = SweepEngine(grid, jobs=jobs, cache_dir=cache_dir,
                          collect_metrics=getattr(args, "metrics", False))
-    results = engine.run()
     if sanitize:
         from repro.sanitize import DeterminismSanitizer
         determinism = DeterminismSanitizer()
-        # Digest the result records, not the printed table: the
-        # table's wall time differs between runs.
-        determinism.check(
-            lambda: [result.to_record() for result in engine.run()],
-            name=f"sweep {grid.name}")
+        runs = []
+
+        def scenario():
+            runs.append(engine.run())
+            # Digest the result records, not the printed table: the
+            # table's wall time differs between runs.
+            return [result.to_record() for result in runs[-1]]
+
+        determinism.check(scenario, name=f"sweep {grid.name}")
+        results = runs[0]  # the unperturbed run's cells
+    else:
+        results = engine.run()
 
     value_header = ("MB/s" if grid.workload == "reconfigure"
                     else "ratio %")

@@ -51,3 +51,21 @@ def test_sweep_sanitize_forces_serial_uncached_and_passes(tmp_path,
     assert "cache off" in out
     assert "sanitize: 0 unjustified" in out
     assert "3 perturbation seed(s)" in out
+
+
+def test_sweep_sanitize_runs_the_grid_once_per_check(monkeypatch, capsys):
+    from repro.sanitize import DEFAULT_SEEDS
+    from repro.sweep.engine import SweepEngine
+
+    runs = []
+    real_run = SweepEngine.run
+
+    def counting_run(self):
+        runs.append(self)
+        return real_run(self)
+
+    monkeypatch.setattr(SweepEngine, "run", counting_run)
+    assert main(["sweep", "smoke", "--sanitize"]) == 0
+    # The unperturbed run's cells are the printed ones; no extra run.
+    assert len(runs) == 1 + len(DEFAULT_SEEDS)
+    assert "4 cells" in capsys.readouterr().out
