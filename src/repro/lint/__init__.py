@@ -7,11 +7,10 @@ This package checks them statically, with project-specific rules, and
 backs the ``python -m repro lint`` CLI plus the CI gate.
 
 It is a two-pass whole-program analyzer: pass 1 builds a
-:class:`~repro.lint.project.ProjectIndex` (imports, call graph,
-per-function parameter names and global reads), pass 2 runs local
-rules plus project rules (sweep process-safety, cache-key purity,
-accel backend-contract conformance) against it.  The analyzer only
-reports; it never edits a file.  An incremental cache makes warm
+:class:`~repro.lint.project.ProjectIndex` (every module's name and
+top-level function signatures), pass 2 runs local rules plus the
+project rules (accel backend-contract conformance) against it.  The
+analyzer only reports; it never edits a file.  An incremental cache makes warm
 re-lints near-instant.
 
 Typical use::
@@ -25,7 +24,6 @@ line of its own.  See ``docs/static_analysis.md`` for the rule catalog.
 """
 
 from repro.lint.analyzer import (
-    build_project_index,
     collect_files,
     lint_file,
     lint_files,
@@ -56,7 +54,6 @@ __all__ = [
     "ProjectIndex",
     "Violation",
     "all_rules",
-    "build_project_index",
     "collect_files",
     "format_json",
     "format_rule_listing",

@@ -2,12 +2,11 @@
 
 Whole-program analysis runs in two passes:
 
-* **Pass 1** reduces every file to a :class:`ModuleSummary` (imports,
-  function parameter names and global reads, mutable globals) and
-  stitches them into a :class:`ProjectIndex` — the call graph the
-  project rules query.
+* **Pass 1** reduces every file to a :class:`ModuleSummary` (its
+  module name and top-level functions with their parameter names) and
+  gathers them into a :class:`ProjectIndex`.
 * **Pass 2** walks each file once more, running the local rules
-  (U0xx/D1xx/E2xx/F3xx) and the project rules (P4xx/C5xx/B8xx), the
+  (U0xx/D1xx/E2xx/F3xx/P4xx/C5xx) and the project rules (B8xx), the
   latter with the index in hand.
 
 Both passes are incremental when a :class:`LintCache` is supplied:
@@ -271,18 +270,3 @@ def lint_files(files: Sequence[Path],
             cache.put_results(file_keys[path], signature, found)
         violations.extend(found)
     return sorted(violations)
-
-
-def build_project_index(paths: Sequence[str]) -> ProjectIndex:
-    """Pass 1 only: the project index for ``paths`` (for tooling)."""
-    summaries: List[ModuleSummary] = []
-    for file_path in collect_files(paths):
-        path = str(file_path)
-        tree, error = _parse(file_path.read_text(encoding="utf-8"), path)
-        if error is not None:
-            summaries.append(ModuleSummary(module=module_name_for(path),
-                                           path=path))
-        else:
-            summaries.append(summarize_module(tree, module_name_for(path),
-                                              path))
-    return ProjectIndex(summaries)

@@ -1,13 +1,10 @@
-"""Project index: import graph and call resolution.
+"""Project index: every module summary, by module name and by path.
 
 Pass 1 (:mod:`repro.lint.summaries`) reduces every file to a
-:class:`ModuleSummary`; this module stitches those into one
-:class:`ProjectIndex` the project rules query.  Its
-``resolve(module, call_name, enclosing_class)`` maps a call
-expression to the :class:`FunctionSummary` it invokes, through import
-aliases, local definitions, ``self.`` receivers, and (as a last
-resort) a project-wide unique-name match.  Ambiguity resolves to
-``None`` — the project rules stay silent rather than guess.
+:class:`ModuleSummary`; this module gathers those into one
+:class:`ProjectIndex` the project rules query by module name (the
+backend-contract rules look up a package's ``pure`` and
+``native_backend`` siblings there).
 
 The index also exposes a deterministic :meth:`signature` — the
 SHA-256 of every module's summary — which keys the incremental
@@ -19,20 +16,9 @@ from __future__ import annotations
 
 import hashlib
 import json
-from typing import Dict, List, Optional
+from typing import Dict, List
 
-from repro.lint.summaries import FunctionSummary, ModuleSummary
-
-#: Method names too generic for the unique-name fallback; resolving
-#: ``obj.update(...)`` to *the one function named update* would be a
-#: guess, not an inference.
-GENERIC_NAMES = frozenset({
-    "update", "get", "put", "add", "run", "append", "extend", "pop",
-    "read", "write", "close", "open", "copy", "clear", "items",
-    "keys", "values", "join", "split", "format", "encode", "decode",
-    "sort", "reverse", "count", "index", "insert", "remove", "next",
-    "send", "result", "submit", "map", "main", "visit", "report",
-})
+from repro.lint.summaries import ModuleSummary
 
 
 class ProjectIndex:
@@ -41,55 +27,9 @@ class ProjectIndex:
     def __init__(self, modules: List[ModuleSummary]) -> None:
         self.modules: Dict[str, ModuleSummary] = {}
         self.by_path: Dict[str, ModuleSummary] = {}
-        self.functions: Dict[str, FunctionSummary] = {}
-        self._by_name: Dict[str, List[str]] = {}
         for summary in sorted(modules, key=lambda m: m.module):
             self.modules[summary.module] = summary
             self.by_path[summary.path] = summary
-            for qualname, function in summary.functions.items():
-                self.functions[qualname] = function
-                self._by_name.setdefault(function.name, []).append(qualname)
-
-    # -- call resolution ----------------------------------------------
-
-    def resolve(self, module: Optional[ModuleSummary],
-                call_name: Optional[str],
-                enclosing_class: Optional[str] = None,
-                ) -> Optional[FunctionSummary]:
-        """The summary a dotted call name denotes, or ``None``."""
-        if not call_name:
-            return None
-        parts = call_name.split(".")
-
-        if module is not None:
-            if parts[0] == "self" and enclosing_class and len(parts) == 2:
-                qualname = f"{module.module}.{enclosing_class}.{parts[1]}"
-                if qualname in self.functions:
-                    return self.functions[qualname]
-
-            target = module.imports.get(parts[0])
-            if target is not None:
-                qualname = ".".join([target, *parts[1:]])
-                if qualname in self.functions:
-                    return self.functions[qualname]
-                # ``from x import Cls`` + ``Cls.method`` resolves the
-                # classmethod through the imported class qualname.
-
-            qualname = f"{module.module}.{call_name}"
-            if qualname in self.functions:
-                return self.functions[qualname]
-
-        # Unique-name fallback: sound only when exactly one function
-        # in the whole project bears the terminal name.
-        terminal = parts[-1]
-        if terminal in GENERIC_NAMES or terminal.startswith("__"):
-            return None
-        candidates = self._by_name.get(terminal, [])
-        if len(candidates) == 1:
-            return self.functions[candidates[0]]
-        return None
-
-    # -- identity -----------------------------------------------------
 
     def signature(self) -> str:
         """SHA-256 over every module summary, in module order."""

@@ -57,7 +57,7 @@ class ProjectChecker(Checker):
 
     The analyzer instantiates these with the :class:`ProjectIndex`
     built in pass 1 plus this file's own :class:`ModuleSummary`, so a
-    ``visit_Call`` can resolve the callee defined two modules away.
+    rule can compare this module with its siblings.
     """
 
     requires_index = True

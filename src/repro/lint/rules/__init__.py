@@ -6,9 +6,10 @@ Rule families:
 * ``D1xx`` (:mod:`repro.lint.rules.determinism`) — reproducibility.
 * ``E2xx`` (:mod:`repro.lint.rules.events`) — event-kernel safety.
 * ``F3xx`` (:mod:`repro.lint.rules.floats`) — float comparisons.
-* ``P4xx`` (:mod:`repro.lint.rules.sweepsafety`) — process-safety of
-  sweep workers, grids, and digest inputs.
-* ``C5xx`` (:mod:`repro.lint.rules.cachekeys`) — cache-key purity.
+* ``P4xx`` (:mod:`repro.lint.rules.sweepsafety`) — ordered digest
+  inputs.
+* ``C5xx`` (:mod:`repro.lint.rules.cachekeys`) — canonical cache-key
+  inputs.
 * ``B8xx`` (:mod:`repro.lint.rules.backend`) — accel backend-contract
   conformance.
 """

@@ -58,16 +58,9 @@ def backend_package_of(index, module_name: str) -> Optional[str]:
 
 def public_kernels(module: ModuleSummary) -> List[FunctionSummary]:
     """Top-level public functions of a backend module, in source order."""
-    kernels = []
-    for qualname, function in module.functions.items():
-        if function.is_nested or function.kind != "function":
-            continue
-        if function.name.startswith("_"):
-            continue
-        if qualname != f"{module.module}.{function.name}":
-            continue  # methods / nested helpers
-        kernels.append(function)
-    return sorted(kernels, key=lambda f: f.line)
+    return sorted((function for function in module.functions.values()
+                   if not function.name.startswith("_")),
+                  key=lambda f: f.line)
 
 
 class _BackendChecker(ProjectChecker):
@@ -124,13 +117,11 @@ class BackendSignatureDrift(_BackendChecker):
         for definition in self._top_level_functions(tree):
             if definition.name.startswith("_"):
                 continue
-            reference = self.module.functions.get(
-                f"{self.module.module}.{definition.name}")
+            reference = self.module.functions.get(definition.name)
             if reference is None:
                 continue
             for impl_mod in impl_mods:
-                counterpart = impl_mod.functions.get(
-                    f"{impl_mod.module}.{definition.name}")
+                counterpart = impl_mod.functions.get(definition.name)
                 if counterpart is None:
                     self.report(definition, (
                         f"kernel '{definition.name}' has no counterpart "
@@ -177,10 +168,7 @@ class BackendMissingDispatch(_BackendChecker):
         for definition in self._top_level_functions(node):
             if definition.name.startswith("_"):
                 continue
-            if f"{self.module.module}.{definition.name}" \
-                    not in self.module.functions:
-                continue
-            if f"{pkg}.{definition.name}" not in package_mod.functions:
+            if definition.name not in package_mod.functions:
                 self.report(definition, (
                     f"kernel '{definition.name}' has no dispatch "
                     f"function in {pkg}.__init__; callers cannot reach "

@@ -1,17 +1,18 @@
 """Event-safety rules (E2xx).
 
-The event kernel owns dispatch: callbacks are scheduled, fired once in
-(time, sequence) order, and cancelled through their handle.  These
-rules catch the three classic ways user code subverts that contract.
+The event kernel owns dispatch: callbacks are scheduled and fired once
+in (time, sequence) order.  These rules catch the two classic ways
+user code subverts that contract.  (A cancelled handle guards itself
+at runtime: ``fire()`` on it is a no-op and ``__slots__`` reject
+stray attributes.)
 """
 
 from __future__ import annotations
 
 import ast
-from typing import Dict, List, Optional, Set
+from typing import List, Set
 
 from repro.lint.registry import Checker, register
-from repro.lint.astutils import terminal_name
 
 #: Methods that register a callback with the kernel or a signal.
 CALLBACK_METHODS = ("at", "after", "observe", "on_value", "add_waiter")
@@ -120,106 +121,3 @@ class ManualFireRule(Checker):
                               "after and let the kernel dispatch it")
         self.generic_visit(node)
 
-
-@register
-class UseAfterCancelRule(Checker):
-    """E203 — a cancelled handle is dead; do not re-arm or reuse it.
-
-    ``ScheduledEvent.cancel()`` is one-way: the kernel skips the entry
-    but the handle stays in the heap, so re-scheduling or firing the
-    same handle object fires stale state (or nothing).  Create a fresh
-    handle with ``Simulator.at/after``.
-    """
-
-    rule_id = "E203"
-    rule_name = "use-after-cancel"
-    rationale = ("cancel() is one-way; reusing the handle fires stale "
-                 "state — schedule a fresh one")
-
-    #: Attribute reads that are legitimate on a cancelled handle.
-    _ALLOWED_ATTRS = ("cancelled", "fired", "time_ps")
-
-    def _scan_body(self, body: List[ast.stmt]) -> None:
-        cancelled: Dict[str, int] = {}
-        for stmt in body:
-            self._scan_statement(stmt, cancelled)
-
-    def _scan_statement(self, stmt: ast.stmt,
-                        cancelled: Dict[str, int]) -> None:
-        # Rebinding the name points it at a fresh handle; clear its
-        # state.  Attribute/subscript stores mutate the old object and
-        # must NOT clear (``dead.payload = 1`` is still a reuse).
-        if isinstance(stmt, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
-            targets = (stmt.targets if isinstance(stmt, ast.Assign)
-                       else [stmt.target])
-            for target in targets:
-                for name in self._rebound_names(target):
-                    cancelled.pop(name, None)
-        for node in self._walk_same_scope(stmt):
-            if isinstance(node, ast.Call):
-                receiver = self._cancel_receiver(node)
-                if receiver is not None:
-                    cancelled[receiver] = node.lineno
-                    continue
-            if isinstance(node, ast.Attribute) and isinstance(node.value,
-                                                              ast.Name):
-                name = node.value.id
-                if (name in cancelled and node.lineno > cancelled[name]
-                        and node.attr not in self._ALLOWED_ATTRS
-                        and node.attr != "cancel"):
-                    self.report(node, f"{name}.{node.attr} after "
-                                      f"{name}.cancel(); cancelled handles "
-                                      f"are dead — create a new one with "
-                                      f"Simulator.at/after")
-
-    @classmethod
-    def _rebound_names(cls, target: ast.AST) -> Set[str]:
-        if isinstance(target, ast.Name):
-            return {target.id}
-        if isinstance(target, (ast.Tuple, ast.List)):
-            names: Set[str] = set()
-            for elt in target.elts:
-                names |= cls._rebound_names(elt)
-            return names
-        if isinstance(target, ast.Starred):
-            return cls._rebound_names(target.value)
-        return set()
-
-    @classmethod
-    def _walk_same_scope(cls, stmt: ast.stmt):
-        """Pre-order walk of ``stmt`` that stops at nested scopes.
-
-        Nested defs/lambdas get their own cancel-tracking pass (via
-        ``visit_FunctionDef``); walking into them here would mix their
-        handle names into the enclosing scope and double-report.
-        """
-        yield stmt
-        for child in ast.iter_child_nodes(stmt):
-            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
-                                  ast.Lambda, ast.ClassDef)):
-                continue
-            yield from cls._walk_same_scope(child)
-
-    def _scan_top_level(self, body: List[ast.stmt]) -> None:
-        self._scan_body([stmt for stmt in body
-                         if not isinstance(stmt, (ast.FunctionDef,
-                                                  ast.AsyncFunctionDef,
-                                                  ast.ClassDef))])
-
-    @staticmethod
-    def _cancel_receiver(node: ast.Call) -> Optional[str]:
-        if (isinstance(node.func, ast.Attribute)
-                and node.func.attr == "cancel"
-                and isinstance(node.func.value, ast.Name)):
-            return node.func.value.id
-        return None
-
-    def visit_FunctionDef(self, node: ast.FunctionDef) -> None:
-        self._scan_top_level(node.body)
-        self.generic_visit(node)
-
-    visit_AsyncFunctionDef = visit_FunctionDef
-
-    def visit_Module(self, node: ast.Module) -> None:
-        self._scan_top_level(node.body)
-        self.generic_visit(node)

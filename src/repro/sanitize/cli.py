@@ -136,13 +136,20 @@ def run_sanitize(args: argparse.Namespace) -> int:
     root = os.getcwd()
     for script in scripts:
         name = os.path.relpath(script, root)
-        findings = sanitize_script(script, seeds=seeds,
-                                   justified=justified)
+        determinism = sanitize_script(script, seeds=seeds,
+                                      justified=justified)
+        findings = determinism.findings
         all_findings.extend(findings)
         unjustified = [finding for finding in findings
                        if not finding.justified]
-        status = "clean" if not unjustified \
-            else f"{len(unjustified)} finding(s)"
+        if unjustified:
+            status = f"{len(unjustified)} finding(s)"
+        elif not any(run.tasks_run for run in determinism.runs):
+            # Nothing was perturbed, so "clean" would claim a check
+            # that never happened.
+            status = "no simulator tasks"
+        else:
+            status = "clean"
         print(f"sanitize {name}: {status}")
         for finding in findings:
             marker = " [justified]" if finding.justified else ""
@@ -164,12 +171,17 @@ def run_sanitize(args: argparse.Namespace) -> int:
 
 def sanitize_script(script: str, seeds: Sequence[int],
                     justified: Tuple[str, ...] = (),
-                    ) -> List[DivergenceFinding]:
-    """Run one script under the S903 sanitizer; return its findings."""
+                    ) -> DeterminismSanitizer:
+    """Run one script under the S903 sanitizer.
+
+    The returned sanitizer holds the script's findings and the
+    :class:`~repro.sanitize.determinism.RunRecord` of every run.
+    """
     determinism = DeterminismSanitizer(seeds=tuple(seeds),
                                        justified=justified)
-    return determinism.check(lambda: _run_script(script),
-                             name=os.path.basename(script))
+    determinism.check(lambda: _run_script(script),
+                      name=os.path.basename(script))
+    return determinism
 
 
 def run_sanitized_command(command: Any, args: argparse.Namespace,
@@ -181,8 +193,21 @@ def run_sanitized_command(command: Any, args: argparse.Namespace,
     unperturbed run's captured output is printed and its exit code
     kept, so the command runs ``1 + len(DEFAULT_SEEDS)`` times; any
     finding turns into a non-zero exit code.
+
+    The runs are not observed, so ``--metrics`` or ``--trace`` with
+    ``--sanitize`` is a usage error rather than a silently dropped
+    metrics table or trace file.
     """
     from repro import accel
+
+    unobserved = [flag for flag, given in
+                  (("--metrics", getattr(args, "metrics", False)),
+                   ("--trace", getattr(args, "trace", None)))
+                  if given]
+    if unobserved:
+        print(f"repro {label}: error: --sanitize cannot be combined "
+              f"with {' or '.join(unobserved)}", file=sys.stderr)
+        return EXIT_USAGE
 
     determinism = DeterminismSanitizer()
     findings = determinism.check(lambda: command(args), name=label)

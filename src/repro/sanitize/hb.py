@@ -8,9 +8,9 @@ tasks, grouped by simulation instant:
   labelled with the callback's qualified name;
 * an :class:`~repro.sim.signal.Event` waiter or
   :class:`~repro.sim.signal.Signal` observer runs as a nested task
-  labelled ``"<callback> <- <source name>"``;
-* a scheduled :class:`~repro.sim.process.Process` resume is relabelled
-  ``"process:<name>"`` (the kernel only sees an anonymous lambda).
+  labelled ``"<callback> <- <source name>"``.  A scheduled
+  :class:`~repro.sim.process.Process` resume is such a callback too,
+  labelled with its resume lambda's qualified name.
 
 Listeners (the determinism stream recorder) see task begins and
 instant boundaries; the recorder digests each instant's label
@@ -19,7 +19,7 @@ multiset, which is invariant under any legal same-instant reordering.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Callable, List, Optional
 
 
 def describe_callback(callback: Any) -> str:
@@ -61,8 +61,7 @@ class HBTracker:
     Installed as ``sim.sanitizer``; the kernel hands every scheduled
     callback to :meth:`on_schedule` for wrapping,
     :class:`~repro.sim.signal.Event` / :class:`~repro.sim.signal.
-    Signal` route deliveries through :meth:`deliver`, and
-    :class:`~repro.sim.process.Process` reports spawns and resumes.
+    Signal` route deliveries through :meth:`deliver`.
     """
 
     def __init__(self, sim: Any) -> None:
@@ -72,9 +71,6 @@ class HBTracker:
         self.listeners: List[TrackerListener] = []
         self.tasks_run = 0
         self._instant_time = -1
-        #: id(process) -> the task that spawned it (``None`` outside
-        #: any task).
-        self._spawners: Dict[int, Optional[Task]] = {}
 
     # -- kernel protocol ----------------------------------------------
 
@@ -102,18 +98,6 @@ class HBTracker:
             callback(*args)
         finally:
             self._end()
-
-    def on_process_spawn(self, process: Any) -> None:
-        self._spawners[id(process)] = self.current
-
-    def on_process_resume(self, process: Any) -> None:
-        task = self.current
-        if task is None or self._spawners.get(id(process)) is task:
-            # First segment: ``Process.__init__`` resumes inline, so
-            # the current task is still the *spawner* — keep its
-            # identity; only scheduled resumes get the process label.
-            return
-        task.label = f"process:{process.name}"
 
     # -- task lifecycle -----------------------------------------------
 

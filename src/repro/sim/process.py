@@ -84,8 +84,6 @@ class Process:
         self._generator = generator
         self.name = name
         self.finished = Event(sim, f"{name}.finished")
-        if sim.sanitizer is not None:
-            sim.sanitizer.on_process_spawn(self)
         self._resume(None)
 
     @property
@@ -100,11 +98,6 @@ class Process:
         return self.finished.payload
 
     def _resume(self, send_value: Any) -> None:
-        if self._sim.sanitizer is not None:
-            # Relabel the sanitizer's current task: the kernel only
-            # sees an anonymous resume lambda, the report should say
-            # which process it belonged to.
-            self._sim.sanitizer.on_process_resume(self)
         try:
             command = self._generator.send(send_value)
         except StopIteration as stop:

@@ -10,31 +10,49 @@ from repro.lint.cache import PACKAGE_DIR, analyzer_digest
 REPO_ROOT = Path(__file__).resolve().parent.parent.parent
 
 
+PURE = (
+    "def scale(data, factor):\n"
+    "    return [x * factor for x in data]\n"
+    "\n"
+    "\n"
+    "def offset(data, delta):\n"
+    "    return [x + delta for x in data]\n")
+
+
 def _write_pkg(root: Path):
-    # P401 here is cross-module: the worker's mutable global lives in
-    # state.py, the pool dispatch in runner.py.
+    # B801 is cross-module: a backend module is judged against its
+    # pure sibling's summary.  offset() drifts (an extra parameter in
+    # native_backend.py), which B801 reports in pure.py.
     (root / "pkg").mkdir()
-    (root / "pkg" / "__init__.py").write_text("")
-    (root / "pkg" / "state.py").write_text(
-        "SEEN = []\n"
+    (root / "pkg" / "__init__.py").write_text(
+        "from pkg import pure\n"
         "\n"
         "\n"
-        "def tally(spec):\n"
-        "    return len(SEEN) + spec\n")
-    (root / "pkg" / "runner.py").write_text(
-        "from concurrent.futures import ProcessPoolExecutor\n"
-        "\n"
-        "from pkg.state import tally\n"
+        "def record(kernel):\n"
+        "    return kernel\n"
         "\n"
         "\n"
-        "def run(specs):\n"
-        "    with ProcessPoolExecutor() as pool:\n"
-        "        return list(pool.map(tally, specs))\n")
+        "def scale(data, factor):\n"
+        "    record('scale')\n"
+        "    return pure.scale(data, factor)\n"
+        "\n"
+        "\n"
+        "def offset(data, delta):\n"
+        "    record('offset')\n"
+        "    return pure.offset(data, delta)\n")
+    (root / "pkg" / "pure.py").write_text(PURE)
+    (root / "pkg" / "native_backend.py").write_text(
+        "def scale(data, factor):\n"
+        "    return [x * factor for x in data]\n"
+        "\n"
+        "\n"
+        "def offset(data, delta, clamp):\n"
+        "    return [min(x + delta, clamp) for x in data]\n")
     return collect_files([str(root / "pkg")])
 
 
-def _p401(violations):
-    return [v for v in violations if v.rule_id == "P401"]
+def _b801(violations):
+    return [v for v in violations if v.rule_id == "B801"]
 
 
 def test_warm_run_is_all_hits_and_identical(tmp_path):
@@ -49,7 +67,7 @@ def test_warm_run_is_all_hits_and_identical(tmp_path):
     assert warm_cache.summary_misses == 0
     assert warm_cache.result_hits == len(files)
     assert warm_cache.result_misses == 0
-    assert _p401(warm)
+    assert _b801(warm)
 
 
 def test_body_edit_invalidates_only_that_file(tmp_path):
@@ -59,38 +77,36 @@ def test_body_edit_invalidates_only_that_file(tmp_path):
 
     # A comment-only edit changes the file content but not its summary,
     # so the project signature is unchanged: exactly one file re-runs.
-    runner = tmp_path / "pkg" / "runner.py"
-    runner.write_text(runner.read_text() + "# trailing comment\n")
+    native = tmp_path / "pkg" / "native_backend.py"
+    native.write_text(native.read_text() + "# trailing comment\n")
     warm = LintCache(str(tmp_path / "cache"))
     after = lint_files(files, cache=warm)
     assert warm.summary_misses == 1
     assert warm.result_misses == 1
     assert warm.result_hits == len(files) - 1
-    assert _p401(after)
+    assert _b801(after)
 
 
 def test_api_edit_invalidates_every_result(tmp_path):
     files = _write_pkg(tmp_path)
     cache = LintCache(str(tmp_path / "cache"))
     before = lint_files(files, cache=cache)
-    assert [v.path for v in _p401(before)] == [
-        str(tmp_path / "pkg" / "runner.py")]
+    native = str(tmp_path / "pkg" / "native_backend.py")
+    assert [v.path for v in _b801(before)] == [
+        str(tmp_path / "pkg" / "pure.py")]
 
-    # Freezing the global changes state.py's summary (its mutable
-    # globals), which shifts the project signature: every file's
-    # findings are recomputed, and the P401 in the unchanged runner.py
-    # disappears.
-    (tmp_path / "pkg" / "state.py").write_text(
-        "SEEN = ()\n"
-        "\n"
-        "\n"
-        "def tally(spec):\n"
-        "    return len(SEEN) + spec\n")
+    # Renaming a kernel changes pure.py's summary (its top-level
+    # functions), which shifts the project signature: every file's
+    # findings are recomputed, and the unchanged native_backend.py
+    # gains a finding for its scale(), which lost its pure reference.
+    (tmp_path / "pkg" / "pure.py").write_text(
+        PURE.replace("def scale(", "def scaled("))
     warm = LintCache(str(tmp_path / "cache"))
     after = lint_files(files, cache=warm)
     assert warm.result_hits == 0
     assert warm.result_misses == len(files)
-    assert not _p401(after)
+    [gained] = [v for v in _b801(after) if v.path == native]
+    assert "'scale' has no pure reference" in gained.message
 
 
 def test_analyzer_edit_invalidates_every_entry(tmp_path, monkeypatch):

@@ -77,33 +77,27 @@ def test_fixing_the_file_exits_clean(repo):
 
 
 def test_cross_module_context_survives_the_restriction(repo):
-    # The changed dispatcher's violation is only provable with the
-    # *unchanged* worker module's summary in the index: report_only
+    # The changed backend's violation is only provable with the
+    # *unchanged* pure module's summary in the index: report_only
     # must restrict reporting, not analysis.
-    pkg = repo / "sweep_pkg"
+    pkg = repo / "kernel_pkg"
     pkg.mkdir()
     (pkg / "__init__.py").write_text('"""pkg."""\n')
-    (pkg / "state.py").write_text(
-        "REGISTRY = {}\n\n\n"
-        "def tally(spec):\n    return REGISTRY.get(spec, spec)\n")
-    (pkg / "runner.py").write_text(
-        "from sweep_pkg.state import tally\n\n\n"
-        "def run(specs):\n"
-        "    return [tally(spec) for spec in specs]\n")
+    (pkg / "pure.py").write_text("def fold(data):\n    return data\n")
+    (pkg / "native_backend.py").write_text(
+        "def fold(data):\n    return data\n")
     _git(repo, "add", "-A")
     _git(repo, "commit", "-q", "-m", "pkg")
 
-    (pkg / "runner.py").write_text(
-        "from concurrent.futures import ProcessPoolExecutor\n\n"
-        "from sweep_pkg.state import tally\n\n\n"
-        "def run(specs):\n"
-        "    with ProcessPoolExecutor() as pool:\n"
-        "        return list(pool.map(tally, specs))\n")
+    (pkg / "native_backend.py").write_text(
+        "def fold(data):\n    return data\n\n\n"
+        "def unfold(data):\n    return data\n")
     result = _run(repo, "--ref", "HEAD")
     assert result.returncode == 1
-    assert "P401" in result.stdout and "runner.py" in result.stdout
-    assert "REGISTRY" in result.stdout
-    assert "state.py" not in result.stdout
+    assert "B801" in result.stdout
+    assert "native_backend.py" in result.stdout
+    assert "'unfold' has no pure reference" in result.stdout
+    assert "pure.py" not in result.stdout
 
 
 def test_unknown_ref_is_a_usage_error(repo):

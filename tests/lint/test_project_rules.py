@@ -1,8 +1,9 @@
 """Whole-program rules against the fixture packages.
 
 The single-file fixtures prove each rule in isolation; these packages
-prove the *project index*: violations here are only visible when the
-analyzer resolves calls and globals across module boundaries.
+prove the *project index*: the backend-contract violations here are
+only visible when the analyzer compares summaries across module
+boundaries.
 """
 
 from pathlib import Path
@@ -24,17 +25,15 @@ def _by_rule(violations):
 
 
 def test_cross_module_finding_needs_the_index():
-    # The same dispatcher linted alone resolves nothing: the violation
-    # only exists with the worker module's summary in the index.
-    alone = lint_file(FIXTURES / "unsafe_sweep_pkg" / "runner.py")
-    assert not any(v.rule_id == "P401" for v in alone)
-
-
-def test_worker_safety_across_modules():
-    found = _by_rule(lint_files(_pkg_files("unsafe_sweep_pkg")))
-    [p401] = found["P401"]
-    assert p401.path.endswith("runner.py")
-    assert "REGISTRY" in p401.message
+    # The drifted backend linted alone has no pure sibling to compare
+    # against: its B801 findings exist only with the pure module's
+    # summary in the index.
+    native = FIXTURES / "accel_drift_pkg" / "native_backend.py"
+    alone = lint_file(native)
+    assert not any(v.rule_id == "B801" for v in alone)
+    together = lint_files(_pkg_files("accel_drift_pkg"))
+    assert any(v.rule_id == "B801" and v.path == str(native)
+               for v in together)
 
 
 def test_order_unstable_cache_key_package():
@@ -43,28 +42,29 @@ def test_order_unstable_cache_key_package():
     assert [v.line for v in found["C502"]] == [10]
 
 
-def test_project_index_resolution_and_signature():
+def test_project_index_summaries_and_signature():
     import ast
 
     from repro.lint.project import ProjectIndex, module_name_for
     from repro.lint.summaries import summarize_module
 
     summaries = []
-    for path in _pkg_files("unsafe_sweep_pkg"):
+    for path in _pkg_files("accel_drift_pkg"):
         tree = ast.parse(path.read_text())
         summaries.append(
             summarize_module(tree, module_name_for(str(path)), str(path)))
     index = ProjectIndex(summaries)
-    runner = next(s for s in summaries
-                  if s.module == "unsafe_sweep_pkg.runner")
 
-    summary = index.resolve(runner, "tally")
-    assert summary is not None
-    assert summary.qualname == "unsafe_sweep_pkg.state.tally"
-    assert summary.params == ("spec",)
-    assert summary.global_reads == ("REGISTRY",)
-    owner = index.modules["unsafe_sweep_pkg.state"]
-    assert owner.mutable_globals == ("REGISTRY",)
+    # Summaries hold the top-level functions with their parameters,
+    # private helpers included; the dispatch layer's imports are not
+    # summarized.
+    pure = index.modules["accel_drift_pkg.pure"]
+    assert sorted(pure.functions) == ["_helper", "crc_fold", "fold_bits",
+                                      "mix_rows", "pack_words",
+                                      "scan_runs"]
+    assert pure.functions["crc_fold"].params == ("data", "crc")
+    assert pure.functions["crc_fold"].line == 8
+    assert index.by_path[pure.path] is pure
 
     # The signature is a pure function of module *summaries*, not of
     # file order.

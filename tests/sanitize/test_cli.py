@@ -70,6 +70,18 @@ def test_clean_script_exits_zero(clean_script, tmp_path):
     assert "0 unjustified findings" in result.stdout
 
 
+def test_script_without_a_simulator_is_not_called_clean(tmp_path):
+    # No simulator task ran, so there was nothing to perturb: the
+    # report says so instead of "clean", and the exit code stays 0.
+    path = tmp_path / "no_sim.py"
+    path.write_text("print(sorted({3, 1, 2}))\n")
+    result = run_cli(str(path), cwd=tmp_path)
+    assert result.returncode == 0, result.stdout + result.stderr
+    assert "sanitize no_sim.py: no simulator tasks" in result.stdout
+    assert "clean" not in result.stdout
+    assert "0 unjustified findings" in result.stdout
+
+
 def test_divergent_script_exits_one(racy_script, tmp_path):
     result = run_cli(str(racy_script), "--seeds", "1,2,3,4,5,6,7,8",
                      cwd=tmp_path)
@@ -148,3 +160,24 @@ def test_sanitize_sarif_is_valid_and_carries_rule_metadata():
         assert result["ruleId"] in rules
         location = result["locations"][0]["physicalLocation"]
         assert location["artifactLocation"]["uri"] == "racy_scenario.py"
+
+
+@pytest.mark.parametrize("argv,named", [
+    (["table2", "--metrics"], "--metrics"),
+    (["table2", "--trace", "TRACE"], "--trace"),
+    (["table2", "--metrics", "--trace", "TRACE"], "--metrics or --trace"),
+    (["serve", "run", "--requests", "10", "--metrics"], "--metrics"),
+])
+def test_sanitize_rejects_metrics_and_trace(tmp_path, capsys, argv,
+                                            named):
+    # The sanitized runs are not observed: rather than print no
+    # metrics table and write no trace file, refuse the combination.
+    from repro.cli import main
+
+    trace = tmp_path / "trace.json"
+    argv = [str(trace) if arg == "TRACE" else arg for arg in argv]
+    assert main([*argv, "--sanitize"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"--sanitize cannot be combined with {named}" in captured.err
+    assert not trace.exists()

@@ -1,7 +1,7 @@
 """Task-stream tracking: labels, instant boundaries, task counts."""
 
 from repro.sanitize.hb import HBTracker, TrackerListener
-from repro.sim import Delay, Event, Process, Signal
+from repro.sim import Event, Signal
 
 
 class Recorder(TrackerListener):
@@ -41,26 +41,6 @@ def test_deliveries_are_labelled_with_their_source(sim):
     deliveries = sorted(task.label.split(" <- ")[1]
                         for task in recorder.tasks if " <- " in task.label)
     assert deliveries == ["go", "level"]
-
-
-def test_process_resume_is_labelled(sim):
-    tracker, recorder = tracked(sim)
-
-    def body():
-        yield Delay(10)
-        yield Delay(10)
-
-    def spawner():
-        Process(sim, body(), name="worker")
-
-    sim.call_at(100, spawner)
-    sim.run()
-    tracker.finish()
-    # the inline first segment keeps the spawner's identity; only the
-    # two scheduled resumes carry the process label.
-    labels = [task.label.split("<locals>.")[-1] for task in recorder.tasks]
-    assert labels[0] == "spawner"
-    assert labels[1:] == ["process:worker", "process:worker"]
 
 
 # -- instant boundaries -----------------------------------------------

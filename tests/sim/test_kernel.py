@@ -72,8 +72,16 @@ def test_cancelled_event_does_not_fire(sim):
     seen = []
     handle = sim.at(10, lambda: seen.append("x"))
     handle.cancel()
+    # cancel() is one-way: firing the dead handle runs nothing, and the
+    # handle has no re-arm method or room for new attributes.
+    handle.fire()  # repro-lint: disable=E202
+    with pytest.raises(AttributeError):
+        handle.reschedule(20)
+    with pytest.raises(AttributeError):
+        handle.payload = 1
     sim.run()
     assert seen == []
+    assert handle.cancelled and not handle.fired
 
 
 def test_cancel_after_fire_is_noop(sim):

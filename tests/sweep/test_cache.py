@@ -1,15 +1,18 @@
 """Content-addressed artifact cache: keys, blobs, reconstruction."""
 
-# These tests exercise the raw artifact_key() helper with ad-hoc
-# params dicts; version pinning is the caller's job (bitstream_params)
-# and is covered by test_key_changes_with_any_parameter.
-# repro-lint: disable=C503
-
 import os
 
 from repro.bitstream.generator import BitstreamSpec, generate_bitstream
-from repro.sweep import ArtifactCache, CacheStats, artifact_key
-from repro.sweep.cache import bitstream_params
+from repro.sweep import (
+    ArtifactCache,
+    CacheStats,
+    PayloadSpec,
+    RunSpec,
+    artifact_key,
+)
+from repro.sweep import cache as cache_module
+from repro.sweep import engine
+from repro.sweep.cache import CACHE_FORMAT_VERSION, bitstream_params
 from repro.units import DataSize
 
 
@@ -41,6 +44,28 @@ def test_key_changes_with_any_parameter():
     keys = {artifact_key(base), artifact_key(reseeded),
             artifact_key(resized)}
     assert len(keys) == 3
+
+
+def test_every_cache_key_embeds_the_format_version(monkeypatch):
+    # Bumping CACHE_FORMAT_VERSION must orphan every cached artifact:
+    # both key builders carry it, so the keys move with it.
+    spec = BitstreamSpec(size=DataSize.from_kb(6.5), seed=2012)
+    run = RunSpec(workload="reconfigure", controller="UPaRC_i",
+                  frequency_mhz=100.0,
+                  payload=PayloadSpec(size_kb=6.5, seed=2012))
+    assert bitstream_params(spec)["version"] == CACHE_FORMAT_VERSION
+    assert engine._record_params(run)["version"] == CACHE_FORMAT_VERSION
+
+    before = (artifact_key(bitstream_params(spec)),
+              artifact_key(engine._record_params(run)))
+    monkeypatch.setattr(cache_module, "CACHE_FORMAT_VERSION",
+                        CACHE_FORMAT_VERSION + 1)
+    monkeypatch.setattr(engine, "CACHE_FORMAT_VERSION",
+                        CACHE_FORMAT_VERSION + 1)
+    after = (artifact_key(bitstream_params(spec)),
+             artifact_key(engine._record_params(run)))
+    assert before[0] != after[0]
+    assert before[1] != after[1]
 
 
 def test_two_level_fanout_layout(tmp_path):

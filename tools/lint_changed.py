@@ -2,8 +2,8 @@
 """Lint only the Python files changed relative to a git ref.
 
 The analyzer is a whole-program tool: pass 1 still summarizes every
-file so cross-module rules (sweep safety, cache keys, backend
-contract) keep their context, but pass 2 — the expensive rule run —
+file so the cross-module rules (the backend contract) keep their
+context, but pass 2 — the expensive rule run —
 is restricted to the changed files via
 ``lint_files(..., report_only=...)``.  With the shared incremental
 cache (``.repro-lint-cache/`` by default) the unchanged summaries are
