@@ -6,10 +6,11 @@ loops statement for statement (same token layouts, same move-to-front
 order, same error detection points, the same MT19937 draws), and the
 cross-backend digest and hypothesis suites pin the two together.
 This module is the thin ctypes-free wrapper: it shapes arguments into
-C buffers, maps decoder status codes back to the reference
-:class:`~repro.errors.CorruptStreamError` messages, and keeps a
-small-input crossover per kernel below which the tuned pure form wins
-(the FFI call plus buffer setup costs ~1 µs).
+C buffers and maps decoder status codes back to the reference
+:class:`~repro.errors.CorruptStreamError` messages.  Every C kernel
+takes the C path at every input size: no size crossover hands small
+inputs to pure, because no measured workload calls a kernel at a size
+where one would pay.
 
 Importing this module requires the compiled extension
 (``python -m repro.accel._native.build`` or the ``native`` install
@@ -18,15 +19,19 @@ selection logic falls back to pure when it is missing.
 
 Kernels in C: ``plan_frames`` (the generator's frame planner, drawing
 from the caller's ``random.Random`` state), ``synthesize_payload``,
-``crc32c``, ``rle_records``, ``xmatch_tokens``, ``lz77_tokens``,
-``bitpack``, ``huffman_pack``, the four decoders (``xmatch_decode``,
-``lz77_decode``, ``huffman_decode``, ``rle_decode``), and the
-kernels with no crossover, which take the C path at every size:
-``crc32c_words`` (the configuration CRC's word-plus-address fold),
-``huffman_code_table`` (histogram and code table), Zip's byte-token
+``crc32c``, ``crc32c_words`` (the configuration CRC's
+word-plus-address fold), ``rle_records``, ``xmatch_tokens``,
+``lz77_tokens``, ``bitpack``, ``huffman_code_table`` (histogram and
+code table), ``huffman_pack``, the four decoders (``xmatch_decode``,
+``lz77_decode``, ``huffman_decode``, ``rle_decode``), Zip's byte-token
 stage (``lzbytes_pack``/``lzbytes_decode``), and the LZ78 and 7-zip
 codec stages (``lz78_pack``/``lz78_decode``, the adaptive arithmetic
 coder ``lzma_pack``/``lzma_decode``).
+
+A kernel still hands a call to pure when the input leaves the C
+types' domain (token widths past 64 bits, a capacity outside 2..64,
+a word count past the data, a ``Random`` subclass, ...): these guards
+keep the backend total over pure's input domain, whatever the size.
 
 Kernels with no C form forward to pure: ``words_to_bytes``,
 ``bytes_to_words``, ``chunk_words``, ``equal_word_runs`` and
@@ -62,31 +67,6 @@ name = "native"
 ffi = _uparc_native.ffi
 _lib = _uparc_native.lib
 _lib.uparc_init()
-
-# Below these sizes the pure kernels win (the crossover sentinels in
-# tests/accel/test_crossover.py pin the ordering on both sides);
-# outputs are identical either way, so the cutovers only affect speed.
-# The FFI call itself costs well under 1 µs, so the measured
-# crossovers are 2-16 elements for everything except the kernels that
-# pay a fixed Python-side conversion per call (huffman_pack converts
-# two 256-entry code tables; lz77_tokens allocates its 128 KB
-# hash-head array; plan_frames round-trips the 625-word RNG state
-# through getstate/setstate, about 45 µs, which pure's ~20 µs per
-# frame repays from 4 frames on) and rle_decode, whose pure form does
-# one bulk ``word * run`` per record and only loses once the stream
-# holds a few dozen records.
-_CRC_MIN_BYTES = 4
-_BITPACK_MIN_TOKENS = 8
-_HUFF_PACK_MIN_BYTES = 128
-_XMATCH_MIN_WORDS = 2
-_LZ77_MIN_BYTES = 16
-_XMATCH_DEC_MIN_BYTES = 8
-_LZ77_DEC_MIN_BYTES = 8
-_HUFF_DEC_MIN_BYTES = 8
-_RLE_DEC_MIN_BYTES = 64
-_SYNTH_MIN_WORDS = 16
-_RLE_MIN_WORDS = 2
-_PLAN_MIN_FRAMES = 4
 
 # The C synthesis kernel reads the plan's array("I") values and
 # lengths as uint32_t, which only holds where that typecode is 4 bytes.
@@ -200,14 +180,11 @@ def _token_arrays(values, widths, count: int) -> "pure.TokenStream":
 
 
 def crc32c(data: bytes, crc: int = 0) -> int:
-    if len(data) < _CRC_MIN_BYTES:
-        return pure.crc32c(data, crc)
     return _lib.uparc_crc32c(ffi.from_buffer("uint8_t[]", data),
                              len(data), crc & 0xFFFFFFFF)
 
 
 def crc32c_words(data: bytes, address: int, crc: int = 0) -> int:
-    # No crossover: the fold builds no blob, so C wins at every length.
     return _lib.uparc_crc32c_words(ffi.from_buffer("uint8_t[]", data),
                                    len(data) // 4, address,
                                    crc & 0xFFFFFFFF)
@@ -347,8 +324,8 @@ def plan_frames(rng: Random, mixture: FrameMixture, frame_count: int,
                 have_previous: bool) -> SynthesisPlan:
     # type() is exact on purpose: a Random subclass may override the
     # draws, which only calling its methods honours.
-    if (frame_count < _PLAN_MIN_FRAMES or type(rng) is not Random
-            or not _PLANNER_MATCHES_PURE or not _PLAN_ITEMS_ARE_32_BIT):
+    if (type(rng) is not Random or not _PLANNER_MATCHES_PURE
+            or not _PLAN_ITEMS_ARE_32_BIT):
         return pure.plan_frames(rng, mixture, frame_count, have_previous)
     plan = _native_plan(rng, mixture, frame_count, have_previous)
     if plan is None:
@@ -357,7 +334,7 @@ def plan_frames(rng: Random, mixture: FrameMixture, frame_count: int,
 
 
 def synthesize_payload(plan: SynthesisPlan) -> bytes:
-    if plan.total_words < _SYNTH_MIN_WORDS or not _PLAN_ITEMS_ARE_32_BIT:
+    if not _PLAN_ITEMS_ARE_32_BIT:
         return pure.synthesize_payload(plan)
     out = ffi.new("uint8_t[]", 4 * plan.total_words)
     written = _lib.uparc_synthesize_payload(
@@ -372,7 +349,7 @@ def synthesize_payload(plan: SynthesisPlan) -> bytes:
 
 
 def rle_records(data: bytes, word_count: int) -> bytes:
-    if word_count < _RLE_MIN_WORDS or 4 * word_count > len(data):
+    if 4 * word_count > len(data):
         return pure.rle_records(data, word_count)
     out = ffi.new("uint8_t[]", 5 * word_count + 8)
     written = _lib.uparc_rle_records(
@@ -384,15 +361,14 @@ def rle_records(data: bytes, word_count: int) -> bytes:
 
 
 def bitpack(values: Sequence[int], widths: Sequence[int]) -> bytes:
-    count = len(values)
-    if count < _BITPACK_MIN_TOKENS:
-        return pure.bitpack(values, widths)
     value_buffer = _typed_view(values, "Q", "uint64_t[]")
     width_buffer = _typed_view(widths, "B", "uint8_t[]")
     if value_buffer is None or width_buffer is None:
         # Values beyond 64 bits: only the bigint pure form packs
         # them (no kernel emits such tokens; property tests do).
         return pure.bitpack(values, widths)
+    # Pure zips the two sequences, so the shorter one bounds the scan.
+    count = min(len(values), len(widths))
     # At most 8 bytes a token, plus the writer's 8-byte store slack.
     out = _new_unzeroed("uint8_t[]", 8 * count + 8)
     written = _lib.uparc_bitpack(value_buffer, width_buffer, count, out)
@@ -412,8 +388,10 @@ def huffman_code_table(data: bytes) -> Tuple[List[int], List[int]]:
 
 def huffman_pack(data: bytes, codes: Sequence[int],
                  lengths: Sequence[int]) -> bytes:
-    longest = max(lengths)
-    if len(data) < _HUFF_PACK_MIN_BYTES or longest > 64:
+    longest = max(lengths, default=0)
+    # C indexes both tables by byte value: a short one is pure's, which
+    # raises IndexError once a byte indexes past its end.
+    if longest > 64 or len(codes) < 256 or len(lengths) < 256:
         return pure.huffman_pack(data, codes, lengths)
     # The longest code per byte, plus the writer's 8-byte store slack.
     out = _new_unzeroed("uint8_t[]", (longest * len(data) + 7) // 8 + 8)
@@ -429,7 +407,8 @@ def huffman_pack(data: bytes, codes: Sequence[int],
 
 def xmatch_tokens(data: bytes, word_count: int,
                   capacity: int) -> "pure.TokenStream":
-    if word_count < _XMATCH_MIN_WORDS or not 2 <= capacity <= 64:
+    if not 2 <= capacity <= 64 or 4 * word_count > len(data):
+        # A word count past the data is pure's to reject.
         return pure.xmatch_tokens(data, word_count, capacity)
     values = _new_unzeroed("uint64_t[]", word_count + 8)
     widths = _new_unzeroed("uint8_t[]", word_count + 8)
@@ -446,7 +425,7 @@ def lz77_tokens(data: bytes, window_bits: int, length_bits: int,
     length = len(data)
     # min_match > 8: the prefix key must fit a uint64; wide layouts
     # (match token past 64 bits) only exist in property tests.
-    if (length < _LZ77_MIN_BYTES or min_match > 8 or min_match < 1
+    if (min_match > 8 or min_match < 1
             or window_bits + length_bits + 1 > 64):
         return pure.lz77_tokens(data, window_bits, length_bits,
                                 min_match, max_chain)
@@ -465,7 +444,7 @@ def lz77_tokens(data: bytes, window_bits: int, length_bits: int,
 
 def xmatch_decode(body: bytes, output_length: int,
                   capacity: int) -> bytes:
-    if len(body) < _XMATCH_DEC_MIN_BYTES or not 2 <= capacity <= 64:
+    if not 2 <= capacity <= 64:
         return pure.xmatch_decode(body, output_length, capacity)
     out_ptr = ffi.new("uint8_t **")
     out_len = ffi.new("int64_t *")
@@ -483,8 +462,7 @@ def lz77_decode(body: bytes, output_length: int, window_bits: int,
     # The 48-bit cap keeps a match token within the reference's 6-byte
     # refill (so it raises exactly where the bits run out, as C does)
     # and within the C reader's 57-bit window.
-    if (len(body) < _LZ77_DEC_MIN_BYTES
-            or window_bits + length_bits + 1 > 48):
+    if window_bits + length_bits + 1 > 48:
         return pure.lz77_decode(body, output_length, window_bits,
                                 length_bits, min_match)
     out_ptr = ffi.new("uint8_t **")
@@ -500,7 +478,7 @@ def lz77_decode(body: bytes, output_length: int, window_bits: int,
 
 def huffman_decode(body: bytes, output_length: int,
                    lengths: bytes) -> bytes:
-    if len(body) < _HUFF_DEC_MIN_BYTES or len(lengths) < 256:
+    if len(lengths) < 256:
         return pure.huffman_decode(body, output_length, lengths)
     out_ptr = ffi.new("uint8_t **")
     out_len = ffi.new("int64_t *")
@@ -513,8 +491,6 @@ def huffman_decode(body: bytes, output_length: int,
 
 
 def rle_decode(records: bytes, output_length: int) -> bytes:
-    if len(records) < _RLE_DEC_MIN_BYTES:
-        return pure.rle_decode(records, output_length)
     out_ptr = ffi.new("uint8_t **")
     out_len = ffi.new("int64_t *")
     status = _lib.uparc_rle_decode(
@@ -526,7 +502,6 @@ def rle_decode(records: bytes, output_length: int) -> bytes:
 
 
 # -- LZ78, Zip and 7-zip codec stages -----------------------------------
-# No size crossover: these take the C path at every size.
 
 
 def lz78_pack(data: bytes, max_entries: int) -> bytes:

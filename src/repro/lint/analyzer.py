@@ -181,28 +181,18 @@ def lint_file(path: Path,
 
 def lint_paths(paths: Sequence[str],
                select: Optional[Iterable[str]] = None,
-               cache=None,
-               report_only: Optional[Iterable[str]] = None
-               ) -> List[Violation]:
+               cache=None) -> List[Violation]:
     """Lint every Python file reachable from ``paths``, sorted."""
-    return lint_files(collect_files(paths), select=select, cache=cache,
-                      report_only=report_only)
+    return lint_files(collect_files(paths), select=select, cache=cache)
 
 
 def lint_files(files: Sequence[Path],
                select: Optional[Iterable[str]] = None,
-               cache=None,
-               report_only: Optional[Iterable[str]] = None
-               ) -> List[Violation]:
+               cache=None) -> List[Violation]:
     """Two-pass lint of an explicit file list.
 
     ``cache`` is a :class:`repro.lint.cache.LintCache` (or ``None``);
     with one, unchanged files are neither parsed nor re-checked.
-
-    ``report_only`` restricts *pass 2* to the named files while the
-    project index still covers everything — this is how
-    ``tools/lint_changed.py`` lints a handful of changed files with
-    full cross-module context but no full-tree rule run.
     """
     checkers = _select_checkers(select)
     select_key = ",".join(sorted(select)) if select is not None else "*"
@@ -238,16 +228,11 @@ def lint_files(files: Sequence[Path],
 
     index = ProjectIndex(summaries)
     signature = f"{index.signature()}:{select_key}"
-    reported = (None if report_only is None
-                else {str(Path(p).resolve()) for p in report_only})
 
     # Pass 2 — rules (cached by file content + project signature).
     violations: List[Violation] = []
     for file_path in files:
         path = str(file_path)
-        if reported is not None \
-                and str(file_path.resolve()) not in reported:
-            continue
         if cache is not None:
             cached = cache.get_results(file_keys[path], signature)
             if cached is not None:

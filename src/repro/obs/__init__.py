@@ -5,8 +5,9 @@ Two strictly separated time domains:
 * **sim-time** telemetry — spans, phase tracks, counters, metrics —
   is stamped with integer picoseconds from the event kernel and is a
   deterministic function of simulated work.
-* **wall-clock** profiling lives only in :mod:`repro.obs.profiling`
-  and records ``wall.*`` metrics that determinism checks never see.
+* **wall-clock** profiling lives only in :mod:`repro.obs.profiling`,
+  whose :class:`~repro.obs.profiling.Timer` hands host durations to
+  its caller; no wall time enters a metrics registry.
 
 Instrumentation is off by default and costs almost nothing when off:
 the process registry defaults to :data:`~repro.obs.metrics.
@@ -50,7 +51,7 @@ from repro.obs.metrics import (
     NullRegistry,
 )
 from repro.obs.primitives import Interval, Sample
-from repro.obs.profiling import Timer, WallProfiler
+from repro.obs.profiling import Timer
 from repro.obs.tracing import (
     CounterSample,
     KernelObserver,
@@ -71,7 +72,7 @@ __all__ = [
     "SpanRecord", "CounterSample", "SpanSubscriber", "Tracer",
     "TraceScope", "PhaseTrack", "KernelObserver",
     # profiling
-    "Timer", "WallProfiler",
+    "Timer",
     # export
     "chrome_trace_events", "write_chrome_trace", "write_ndjson",
     "load_chrome_trace", "summarize_events",

@@ -12,22 +12,17 @@ an un-instrumented run allocates nothing and every update is one
 no-op method call.  ``repro.obs.observed(registry=...)`` swaps a real
 registry in for the duration of a command.
 
-Two kinds of metric coexist:
-
-* **deterministic** metrics (the default) derive only from simulated
-  work — counts, simulated durations, byte totals.  Merging the
-  per-worker registries of a sweep reproduces them exactly for any
-  worker count.
-* **wall** metrics (``wall=True``, conventionally named ``wall.*``)
-  carry host timings from :mod:`repro.obs.profiling`.  They are
-  excluded from :meth:`MetricsRegistry.snapshot` unless asked for, so
-  determinism checks never see them.
+Every metric derives only from simulated work — counts, simulated
+durations, byte totals — so merging the per-worker registries of a
+sweep reproduces it exactly for any worker count.  Host timings never
+enter a registry: :class:`repro.obs.profiling.Timer` hands its elapsed
+seconds to the caller.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
-from typing import Any, Dict, List, Optional, Tuple, Union
+from typing import Any, Dict, List, Tuple, Union
 
 __all__ = [
     "Counter",
@@ -52,12 +47,11 @@ DEFAULT_BUCKETS: Tuple[float, ...] = (
 class Counter:
     """Monotonic accumulator."""
 
-    __slots__ = ("name", "value", "wall")
+    __slots__ = ("name", "value")
 
-    def __init__(self, name: str, wall: bool = False) -> None:
+    def __init__(self, name: str) -> None:
         self.name = name
         self.value: Number = 0
-        self.wall = wall
 
     def inc(self, amount: Number = 1) -> None:
         self.value += amount
@@ -66,12 +60,11 @@ class Counter:
 class Gauge:
     """Last-written value (merge takes the maximum)."""
 
-    __slots__ = ("name", "value", "wall")
+    __slots__ = ("name", "value")
 
-    def __init__(self, name: str, wall: bool = False) -> None:
+    def __init__(self, name: str) -> None:
         self.name = name
         self.value: Number = 0
-        self.wall = wall
 
     def set(self, value: Number) -> None:
         self.value = value
@@ -84,11 +77,10 @@ class Gauge:
 class Histogram:
     """Fixed-bucket histogram: counts per upper bound plus overflow."""
 
-    __slots__ = ("name", "bounds", "counts", "total", "count", "wall")
+    __slots__ = ("name", "bounds", "counts", "total", "count")
 
     def __init__(self, name: str,
-                 bounds: Tuple[float, ...] = DEFAULT_BUCKETS,
-                 wall: bool = False) -> None:
+                 bounds: Tuple[float, ...] = DEFAULT_BUCKETS) -> None:
         if tuple(sorted(bounds)) != tuple(bounds) or not bounds:
             raise ValueError(f"histogram {name!r}: bucket bounds must be "
                              f"a non-empty ascending sequence")
@@ -97,7 +89,6 @@ class Histogram:
         self.counts: List[int] = [0] * (len(self.bounds) + 1)
         self.total: float = 0.0
         self.count: int = 0
-        self.wall = wall
 
     def observe(self, value: Number) -> None:
         self.counts[bisect_left(self.bounds, value)] += 1
@@ -150,57 +141,49 @@ class MetricsRegistry:
 
     # -- instruments --------------------------------------------------
 
-    def counter(self, name: str, wall: bool = False) -> Counter:
+    def counter(self, name: str) -> Counter:
         instrument = self._counters.get(name)
         if instrument is None:
-            instrument = self._counters[name] = Counter(name, wall=wall)
+            instrument = self._counters[name] = Counter(name)
         return instrument
 
-    def gauge(self, name: str, wall: bool = False) -> Gauge:
+    def gauge(self, name: str) -> Gauge:
         instrument = self._gauges.get(name)
         if instrument is None:
-            instrument = self._gauges[name] = Gauge(name, wall=wall)
+            instrument = self._gauges[name] = Gauge(name)
         return instrument
 
     def histogram(self, name: str,
-                  bounds: Tuple[float, ...] = DEFAULT_BUCKETS,
-                  wall: bool = False) -> Histogram:
+                  bounds: Tuple[float, ...] = DEFAULT_BUCKETS) -> Histogram:
         instrument = self._histograms.get(name)
         if instrument is None:
             instrument = self._histograms[name] = Histogram(
-                name, bounds=bounds, wall=wall)
+                name, bounds=bounds)
         return instrument
 
     # -- serialisation ------------------------------------------------
 
-    def snapshot(self, include_wall: bool = False) -> Dict[str, Any]:
+    def snapshot(self) -> Dict[str, Any]:
         """JSON-serialisable state, keys sorted.
 
-        With ``include_wall=False`` (the default) wall-clock metrics
-        are dropped, so the snapshot is a pure function of the
-        simulated work — the property the sweep merge-determinism
-        test asserts.
+        A pure function of the simulated work — the property the sweep
+        merge-determinism test asserts.
         """
-
-        def keep(instrument) -> bool:
-            return include_wall or not instrument.wall
-
         return {
             "counters": {c.name: c.value
                          for c in sorted(self._counters.values(),
-                                         key=lambda c: c.name) if keep(c)},
+                                         key=lambda c: c.name)},
             "gauges": {g.name: g.value
                        for g in sorted(self._gauges.values(),
-                                       key=lambda g: g.name) if keep(g)},
+                                       key=lambda g: g.name)},
             "histograms": {
                 h.name: {"bounds": list(h.bounds), "counts": list(h.counts),
                          "total": h.total, "count": h.count}
                 for h in sorted(self._histograms.values(),
-                                key=lambda h: h.name) if keep(h)},
+                                key=lambda h: h.name)},
         }
 
-    def merge_snapshot(self, snapshot: Dict[str, Any],
-                       wall: bool = False) -> None:
+    def merge_snapshot(self, snapshot: Dict[str, Any]) -> None:
         """Fold another registry's snapshot into this one.
 
         Counters and histograms add; gauges keep the maximum.  The
@@ -209,14 +192,12 @@ class MetricsRegistry:
         cannot depend on worker scheduling.
         """
         for name in sorted(snapshot.get("counters", {})):
-            self.counter(name, wall=wall).inc(snapshot["counters"][name])
+            self.counter(name).inc(snapshot["counters"][name])
         for name in sorted(snapshot.get("gauges", {})):
-            self.gauge(name, wall=wall).high_water(
-                snapshot["gauges"][name])
+            self.gauge(name).high_water(snapshot["gauges"][name])
         for name in sorted(snapshot.get("histograms", {})):
             state = snapshot["histograms"][name]
-            histogram = self.histogram(name, bounds=tuple(state["bounds"]),
-                                       wall=wall)
+            histogram = self.histogram(name, bounds=tuple(state["bounds"]))
             if histogram.bounds != tuple(state["bounds"]):
                 raise ValueError(f"histogram {name!r}: bucket bounds "
                                  f"differ between merged registries")
@@ -225,52 +206,18 @@ class MetricsRegistry:
             histogram.total += state["total"]
             histogram.count += state["count"]
 
-    def merge(self, other: "MetricsRegistry") -> None:
-        """Fold another live registry into this one, wall flags kept.
-
-        Same algebra as :meth:`merge_snapshot` — counters and
-        histograms add, gauges keep the maximum — but over instrument
-        objects, so wall metrics merge too (each instrument keeps its
-        own ``wall`` flag).  Iteration is over sorted names, so the
-        set of instruments this registry ends up creating (and hence
-        its serialised form) is independent of the order in which the
-        other registry created them — the property that lets per-board
-        ``serve.*`` registries merge identically across worker counts.
-        """
-        for name in sorted(other._counters):
-            source = other._counters[name]
-            self.counter(name, wall=source.wall).inc(source.value)
-        for name in sorted(other._gauges):
-            source = other._gauges[name]
-            self.gauge(name, wall=source.wall).high_water(source.value)
-        for name in sorted(other._histograms):
-            source = other._histograms[name]
-            histogram = self.histogram(name, bounds=source.bounds,
-                                       wall=source.wall)
-            if histogram.bounds != source.bounds:
-                raise ValueError(f"histogram {name!r}: bucket bounds "
-                                 f"differ between merged registries")
-            for index, count in enumerate(source.counts):
-                histogram.counts[index] += count
-            histogram.total += source.total
-            histogram.count += source.count
-
     # -- reporting ----------------------------------------------------
 
-    def rows(self, include_wall: bool = True) -> List[List[object]]:
+    def rows(self) -> List[List[object]]:
         """``[name, kind, value]`` rows sorted by name (for tables)."""
         rows: List[List[object]] = []
         for counter in self._counters.values():
-            if include_wall or not counter.wall:
-                rows.append([counter.name, "counter", counter.value])
+            rows.append([counter.name, "counter", counter.value])
         for gauge in self._gauges.values():
-            if include_wall or not gauge.wall:
-                rows.append([gauge.name, "gauge", gauge.value])
+            rows.append([gauge.name, "gauge", gauge.value])
         for histogram in self._histograms.values():
-            if include_wall or not histogram.wall:
-                rows.append([histogram.name, "histogram",
-                             f"n={histogram.count} "
-                             f"mean={histogram.mean:.6g}"])
+            rows.append([histogram.name, "histogram",
+                         f"n={histogram.count} mean={histogram.mean:.6g}"])
         rows.sort(key=lambda row: row[0])
         return rows
 
@@ -289,24 +236,21 @@ class NullRegistry:
 
     enabled = False
 
-    def counter(self, name: str, wall: bool = False) -> _NullCounter:
+    def counter(self, name: str) -> _NullCounter:
         return _NULL_COUNTER
 
-    def gauge(self, name: str, wall: bool = False) -> _NullGauge:
+    def gauge(self, name: str) -> _NullGauge:
         return _NULL_GAUGE
 
     def histogram(self, name: str,
                   bounds: Tuple[float, ...] = DEFAULT_BUCKETS,
-                  wall: bool = False) -> _NullHistogram:
+                  ) -> _NullHistogram:
         return _NULL_HISTOGRAM
 
-    def snapshot(self, include_wall: bool = False) -> Dict[str, Any]:
+    def snapshot(self) -> Dict[str, Any]:
         return {"counters": {}, "gauges": {}, "histograms": {}}
 
-    def merge(self, other: Any) -> None:
-        pass
-
-    def rows(self, include_wall: bool = True) -> List[List[object]]:
+    def rows(self) -> List[List[object]]:
         return []
 
     def __len__(self) -> int:

@@ -3,18 +3,17 @@
 Everything else in the tree is simulation code and must be a pure
 function of simulated state; the determinism lint rules (D101/D104)
 enforce that by flagging ``time.*`` clock reads anywhere outside this
-file.  Wall timings recorded here land in the registry as ``wall=True``
-metrics under the ``wall.`` prefix, which
-:meth:`~repro.obs.metrics.MetricsRegistry.snapshot` excludes by
-default — so host noise can never leak into a determinism comparison.
+file.  Host timings measured here go back to the caller (sweep's
+fan-out utilisation, serve bench's cell time) and never into a
+metrics registry, so host noise can never leak into a determinism
+comparison.
 """
 
 from __future__ import annotations
 
 import time
-from typing import Any, Optional
 
-__all__ = ["Timer", "WallProfiler", "now_s"]
+__all__ = ["Timer", "now_s"]
 
 
 def now_s() -> float:
@@ -25,16 +24,12 @@ def now_s() -> float:
 class Timer:
     """Context manager measuring elapsed wall seconds.
 
-    ``elapsed_s`` is valid after exit (and live inside the block).
-    Optionally feeds a registry histogram/counter pair on exit.
+    ``elapsed_s`` is valid after exit.
     """
 
-    __slots__ = ("label", "_registry", "_start", "elapsed_s")
+    __slots__ = ("_start", "elapsed_s")
 
-    def __init__(self, label: str = "",
-                 registry: Optional[Any] = None) -> None:
-        self.label = label
-        self._registry = registry
+    def __init__(self) -> None:
         self._start = 0.0
         self.elapsed_s = 0.0
 
@@ -44,25 +39,3 @@ class Timer:
 
     def __exit__(self, *exc_info: object) -> None:
         self.elapsed_s = time.perf_counter() - self._start
-        if self._registry is not None and self.label:
-            self._registry.histogram(
-                f"wall.{self.label}_ms", wall=True,
-            ).observe(self.elapsed_s * 1e3)
-
-
-class WallProfiler:
-    """Named wall-clock sections accumulated into one registry."""
-
-    __slots__ = ("registry",)
-
-    def __init__(self, registry: Any) -> None:
-        self.registry = registry
-
-    def section(self, label: str) -> Timer:
-        return Timer(label, registry=self.registry)
-
-    def record_s(self, label: str, seconds: float) -> None:
-        """Record an externally measured duration (e.g. a worker's)."""
-        self.registry.histogram(
-            f"wall.{label}_ms", wall=True,
-        ).observe(seconds * 1e3)

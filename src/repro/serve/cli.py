@@ -22,12 +22,15 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import Tuple
+from typing import TYPE_CHECKING, Optional, Tuple
 
 from repro import accel
 from repro.analysis.report import render_table
 from repro.errors import ServeError
 from repro.serve.spec import ARRIVAL_MODELS, ServeSpec
+
+if TYPE_CHECKING:
+    from repro.serve.fleet import ServiceTimeTable
 
 EXIT_CLEAN = 0
 EXIT_FINDINGS = 1
@@ -166,14 +169,16 @@ def _print_report(report) -> None:
         tenant_rows, title="per-tenant"))
 
 
-def _serve_once(args: argparse.Namespace) -> int:
+def _serve_once(args: argparse.Namespace,
+                table: Optional["ServiceTimeTable"] = None) -> int:
     from repro.serve.fleet import ServiceTimeTable
     from repro.serve.service import FleetService
     from repro.serve.slo import build_report
     from repro.serve.workload import generate_requests
 
     spec = _spec_from_args(args)
-    table = ServiceTimeTable(spec)
+    if table is None:
+        table = ServiceTimeTable(spec)
     requests = generate_requests(spec, table.resolved_rate_rps())
     outcome = FleetService(spec, table=table).run(requests)
     report = build_report(outcome)
@@ -189,7 +194,16 @@ def _serve_once(args: argparse.Namespace) -> int:
 def _run_serve_run(args: argparse.Namespace) -> int:
     if args.sanitize:
         from repro.sanitize.cli import run_sanitized_command
-        return run_sanitized_command(_serve_once, args, "serve run")
+        from repro.serve.fleet import ServiceTimeTable
+
+        # Measure the cold service times once, before the sanitized
+        # runs: left to the runs, only the first would simulate them
+        # (the rest hit fleet's process-wide memo) and its event
+        # stream would differ from every perturbed run's.
+        table = ServiceTimeTable(_spec_from_args(args))
+        return run_sanitized_command(
+            lambda run_args: _serve_once(run_args, table), args,
+            "serve run")
     if args.metrics:
         from repro import obs
         with obs.observed(metrics=True) as observation:
@@ -197,7 +211,7 @@ def _run_serve_run(args: argparse.Namespace) -> int:
         print()
         print(render_table(
             ["metric", "kind", "value"],
-            observation.registry.rows(include_wall=False),
+            observation.registry.rows(),
             title="metrics -- serve run"))
         return result
     return _serve_once(args)
@@ -235,7 +249,7 @@ def _run_serve_bench(args: argparse.Namespace) -> int:
         print()
         print(render_table(
             ["metric", "kind", "value"],
-            registry.rows(include_wall=False),
+            registry.rows(),
             title="merged serve metrics (deterministic for any -j)"))
     if args.output:
         with open(args.output, "w") as handle:

@@ -117,7 +117,7 @@ def run_sweep(args: argparse.Namespace) -> int:
           f"fan-out utilisation; {cache_note})")
 
     if getattr(args, "metrics", False):
-        rows = engine.registry.rows(include_wall=False)
+        rows = engine.registry.rows()
         print()
         print(render_table(["metric", "kind", "value"], rows,
                            title="merged worker metrics "

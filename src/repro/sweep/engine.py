@@ -36,7 +36,7 @@ from repro.analysis.bandwidth import BandwidthPoint
 from repro.errors import ReproError
 from repro.obs import install as obs_install
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.profiling import Timer, WallProfiler
+from repro.obs.profiling import Timer
 from repro.sweep.cache import (
     ArtifactCache,
     CACHE_FORMAT_VERSION,
@@ -279,10 +279,8 @@ class SweepEngine:
         self.cache_dir = cache_dir
         self.collect_metrics = collect_metrics
         self.stats = CacheStats()
-        #: Merged per-worker metrics from the last :meth:`run`.  The
-        #: deterministic part (``snapshot(include_wall=False)``) is
-        #: identical for every worker count; ``wall.*`` entries carry
-        #: host timings on top.
+        #: Merged per-worker metrics from the last :meth:`run`,
+        #: identical for every worker count.
         self.registry = MetricsRegistry()
         self.wall_s = 0.0
         #: Fraction of the fan-out's wall-clock capacity spent inside
@@ -303,7 +301,6 @@ class SweepEngine:
         with Timer() as timer:
             outcomes = fan_out(self._specs, worker, jobs=self.jobs)
         self.wall_s = timer.elapsed_s
-        profiler = WallProfiler(self.registry)
         results = []
         busy_s = 0.0
         # `pool.map` preserves spec order, so the merge below folds
@@ -314,7 +311,6 @@ class SweepEngine:
             self.stats.merge(stats)
             if snapshot is not None:
                 self.registry.merge_snapshot(snapshot)
-            profiler.record_s("sweep.cell", cell_wall_s)
             busy_s += cell_wall_s
         if self.wall_s > 0 and self._specs:
             self.utilization = busy_s / (self.wall_s * self.jobs)

@@ -1,22 +1,23 @@
-"""Crossover sentinels: the native backend delegates exactly as measured.
+"""Delegation sentinels: the native backend hands pure exactly what it must.
 
-Every native kernel either carries a size threshold below which the
-pure implementation wins, or forwards to pure permanently because no
-C form has been measured to pay for itself.  These tests wrap the pure
-kernels in call recorders and pin the dispatch decision:
+The native backend has no size crossover: every C kernel answers in C
+at every input size, and hands a call to pure only when the input
+leaves the C types' domain.  These tests wrap the pure kernels in call
+recorders and pin the dispatch decision:
 
-* below its crossover a kernel hands the call to pure,
-* at/above the crossover it takes the C path (pure untouched),
-* the permanent forwarders (``chunk_words``, ``words_to_bytes``)
-  hand over at *every* size on every available backend — the
-  regression this file exists to prevent is a backend being
-  selected at a size where it loses;
+* each C kernel takes the C path at size 0, size 1 and one below the
+  size crossover it used to carry (pure untouched), and its output
+  equals pure's;
+* the domain guards (wide token layouts, a COPY before the first
+  frame, a word count past the data, a ``Random`` subclass, an
+  unsorted texture table) hand the call to pure whatever the size;
 * the C frame planner hands over when its import-time self-check
   finds the interpreter drawing differently;
-* ``huffman_code_table`` (which builds its own histogram), the
-  configuration CRC's word fold ``crc32c_words``, Zip's byte-token
-  stage and the LZ78 and 7-zip codec stages take the C path at every
-  size.
+* the permanent forwarders (``chunk_words``, ``words_to_bytes``)
+  hand over at *every* size on every available backend;
+* ``huffman_code_table``, the configuration CRC's word fold
+  ``crc32c_words``, Zip's byte-token stage and the LZ78 and 7-zip
+  codec stages take the C path at every size.
 
 The native section skips cleanly when the extension is not built.
 """
@@ -25,6 +26,7 @@ The native section skips cleanly when the extension is not built.
 # dispatch decisions under test live in the backend modules.
 # repro-lint: disable=B804
 
+import struct
 from random import Random
 
 import pytest
@@ -37,6 +39,7 @@ from repro.bitstream.generator import (
     _FrameSynthesizer,
     generate_bitstream,
 )
+from repro.errors import CorruptStreamError
 from repro.units import DataSize
 
 requires_native = pytest.mark.skipif(
@@ -86,120 +89,92 @@ def _plan(words):
 
 _BIG_DATA = bytes(range(256)) * 72      # 18432 bytes / 4608 words
 _HUFF_CODES, _HUFF_LENGTHS = pure.huffman_code_table(bytes(range(8)))
-
-# Well-formed streams for the decoder cases (built once from the pure
-# encoders; the above-crossover output is checked against pure).
-_XM_WORDS = b"\xAB\xCD\xEF\x01\x00\x00\x00\x00" * 64   # 128 words
-_XM_BODY = pure.bitpack(*pure.xmatch_tokens(_XM_WORDS, 128, 8))
 _LZ_DATA = bytes(range(64)) * 16                       # 1024 bytes
 _LZ_BODY = pure.bitpack(*pure.lz77_tokens(_LZ_DATA, 10, 4, 3, 8))
-_HUF_DATA = bytes(value & 7 for value in range(2048))
-_HUF_BODY = pure.huffman_pack(_HUF_DATA, _HUFF_CODES, _HUFF_LENGTHS)
-_HUF_TABLE = bytes(_HUFF_LENGTHS)
-# Literal-heavy on purpose: distinct words keep the record stream
-# longer than the native decode threshold (run records collapse to a
-# few bytes and would sit below every cutover).
-_RLE_DATA = bytes(range(256)) * 2
-_RLE_RECORDS = pure.rle_records(_RLE_DATA, 128)
-
-# (pure kernel name, below-crossover args, at/above-crossover args):
-# args are passed identically to the native kernel and to the pure
-# reference, so the above-crossover result can be checked against
-# pure without trusting the recorder.  The FFI call costs well under a
-# microsecond, so the below-crossover inputs here are tiny.
-_NATIVE_CASES = [
-    ("crc32c",
-     (b"\x5a" * 2, 0),
-     (b"\x5a" * 100, 0)),
-    ("bitpack",
-     ([1] * 4, [8] * 4),
-     (list(range(64)), [8] * 64)),
-    ("synthesize_payload",
-     (_plan(8),),
-     (_plan(16),)),
-    ("rle_records",
-     (b"\x11\x22\x33\x44", 1),
-     (b"\x11\x22\x33\x44" * 2, 2)),
-    ("xmatch_tokens",
-     (b"\xab\xcd\xef\x01", 1, 8),
-     (b"\xab\xcd\xef\x01" * 16, 16, 8)),
-    ("huffman_pack",
-     (bytes(value & 7 for value in range(100)),
-      _HUFF_CODES, _HUFF_LENGTHS),
-     (bytes(value & 7 for value in range(2048)),
-      _HUFF_CODES, _HUFF_LENGTHS)),
-    ("xmatch_decode",
-     (_XM_BODY[:4], 0, 8),
-     (_XM_BODY, 512, 8)),
-    ("lz77_decode",
-     (_LZ_BODY[:4], 0, 10, 4, 3),
-     (_LZ_BODY, 1024, 10, 4, 3)),
-    ("huffman_decode",
-     (_HUF_BODY[:4], 0, _HUF_TABLE),
-     (_HUF_BODY, 2048, _HUF_TABLE)),
-    ("rle_decode",
-     (_RLE_RECORDS[:8], 0),
-     (_RLE_RECORDS, 512)),
-]
-
-
-def _check_crossover(backend, monkeypatch, name, below_args, above_args):
-    reference = getattr(pure, name)
-    want_above = reference(*above_args)
-    kernel = getattr(backend, name)
-    calls = _sentinel(monkeypatch, name)
-
-    kernel(*below_args)
-    assert calls, f"{name} must delegate to pure below its crossover"
-
-    calls.clear()
-    got_above = kernel(*above_args)
-    assert not calls, \
-        f"{name} must take the accelerated path at/above its crossover"
-    # The accelerated path still has to agree with the reference.
-    assert got_above == want_above
-
-
-@pytest.mark.parametrize("name,below_args,above_args", _NATIVE_CASES,
-                         ids=[case[0] for case in _NATIVE_CASES])
-def test_native_kernel_crossover(native_backend, monkeypatch,
-                                 name, below_args, above_args):
-    _check_crossover(native_backend, monkeypatch, name, below_args,
-                     above_args)
-
-
-# lz77_tokens needs a sentinel variant of its own for native: the
-# below-threshold input must be non-trivial enough that the pure path
-# is observable, and the kernel also hands back wide-layout requests.
-
-
-@requires_native
-def test_native_lz77_crossover(native_backend, monkeypatch):
-    _check_crossover(native_backend, monkeypatch, "lz77_tokens",
-                     (b"\x42" * 8, 8, 4, 3, 8),
-                     (_BIG_DATA, 8, 4, 3, 8))
-
 
 _MIXTURE: FrameMixture = _FrameSynthesizer(BitstreamSpec())._mixture
 
 
-@requires_native
-def test_native_plan_frames_crossover(native_backend, monkeypatch):
-    # The getstate/setstate round trip costs about three frames of
-    # pure planning, so C takes over from four frames.
-    calls = _sentinel(monkeypatch, "plan_frames")
-    native_backend.plan_frames(Random(7), _MIXTURE, 3, True)
-    assert calls, "plan_frames must delegate to pure below 4 frames"
+def _decodable(decode, full_length, body, *rest):
+    """``(body, n, *rest)``: the longest output pure decodes from ``body``.
 
-    calls.clear()
-    rng = Random(7)
-    got = native_backend.plan_frames(rng, _MIXTURE, 4, True)
-    assert not calls, "plan_frames must run in C from 4 frames"
-    reference = Random(7)
-    want = pure.plan_frames(reference, _MIXTURE, 4, True)
-    assert (got.kinds, got.values, got.lengths) == \
-        (want.kinds, want.values, want.lengths)
-    assert rng.getstate() == reference.getstate()
+    Decoder inputs are truncated streams, so the C decoder is checked
+    on a body of exactly the size under test and still has to return
+    pure's bytes, not only raise where pure raises.
+    """
+    output_length = 0
+    while output_length < full_length:
+        try:
+            decode(body, output_length + 1, *rest)
+        except CorruptStreamError:
+            break
+        output_length += 1
+    return (body, output_length, *rest)
+
+
+_XM_WORDS = Random(3).randbytes(16) * 32                # 128 words
+_XM_BODY = pure.bitpack(*pure.xmatch_tokens(_XM_WORDS, 128, 8))
+_HUF_DATA = bytes(value & 7 for value in range(2048))
+_HUF_BODY = pure.huffman_pack(_HUF_DATA, _HUFF_CODES, _HUFF_LENGTHS)
+# Single words between short runs: many 5-byte records, so every
+# prefix of the stream ends on or near a record boundary.
+_RLE_DATA = b"".join(
+    bytes([index, 1, 2, 3]) * (1 if index % 2 else 3 + index % 5)
+    for index in range(64))
+_RLE_RECORDS = pure.rle_records(_RLE_DATA, len(_RLE_DATA) // 4)
+
+# (kernel, the size crossover it carried, args for an input of a size):
+# the size counts what the crossover counted (bytes, words, tokens,
+# body bytes, plan words or frames).  Builders return fresh arguments,
+# so a kernel that advances an RNG gets its own.
+_SIZED_CASES = [
+    ("crc32c", 4, lambda n: (bytes(range(n)), 0x1234)),
+    ("bitpack", 8, lambda n: ([(37 * i) & 0xFF for i in range(n)],
+                              [8 + i % 5 for i in range(n)])),
+    ("huffman_pack", 128, lambda n: (_HUF_DATA[:n], _HUFF_CODES,
+                                     _HUFF_LENGTHS)),
+    ("xmatch_tokens", 2, lambda n: (_XM_WORDS[:4 * n], n, 8)),
+    ("lz77_tokens", 16, lambda n: (_LZ_DATA[:n], 8, 4, 3, 8)),
+    ("xmatch_decode", 8,
+     lambda n: _decodable(pure.xmatch_decode, 512, _XM_BODY[:n], 8)),
+    ("lz77_decode", 8,
+     lambda n: _decodable(pure.lz77_decode, 1024, _LZ_BODY[:n],
+                          10, 4, 3)),
+    ("huffman_decode", 8,
+     lambda n: _decodable(pure.huffman_decode, 2048, _HUF_BODY[:n],
+                          bytes(_HUFF_LENGTHS))),
+    ("rle_decode", 64,
+     lambda n: _decodable(pure.rle_decode, len(_RLE_DATA),
+                          _RLE_RECORDS[:n])),
+    ("synthesize_payload", 16, lambda n: (_plan(n),)),
+    ("rle_records", 2, lambda n: (_XM_WORDS[:4 * n], n)),
+    ("plan_frames", 4, lambda n: (Random(7), _MIXTURE, n, True)),
+]
+
+
+def _comparable(result, args):
+    """A kernel's result as a value ``==`` can compare across backends."""
+    if isinstance(result, SynthesisPlan):
+        # The planner's contract includes where it leaves the RNG.
+        return (result.kinds, result.values, result.lengths,
+                result.total_words, args[0].getstate())
+    return result
+
+
+@requires_native
+@pytest.mark.parametrize("name,size,build", [
+    pytest.param(name, size, build, id=f"{name}-{size}")
+    for name, crossover, build in _SIZED_CASES
+    for size in sorted({0, 1, crossover - 1})])
+def test_native_kernel_takes_c_at_every_size(native_backend, monkeypatch,
+                                            name, size, build):
+    args, native_args = build(size), build(size)
+    want = _comparable(getattr(pure, name)(*args), args)
+    calls = _sentinel(monkeypatch, name)
+    got = _comparable(getattr(native_backend, name)(*native_args),
+                      native_args)
+    assert not calls, f"{name} must take the C path at size {size}"
+    assert got == want
 
 
 @requires_native
@@ -290,6 +265,22 @@ def test_native_guard_delegations(native_backend, monkeypatch):
             Random(1), _MIXTURE._replace(motifs=(), utilization=1.0,
                                          zero_threshold=0.0,
                                          motif_threshold=1.0), 8, True)
+    assert calls
+
+
+@requires_native
+@pytest.mark.parametrize("name,args,error", [
+    ("xmatch_tokens", (bytes(4000), 1500, 8), struct.error),
+    ("huffman_pack", (bytes(range(10)), [0] * 4, [1] * 4), IndexError),
+], ids=["xmatch-words-past-data", "huffman-short-tables"])
+def test_native_short_arguments_delegate(native_backend, monkeypatch,
+                                         name, args, error):
+    # A word count past the data, or a code table of fewer than 256
+    # entries, would send C reading past a buffer: pure answers both,
+    # here by raising.
+    calls = _sentinel(monkeypatch, name)
+    with pytest.raises(error):
+        getattr(native_backend, name)(*args)
     assert calls
 
 

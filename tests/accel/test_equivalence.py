@@ -2,11 +2,10 @@
 
 The pure backend is the semantic reference; these property tests pin
 the native backend (when the compiled extension is built) to it
-bit-for-bit on randomised inputs.  Native kernels delegate to pure
-below their size crossovers, so the fixture zeroes every threshold —
-each case exercises the C code even on hypothesis-sized payloads.
-Without the extension every case skips, so the suite degrades cleanly
-on a base install.
+bit-for-bit on randomised inputs.  Native kernels take the C path at
+every size, so each case exercises the C code even on hypothesis-sized
+payloads.  Without the extension every case skips, so the suite
+degrades cleanly on a base install.
 """
 
 # The equivalence suite is the one place that must reach the backend
@@ -32,22 +31,12 @@ from repro.errors import CorruptStreamError
 from repro.units import DataSize
 
 
-#: The native backend's size crossovers as shipped, recorded before the
-#: fixture zeroes them, for the tests that cross one on purpose.
-_CROSSOVERS = {}
-
-
 @pytest.fixture(autouse=True, params=["native"])
 def vectorised(request, monkeypatch):
-    """The native backend with every delegation threshold removed."""
+    """The native backend, its planner compared even past a self-check."""
     if not accel.native_available():
         pytest.skip("native extension not built")
     from repro.accel import native_backend as backend
-    for attribute in dir(backend):
-        if attribute.startswith("_") and "_MIN_" in attribute \
-                and isinstance(getattr(backend, attribute), int):
-            _CROSSOVERS.setdefault(attribute, getattr(backend, attribute))
-            monkeypatch.setattr(backend, attribute, 0)
     # Compare the C planner itself even where its import-time
     # self-check sent it to pure: a mismatch then fails here with a
     # shrunk example instead of passing as pure against pure.
@@ -55,7 +44,7 @@ def vectorised(request, monkeypatch):
     return backend
 
 
-# function_scoped_fixture is deliberate: the thresholds stay patched
+# function_scoped_fixture is deliberate: the planner flag stays patched
 # for every example and the patch carries no per-example state.
 quick = settings(max_examples=60, deadline=None,
                  suppress_health_check=[
@@ -415,20 +404,29 @@ _WRITER_WIDTHS = (0, 1, 7, 8, 55, 56, 57, 63, 64)
 
 
 @pytest.mark.parametrize("width", _WRITER_WIDTHS)
-def test_bitpack_writer_widths(vectorised, monkeypatch, width):
+def test_bitpack_writer_widths(vectorised, width):
     # All-ones tokens of one width, from one token to long runs; the
     # widths straddle the writer's 56-bit split and its 8-byte stores,
     # and runs of 64-bit tokens fill the output up to its 8 bytes of
-    # slack.  The counts straddle the shipped crossover, under it and
-    # with it zeroed (every count in C).
-    crossover = _CROSSOVERS["_BITPACK_MIN_TOKENS"]
-    for threshold in (0, crossover):
-        monkeypatch.setattr(vectorised, "_BITPACK_MIN_TOKENS", threshold)
-        for count in (1, crossover - 1, crossover, crossover + 1, 300):
-            values = [(1 << width) - 1] * count
-            widths = [width] * count
-            assert vectorised.bitpack(values, widths) == \
-                pure.bitpack(values, widths)
+    # slack.
+    for count in (1, 7, 8, 9, 300):
+        values = [(1 << width) - 1] * count
+        widths = [width] * count
+        assert vectorised.bitpack(values, widths) == \
+            pure.bitpack(values, widths)
+
+
+@pytest.mark.parametrize("values,widths", [
+    ([0xFF] * 12, [8] * 3), ([1] * 4000, [8] * 1000),
+    ([0x1] * 3, [1] * 12), ([], [8]), ([5], [])],
+    ids=["short-widths", "long-values", "short-values", "no-values",
+         "no-widths"])
+def test_bitpack_stops_at_the_shorter_sequence(vectorised, values,
+                                               widths):
+    # Pure zips values with widths; C must not read past either one
+    # (the long case puts the widths in a heap block a sanitizer sees).
+    assert vectorised.bitpack(values, widths) == pure.bitpack(values,
+                                                              widths)
 
 
 @pytest.mark.parametrize("lead", [0, 1, 3, 7])

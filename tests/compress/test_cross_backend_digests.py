@@ -9,9 +9,8 @@ written compressed artifacts no longer decode — if the format changes
 on purpose, update the digest and bump the sweep cache format
 version.
 
-The payload is large enough that every native kernel is above its
-delegation crossover, so the native digest genuinely exercises the C
-paths rather than falling through to pure.
+Native kernels take the C path at every size, so the native digest
+genuinely exercises the C code rather than falling through to pure.
 """
 
 import hashlib

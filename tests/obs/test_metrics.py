@@ -69,19 +69,6 @@ def test_snapshot_keys_sorted_and_json_safe():
     assert json.loads(json.dumps(snapshot)) == snapshot
 
 
-def test_snapshot_excludes_wall_metrics_by_default():
-    registry = MetricsRegistry()
-    registry.counter("sim.events").inc()
-    registry.histogram("wall.cell_ms", wall=True).observe(12.5)
-    registry.gauge("wall.rss_mb", wall=True).set(100)
-    deterministic = registry.snapshot()
-    assert "wall.cell_ms" not in deterministic["histograms"]
-    assert "wall.rss_mb" not in deterministic["gauges"]
-    everything = registry.snapshot(include_wall=True)
-    assert "wall.cell_ms" in everything["histograms"]
-    assert "wall.rss_mb" in everything["gauges"]
-
-
 def _worker_snapshot(counter_value, gauge_value, observations):
     registry = MetricsRegistry()
     registry.counter("cells").inc(counter_value)
@@ -124,15 +111,13 @@ def test_merge_rejects_mismatched_bucket_bounds():
         left.merge_snapshot(wrong)
 
 
-def test_rows_sorted_and_wall_filterable():
+def test_rows_sorted_by_name():
     registry = MetricsRegistry()
     registry.counter("b").inc()
     registry.gauge("a").set(1)
-    registry.histogram("wall.t_ms", wall=True).observe(1.0)
-    names = [row[0] for row in registry.rows()]
-    assert names == ["a", "b", "wall.t_ms"]
-    assert [row[0] for row in registry.rows(include_wall=False)] \
-        == ["a", "b"]
+    registry.histogram("c.t_us").observe(1.0)
+    assert registry.rows() == [["a", "gauge", 1], ["b", "counter", 1],
+                               ["c.t_us", "histogram", "n=1 mean=1"]]
 
 
 def test_null_registry_is_shared_singletons():
@@ -175,63 +160,3 @@ def test_null_registry_updates_allocate_nothing():
 
 def test_default_buckets_ascending():
     assert tuple(sorted(DEFAULT_BUCKETS)) == DEFAULT_BUCKETS
-
-
-def _live_registry(counter_value, gauge_value, observations):
-    registry = MetricsRegistry()
-    registry.counter("cells").inc(counter_value)
-    registry.counter("wall.ticks", wall=True).inc(1)
-    registry.gauge("depth").high_water(gauge_value)
-    for value in observations:
-        registry.histogram("us", bounds=(10.0, 100.0)).observe(value)
-    return registry
-
-
-def test_live_merge_matches_snapshot_algebra():
-    merged = MetricsRegistry()
-    merged.merge(_live_registry(2, 5, [1.0, 100.0]))
-    merged.merge(_live_registry(3, 4, [50.0]))
-    snapshot = merged.snapshot(include_wall=True)
-    assert snapshot["counters"]["cells"] == 5
-    assert snapshot["gauges"]["depth"] == 5
-    assert snapshot["histograms"]["us"]["count"] == 3
-    assert snapshot["histograms"]["us"]["total"] == 151.0
-
-
-def test_live_merge_preserves_wall_flags():
-    merged = MetricsRegistry()
-    merged.merge(_live_registry(1, 1, []))
-    assert "wall.ticks" not in merged.snapshot()["counters"]
-    assert merged.snapshot(include_wall=True)["counters"]["wall.ticks"] \
-        == 1
-
-
-def test_live_merge_iterates_sorted_names():
-    # Creation order in the source must not leak into the merged
-    # registry's instrument order (P403: deterministic iteration).
-    forward = MetricsRegistry()
-    forward.counter("a").inc()
-    forward.counter("b").inc(2)
-    backward = MetricsRegistry()
-    backward.counter("b").inc(2)
-    backward.counter("a").inc()
-    into_forward = MetricsRegistry()
-    into_forward.merge(forward)
-    into_backward = MetricsRegistry()
-    into_backward.merge(backward)
-    assert [row[0] for row in into_forward.rows()] \
-        == [row[0] for row in into_backward.rows()]
-
-
-def test_live_merge_rejects_mismatched_bounds():
-    left = MetricsRegistry()
-    left.histogram("h", bounds=(1.0, 2.0)).observe(1.5)
-    right = MetricsRegistry()
-    right.histogram("h", bounds=(5.0, 6.0)).observe(5.5)
-    with pytest.raises(ValueError):
-        left.merge(right)
-
-
-def test_null_registry_merge_is_a_no_op():
-    NULL_REGISTRY.merge(_live_registry(9, 9, [9.0]))
-    assert len(NULL_REGISTRY) == 0

@@ -1,7 +1,6 @@
 """Wall-clock profiling: the one sanctioned host-time module."""
 
-from repro.obs.metrics import MetricsRegistry
-from repro.obs.profiling import Timer, WallProfiler, now_s
+from repro.obs.profiling import Timer, now_s
 
 
 def test_now_s_monotonic():
@@ -14,35 +13,3 @@ def test_timer_measures_elapsed():
     with Timer() as timer:
         pass
     assert timer.elapsed_s >= 0.0
-
-
-def test_timer_feeds_registry_as_wall_metric():
-    registry = MetricsRegistry()
-    with Timer("cell", registry=registry):
-        pass
-    histogram = registry.histogram("wall.cell_ms")
-    assert histogram.count == 1
-    assert histogram.wall
-    # Host timings never appear in a deterministic snapshot.
-    assert registry.snapshot() == {"counters": {}, "gauges": {},
-                                   "histograms": {}}
-    assert "wall.cell_ms" in registry.snapshot(
-        include_wall=True)["histograms"]
-
-
-def test_timer_without_label_records_nothing():
-    registry = MetricsRegistry()
-    with Timer(registry=registry):
-        pass
-    assert len(registry) == 0
-
-
-def test_wall_profiler_sections_accumulate():
-    registry = MetricsRegistry()
-    profiler = WallProfiler(registry)
-    with profiler.section("merge"):
-        pass
-    profiler.record_s("merge", 0.25)
-    histogram = registry.histogram("wall.merge_ms")
-    assert histogram.count == 2
-    assert histogram.wall

@@ -6,6 +6,7 @@ import pytest
 
 from repro import accel
 from repro.cli import main
+from repro.serve import fleet
 
 SMALL = ["--requests", "150", "--seed", "5"]
 
@@ -44,7 +45,10 @@ def test_run_metrics_table(capsys):
     assert "serve.dispatch.cold" in out
 
 
-def test_run_sanitize_clean(capsys):
+def test_run_sanitize_clean(monkeypatch, capsys):
+    # A cold process: no earlier test has measured the service times,
+    # so every sanitized run must see the same (already built) table.
+    monkeypatch.setattr(fleet, "_COLD_CACHE", {})
     assert main(["serve", "run", "--requests", "120", "--sanitize"]) \
         == 0
     out = capsys.readouterr().out

@@ -23,18 +23,16 @@ def test_serial_metrics_cover_the_grid(serial_engine):
 def test_parallel_merge_equals_serial(serial_engine):
     parallel = SweepEngine(SMOKE_GRID, jobs=4, collect_metrics=True)
     parallel.run()
-    # The deterministic snapshot excludes wall.* by construction, so
-    # worker count cannot leak into it.
+    # The registry holds sim-time metrics only, so worker count cannot
+    # leak into it.
     assert parallel.registry.snapshot() \
         == serial_engine.registry.snapshot()
 
 
-def test_wall_metrics_present_but_excluded(serial_engine):
-    registry = serial_engine.registry
-    assert "wall.sweep.cell_ms" \
-        in registry.snapshot(include_wall=True)["histograms"]
-    assert "wall.sweep.cell_ms" \
-        not in registry.snapshot()["histograms"]
+def test_engine_times_the_fan_out_outside_the_registry(serial_engine):
+    snapshot = serial_engine.registry.snapshot()
+    assert not [name for kind in snapshot.values() for name in kind
+                if name.startswith("wall.")]
     assert serial_engine.wall_s > 0.0
     assert 0.0 < serial_engine.utilization <= 1.5
 
