@@ -228,8 +228,18 @@ def record(kernel: str, data_bytes: int, calls: int = 1) -> None:
 # -- dispatch ---------------------------------------------------------
 
 
+def _check_crc(crc: int) -> None:
+    if not 0 <= crc <= 0xFFFFFFFF:
+        raise ValueError(f"crc {crc} is outside 0..0xFFFFFFFF")
+
+
 def crc32c(data: bytes, crc: int = 0) -> int:
-    """CRC-32C (Castagnoli) over ``data``, chained through ``crc``."""
+    """CRC-32C (Castagnoli) over ``data``, chained through ``crc``.
+
+    Raises :class:`ValueError` before any backend runs when ``crc`` is
+    not a 32-bit value.
+    """
+    _check_crc(crc)
     backend = _active
     if backend is None:
         backend = _resolve()
@@ -243,14 +253,15 @@ def crc32c_words(data: bytes, address: int, crc: int = 0) -> int:
     Equal to :func:`crc32c` over the interleaved ``[4 data bytes]
     [address byte]`` blob, chained through ``crc``; empty ``data``
     returns ``crc`` unchanged.  Raises :class:`ValueError` before any
-    backend runs when ``data`` is not whole words or ``address`` is
-    not a byte.
+    backend runs when ``data`` is not whole words, ``address`` is not
+    a byte or ``crc`` is not a 32-bit value.
     """
     if len(data) % 4:
         raise ValueError(
             f"crc32c_words needs whole 4-byte words, got {len(data)} bytes")
     if not 0 <= address <= 0xFF:
         raise ValueError(f"address byte {address} is outside 0..255")
+    _check_crc(crc)
     backend = _active
     if backend is None:
         backend = _resolve()

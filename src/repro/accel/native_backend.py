@@ -181,13 +181,12 @@ def _token_arrays(values, widths, count: int) -> "pure.TokenStream":
 
 def crc32c(data: bytes, crc: int = 0) -> int:
     return _lib.uparc_crc32c(ffi.from_buffer("uint8_t[]", data),
-                             len(data), crc & 0xFFFFFFFF)
+                             len(data), crc)
 
 
 def crc32c_words(data: bytes, address: int, crc: int = 0) -> int:
     return _lib.uparc_crc32c_words(ffi.from_buffer("uint8_t[]", data),
-                                   len(data) // 4, address,
-                                   crc & 0xFFFFFFFF)
+                                   len(data) // 4, address, crc)
 
 
 # -- pure forwarders ----------------------------------------------------

@@ -31,7 +31,7 @@ from repro.fpga.decompressor import HardwareDecompressor
 from repro.fpga.microblaze import MicroBlaze
 from repro.obs.tracing import TraceScope
 from repro.power.model import ManagerState
-from repro.power.trace import MANAGER_TRACK, PowerTraceBuilder
+from repro.power.trace import MANAGER_TRACK
 from repro.sim import Delay, Event, Simulator, WaitEvent
 from repro.units import DataSize, Frequency
 
@@ -53,14 +53,12 @@ class Manager:
     def __init__(self, sim: Simulator, cpu: MicroBlaze, bram: Bram,
                  dyclogen: DyCloGen,
                  decompressor: Optional[HardwareDecompressor] = None,
-                 power: Optional[PowerTraceBuilder] = None,
                  scope: Optional[TraceScope] = None) -> None:
         self._sim = sim
         self._cpu = cpu
         self._bram = bram
         self._dyclogen = dyclogen
         self._decompressor = decompressor
-        self._power = power
         self._scope = scope if scope is not None else TraceScope(sim)
         self._track = self._scope.track(MANAGER_TRACK, cat="controller")
         self.last_preload: Optional[PreloadReport] = None
@@ -71,12 +69,9 @@ class Manager:
         """Announce a state-machine transition on the manager track.
 
         Power sampling rides on the scope: a subscribed
-        :class:`PowerTraceBuilder` receives the transition via
-        ``on_phase``.  The legacy ``power=`` constructor wiring (a
-        builder called directly, no scope) is still honoured.
+        :class:`~repro.power.trace.PowerTraceBuilder` receives the
+        transition via ``on_phase``.
         """
-        if self._power is not None:
-            self._power.manager_state(state)
         if state == ManagerState.IDLE:
             self._track.exit()
         else:

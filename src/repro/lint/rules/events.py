@@ -1,10 +1,9 @@
 """Event-safety rules (E2xx).
 
 The event kernel owns dispatch: callbacks are scheduled and fired once
-in (time, sequence) order.  These rules catch the two classic ways
-user code subverts that contract.  (A cancelled handle guards itself
-at runtime: ``fire()`` on it is a no-op and ``__slots__`` reject
-stray attributes.)
+in (time, sequence) order.  E201 catches the classic way user code
+subverts that contract: a scheduled callback that reads a loop
+variable sees its final value, not the value it was scheduled with.
 """
 
 from __future__ import annotations
@@ -14,8 +13,8 @@ from typing import List, Set
 
 from repro.lint.registry import Checker, register
 
-#: Methods that register a callback with the kernel or a signal.
-CALLBACK_METHODS = ("at", "after", "observe", "on_value", "add_waiter")
+#: Methods that register a callback with the kernel or an event.
+CALLBACK_METHODS = ("call_at", "call_after", "add_waiter")
 
 
 def _target_names(target: ast.AST) -> Set[str]:
@@ -94,30 +93,3 @@ class LoopCaptureRule(Checker):
                     and node.id in loop_names and node.id not in bound):
                 captured.add(node.id)
         return captured
-
-
-@register
-class ManualFireRule(Checker):
-    """E202 — only the kernel fires event handles.
-
-    Calling ``handle.fire()`` from model code runs the callback at the
-    *caller's* position in the event loop, outside the (time, sequence)
-    total order — the callback observes a simulation state it was never
-    scheduled against.  Schedule through ``Simulator.at/after`` instead.
-    """
-
-    rule_id = "E202"
-    rule_name = "manual-event-fire"
-    rationale = ("firing a handle bypasses (time, sequence) dispatch "
-                 "order; only the kernel may call fire()")
-    exempt_paths = ("*/repro/sim/kernel.py",)
-
-    def visit_Call(self, node: ast.Call) -> None:
-        if (isinstance(node.func, ast.Attribute)
-                and node.func.attr == "fire" and not node.args
-                and not node.keywords):
-            self.report(node, "manual .fire() on an event handle; "
-                              "schedule the callback via Simulator.at/"
-                              "after and let the kernel dispatch it")
-        self.generic_visit(node)
-

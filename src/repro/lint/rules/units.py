@@ -33,7 +33,7 @@ FREQUENCY_SUFFIXES = ("_hz", "mhz", "khz", "ghz")
 CONVERSION_CONSTANTS = (1e3, 1e6, 1e9)
 
 #: Methods whose first positional argument is a picosecond time/delay.
-TIME_METHODS = ("at", "after")
+TIME_METHODS = ("call_at", "call_after")
 
 
 @register
@@ -109,15 +109,16 @@ class UnitSuffixIntRule(Checker):
 class FloatTimeArgRule(Checker):
     """U002 — no float expressions into picosecond time parameters.
 
-    ``Simulator.at``/``after`` compare and heap-order timestamps; a
-    float argument makes event ordering depend on representation error
-    instead of the total (time, sequence) order.
+    ``Simulator.call_at``/``call_after`` compare and heap-order
+    timestamps; a float argument makes event ordering depend on
+    representation error instead of the total (time, sequence) order.
     """
 
     rule_id = "U002"
     rule_name = "float-time-arg"
-    rationale = ("Simulator.at/after and *_ps parameters are integer "
-                 "picoseconds; float arguments corrupt event ordering")
+    rationale = ("Simulator.call_at/call_after and *_ps parameters are "
+                 "integer picoseconds; float arguments corrupt event "
+                 "ordering")
 
     def visit_Call(self, node: ast.Call) -> None:
         if (isinstance(node.func, ast.Attribute)

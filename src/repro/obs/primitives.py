@@ -1,10 +1,9 @@
 """Shared telemetry value types.
 
-Before ``repro.obs`` existed, :mod:`repro.sim.trace` and
-:mod:`repro.power.trace` each grew their own recorder around a
-copy-pasted timestamped-sample shape.  The primitives live here now —
-one definition, re-exported from the historical locations — so every
-recorder in the tree agrees on what a sample and an interval are.
+One definition of a timestamped sample and an activity interval, so
+every recorder in the tree agrees on their shape: the
+:mod:`repro.sim.trace` recorders store them, and :mod:`repro.obs`
+exports them.
 
 All timestamps are simulation time in integer picoseconds (the
 kernel's clock).  Wall-clock quantities never appear in these types;

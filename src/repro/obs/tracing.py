@@ -326,8 +326,9 @@ class KernelObserver:
         self._run_depth = 0
 
     def run_started(self, time_ps: int, pending: int) -> None:
-        # run() can nest through run_until_idle-style helpers on some
-        # call paths; only the outermost run opens the span.
+        # An observer shared by several simulators sees nested runs
+        # when a callback of one runs another; only the outermost run
+        # opens the span.
         self._run_depth += 1
         if self._run_depth == 1:
             self._runs.inc()

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 from typing import Any, Dict, Optional
 
-from repro.obs.primitives import Sample  # noqa: F401  back-compat re-export
 from repro.obs.tracing import SpanSubscriber
 from repro.power.model import ManagerState, PowerModel
 from repro.sim import Simulator, ValueTrace

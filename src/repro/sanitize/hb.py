@@ -3,12 +3,11 @@
 This module observes a *real* execution as a stream of labelled
 tasks, grouped by simulation instant:
 
-* every callback the kernel dispatches (``at`` / ``after`` /
-  ``call_at`` / ``call_after`` / ``schedule_batch``) runs as one task
-  labelled with the callback's qualified name;
-* an :class:`~repro.sim.signal.Event` waiter or
-  :class:`~repro.sim.signal.Signal` observer runs as a nested task
-  labelled ``"<callback> <- <source name>"``.  A scheduled
+* every callback the kernel dispatches (``call_at`` / ``call_after``
+  / ``schedule_batch``) runs as one task labelled with the
+  callback's qualified name;
+* an :class:`~repro.sim.signal.Event` waiter runs as a nested task
+  labelled ``"<callback> <- <event name>"``.  A scheduled
   :class:`~repro.sim.process.Process` resume is such a callback too,
   labelled with its resume lambda's qualified name.
 
@@ -59,9 +58,9 @@ class HBTracker:
     """Per-simulator task-stream tracker.
 
     Installed as ``sim.sanitizer``; the kernel hands every scheduled
-    callback to :meth:`on_schedule` for wrapping,
-    :class:`~repro.sim.signal.Event` / :class:`~repro.sim.signal.
-    Signal` route deliveries through :meth:`deliver`.
+    callback to :meth:`on_schedule` for wrapping, and
+    :class:`~repro.sim.signal.Event` routes deliveries through
+    :meth:`deliver`.
     """
 
     def __init__(self, sim: Any) -> None:
@@ -74,8 +73,8 @@ class HBTracker:
 
     # -- kernel protocol ----------------------------------------------
 
-    def on_schedule(self, sim: Any, time_ps: int, callback: Callable,
-                    kind: str) -> Callable:
+    def on_schedule(self, callback: Callable) -> Callable:
+        """Wrap ``callback`` so that it runs as one task."""
         task = Task(describe_callback(callback))
 
         def fire(_task: Task = task,
@@ -88,14 +87,12 @@ class HBTracker:
 
         return fire
 
-    def deliver(self, source: Any, callback: Callable,
-                *args: Any) -> None:
-        """Run a waiter/observer as a nested task."""
-        name = getattr(source, "name", type(source).__name__)
-        task = Task(f"{describe_callback(callback)} <- {name}")
+    def deliver(self, event: Any, waiter: Callable) -> None:
+        """Run an event waiter as a nested task."""
+        task = Task(f"{describe_callback(waiter)} <- {event.name}")
         self._begin(task)
         try:
-            callback(*args)
+            waiter(event)
         finally:
             self._end()
 

@@ -2,19 +2,21 @@
 
 A small, deterministic event-driven kernel in the style of hardware
 simulators: integer-picosecond timestamps, generator-based processes,
-signals with edge callbacks, and clock domains whose frequency can be
-retuned at run time (the mechanism DyCloGen exercises).
+one-shot completion events, and clock domains whose frequency can be
+retuned at run time (the mechanism DyCloGen exercises).  Callbacks
+are scheduled with ``Simulator.call_at``/``call_after``/
+``schedule_batch``; no scheduled event is ever cancelled.
 
 Public surface::
 
     from repro.sim import Simulator, Process, Delay, WaitEvent, Event
-    from repro.sim import Signal, Clock, WaitCycles
+    from repro.sim import Clock, WaitCycles
     from repro.sim import ActivityTrace, ValueTrace
 """
 
 from repro.sim.kernel import Simulator
 from repro.sim.process import Delay, Process, WaitCycles, WaitEvent
-from repro.sim.signal import Event, Signal
+from repro.sim.signal import Event
 from repro.sim.clock import Clock
 from repro.sim.trace import ActivityTrace, ValueTrace
 
@@ -25,7 +27,6 @@ __all__ = [
     "WaitEvent",
     "WaitCycles",
     "Event",
-    "Signal",
     "Clock",
     "ActivityTrace",
     "ValueTrace",

@@ -1,27 +1,18 @@
 """Event queue and simulator core.
 
 The kernel is a classic calendar loop: a binary heap of
-``(time, sequence, handle, callback)`` entries.  The monotonically
-increasing sequence number makes event ordering total and
-deterministic — two events scheduled for the same picosecond fire in
-scheduling order, which keeps every experiment in the repository
-exactly reproducible.  Because the ``(time, sequence)`` prefix is
-unique, ``heapq`` never compares the trailing elements.
+``(time, sequence, callback)`` entries.  The monotonically increasing
+sequence number makes event ordering total and deterministic — two
+events scheduled for the same picosecond fire in scheduling order,
+which keeps every experiment in the repository exactly reproducible.
+Because the ``(time, sequence)`` prefix is unique, ``heapq`` never
+compares the callbacks.
 
-Two scheduling surfaces share the queue:
-
-* :meth:`Simulator.at` / :meth:`Simulator.after` return a
-  :class:`ScheduledEvent` handle that supports cancellation.
-* :meth:`Simulator.call_at` / :meth:`Simulator.call_after` /
-  :meth:`Simulator.schedule_batch` are the slot-free fast path: no
-  handle is allocated, the callback goes straight onto the heap.
-  Hot paths that never cancel (process delays, clock ticks, event
-  storms) use these to skip one object allocation per event.
-
-Cancelled handles stay in the heap until their timestamp is reached,
-but the kernel counts them and lazily compacts the heap when more
-than half of it is dead, so missions that schedule-and-cancel in a
-loop do not grow the queue without bound.
+Three calls schedule onto the queue: :meth:`Simulator.call_at`,
+:meth:`Simulator.call_after` and, for a large pre-built storm,
+:meth:`Simulator.schedule_batch`.  None returns a handle: nothing the
+models schedule is ever cancelled (serve's preemption invalidates a
+board's pending completion by generation number instead).
 
 Every event, including one scheduled mid-run at the current instant,
 goes onto the heap: an event scheduled while ``now`` is dispatching
@@ -38,11 +29,8 @@ from repro.errors import SimulationError
 
 Callback = Callable[[], None]
 
-#: Queue entry: (time_ps, sequence, handle-or-None, callback).
-_Entry = Tuple[int, int, Optional["ScheduledEvent"], Callback]
-
-#: Below this queue size compaction is pointless (the heap is tiny).
-_COMPACT_MIN_EVENTS = 64
+#: Queue entry: (time_ps, sequence, callback).
+_Entry = Tuple[int, int, Callback]
 
 #: Process-wide hook called with every newly constructed
 #: :class:`Simulator` — how ``repro.sanitize`` attaches its dynamic
@@ -79,14 +67,13 @@ class Simulator:
         #: running land on the heap and interleave by (time, seq).
         self._drain: List[_Entry] = []
         self._running = False
-        self._cancelled_in_queue = 0
         #: Optional kernel observer (``repro.obs.KernelObserver``
         #: protocol: ``run_started``/``event_fired``/``run_finished``).
         #: The dispatch loop calls ``event_fired`` after each event
         #: when one is attached.
         self.observer = None
         #: Optional dynamic sanitizer (``repro.sanitize`` protocol:
-        #: ``on_schedule(sim, time_ps, callback, kind) -> callback``).
+        #: ``on_schedule(callback) -> callback``).
         #: Consulted at *scheduling* time only — it wraps callbacks to
         #: observe execution, so the dispatch loop stays untouched.
         self.sanitizer = None
@@ -112,11 +99,10 @@ class Simulator:
 
     @property
     def pending_events(self) -> int:
-        """Number of live (not cancelled) events still queued."""
-        return (len(self._queue) + len(self._drain)
-                - self._cancelled_in_queue)
+        """Number of events still queued."""
+        return len(self._queue) + len(self._drain)
 
-    def at(self, time_ps: int, callback: Callback) -> "ScheduledEvent":
+    def call_at(self, time_ps: int, callback: Callback) -> None:
         """Schedule ``callback`` at absolute time ``time_ps``."""
         if time_ps < self._now:
             raise SimulationError(
@@ -124,77 +110,44 @@ class Simulator:
                 f"already {self._now} ps"
             )
         if self.sanitizer is not None:
-            callback = self.sanitizer.on_schedule(self, time_ps,
-                                                  callback, "at")
-        handle = ScheduledEvent(time_ps, callback, self)
+            callback = self.sanitizer.on_schedule(callback)
         sequence = self._sequence
         if self._perturb is not None:
             sequence = (self._perturb.getrandbits(32) << 40) | sequence
-        heapq.heappush(self._queue, (time_ps, sequence, handle, callback))
-        self._sequence += 1
-        return handle
-
-    def after(self, delay_ps: int, callback: Callback) -> "ScheduledEvent":
-        """Schedule ``callback`` after a relative delay."""
-        if delay_ps < 0:
-            raise SimulationError(f"negative delay: {delay_ps} ps")
-        return self.at(self._now + delay_ps, callback)
-
-    def call_at(self, time_ps: int, callback: Callback) -> None:
-        """Slot-free fast path of :meth:`at`: no cancellation handle.
-
-        Use for waits that are never cancelled (the overwhelming
-        majority — process delays, clock ticks); skips the
-        per-event :class:`ScheduledEvent` allocation.
-        """
-        if time_ps < self._now:
-            raise SimulationError(
-                f"cannot schedule at t={time_ps} ps: simulation time is "
-                f"already {self._now} ps"
-            )
-        if self.sanitizer is not None:
-            callback = self.sanitizer.on_schedule(self, time_ps,
-                                                  callback, "call_at")
-        sequence = self._sequence
-        if self._perturb is not None:
-            sequence = (self._perturb.getrandbits(32) << 40) | sequence
-        heapq.heappush(self._queue, (time_ps, sequence, None, callback))
+        heapq.heappush(self._queue, (time_ps, sequence, callback))
         self._sequence += 1
 
     def call_after(self, delay_ps: int, callback: Callback) -> None:
-        """Slot-free fast path of :meth:`after`."""
+        """Schedule ``callback`` after a relative delay."""
         if delay_ps < 0:
             raise SimulationError(f"negative delay: {delay_ps} ps")
         self.call_at(self._now + delay_ps, callback)
 
     def schedule_batch(self,
                        events: Iterable[Tuple[int, Callback]]) -> int:
-        """Bulk slot-free scheduling of ``(time_ps, callback)`` pairs.
+        """Bulk scheduling of ``(time_ps, callback)`` pairs.
 
         Pairs are enqueued in iteration order (ties fire in that
         order); returns the number of events scheduled.  The batch is
         materialised in one pass and the heap rebuilt with a single
-        O(n) ``heapify`` — no per-event push, handle allocation, or
-        method dispatch — the cheapest way to pre-seed a large event
-        storm.
+        O(n) ``heapify`` — no per-event push or method dispatch — the
+        cheapest way to pre-seed a large event storm.
         """
         if self.sanitizer is not None:
-            sanitizer = self.sanitizer
-            events = [(time_ps,
-                       sanitizer.on_schedule(self, time_ps, callback,
-                                             "batch"))
+            on_schedule = self.sanitizer.on_schedule
+            events = [(time_ps, on_schedule(callback))
                       for time_ps, callback in events]
         perturb = self._perturb
         if perturb is None:
             entries: List[_Entry] = [
-                (time_ps, sequence, None, callback)
+                (time_ps, sequence, callback)
                 for sequence, (time_ps, callback)
                 in enumerate(events, self._sequence)
             ]
         else:
             entries = [
                 (time_ps, (perturb.getrandbits(32) << 40) | sequence,
-                 None, callback)
+                 callback)
                 for sequence, (time_ps, callback)
                 in enumerate(events, self._sequence)
             ]
@@ -280,88 +233,7 @@ class Simulator:
                 continue
             else:
                 break
-            handle = entry[2]
-            if handle is not None:
-                if handle.cancelled:
-                    self._cancelled_in_queue -= 1
-                    continue
-                handle.fired = True
             self._now = entry[0]
-            entry[3]()
+            entry[2]()
             if observer is not None:
-                observer.event_fired(
-                    self._now,
-                    len(queue) + len(drain) - self._cancelled_in_queue)
-
-    def run_until_idle(self) -> int:
-        """Drain every pending event; convenience alias of :meth:`run`."""
-        return self.run()
-
-    def step(self) -> bool:
-        """Execute the single next event.  Returns ``False`` when idle."""
-        if self._running:
-            raise SimulationError(
-                "simulator is already running (reentrant step)")
-        # Outside run() the drain stack is always empty: run() merges
-        # it back into the heap on exit.
-        while self._queue:
-            time_ps, _seq, handle, callback = heapq.heappop(self._queue)
-            if handle is not None:
-                if handle.cancelled:
-                    self._cancelled_in_queue -= 1
-                    continue
-                handle.fired = True
-            self._now = time_ps
-            callback()
-            return True
-        return False
-
-    def _note_cancelled(self) -> None:
-        """Bookkeeping hook called by :meth:`ScheduledEvent.cancel`.
-
-        When more than half of a non-trivial queue is dead weight, the
-        heap is rebuilt without the cancelled entries (lazy
-        compaction), bounding memory for schedule-and-cancel loops.
-        """
-        self._cancelled_in_queue += 1
-        queue = self._queue
-        drain = self._drain
-        total = len(queue) + len(drain)
-        if (total >= _COMPACT_MIN_EVENTS
-                and self._cancelled_in_queue * 2 >= total):
-            # In-place so a run() loop holding aliases stays valid.
-            queue[:] = [entry for entry in queue
-                        if entry[2] is None or not entry[2].cancelled]
-            heapq.heapify(queue)
-            if drain:
-                drain[:] = [entry for entry in drain
-                            if entry[2] is None or not entry[2].cancelled]
-            self._cancelled_in_queue = 0
-
-
-class ScheduledEvent:
-    """Handle returned by :meth:`Simulator.at`; supports cancellation."""
-
-    __slots__ = ("time_ps", "_callback", "cancelled", "fired", "_sim")
-
-    def __init__(self, time_ps: int, callback: Callback,
-                 sim: Optional[Simulator] = None) -> None:
-        self.time_ps = time_ps
-        self._callback = callback
-        self.cancelled = False
-        self.fired = False
-        self._sim = sim
-
-    def cancel(self) -> None:
-        """Prevent the event from firing (no-op if it already fired)."""
-        if self.cancelled or self.fired:
-            return
-        self.cancelled = True
-        if self._sim is not None:
-            self._sim._note_cancelled()
-
-    def fire(self) -> None:
-        if self.cancelled or self.fired:
-            return
-        self.fired = True
-        self._callback()
+                observer.event_fired(self._now, len(queue) + len(drain))

@@ -24,7 +24,7 @@ Example::
 
 from __future__ import annotations
 
-from typing import Any, Generator, Optional
+from typing import Any, Generator
 
 from repro.errors import SimulationError
 from repro.sim.clock import Clock
@@ -106,8 +106,6 @@ class Process:
         self._dispatch(command)
 
     def _dispatch(self, command: Any) -> None:
-        # Delay/cycle waits are never cancelled, so they take the
-        # kernel's slot-free path (no ScheduledEvent allocation).
         if isinstance(command, Delay):
             self._sim.call_after(command.duration_ps,
                                  lambda: self._resume(None))
@@ -127,17 +125,3 @@ class Process:
     def __repr__(self) -> str:
         state = "done" if self.done else "running"
         return f"Process({self.name}, {state})"
-
-
-def run_process(sim: Simulator, generator: Generator[Any, Any, Any],
-                name: str = "process",
-                until_ps: Optional[int] = None) -> Any:
-    """Convenience: spawn a process, run the simulator, return its result."""
-    process = Process(sim, generator, name=name)
-    sim.run(until_ps)
-    if not process.done:
-        raise SimulationError(
-            f"process {name!r} did not finish by "
-            f"{'idle' if until_ps is None else until_ps}"
-        )
-    return process.result

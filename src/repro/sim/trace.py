@@ -15,9 +15,7 @@ from __future__ import annotations
 from typing import List, Optional
 
 from repro.errors import SimulationError
-# The shared telemetry value types live in repro.obs.primitives now;
-# re-exported here because this module is their historical home.
-from repro.obs.primitives import Interval, Sample  # noqa: F401
+from repro.obs.primitives import Interval, Sample
 from repro.sim.kernel import Simulator
 
 

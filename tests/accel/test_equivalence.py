@@ -126,6 +126,20 @@ def test_crc32c_words_chains_at_every_word_of_nine(vectorised, split,
     assert vectorised.crc32c_words(data[4 * split:], address, head) == whole
 
 
+# The dispatch facade owns the CRC seed domain: pure's table lookups
+# are defined for 32-bit seeds only, so a wider seed is refused before
+# either backend runs.
+@pytest.mark.parametrize("backend", ["pure", "native"])
+@pytest.mark.parametrize("crc", [-1, 1 << 32, 1 << 40])
+@pytest.mark.parametrize("length", [0, 3, 24])
+def test_crc_seed_outside_32_bits_raises(backend, crc, length):
+    with accel.using(backend):
+        with pytest.raises(ValueError, match="outside 0..0xFFFFFFFF"):
+            accel.crc32c(bytes(length), crc)
+        with pytest.raises(ValueError, match="outside 0..0xFFFFFFFF"):
+            accel.crc32c_words(bytes(length - length % 4), 2, crc)
+
+
 @quick
 @given(words)
 def test_word_packing_matches(vectorised, values):

@@ -119,3 +119,12 @@ class TestBlockFold:
         with accel.using(backend):
             with pytest.raises(ValueError, match="outside 0..255"):
                 accel.crc32c_words(bytes(8), address)
+
+    @pytest.mark.parametrize("backend", accel.available_backends())
+    @pytest.mark.parametrize("crc", [-1, 1 << 32, 1 << 40])
+    def test_seed_must_be_32_bits(self, backend, crc):
+        with accel.using(backend):
+            with pytest.raises(ValueError, match="outside 0..0xFFFFFFFF"):
+                accel.crc32c(b"", crc)
+            with pytest.raises(ValueError, match="outside 0..0xFFFFFFFF"):
+                accel.crc32c_words(bytes(8), 2, crc)

@@ -7,5 +7,5 @@ import time
 
 def noisy(sim, cb):
     start = time.time()
-    sim.after(1.5, cb)
+    sim.call_after(1.5, cb)
     return start

@@ -32,7 +32,6 @@ def test_each_rule_fixture_exits_one(capsys):
         "D103": "d103_unordered_iteration.py",
         "D104": "d104_clock_import.py",
         "E201": "e201_loop_capture.py",
-        "E202": "e202_manual_fire.py",
         "F301": "f301_float_equality.py",
         "P403": "p403_unordered_digest.py",
         "C502": "c502_repr_digest_input.py",

@@ -20,7 +20,6 @@ RULE_CASES = [
     ("d104_clock_import.py", "D104", [4, 5, 6]),
     ("d103_unordered_iteration.py", "D103", [5, 7, 8]),
     ("e201_loop_capture.py", "E201", [6]),
-    ("e202_manual_fire.py", "E202", [5]),
     ("f301_float_equality.py", "F301", [5, 7]),
     ("p403_unordered_digest.py", "P403", [8, 10]),
     ("c502_repr_digest_input.py", "C502", [7, 8]),
@@ -111,14 +110,6 @@ def test_every_rule_has_a_fixture():
     covered = {rule_id for _, rule_id, _ in RULE_CASES}
     covered |= {rule_id for _, rule_id, _ in PROJECT_RULE_CASES}
     assert covered == set(all_rules())
-
-
-def test_kernel_exempt_from_manual_fire():
-    source = "handle.fire()\n"
-    assert lint_source(source, path="src/repro/sim/kernel.py",
-                       select=["E202"]) == []
-    assert len(lint_source(source, path="src/repro/core/system.py",
-                           select=["E202"])) == 1
 
 
 def test_units_module_exempt_from_frequency_math():

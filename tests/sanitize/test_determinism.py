@@ -6,7 +6,7 @@ import pytest
 
 from repro.sanitize import DEFAULT_SEEDS, DeterminismSanitizer
 from repro.sanitize.cli import run_sanitized_command
-from repro.sim import Delay, Event, Process, Signal, Simulator
+from repro.sim import Delay, Event, Process, Simulator
 
 
 def order_independent():
@@ -119,7 +119,7 @@ def test_perturbation_seeds_change_tie_break_order():
         sim._perturb = random.Random(seed)
         order = []
         for label in "abcde":
-            sim.at(50, lambda label=label: order.append(label))
+            sim.call_at(50, lambda label=label: order.append(label))
         sim.run()
         permutations.add(tuple(order))
         if baseline is None:
@@ -155,7 +155,7 @@ def test_perturbation_never_reorders_across_instants():
         sim._perturb = random.Random(seed)
         order = []
         for time_ps in (100, 200, 300):
-            sim.at(time_ps, lambda t=time_ps: order.append(t))
+            sim.call_at(time_ps, lambda t=time_ps: order.append(t))
         sim.run()
         assert order == [100, 200, 300]
 
@@ -296,11 +296,11 @@ def event_waiter_vs_callback():
     return device.value
 
 
-def signal_observer_vs_callback():
+def nested_waiter_vs_callback():
     sim, device = Simulator(), Device()
-    level = Signal(sim, "level")
-    level.observe(_setter(device, "observer"))
-    sim.call_at(100, lambda: level.set(1))
+    ready = Event(sim, "ready")
+    ready.add_waiter(lambda event: setattr(device, "value", event.payload))
+    sim.call_at(100, lambda: ready.trigger("waiter"))
     sim.call_at(100, _setter(device, "callback"))
     sim.run()
     return device.value
@@ -324,7 +324,7 @@ PLANTED_RACES = {
     "three-instants": (three_instant_race, True),
     "process-resume": (process_resume_vs_callback, True),
     "event-waiter": (event_waiter_vs_callback, True),
-    "signal-observer": (signal_observer_vs_callback, True),
+    "nested-waiter": (nested_waiter_vs_callback, True),
     "commuting-bumps": (commuting_bumps, False),
 }
 

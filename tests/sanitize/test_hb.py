@@ -1,7 +1,7 @@
 """Task-stream tracking: labels, instant boundaries, task counts."""
 
 from repro.sanitize.hb import HBTracker, TrackerListener
-from repro.sim import Event, Signal
+from repro.sim import Event
 
 
 class Recorder(TrackerListener):
@@ -30,26 +30,26 @@ def tracked(sim):
 
 def test_deliveries_are_labelled_with_their_source(sim):
     tracker, recorder = tracked(sim)
-    event = Event(sim, "go")
-    signal = Signal(sim, "level")
-    event.add_waiter(lambda ev: None)
-    signal.observe(lambda value, time: None)
-    sim.call_at(100, event.trigger)
-    sim.call_at(100, lambda: signal.set(1))
+    go = Event(sim, "go")
+    done = Event(sim, "done")
+    go.add_waiter(lambda ev: None)
+    done.add_waiter(lambda ev: None)
+    sim.call_at(100, go.trigger)
+    sim.call_at(100, lambda: done.trigger(1))
     sim.run()
     tracker.finish()
     deliveries = sorted(task.label.split(" <- ")[1]
                         for task in recorder.tasks if " <- " in task.label)
-    assert deliveries == ["go", "level"]
+    assert deliveries == ["done", "go"]
 
 
 # -- instant boundaries -----------------------------------------------
 
 def test_instant_end_fires_between_instants_and_at_finish(sim):
     tracker, recorder = tracked(sim)
-    sim.at(100, lambda: None)
-    sim.at(100, lambda: None)
-    sim.at(200, lambda: None)
+    sim.call_at(100, lambda: None)
+    sim.call_at(100, lambda: None)
+    sim.call_at(200, lambda: None)
     sim.run()
     assert recorder.instants == [100]  # 200 still open
     tracker.finish()

@@ -12,9 +12,9 @@ def test_initial_time_is_zero(sim):
 
 def test_events_fire_in_time_order(sim):
     order = []
-    sim.at(300, lambda: order.append("c"))
-    sim.at(100, lambda: order.append("a"))
-    sim.at(200, lambda: order.append("b"))
+    sim.call_at(300, lambda: order.append("c"))
+    sim.call_at(100, lambda: order.append("a"))
+    sim.call_at(200, lambda: order.append("b"))
     sim.run()
     assert order == ["a", "b", "c"]
 
@@ -22,14 +22,14 @@ def test_events_fire_in_time_order(sim):
 def test_same_time_events_fire_in_scheduling_order(sim):
     order = []
     for label in "abcde":
-        sim.at(50, lambda label=label: order.append(label))
+        sim.call_at(50, lambda label=label: order.append(label))
     sim.run()
     assert order == list("abcde")
 
 
 def test_now_advances_to_event_time(sim):
     seen = []
-    sim.at(123, lambda: seen.append(sim.now))
+    sim.call_at(123, lambda: seen.append(sim.now))
     sim.run()
     assert seen == [123]
     assert sim.now == 123
@@ -37,27 +37,27 @@ def test_now_advances_to_event_time(sim):
 
 def test_after_is_relative(sim):
     seen = []
-    sim.at(100, lambda: sim.after(50, lambda: seen.append(sim.now)))
+    sim.call_at(100, lambda: sim.call_after(50, lambda: seen.append(sim.now)))
     sim.run()
     assert seen == [150]
 
 
 def test_scheduling_in_the_past_raises(sim):
-    sim.at(100, lambda: None)
+    sim.call_at(100, lambda: None)
     sim.run()
     with pytest.raises(SimulationError):
-        sim.at(50, lambda: None)
+        sim.call_at(50, lambda: None)
 
 
 def test_negative_delay_raises(sim):
     with pytest.raises(SimulationError):
-        sim.after(-1, lambda: None)
+        sim.call_after(-1, lambda: None)
 
 
 def test_run_until_bound_is_inclusive(sim):
     seen = []
-    sim.at(100, lambda: seen.append("on-bound"))
-    sim.at(101, lambda: seen.append("past-bound"))
+    sim.call_at(100, lambda: seen.append("on-bound"))
+    sim.call_at(101, lambda: seen.append("past-bound"))
     sim.run(until_ps=100)
     assert seen == ["on-bound"]
     assert sim.now == 100
@@ -68,50 +68,15 @@ def test_run_until_advances_time_even_when_idle(sim):
     assert sim.now == 500
 
 
-def test_cancelled_event_does_not_fire(sim):
-    seen = []
-    handle = sim.at(10, lambda: seen.append("x"))
-    handle.cancel()
-    # cancel() is one-way: firing the dead handle runs nothing, and the
-    # handle has no re-arm method or room for new attributes.
-    handle.fire()  # repro-lint: disable=E202
-    with pytest.raises(AttributeError):
-        handle.reschedule(20)
-    with pytest.raises(AttributeError):
-        handle.payload = 1
-    sim.run()
-    assert seen == []
-    assert handle.cancelled and not handle.fired
-
-
-def test_cancel_after_fire_is_noop(sim):
-    seen = []
-    handle = sim.at(10, lambda: seen.append("x"))
-    sim.run()
-    handle.cancel()
-    assert seen == ["x"]
-
-
-def test_step_executes_single_event(sim):
-    seen = []
-    sim.at(10, lambda: seen.append("a"))
-    sim.at(20, lambda: seen.append("b"))
-    assert sim.step() is True
-    assert seen == ["a"]
-    assert sim.step() is True
-    assert seen == ["a", "b"]
-    assert sim.step() is False
-
-
 def test_events_scheduled_during_run_are_executed(sim):
     seen = []
 
     def cascade(depth):
         seen.append(depth)
         if depth < 5:
-            sim.after(10, lambda: cascade(depth + 1))
+            sim.call_after(10, lambda: cascade(depth + 1))
 
-    sim.at(0, lambda: cascade(0))
+    sim.call_at(0, lambda: cascade(0))
     sim.run()
     assert seen == [0, 1, 2, 3, 4, 5]
     assert sim.now == 50
@@ -122,60 +87,15 @@ def test_reentrant_run_rejected(sim):
         with pytest.raises(SimulationError):
             sim.run()
 
-    sim.at(5, inner)
+    sim.call_at(5, inner)
     sim.run()
 
 
 def test_pending_events_counts_queue(sim):
-    sim.at(10, lambda: None)
-    sim.at(20, lambda: None)
+    sim.call_at(10, lambda: None)
+    sim.call_at(20, lambda: None)
     assert sim.pending_events == 2
     sim.run()
-    assert sim.pending_events == 0
-
-
-def test_run_until_idle_alias(sim):
-    seen = []
-    sim.at(10, lambda: seen.append(1))
-    assert sim.run_until_idle() == 10
-    assert seen == [1]
-
-
-def test_pending_events_excludes_cancelled(sim):
-    """Regression: cancelled handles used to count as pending."""
-    keep = sim.at(10, lambda: None)
-    cancelled = [sim.at(20, lambda: None) for _ in range(5)]
-    for handle in cancelled:
-        handle.cancel()
-    assert sim.pending_events == 1
-    assert keep.cancelled is False
-
-
-def test_heap_compacts_when_mostly_cancelled(sim):
-    """Schedule-and-cancel loops must not grow the queue unbounded."""
-    survivors = []
-    keepers = [sim.at(1000 + index, lambda: survivors.append(1))
-               for index in range(10)]
-    doomed = [sim.at(2000 + index, lambda: survivors.append("no"))
-              for index in range(200)]
-    for handle in doomed:
-        handle.cancel()
-    # Lazy compaction has rebuilt the heap without most dead entries;
-    # below _COMPACT_MIN_EVENTS (64) compaction stops by design.
-    assert len(sim._queue) < 64
-    assert sim.pending_events == len(keepers)
-    sim.run()
-    assert survivors == [1] * 10
-
-
-def test_compaction_preserves_order_and_semantics(sim):
-    order = []
-    for index in range(100):
-        handle = sim.at(10 * index, lambda i=index: order.append(i))
-        if index % 2:
-            handle.cancel()
-    sim.run()
-    assert order == list(range(0, 100, 2))
     assert sim.pending_events == 0
 
 
@@ -190,7 +110,7 @@ def test_call_at_and_call_after_fire_in_order(sim):
 
 
 def test_call_at_past_raises(sim):
-    sim.at(100, lambda: None)
+    sim.call_at(100, lambda: None)
     sim.run()
     with pytest.raises(SimulationError):
         sim.call_at(50, lambda: None)
@@ -217,17 +137,17 @@ def test_schedule_batch_ties_fire_in_batch_order(sim):
     assert order == list("abcde")
 
 
-def test_schedule_batch_interleaves_with_handles(sim):
+def test_schedule_batch_interleaves_with_call_at(sim):
     order = []
-    sim.at(15, lambda: order.append("handle"))
+    sim.call_at(15, lambda: order.append("single"))
     sim.schedule_batch([(10, lambda: order.append("early")),
                         (20, lambda: order.append("late"))])
     sim.run()
-    assert order == ["early", "handle", "late"]
+    assert order == ["early", "single", "late"]
 
 
 def test_schedule_batch_rejects_past_times(sim):
-    sim.at(100, lambda: None)
+    sim.call_at(100, lambda: None)
     sim.run()
     with pytest.raises(SimulationError):
         sim.schedule_batch([(100, lambda: None), (50, lambda: None)])
@@ -251,29 +171,9 @@ def test_events_scheduled_mid_run_interleave_with_drain(sim):
         order.append("wedge-now")
         sim.call_at(25, lambda: order.append("wedged"))
 
-    sim.at(5, wedge)
+    sim.call_at(5, wedge)
     sim.run()
     assert order == ["wedge-now", 1, 2, "wedged", 3, 4, 5]
-
-
-def test_step_inside_run_rejected(sim):
-    def inner():
-        with pytest.raises(SimulationError):
-            sim.step()
-
-    sim.at(5, inner)
-    sim.at(6, lambda: None)
-    sim.run()
-    assert sim.pending_events == 0
-
-
-def test_cancel_during_run_skips_event(sim):
-    fired = []
-    victim = sim.at(20, lambda: fired.append("victim"))
-    sim.at(10, victim.cancel)
-    sim.at(30, lambda: fired.append("after"))
-    sim.run()
-    assert fired == ["after"]
 
 
 # -- same-instant events scheduled mid-run -----------------------------
@@ -289,11 +189,11 @@ def test_same_instant_storm_fires_fifo(sim):
     def storm():
         order.append("head")
         for label in "abc":
-            sim.at(10, lambda label=label: order.append(label))
+            sim.call_at(10, lambda label=label: order.append(label))
         # Cascade: a same-instant callback appending more of them.
-        sim.at(10, lambda: sim.at(10, lambda: order.append("tail")))
+        sim.call_at(10, lambda: sim.call_at(10, lambda: order.append("tail")))
 
-    sim.at(10, storm)
+    sim.call_at(10, storm)
     sim.run()
     assert order == ["head", "a", "b", "c", "tail"]
     assert sim.now == 10
@@ -307,10 +207,10 @@ def test_pre_queued_same_time_precedes_mid_run_scheduled(sim):
         order.append("first")
         # Scheduled for the current instant, but the pre-queued
         # "second" carries a lower sequence and must fire before it.
-        sim.at(10, lambda: order.append("bucketed"))
+        sim.call_at(10, lambda: order.append("bucketed"))
 
-    sim.at(10, first)
-    sim.at(10, lambda: order.append("second"))
+    sim.call_at(10, first)
+    sim.call_at(10, lambda: order.append("second"))
     sim.run()
     assert order == ["first", "second", "bucketed"]
 
@@ -320,10 +220,10 @@ def test_same_instant_mid_run_respects_until_bound(sim):
 
     def storm():
         order.append("now")
-        sim.at(10, lambda: order.append("same-instant"))
-        sim.at(11, lambda: order.append("next-instant"))
+        sim.call_at(10, lambda: order.append("same-instant"))
+        sim.call_at(11, lambda: order.append("next-instant"))
 
-    sim.at(10, storm)
+    sim.call_at(10, storm)
     sim.run(until_ps=10)
     # The same-instant event is inside the inclusive bound; the later
     # one is not.
@@ -333,29 +233,14 @@ def test_same_instant_mid_run_respects_until_bound(sim):
     assert order == ["now", "same-instant", "next-instant"]
 
 
-def test_cancel_same_instant_mid_run(sim):
-    order = []
-
-    def storm():
-        victim = sim.at(10, lambda: order.append("victim"))
-        sim.at(10, lambda: order.append("kept"))
-        victim.cancel()
-        assert sim.pending_events == 1
-
-    sim.at(10, storm)
-    sim.run()
-    assert order == ["kept"]
-    assert sim.pending_events == 0
-
-
 def test_pending_events_counts_same_instant_mid_run(sim):
     depths = []
 
     def storm():
         for _ in range(3):
-            sim.at(10, lambda: depths.append(sim.pending_events))
+            sim.call_at(10, lambda: depths.append(sim.pending_events))
 
-    sim.at(10, storm)
+    sim.call_at(10, storm)
     sim.run()
     # Each same-instant callback sees the ones still queued behind it.
     assert depths == [2, 1, 0]
@@ -374,7 +259,7 @@ def test_schedule_batch_partitions_same_instant_mid_run(sim):
         assert count == 3
         assert sim.pending_events == 3
 
-    sim.at(10, storm)
+    sim.call_at(10, storm)
     sim.run()
     assert order == ["head", "bucket-a", "bucket-b", "heap"]
 
@@ -383,20 +268,17 @@ def test_exception_keeps_same_instant_remnant_queued(sim):
     order = []
 
     def storm():
-        sim.at(10, lambda: order.append("survivor-a"))
-        victim = sim.at(10, lambda: order.append("victim"))
-        sim.at(10, lambda: order.append("survivor-b"))
-        victim.cancel()
+        sim.call_at(10, lambda: order.append("survivor-a"))
+        sim.call_at(10, lambda: order.append("survivor-b"))
         raise RuntimeError("boom")
 
-    sim.at(10, storm)
+    sim.call_at(10, storm)
     with pytest.raises(RuntimeError):
         sim.run()
     # The undispatched same-instant entries survive the abort...
     assert sim.pending_events == 2
     sim.run()
-    # ...and fire later in their original FIFO order, minus the
-    # cancellation recorded before the abort.
+    # ...and fire later in their original FIFO order.
     assert order == ["survivor-a", "survivor-b"]
     assert sim.pending_events == 0
 
@@ -420,11 +302,11 @@ def test_observed_drain_matches_unobserved_for_storm():
         def storm():
             order.append("head")
             for label in "abc":
-                simulator.at(10, lambda label=label: order.append(label))
-            simulator.at(20, lambda: order.append("later"))
+                simulator.call_at(10, lambda label=label: order.append(label))
+            simulator.call_at(20, lambda: order.append("later"))
 
-        simulator.at(10, storm)
-        simulator.at(10, lambda: order.append("queued"))
+        simulator.call_at(10, storm)
+        simulator.call_at(10, lambda: order.append("queued"))
 
     plain_order = []
     plain = Simulator()

@@ -1,6 +1,6 @@
 """Hypothesis properties of the event kernel.
 
-Total ordering, time monotonicity and cancellation correctness over
+Total ordering, time monotonicity and clean ``until`` splits over
 randomly generated schedules — the invariants everything above the
 kernel silently relies on.
 """
@@ -16,28 +16,12 @@ def test_events_fire_in_global_time_order(times):
     sim = Simulator()
     fired = []
     for time_ps in times:
-        sim.at(time_ps, lambda t=time_ps: fired.append((t, sim.now)))
+        sim.call_at(time_ps, lambda t=time_ps: fired.append((t, sim.now)))
     sim.run()
     observed = [t for t, _ in fired]
     assert observed == sorted(times)
     # sim.now at fire time equals the event's timestamp.
     assert all(t == now for t, now in fired)
-
-
-@settings(max_examples=100, deadline=None)
-@given(st.lists(st.integers(0, 10_000), min_size=1, max_size=60),
-       st.data())
-def test_cancellation_removes_exactly_the_cancelled(times, data):
-    sim = Simulator()
-    fired = []
-    handles = [sim.at(t, lambda i=i: fired.append(i))
-               for i, t in enumerate(times)]
-    to_cancel = data.draw(st.sets(
-        st.integers(0, len(times) - 1), max_size=len(times)))
-    for index in to_cancel:
-        handles[index].cancel()
-    sim.run()
-    assert set(fired) == set(range(len(times))) - to_cancel
 
 
 @settings(max_examples=60, deadline=None)
@@ -51,9 +35,9 @@ def test_nested_scheduling_preserves_order(pairs):
     for first, delta in pairs:
         def outer(first=first, delta=delta):
             trace.append(sim.now)
-            sim.after(delta, lambda: trace.append(sim.now))
+            sim.call_after(delta, lambda: trace.append(sim.now))
 
-        sim.at(first, outer)
+        sim.call_at(first, outer)
     sim.run()
     assert trace == sorted(trace)
 
@@ -66,7 +50,7 @@ def test_run_until_splits_cleanly(times, bound):
     sim = Simulator()
     fired = []
     for time_ps in times:
-        sim.at(time_ps, lambda t=time_ps: fired.append(t))
+        sim.call_at(time_ps, lambda t=time_ps: fired.append(t))
     sim.run(until_ps=bound)
     early = list(fired)
     assert all(t <= bound for t in early)
@@ -94,10 +78,9 @@ class _DepthCheckingObserver:
 
 
 _event_spec = st.tuples(
-    st.integers(0, 200),                       # time_ps
-    st.integers(0, 3),                         # same-instant children
-    st.integers(0, 50),                        # delay of the last child
-    st.one_of(st.none(), st.integers(0, 50)),  # handle index to cancel
+    st.integers(0, 200),  # time_ps
+    st.integers(0, 3),    # same-instant children
+    st.integers(0, 50),   # delay of the last child
 )
 
 
@@ -106,30 +89,22 @@ def _run_schedule(specs, bound, observed):
     if observed:
         sim.observer = _DepthCheckingObserver(sim)
     fired = []
-    handles = []
 
-    def make(label, depth, children, delay, target):
+    def make(label, depth, children, delay):
         def callback():
             fired.append((label, sim.now))
-            if target is not None:
-                handles[target % len(handles)].cancel()
             if depth == 2:
                 return
             for index in range(children):
-                child = make(f"{label}.{index}", depth + 1, children,
-                             delay, target)
-                if index % 2:
-                    sim.call_at(sim.now, child)
-                else:
-                    handles.append(sim.at(sim.now, child))
+                sim.call_at(sim.now, make(f"{label}.{index}", depth + 1,
+                                          children, delay))
             sim.call_after(delay, make(f"{label}.late", depth + 1, 0,
-                                       delay, None))
+                                       delay))
 
         return callback
 
-    for index, (time_ps, children, delay, target) in enumerate(specs):
-        handles.append(sim.at(time_ps,
-                              make(str(index), 0, children, delay, target)))
+    for index, (time_ps, children, delay) in enumerate(specs):
+        sim.call_at(time_ps, make(str(index), 0, children, delay))
     sim.run(until_ps=bound)
     sim.run()
     assert sim.pending_events == 0
@@ -142,8 +117,8 @@ def _run_schedule(specs, bound, observed):
 def test_observer_does_not_change_dispatch(specs, bound):
     """The observer hook neither reorders events nor misreports depth.
 
-    Random schedules with nested same-instant scheduling, cancellations
-    and an ``until_ps`` split fire identically with and without a
+    Random schedules with nested same-instant scheduling and an
+    ``until_ps`` split fire identically with and without a
     recording observer, and every ``event_fired`` depth equals
     ``pending_events`` at that moment (checked inside the observer).
     """

@@ -8,11 +8,9 @@ from repro.sim import (
     Delay,
     Event,
     Process,
-    Simulator,
     WaitCycles,
     WaitEvent,
 )
-from repro.sim.process import run_process
 from repro.units import Frequency
 
 
@@ -66,7 +64,7 @@ def test_wait_event_receives_payload(sim):
         received.append(payload)
 
     Process(sim, waiter())
-    sim.after(500, lambda: event.trigger("data"))
+    sim.call_after(500, lambda: event.trigger("data"))
     sim.run()
     assert received == ["data"]
     assert sim.now == 500
@@ -98,25 +96,6 @@ def test_unsupported_yield_raises(sim):
 
     with pytest.raises(SimulationError):
         Process(sim, body())
-
-
-def test_run_process_helper_returns_result(sim):
-    def body():
-        yield Delay(10)
-        return "done"
-
-    assert run_process(sim, body()) == "done"
-
-
-def test_run_process_unfinished_raises():
-    sim = Simulator()
-    event = Event(sim, "never")
-
-    def body():
-        yield WaitEvent(event)
-
-    with pytest.raises(SimulationError):
-        run_process(sim, body(), until_ps=100)
 
 
 def test_two_processes_interleave(sim):

@@ -1,60 +1,8 @@
-"""Signal and Event semantics."""
+"""Event semantics."""
 
 import pytest
 
-from repro.sim import Event, Signal
-
-
-def test_signal_initial_value(sim):
-    assert Signal(sim, "s", initial=7).value == 7
-
-
-def test_set_changes_value_and_notifies(sim):
-    signal = Signal(sim, "s")
-    seen = []
-    signal.observe(lambda value, time: seen.append((value, time)))
-    sim.run(until_ps=42)
-    signal.set(1)
-    assert signal.value == 1
-    assert seen == [(1, 42)]
-
-
-def test_set_same_value_does_not_notify(sim):
-    signal = Signal(sim, "s", initial=5)
-    seen = []
-    signal.observe(lambda value, time: seen.append(value))
-    signal.set(5)
-    assert seen == []
-    assert signal.change_count == 0
-
-
-def test_pulse_produces_both_edges(sim):
-    signal = Signal(sim, "start")
-    seen = []
-    signal.observe(lambda value, time: seen.append(value))
-    signal.pulse()
-    assert seen == [1, 0]
-
-
-def test_unsubscribe_stops_notifications(sim):
-    signal = Signal(sim, "s")
-    seen = []
-    unsubscribe = signal.observe(lambda value, time: seen.append(value))
-    signal.set(1)
-    unsubscribe()
-    signal.set(2)
-    assert seen == [1]
-
-
-def test_on_value_fires_once(sim):
-    signal = Signal(sim, "s")
-    seen = []
-    signal.on_value(3, lambda time: seen.append(time))
-    signal.set(1)
-    signal.set(3)
-    signal.set(0)
-    signal.set(3)
-    assert len(seen) == 1
+from repro.sim import Event
 
 
 def test_event_trigger_carries_payload(sim):
@@ -88,61 +36,8 @@ def test_waiter_added_after_trigger_fires_immediately(sim):
     assert seen == ["x"]
 
 
-# -- mutation during notification (regression: the notify loops used
-# -- to iterate the live list, skipping or double-firing listeners) ----
-
-def test_unsubscribe_of_later_observer_mid_notify_skips_it(sim):
-    signal = Signal(sim, "s")
-    seen = []
-
-    def first(value, time):
-        seen.append(("first", value))
-        unsubscribe_second()
-
-    unsubscribe_first = signal.observe(first)
-    unsubscribe_second = signal.observe(
-        lambda value, time: seen.append(("second", value)))
-    signal.set(1)
-    # second was unsubscribed by first *during* this notification and
-    # must not see the change it was removed for.
-    assert seen == [("first", 1)]
-    signal.set(2)
-    assert seen == [("first", 1), ("first", 2)]
-    unsubscribe_first()
-
-
-def test_self_unsubscribe_mid_notify_keeps_later_observers(sim):
-    signal = Signal(sim, "s")
-    seen = []
-
-    def once(value, time):
-        seen.append(("once", value))
-        unsubscribe_once()
-
-    unsubscribe_once = signal.observe(once)
-    signal.observe(lambda value, time: seen.append(("steady", value)))
-    signal.set(1)
-    signal.set(2)
-    # the self-removal must not shift the iteration past "steady".
-    assert seen == [("once", 1), ("steady", 1), ("steady", 2)]
-
-
-def test_observer_subscribed_mid_notify_sees_only_next_change(sim):
-    signal = Signal(sim, "s")
-    seen = []
-
-    def subscriber(value, time):
-        seen.append(("outer", value))
-        if value == 1:
-            signal.observe(
-                lambda v, t: seen.append(("inner", v)))
-
-    signal.observe(subscriber)
-    signal.set(1)
-    assert seen == [("outer", 1)]  # inner absent from the snapshot
-    signal.set(2)
-    assert seen == [("outer", 1), ("outer", 2), ("inner", 2)]
-
+# -- mutation during notification (regression: the trigger loop used
+# -- to iterate the live list, skipping or double-firing waiters) ------
 
 def test_raising_waiter_does_not_lose_queued_waiters(sim):
     event = Event(sim, "done")
