@@ -659,23 +659,200 @@ int64_t uparc_xmatch_tokens(const uint8_t *data, size_t word_count,
 /* counting only those toward max_chain visits exactly the deque's    */
 /* candidate set in the deque's order (all in-window occurrences are  */
 /* more recent than any out-of-window one, so the window cut-off      */
-/* never reorders).  head must hold 1 << 15 entries and prev must     */
-/* hold len entries; both are initialised here.                       */
+/* never reorders).  A position's key is its min_match-byte prefix    */
+/* as a little-endian integer, read with one 8-byte load (from a      */
+/* zero-padded copy of the last 8 bytes near the end); the hash of    */
+/* the key only picks the bucket, so neither the hash nor the table   */
+/* size decides which candidates are seen or in what order.  head     */
+/* must hold 1 << 15 entries and prev len entries; neither needs      */
+/* initialising: head is set to -1 here and prev[i] is written when   */
+/* position i is inserted, before any read.                           */
 
 #define LZ_HASH_BITS 15
 
-static inline uint64_t lz_key(const uint8_t *p, int min_match)
+#if defined(__GNUC__)
+#define LZ_INLINE static inline __attribute__((always_inline))
+#else
+#define LZ_INLINE static inline
+#endif
+
+/* 8 bytes at p as a little-endian integer.                           */
+#if defined(__GNUC__) && __BYTE_ORDER__ == __ORDER_LITTLE_ENDIAN__
+static inline uint64_t load_le64(const uint8_t *p)
 {
-    uint64_t key = 0;
-    for (int j = 0; j < min_match; j++)
-        key = (key << 8) | p[j];
-    return key;
+    uint64_t v;
+    memcpy(&v, p, sizeof v);
+    return v;
+}
+#elif defined(__GNUC__) && __BYTE_ORDER__ == __ORDER_BIG_ENDIAN__
+static inline uint64_t load_le64(const uint8_t *p)
+{
+    uint64_t v;
+    memcpy(&v, p, sizeof v);
+    return __builtin_bswap64(v);
+}
+#else
+static inline uint64_t load_le64(const uint8_t *p)
+{
+    uint64_t v = 0;
+    for (int k = 7; k >= 0; k--)
+        v = (v << 8) | p[k];
+    return v;
+}
+#endif
+
+/* Index of the lowest nonzero byte of x != 0.                        */
+static inline size_t lz_first_diff(uint64_t x)
+{
+#if defined(__GNUC__)
+    return (size_t)__builtin_ctzll(x) >> 3;
+#else
+    size_t k = 0;
+    while (!(x & 0xFF)) {
+        x >>= 8;
+        k++;
+    }
+    return k;
+#endif
 }
 
-static inline uint32_t lz_hash(uint64_t key)
+/* Length of the common prefix of a and b, at most limit, given that  */
+/* the first run bytes are equal: 8 bytes per step, and the last      */
+/* 8 bytes before limit (bytes already compared match again); byte by */
+/* byte only when limit < 8.  No load leaves a[0, limit) or b[0,      */
+/* limit).                                                            */
+static inline size_t lz_run(const uint8_t *a, const uint8_t *b,
+                            size_t run, size_t limit)
 {
-    return (uint32_t)((key * 0x9E3779B97F4A7C15ULL)
-                      >> (64 - LZ_HASH_BITS));
+    while (run + 8 <= limit) {
+        uint64_t x = load_le64(a + run) ^ load_le64(b + run);
+        if (x)
+            return run + lz_first_diff(x);
+        run += 8;
+    }
+    if (run == limit)
+        return run;
+    if (limit >= 8) {
+        uint64_t x = load_le64(a + limit - 8) ^ load_le64(b + limit - 8);
+        return x ? limit - 8 + lz_first_diff(x) : limit;
+    }
+    while (run < limit && a[run] == b[run])
+        run++;
+    return run;
+}
+
+/* The parse's inputs, outputs and derived constants.                 */
+typedef struct {
+    const uint8_t *data;
+    size_t len;
+    size_t base;            /* data[base, len): the last 8 bytes, or all */
+    const uint8_t *tail;    /* data[base, len), then zeros: 16 bytes */
+    size_t keyed_end;       /* positions below it have a key */
+    size_t max_match;
+    int64_t window;
+    uint64_t key_mask;      /* the key's min_match low bytes */
+    uint64_t match_flag;
+    int shift;              /* 64 - the table's hash bits */
+    int min_match;
+    int max_chain;
+    int length_bits;
+    int match_width;
+    uint64_t *values;
+    uint8_t *widths;
+    int32_t *head;
+    int32_t *prev;
+} lz_parse;
+
+/* The key of position i (< keyed_end).  fast promises i < base, so   */
+/* the 8 bytes lie inside data; otherwise they come from the tail.    */
+LZ_INLINE uint64_t lz_key(const lz_parse *z, size_t i, int fast)
+{
+    const uint8_t *p = fast || i < z->base
+        ? z->data + i : z->tail + (i - z->base);
+    return load_le64(p) & z->key_mask;
+}
+
+static inline uint32_t lz_hash(const lz_parse *z, uint64_t key)
+{
+    return (uint32_t)((key * 0x9E3779B97F4A7C15ULL) >> z->shift);
+}
+
+/* Inserts positions [from, to) (below keyed_end) into their chains.  */
+/* fast promises to <= base.                                          */
+LZ_INLINE void lz_insert(const lz_parse *z, size_t from, size_t to,
+                         int fast)
+{
+    for (size_t i = from; i < to; i++) {
+        uint32_t g = lz_hash(z, lz_key(z, i, fast));
+        z->prev[i] = z->head[g];
+        z->head[g] = (int32_t)i;
+    }
+}
+
+/* One token at position (< keyed_end): search the chain, emit the    */
+/* token, insert every position it covers; returns the next position. */
+/* fast promises position < base, so the search reads its own and its */
+/* candidates' keys straight from data.                               */
+LZ_INLINE size_t lz_token(const lz_parse *z, size_t position,
+                          int64_t *n, int fast)
+{
+    const uint8_t *data = z->data;
+    int32_t *head = z->head;
+    int32_t *prev = z->prev;
+    uint64_t key = lz_key(z, position, fast);
+    uint32_t h = lz_hash(z, key);
+    int32_t candidate = head[h];
+    prev[position] = candidate;
+    head[h] = (int32_t)position;
+    int64_t window_start = (int64_t)position - z->window;
+    if (window_start < 0)
+        window_start = 0;   /* so an empty link (-1) ends the walk too */
+    size_t limit = z->len - position;
+    if (limit > z->max_match)
+        limit = z->max_match;
+    const uint8_t *b = data + position;
+    size_t best_length = 0;
+    size_t best_offset = 0;
+    int seen = 0;
+    while (seen < z->max_chain) {
+        if ((int64_t)candidate < window_start)
+            break;      /* chains only age: all older too */
+        const uint8_t *a = data + candidate;
+        if (lz_key(z, (size_t)candidate, fast) == key) {
+            seen++;
+            /* best_length < limit here.  A run that differs at       */
+            /* best_length is at most best_length long: it can        */
+            /* neither replace the best (only a longer run does) nor  */
+            /* reach limit, so its compare is skipped.                */
+            if (a[best_length] == b[best_length]) {
+                size_t run = lz_run(a, b, (size_t)z->min_match, limit);
+                if (run > best_length) {
+                    best_length = run;
+                    best_offset = position - (size_t)candidate;
+                }
+                if (run == limit)
+                    break;  /* the reference's early-limit break */
+            }
+        }
+        candidate = prev[candidate];
+    }
+    if (best_length < (size_t)z->min_match) {
+        z->values[*n] = data[position];
+        z->widths[*n] = 9;
+        ++*n;
+        return position + 1;
+    }
+    z->values[*n] = z->match_flag
+        | ((uint64_t)(best_offset - 1) << z->length_bits)
+        | (uint64_t)(best_length - (size_t)z->min_match);
+    z->widths[*n] = (uint8_t)z->match_width;
+    ++*n;
+    size_t end = position + best_length;
+    size_t insert_end = end < z->keyed_end ? end : z->keyed_end;
+    size_t split = fast && insert_end > z->base ? z->base : insert_end;
+    lz_insert(z, position + 1, split, fast);
+    lz_insert(z, split, insert_end, 0);
+    return end;
 }
 
 int64_t uparc_lz77_tokens(const uint8_t *data, size_t len,
@@ -684,72 +861,46 @@ int64_t uparc_lz77_tokens(const uint8_t *data, size_t len,
                           uint64_t *values, uint8_t *widths,
                           int32_t *head, int32_t *prev)
 {
-    memset(head, 0xFF, sizeof(int32_t) << LZ_HASH_BITS);  /* all -1 */
-    int64_t window = (int64_t)1 << window_bits;
-    size_t max_match = (size_t)min_match
-        + ((size_t)1 << length_bits) - 1;
-    uint64_t match_flag = 1ULL << (window_bits + length_bits);
-    int match_width = 1 + window_bits + length_bits;
+    /* A bucket per 16 window positions, up to 1 << LZ_HASH_BITS:     */
+    /* LZ77's 256-byte window gets a table that stays in L1.          */
+    int hash_bits = window_bits + 4 < LZ_HASH_BITS
+        ? window_bits + 4 : LZ_HASH_BITS;
+    uint8_t tail[16] = {0};
+    lz_parse z;
+    z.data = data;
+    z.len = len;
+    z.base = len >= 8 ? len - 8 : 0;
+    if (len > z.base)
+        memcpy(tail, data + z.base, len - z.base);
+    z.tail = tail;
+    z.keyed_end = len >= (size_t)min_match
+        ? len - (size_t)min_match + 1 : 0;
+    z.max_match = (size_t)min_match + ((size_t)1 << length_bits) - 1;
+    z.window = (int64_t)1 << window_bits;
+    z.key_mask = min_match >= 8
+        ? ~0ULL : (1ULL << (8 * min_match)) - 1;
+    z.match_flag = 1ULL << (window_bits + length_bits);
+    z.shift = 64 - hash_bits;
+    z.min_match = min_match;
+    z.max_chain = max_chain;
+    z.length_bits = length_bits;
+    z.match_width = 1 + window_bits + length_bits;
+    z.values = values;
+    z.widths = widths;
+    z.head = head;
+    z.prev = prev;
+    memset(head, 0xFF, sizeof(int32_t) << hash_bits);  /* all -1 */
     int64_t n = 0;
     size_t position = 0;
-    while (position < len) {
-        size_t best_length = 0;
-        size_t best_offset = 0;
-        if (position + (size_t)min_match <= len) {
-            uint64_t key = lz_key(data + position, min_match);
-            int32_t candidate = head[lz_hash(key)];
-            int64_t window_start = (int64_t)position - window;
-            int seen = 0;
-            size_t limit = len - position;
-            if (limit > max_match)
-                limit = max_match;
-            while (candidate >= 0 && seen < max_chain) {
-                if ((int64_t)candidate < window_start)
-                    break;      /* chains only age: all older too */
-                if (lz_key(data + candidate, min_match) == key) {
-                    seen++;
-                    const uint8_t *a = data + candidate;
-                    const uint8_t *b = data + position;
-                    size_t run = 0;
-                    while (run < limit && a[run] == b[run])
-                        run++;
-                    if (run > best_length) {
-                        best_length = run;
-                        best_offset = position - (size_t)candidate;
-                    }
-                    if (run == limit)
-                        break;  /* the reference's early-limit break */
-                }
-                candidate = prev[candidate];
-            }
-        }
-        if (best_length >= (size_t)min_match) {
-            values[n] = match_flag
-                | ((uint64_t)(best_offset - 1) << length_bits)
-                | (uint64_t)(best_length - (size_t)min_match);
-            widths[n] = (uint8_t)match_width;
-            n++;
-            size_t end = position + best_length;
-            while (position < end) {
-                if (position + (size_t)min_match <= len) {
-                    uint32_t h = lz_hash(lz_key(data + position,
-                                                min_match));
-                    prev[position] = head[h];
-                    head[h] = (int32_t)position;
-                }
-                position++;
-            }
-        } else {
-            values[n] = data[position];
-            widths[n] = 9;
-            n++;
-            if (position + (size_t)min_match <= len) {
-                uint32_t h = lz_hash(lz_key(data + position, min_match));
-                prev[position] = head[h];
-                head[h] = (int32_t)position;
-            }
-            position++;
-        }
+    size_t fast_end = z.base < z.keyed_end ? z.base : z.keyed_end;
+    while (position < fast_end)
+        position = lz_token(&z, position, &n, 1);
+    while (position < z.keyed_end)
+        position = lz_token(&z, position, &n, 0);
+    for (; position < len; position++) {   /* too short for a key */
+        values[n] = data[position];
+        widths[n] = 9;
+        n++;
     }
     return n;
 }

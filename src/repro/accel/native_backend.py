@@ -423,15 +423,17 @@ def lz77_tokens(data: bytes, window_bits: int, length_bits: int,
                 min_match: int, max_chain: int) -> "pure.TokenStream":
     length = len(data)
     # min_match > 8: the prefix key must fit a uint64; wide layouts
-    # (match token past 64 bits) only exist in property tests.
-    if (min_match > 8 or min_match < 1
+    # (match token past 64 bits) only exist in property tests; pure
+    # raises on a negative field width or chain length.
+    if (min_match > 8 or min_match < 1 or window_bits < 0
+            or length_bits < 0 or max_chain < 0
             or window_bits + length_bits + 1 > 64):
         return pure.lz77_tokens(data, window_bits, length_bits,
                                 min_match, max_chain)
     values = _new_unzeroed("uint64_t[]", length + 1)
     widths = _new_unzeroed("uint8_t[]", length + 1)
-    head = ffi.new("int32_t[]", 1 << 15)
-    prev = ffi.new("int32_t[]", length)
+    head = _new_unzeroed("int32_t[]", 1 << 15)
+    prev = _new_unzeroed("int32_t[]", length)
     count = _lib.uparc_lz77_tokens(
         ffi.from_buffer("uint8_t[]", data), length, window_bits,
         length_bits, min_match, max_chain, values, widths, head, prev)

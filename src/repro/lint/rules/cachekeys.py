@@ -44,15 +44,16 @@ def _hash_inputs(node: ast.AST) -> Iterator[ast.AST]:
     and of ``<digest>.update(...)`` calls where the receiver was
     assigned from a hashlib constructor in the same scope.
     """
+    nodes = list(_scope_nodes(node))
     digest_vars: Set[str] = set()
-    for child in _scope_nodes(node):
+    for child in nodes:
         if isinstance(child, ast.Assign) \
                 and isinstance(child.value, ast.Call) \
                 and terminal_name(child.value.func) in HASH_CONSTRUCTORS:
             for target in child.targets:
                 if isinstance(target, ast.Name):
                     digest_vars.add(target.id)
-    for child in _scope_nodes(node):
+    for child in nodes:
         if not isinstance(child, ast.Call):
             continue
         name = terminal_name(child.func)

@@ -310,8 +310,7 @@ class KernelObserver:
     pays one ``None`` check per event (see ``Simulator.run``).
     """
 
-    __slots__ = ("_scope", "_events", "_runs", "_interval", "_seen",
-                 "_run_depth")
+    __slots__ = ("_scope", "_events", "_runs", "_interval", "_seen")
 
     def __init__(self, scope: TraceScope, registry: Any = None,
                  queue_sample_interval: int = 256) -> None:
@@ -323,25 +322,17 @@ class KernelObserver:
         self._runs = registry.counter("kernel.runs")
         self._interval = max(1, int(queue_sample_interval))
         self._seen = 0
-        self._run_depth = 0
 
     def run_started(self, time_ps: int, pending: int) -> None:
-        # An observer shared by several simulators sees nested runs
-        # when a callback of one runs another; only the outermost run
-        # opens the span.
-        self._run_depth += 1
-        if self._run_depth == 1:
-            self._runs.inc()
-            self._scope.track("kernel", cat="kernel").enter("run")
-            self._scope.counter_sample("kernel.queue_depth", pending,
-                                       time_ps=time_ps)
+        self._runs.inc()
+        self._scope.track("kernel", cat="kernel").enter("run")
+        self._scope.counter_sample("kernel.queue_depth", pending,
+                                   time_ps=time_ps)
 
     def run_finished(self, time_ps: int, pending: int) -> None:
-        self._run_depth -= 1
-        if self._run_depth == 0:
-            self._scope.counter_sample("kernel.queue_depth", pending,
-                                       time_ps=time_ps)
-            self._scope.track("kernel", cat="kernel").exit()
+        self._scope.counter_sample("kernel.queue_depth", pending,
+                                   time_ps=time_ps)
+        self._scope.track("kernel", cat="kernel").exit()
 
     def event_fired(self, time_ps: int, depth: int) -> None:
         self._events.inc()

@@ -568,7 +568,7 @@ def test_xmatch_mask_codes_rank_by_matched_bytes():
 @given(st.binary(max_size=2048),
        st.integers(min_value=4, max_value=12),
        st.integers(min_value=2, max_value=6),
-       st.integers(min_value=2, max_value=5),
+       st.integers(min_value=1, max_value=8),
        st.integers(min_value=1, max_value=16))
 def test_lz77_tokens_match(vectorised, data, window_bits, length_bits,
                            min_match, max_chain):
@@ -598,6 +598,153 @@ def test_lz77_tokens_byte_lz_layouts(vectorised, window_bits, max_chain):
     assert len(data) > 1 << window_bits
     args = (data, window_bits, 8, 4, max_chain)
     assert vectorised.lz77_tokens(*args) == pure.lz77_tokens(*args)
+
+
+# -- the hash-chain walk's edge cases ------------------------------------
+# The C walk reads each key with one 8-byte load (from a zero-padded
+# copy of the last 8 bytes near the end), skips a candidate whose byte
+# at the best length differs, and compares 8 bytes at a time, the last
+# word overlapping the one before it (byte by byte below 8 bytes).
+
+# (window_bits, length_bits, min_match, max_chain): LZ77's and Zip's.
+_LZ_LAYOUTS = [(8, 4, 3, 8), (15, 8, 4, 64)]
+
+
+def _match_spans(stream, length_bits, min_match):
+    """``{start: (length, offset)}`` of the match tokens in ``stream``."""
+    spans = {}
+    position = 0
+    for value, width in zip(*stream):
+        if width == 9:
+            position += 1
+            continue
+        length = (value & ((1 << length_bits) - 1)) + min_match
+        offset = ((value >> length_bits)
+                  & ((1 << (width - 1 - length_bits)) - 1)) + 1
+        spans[position] = (length, offset)
+        position += length
+    return spans
+
+
+def _lz_agree(vectorised, data, *layout):
+    got = vectorised.lz77_tokens(data, *layout)
+    assert got == pure.lz77_tokens(data, *layout)
+    return got
+
+
+@pytest.mark.parametrize("layout", _LZ_LAYOUTS)
+@pytest.mark.parametrize("tail", range(9))
+def test_lz77_tokens_match_ends_near_len(vectorised, layout, tail):
+    # The longest match ends at len - tail: at len itself, or inside
+    # the last 8 bytes, where the word compare takes its last word.
+    _, length_bits, min_match, _ = layout
+    rng = Random(tail)
+    source = rng.randbytes(40)
+    for length in range(min_match, min_match + 18):
+        if length > min_match + (1 << length_bits) - 1:
+            break
+        start = 40 + 16
+        data = (source + rng.randbytes(16) + source[:length]
+                + bytes([source[length] ^ 0xFF]) + rng.randbytes(tail)
+                )[:start + length + tail]
+        spans = _match_spans(_lz_agree(vectorised, data, *layout),
+                             length_bits, min_match)
+        assert spans[start] == (length, start)
+
+
+@pytest.mark.parametrize("layout", _LZ_LAYOUTS)
+@pytest.mark.parametrize("best", [5, 8, 12, 13, 16])
+@pytest.mark.parametrize("diverge, same_at_best", [
+    (-1, True), (-1, False), (0, False), (1, True)])
+def test_lz77_tokens_candidates_diverging_around_best(
+        vectorised, layout, best, diverge, same_at_best):
+    # The newest candidate sets best_length = best; an older one with
+    # the same key leaves the target at best + diverge.  Only the
+    # longer run (diverge 1) replaces the newest; the run one short of
+    # best is tried both with a matching and a differing byte at best.
+    _, length_bits, min_match, _ = layout
+    rng = Random(best * 4 + diverge)
+    target = rng.randbytes(best + 12)
+
+    def leaving_at(run):
+        body = bytearray(target)
+        body[run] ^= 0xFF
+        return bytes(body)
+
+    older = leaving_at(best + diverge)
+    if diverge == -1:
+        older = bytearray(older)
+        if not same_at_best:
+            older[best] ^= 0x55
+        older = bytes(older)
+    assert (older[best] == target[best]) == same_at_best
+    newer = leaving_at(best)
+    gap = rng.randbytes(24)
+    data = older + gap + newer + gap[::-1] + target
+    start = len(data) - len(target)
+    spans = _match_spans(_lz_agree(vectorised, data, *layout),
+                         length_bits, min_match)
+    if diverge == 1:
+        assert spans[start] == (best + 1, start)
+    else:
+        assert spans[start] == (best, start - len(older) - len(gap))
+
+
+@pytest.mark.parametrize("min_match", [1, 6, 7, 8])
+@pytest.mark.parametrize("window_bits, length_bits, max_chain",
+                         [(8, 4, 8), (15, 8, 64)])
+def test_lz77_tokens_wide_and_narrow_keys(vectorised, min_match,
+                                          window_bits, length_bits,
+                                          max_chain):
+    rng = Random(min_match)
+    blocks = [rng.randbytes(48) for _ in range(3)]
+    data = b"".join(rng.choice(blocks)[rng.randrange(8):]
+                    + bytes(rng.randrange(4)) for _ in range(80))
+    _lz_agree(vectorised, data, window_bits, length_bits, min_match,
+              max_chain)
+
+
+@pytest.mark.parametrize("min_match", range(1, 9))
+def test_lz77_tokens_keys_near_the_end(vectorised, min_match):
+    # Keys within 8 bytes of the end come from the padded copy; they
+    # must equal the keys of the same bytes loaded from the input.
+    for length in range(25):
+        for period in (1, 3, 5, 9):
+            pattern = bytes(range(1, period + 1)) * 4
+            _lz_agree(vectorised, (pattern * 3)[:length], 8, 4,
+                      min_match, 8)
+    key = b"WXYZABCD"[:min_match]
+    data = key + Random(min_match).randbytes(20) + key
+    spans = _match_spans(_lz_agree(vectorised, data, 8, 4, min_match, 8),
+                         4, min_match)
+    assert spans[len(data) - min_match] == (min_match, 20 + min_match)
+
+
+@pytest.mark.parametrize("layout", [(-1, 4, 3, 8), (8, -1, 3, 8),
+                                    (8, 4, 3, -1)])
+def test_lz77_tokens_negative_fields_raise(vectorised, layout):
+    # A negative window, length field or chain length: pure raises, so
+    # the native backend must not reach the C kernel with it.
+    for backend in (pure, vectorised):
+        with pytest.raises(ValueError):
+            backend.lz77_tokens(b"abcabcabc", *layout)
+
+
+def test_lz77_tokens_many_distinct_keys(vectorised):
+    # 64 KB of mostly distinct 4-byte keys in 2^15 buckets: long chains
+    # of colliding keys the walk must pass over, at 7-zip's layout.
+    rng = Random(64)
+    parts = []
+    size = 0
+    while size < 1 << 16:
+        if parts and rng.random() < 0.3:
+            part = rng.choice(parts)[:rng.randrange(4, 300)]
+        else:
+            part = rng.randbytes(rng.randrange(16, 400))
+        parts.append(part)
+        size += len(part)
+    data = b"".join(parts)[:1 << 16]
+    _lz_agree(vectorised, data, 16, 8, 4, 128)
 
 
 # Byte strings whose histograms tie often: a few symbols, each

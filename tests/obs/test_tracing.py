@@ -3,6 +3,8 @@
 import gc
 import sys
 
+import pytest
+
 from repro.obs.tracing import (
     KernelObserver,
     SpanSubscriber,
@@ -196,14 +198,25 @@ def test_kernel_observer_counts_and_samples():
     assert [s.name for s in tracer.spans] == ["kernel.run"]
 
 
-def test_kernel_observer_nested_runs_open_one_span():
-    sim, tracer = FakeSim(), Tracer()
-    scope = TraceScope(sim, tracer=tracer)
-    observer = KernelObserver(scope)
-    observer.run_started(0, 1)
-    observer.run_started(0, 1)   # nested helper re-entry
-    observer.run_finished(5, 0)
-    sim.now = 9
-    observer.run_finished(9, 0)
+def test_kernel_observer_never_sees_a_nested_run():
+    # Simulator.run rejects reentry before it calls run_started, so an
+    # observer sees strictly alternating starts and finishes: one span
+    # and one counted run per run().
+    from repro.errors import SimulationError
+    from repro.obs.metrics import MetricsRegistry
+    from repro.sim import Simulator
+
+    sim, tracer, registry = Simulator(), Tracer(), MetricsRegistry()
+    sim.observer = KernelObserver(TraceScope(sim, tracer=tracer), registry)
+
+    def reenter():
+        with pytest.raises(SimulationError):
+            sim.run()
+
+    sim.call_at(5, reenter)
+    sim.run()
+    sim.call_at(9, lambda: None)
+    sim.run()
     assert [(s.name, s.start_ps, s.end_ps) for s in tracer.spans] \
-        == [("kernel.run", 0, 9)]
+        == [("kernel.run", 0, 5), ("kernel.run", 5, 9)]
+    assert registry.snapshot()["counters"]["kernel.runs"] == 2
