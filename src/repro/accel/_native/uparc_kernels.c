@@ -1574,9 +1574,54 @@ int uparc_lz77_decode(const uint8_t *body, size_t body_len,
 /* reference's (length, code) -> symbol map for every reachable code. */
 /* Declared lengths above 32 are never reachable (the walk rejects    */
 /* codes past 32 bits first), so table construction stops there.      */
+/*                                                                    */
+/* A second table over the same peek holds, per window, the whole     */
+/* codewords it begins with, up to 4: their symbols, count and total  */
+/* bits.  The decode loop stores an entry's 4 symbol bytes at once    */
+/* (past out.len, within the reserved stop) and advances by its       */
+/* count, while the entry's bits are real stream bits and 4 more      */
+/* bytes fit before stop; otherwise it decodes one symbol per lookup  */
+/* as before, so every symbol comes from the same table entries and   */
+/* every error from the same single-symbol and bit-by-bit paths.      */
 
 #define HUF_MAX_CODE_LENGTH 32
 #define HUF_PEEK_BITS 12
+#define HUF_MULTI 4
+
+typedef struct {
+    uint8_t symbols[HUF_MULTI];
+    uint8_t count;              /* whole codewords in the peek window  */
+    uint8_t bits;               /* their total length                  */
+    uint8_t pad[2];             /* 8 bytes: one move per copy          */
+} huf_multi;
+
+/* Fill mtable[base, base + 2^avail): the windows that begin with     */
+/* `entry`'s codewords and have `avail` bits after them.  Each        */
+/* codeword that fits in those bits owns an aligned block of them, so */
+/* one walk of the blocks writes every entry once.                    */
+static void huf_fill(huf_multi *mtable, const uint16_t *ptable, int peek,
+                     uint32_t base, int avail, huf_multi entry)
+{
+    uint32_t span = 1u << avail;
+    if (entry.count == HUF_MULTI) {
+        for (uint32_t sub = 0; sub < span; sub++)
+            mtable[base + sub] = entry;
+        return;
+    }
+    for (uint32_t sub = 0; sub < span;) {
+        uint16_t single = ptable[sub << (peek - avail)];
+        int elen = single >> 8;
+        if (!single || elen > avail) {
+            mtable[base + sub++] = entry;
+            continue;
+        }
+        huf_multi next = entry;
+        next.symbols[next.count++] = (uint8_t)single;
+        next.bits = (uint8_t)(next.bits + elen);
+        huf_fill(mtable, ptable, peek, base + sub, avail - elen, next);
+        sub += 1u << (avail - elen);
+    }
+}
 
 int uparc_huffman_decode(const uint8_t *body, size_t body_len,
                          int64_t output_length, const uint8_t *lengths,
@@ -1636,6 +1681,9 @@ int uparc_huffman_decode(const uint8_t *body, size_t body_len,
             code++;
         }
     }
+    huf_multi mtable[1 << HUF_PEEK_BITS];
+    huf_multi none = {{0, 0, 0, 0}, 0, 0, {0, 0}};
+    huf_fill(mtable, ptable, peek, 0, peek, none);
     upbuf out = {0, 0, 0};
     bitreader br = br_open(body, body_len);
     int status = UPARC_OK;
@@ -1656,7 +1704,16 @@ int uparc_huffman_decode(const uint8_t *body, size_t body_len,
         uint64_t left = br_left(&br);
         int used = 0;
         while (out.len < stop && used <= 57 - peek) {
-            uint16_t entry = ptable[win_bits(window << used, peek)];
+            uint64_t index = win_bits(window << used, peek);
+            const huf_multi *multi = &mtable[index];
+            if (out.len + HUF_MULTI <= stop && multi->count
+                && (uint64_t)(used + multi->bits) <= left) {
+                memcpy(out.p + out.len, multi->symbols, HUF_MULTI);
+                out.len += multi->count;
+                used += multi->bits;
+                continue;
+            }
+            uint16_t entry = ptable[index];
             int elen = entry >> 8;
             if (!entry || (uint64_t)(used + elen) > left)
                 break;
@@ -1935,10 +1992,35 @@ int uparc_lz78_decode(const uint8_t *body, size_t body_len,
 
 /* ------------------------------------------------------------------ */
 /* 7-zip entropy stage: Witten-Neal-Cleary arithmetic coding with     */
-/* 32-bit precision over adaptive Fenwick-tree models, statement for  */
-/* statement the reference's AdaptiveModel / ArithmeticEncoder /      */
-/* ArithmeticDecoder.  A decoder's value stays within [low, high], so */
-/* every quantity fits 64 bits (span * total < 2^49).                 */
+/* 32-bit precision over adaptive Fenwick-tree models, the same       */
+/* arithmetic as the reference's AdaptiveModel / ArithmeticEncoder /  */
+/* ArithmeticDecoder, renormalised once per symbol instead of once    */
+/* per bit.                                                           */
+/*                                                                    */
+/* The reference's loop shifts out one bit per pass: a bit low and    */
+/* high share (emitted after the pending complements of any earlier   */
+/* underflows), then, once their top bits differ, an underflow bit    */
+/* (low = 01..., high = 10...: count it pending, drop bit 30).  No    */
+/* underflow pass can be followed by a shared-bit pass, since each    */
+/* keeps bit 31 of low at 0 and of high at 1.  So the loop is n =     */
+/* clz(low ^ high) shared bits, shifted out at once (the first one    */
+/* followed by the pending run, the other n - 1 as they are), then k  */
+/* underflow bits, the run of ones of low & ~high from bit 30 down,   */
+/* shifted out at once by deleting bits 30..31-k and keeping bit 31.  */
+/* The decoder's value takes both steps with low and high.  It lies   */
+/* in [low, high] (a target within the model's total puts it in the   */
+/* narrowed interval), where the reference's subtractions of HALF and */
+/* QUARTER are exactly these bit deletions.  Each pass doubles high - */
+/* low + 1, which a symbol's narrowing leaves at 2^14 or more (2^30   */
+/* or more before it, a total under 2^16), so n + k <= 18: a symbol   */
+/* reads at most 18 code bits.                                        */
+/*                                                                    */
+/* Each model also keeps its frequencies, so a symbol's upper bound   */
+/* is its lower bound plus its frequency, and the decoder's tree      */
+/* descent yields the lower bound as it finds the symbol: one Fenwick */
+/* walk per coded symbol besides the update, not two or three.  A     */
+/* decoder's value stays within [low, high], so every quantity fits   */
+/* 64 bits (span * total < 2^49).                                     */
 
 #define AC_HALF        0x80000000ULL
 #define AC_QUARTER     0x40000000ULL
@@ -1950,18 +2032,41 @@ int uparc_lz78_decode(const uint8_t *body, size_t body_len,
 
 typedef struct {
     int32_t tree[257];          /* Fenwick tree, 1-based               */
+    int32_t freq[256];          /* the frequencies the tree sums       */
     int32_t total;
     int32_t size;
     int32_t top;                /* 1 << size.bit_length()              */
 } acmodel;
+
+/* Build the tree over freq[0, size): each node adds itself to its    */
+/* parent, bottom-up.                                                 */
+static void am_build(acmodel *m)
+{
+    int n = m->size;
+    int32_t *t = m->tree;
+    int32_t total = 0;
+    t[0] = 0;
+    for (int i = 1; i <= n; i++) {
+        t[i] = m->freq[i - 1];
+        total += t[i];
+    }
+    for (int i = 1; i <= n; i++) {
+        int j = i + (i & -i);
+        if (j <= n)
+            t[j] += t[i];
+    }
+    m->total = total;
+}
 
 static void am_init(acmodel *m, int size)
 {
     m->size = size;
     m->total = size;            /* every symbol starts at frequency 1  */
     m->tree[0] = 0;
-    for (int i = 1; i <= size; i++)
+    for (int i = 1; i <= size; i++) {
+        m->freq[i - 1] = 1;
         m->tree[i] = i & -i;
+    }
     int top = 1;
     while (top <= size)
         top <<= 1;
@@ -1976,45 +2081,35 @@ static inline int32_t am_cumulative(const acmodel *m, int symbol)
     return total;
 }
 
-static inline int am_find(const acmodel *m, int32_t target)
+/* The symbol whose [cumulative, cumulative + freq) holds target, and */
+/* its cumulative frequency: the sum the descent takes out of target. */
+static inline int am_find(const acmodel *m, int32_t target,
+                          int32_t *cum_low)
 {
     int index = 0;
+    int32_t remaining = target;
     for (int mask = m->top; mask; mask >>= 1) {
         int probe = index + mask;
-        if (probe <= m->size && m->tree[probe] <= target) {
+        if (probe <= m->size && m->tree[probe] <= remaining) {
             index = probe;
-            target -= m->tree[probe];
+            remaining -= m->tree[probe];
         }
     }
+    *cum_low = target - remaining;
     return index;
 }
 
-/* Halve every frequency (floor 1) and rebuild: unwinding the tree    */
-/* top-down gives the frequencies, building it bottom-up restores it. */
+/* Halve every frequency (floor 1) and rebuild the tree.              */
 static void am_halve(acmodel *m)
 {
-    int n = m->size;
-    int32_t *t = m->tree;
-    for (int i = n; i >= 1; i--) {
-        int j = i + (i & -i);
-        if (j <= n)
-            t[j] -= t[i];
-    }
-    int32_t total = 0;
-    for (int i = 1; i <= n; i++) {
-        t[i] = t[i] / 2 > 1 ? t[i] / 2 : 1;
-        total += t[i];
-    }
-    for (int i = 1; i <= n; i++) {
-        int j = i + (i & -i);
-        if (j <= n)
-            t[j] += t[i];
-    }
-    m->total = total;
+    for (int i = 0; i < m->size; i++)
+        m->freq[i] = m->freq[i] / 2 > 1 ? m->freq[i] / 2 : 1;
+    am_build(m);
 }
 
 static inline void am_update(acmodel *m, int symbol)
 {
+    m->freq[symbol] += AC_INCREMENT;
     for (int i = symbol + 1; i <= m->size; i += i & -i)
         m->tree[i] += AC_INCREMENT;
     m->total += AC_INCREMENT;
@@ -2055,36 +2150,70 @@ static inline acmodel *lzma_literal_model(lzma_models *models, int context)
     return model;
 }
 
+/* Shift the n bits low and high share out of a narrowed interval,    */
+/* then its k underflow bits (bits 30..31-k go, bit 31 stays).        */
+/* Returns n and sets *k.  low < high, so low ^ high has a set bit,   */
+/* and bit 0 of the underflow complement is set, so k <= 31.          */
+static inline int ac_renormalise(uint64_t *low, uint64_t *high, int *k)
+{
+    int n = __builtin_clz((uint32_t)(*low ^ *high));
+    uint64_t l = (*low << n) & AC_TOP;
+    uint64_t h = ((*high << n) | ((1ULL << n) - 1)) & AC_TOP;
+    *k = __builtin_clz(~((uint32_t)(l << 1) & ~(uint32_t)(h << 1)));
+    *low = (l << *k) & (AC_HALF - 1);
+    *high = AC_HALF | ((h << *k) & (AC_HALF - 1)) | ((1ULL << *k) - 1);
+    return n;
+}
+
+/* The encoder writes through the packers' bit sink into a growable   */
+/* buffer with 16 bytes past the sink: a put stores 8 bytes there and */
+/* advances at most 7.                                                */
 typedef struct {
     uint64_t low;
     uint64_t high;
     int64_t pending;
-    uint32_t bit_buffer;
-    int bit_count;
+    bitsink w;
     upbuf out;
 } acencoder;
 
-static inline int ace_emit(acencoder *e, uint32_t bit)
+/* Put up to 56 bits.                                                 */
+static inline int ace_put(acencoder *e, uint64_t value, unsigned width)
 {
-    e->bit_buffer = (e->bit_buffer << 1) | bit;
-    if (++e->bit_count == 8) {
-        if (upbuf_reserve(&e->out, 1) != 0)
+    int64_t at = e->w.p - e->out.p;
+    if (at + 16 > e->out.cap) {
+        e->out.len = at;
+        if (upbuf_reserve(&e->out, 16) != 0)
             return -1;
-        e->out.p[e->out.len++] = (uint8_t)e->bit_buffer;
-        e->bit_buffer = 0;
-        e->bit_count = 0;
+        e->w.p = e->out.p + at;
     }
+    bs_put(&e->w, value, width);
     return 0;
 }
 
-static int ace_emit_with_pending(acencoder *e, uint32_t bit)
+/* The top of `count` (1 to 32) shared bits, then the pending run of  */
+/* its complement, then the other count - 1 bits.                     */
+static int ace_put_shared(acencoder *e, uint64_t bits, int count)
 {
-    if (ace_emit(e, bit) != 0)
+    int rest = count - 1;
+    uint64_t first = bits >> rest;
+    uint64_t tail = bits & ((1ULL << rest) - 1);
+    if (e->pending + count <= 56) {
+        /* The common case: bit, run and rest in one put.              */
+        int run = (int)e->pending;
+        uint64_t ones = first ? 0 : (1ULL << run) - 1;
+        e->pending = 0;
+        return ace_put(e, (((first << run) | ones) << rest) | tail,
+                       (unsigned)(run + count));
+    }
+    if (ace_put(e, first, 1) != 0)
         return -1;
-    for (; e->pending; e->pending--)
-        if (ace_emit(e, bit ^ 1) != 0)
+    while (e->pending) {
+        int run = e->pending < 32 ? (int)e->pending : 32;
+        if (ace_put(e, first ? 0 : (1ULL << run) - 1, (unsigned)run) != 0)
             return -1;
-    return 0;
+        e->pending -= run;
+    }
+    return ace_put(e, tail, (unsigned)rest);
 }
 
 static int ace_encode(acencoder *e, acmodel *m, int symbol)
@@ -2092,41 +2221,29 @@ static int ace_encode(acencoder *e, acmodel *m, int symbol)
     uint64_t span = e->high - e->low + 1;
     uint64_t total = (uint64_t)m->total;
     uint64_t cum_low = (uint64_t)am_cumulative(m, symbol);
-    uint64_t cum_high = (uint64_t)am_cumulative(m, symbol + 1);
-    e->high = e->low + span * cum_high / total - 1;
-    e->low = e->low + span * cum_low / total;
-    for (;;) {
-        if (e->high < AC_HALF) {
-            if (ace_emit_with_pending(e, 0) != 0)
-                return -1;
-        } else if (e->low >= AC_HALF) {
-            if (ace_emit_with_pending(e, 1) != 0)
-                return -1;
-            e->low -= AC_HALF;
-            e->high -= AC_HALF;
-        } else if (e->low >= AC_QUARTER
-                   && e->high < AC_HALF + AC_QUARTER) {
-            e->pending++;
-            e->low -= AC_QUARTER;
-            e->high -= AC_QUARTER;
-        } else {
-            break;
-        }
-        e->low <<= 1;
-        e->high = (e->high << 1) | 1;
-    }
+    uint64_t cum_high = cum_low + (uint64_t)m->freq[symbol];
+    uint64_t high = e->low + span * cum_high / total - 1;
+    uint64_t low = e->low + span * cum_low / total;
+    uint64_t shared = low;
+    int k;
+    int n = ac_renormalise(&low, &high, &k);
+    if (n && ace_put_shared(e, shared >> (32 - n), n) != 0)
+        return -1;
+    e->pending += k;
+    e->low = low;
+    e->high = high;
     am_update(m, symbol);
     return 0;
 }
 
+/* One more pending bit, the final bit and its run, then the sink's   */
+/* zero-padded last byte.                                             */
 static int ace_finish(acencoder *e)
 {
     e->pending++;
-    if (ace_emit_with_pending(e, e->low < AC_QUARTER ? 0 : 1) != 0)
+    if (ace_put_shared(e, e->low < AC_QUARTER ? 0 : 1, 1) != 0)
         return -1;
-    while (e->bit_count)
-        if (ace_emit(e, 0) != 0)
-            return -1;
+    e->out.len = bs_length(&e->w, e->out.p);
     return 0;
 }
 
@@ -2144,12 +2261,14 @@ int uparc_lzma_pack(const uint64_t *values, const uint8_t *widths,
             return UPARC_ERR_SYMBOL;
     }
     lzma_models *models = lzma_models_new();
-    acencoder e = {0, AC_TOP, 0, 0, 0, {0, 0, 0}};
+    acencoder e = {0, AC_TOP, 0, {0, 0, 0}, {0, 0, 0}};
     /* The code stream is usually well under a byte per token.        */
     if (!models || upbuf_reserve(&e.out, (int64_t)count + 64) != 0) {
         free(models);
+        free(e.out.p);
         return UPARC_ERR_NOMEM;
     }
+    e.w.p = e.out.p;
     int failed = 0;
     int previous_byte = 0;
     for (size_t i = 0; i < count && !failed; i++) {
@@ -2182,31 +2301,28 @@ int uparc_lzma_pack(const uint64_t *values, const uint8_t *widths,
 }
 
 typedef struct {
-    const uint8_t *data;
-    uint64_t bit_limit;         /* 8 * body length                     */
-    uint64_t bit_position;
+    bitreader br;
     int implicit_bits;          /* zeros read past the end so far      */
     uint64_t low;
     uint64_t high;
     uint64_t value;
 } acdecoder;
 
-/* Next code bit into *value's low end; past the body the encoder's   */
+/* The next `width` (<= 57) code bits; past the body the encoder's    */
 /* implicit trailing zeros, until more than 32 of them mark the       */
 /* stream corrupt.                                                    */
-static inline int acd_shift_in(acdecoder *d)
+static inline int acd_take(acdecoder *d, int width, uint64_t *bits)
 {
-    uint64_t bit = 0;
-    if (d->bit_position >= d->bit_limit) {
-        if (++d->implicit_bits > AC_MAX_IMPLICIT_BITS)
-            return UPARC_ERR_AC_EXHAUSTED;
-    } else {
-        bit = (d->data[d->bit_position >> 3]
-               >> (7 - (d->bit_position & 7))) & 1;
-        d->bit_position++;
+    uint64_t left = br_left(&d->br);
+    *bits = win_bits(br_window(&d->br), width);
+    if ((uint64_t)width <= left) {
+        d->br.pos += (uint64_t)width;
+        return UPARC_OK;
     }
-    d->value = (d->value << 1) | bit;
-    return UPARC_OK;
+    d->br.pos = d->br.end;
+    d->implicit_bits += width - (int)left;
+    return d->implicit_bits > AC_MAX_IMPLICIT_BITS
+        ? UPARC_ERR_AC_EXHAUSTED : UPARC_OK;
 }
 
 static inline int acd_decode(acdecoder *d, acmodel *m, int *symbol)
@@ -2218,31 +2334,21 @@ static inline int acd_decode(acdecoder *d, acmodel *m, int *symbol)
     uint64_t target = ((d->value - d->low + 1) * total - 1) / span;
     if (target >= total)
         return UPARC_ERR_AC_RANGE;
-    int found = am_find(m, (int32_t)target);
-    uint64_t cum_low = (uint64_t)am_cumulative(m, found);
-    uint64_t cum_high = (uint64_t)am_cumulative(m, found + 1);
+    int32_t cum;
+    int found = am_find(m, (int32_t)target, &cum);
+    uint64_t cum_low = (uint64_t)cum;
+    uint64_t cum_high = cum_low + (uint64_t)m->freq[found];
     d->high = d->low + span * cum_high / total - 1;
     d->low = d->low + span * cum_low / total;
-    for (;;) {
-        if (d->high < AC_HALF) {
-            /* nothing to subtract */
-        } else if (d->low >= AC_HALF) {
-            d->low -= AC_HALF;
-            d->high -= AC_HALF;
-            d->value -= AC_HALF;
-        } else if (d->low >= AC_QUARTER
-                   && d->high < AC_HALF + AC_QUARTER) {
-            d->low -= AC_QUARTER;
-            d->high -= AC_QUARTER;
-            d->value -= AC_QUARTER;
-        } else {
-            break;
-        }
-        d->low <<= 1;
-        d->high = (d->high << 1) | 1;
-        int status = acd_shift_in(d);
+    int k;
+    int n = ac_renormalise(&d->low, &d->high, &k);
+    if (n + k) {
+        uint64_t fresh;
+        int status = acd_take(d, n + k, &fresh);
         if (status != UPARC_OK)
             return status;
+        d->value = ((d->value << n) & AC_HALF)
+            | (((d->value << (n + k)) | fresh) & (AC_HALF - 1));
     }
     am_update(m, found);
     *symbol = found;
@@ -2253,9 +2359,9 @@ int uparc_lzma_decode(const uint8_t *body, size_t body_len,
                       int64_t output_length,
                       uint8_t **out_ptr, int64_t *out_len)
 {
-    acdecoder d = {body, (uint64_t)body_len * 8, 0, 0, 0, AC_TOP, 0};
-    for (int k = 0; k < 32; k++)
-        acd_shift_in(&d);       /* at most 32 implicit zeros: no error */
+    acdecoder d = {br_open(body, body_len), 0, 0, AC_TOP, 0};
+    /* At most 32 implicit zeros: the first read cannot fail.         */
+    (void)acd_take(&d, 32, &d.value);
     lzma_models *models = lzma_models_new();
     upbuf out = {0, 0, 0};
     if (!models

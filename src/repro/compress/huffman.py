@@ -58,7 +58,7 @@ class HuffmanCodec(Codec):
         if not any(table):
             raise CorruptStreamError("empty Huffman table for non-empty data")
         # Canonical code reassignment, the peek-table build and the
-        # bit-serial decode loop all run as the ``huffman_decode``
+        # table-driven decode loop all run as the ``huffman_decode``
         # accel kernel; every backend raises the same errors at the
         # same points of failure.
         return accel.huffman_decode(data[4 + 256:], original_length,

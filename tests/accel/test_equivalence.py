@@ -1144,6 +1144,147 @@ def test_lzma_pack_symbol_range_parity(vectorised):
         assert str(got.value) == str(want.value)
 
 
+# The C coder renormalises once per symbol: it shifts out all the bits
+# low and high share, then the whole underflow run, and reads or writes
+# them in one step.  Pure's coder, traced, shows which of those bulk
+# steps a pinned stream drives.
+
+
+class _TracedEncoder(pure.ArithmeticEncoder):
+    """Pure's encoder, recording the shape of its renormalisations."""
+
+    last = None
+
+    def __init__(self):
+        super().__init__()
+        self.emitted = 0
+        self.widest = 0          # most bits one symbol emitted
+        self.crossing_runs = 0   # pending runs spanning a byte boundary
+        self.longest_pending = 0
+        _TracedEncoder.last = self
+
+    def _emit(self, bit):
+        super()._emit(bit)
+        self.emitted += 1
+
+    def encode(self, model, symbol):
+        before = self.emitted
+        super().encode(model, symbol)
+        self.widest = max(self.widest, self.emitted - before)
+        self.longest_pending = max(self.longest_pending, self._pending)
+
+    def _emit_with_pending(self, bit):
+        start, run = self.emitted + 1, self._pending
+        super()._emit_with_pending(bit)
+        if run and start // 8 != (start + run - 1) // 8:
+            self.crossing_runs += 1
+
+
+def _traced_lzma_pack(monkeypatch, values, widths):
+    with monkeypatch.context() as patch:
+        patch.setattr(pure, "ArithmeticEncoder", _TracedEncoder)
+        body = pure.lzma_pack(values, widths, _LZMA_MASK)
+    return body, _TracedEncoder.last
+
+
+def _literal_tokens(data):
+    """A 7-zip token stream of literals only."""
+    return array("Q", list(data)), array("B", [9]) * len(data)
+
+
+def test_lzma_decode_every_truncation_parity(vectorised, monkeypatch):
+    # Literals, far and near matches and self-overlapping copies, cut
+    # at every byte: near the cut the decoder's 8-byte code loads read
+    # some real bits and some implicit zeros, and past 32 of those the
+    # stream is exhausted.  One symbol emits 9 or more bits at once,
+    # and a pending underflow run crosses a byte boundary.
+    data = (b"abcabcabcd" + bytes(range(40)) + b"z" * 30 + b"abcabc"
+            + bytes(range(40)) + b"ab" * 20)
+    values, widths = _lzma_tokens(data)
+    assert set(widths) == {9, 25}
+    body, traced = _traced_lzma_pack(monkeypatch, values, widths)
+    assert traced.widest >= 9 and traced.crossing_runs
+    assert vectorised.lzma_pack(values, widths, _LZMA_MASK) == body
+    for cut in range(len(body) + 1):
+        _agree_with_pure(vectorised, "lzma_decode", body[:cut], len(data))
+
+
+@pytest.mark.parametrize("last, needed", [(203, 32), (198, 33)])
+def test_lzma_decode_cut_inside_the_implicit_zeros(vectorised, last,
+                                                   needed):
+    # Seven literals whose code stream ends in a zero byte, found by a
+    # seeded search with pure.  Cut that byte off and the decoder reads
+    # it back as implicit zeros: with 203 last it then needs exactly
+    # the 32 allowed, with 198 one more, which exhausts the stream.
+    data = bytes.fromhex("ac4c09c2e7e3") + bytes([last])
+    literals, nine = _literal_tokens(data)
+    body = vectorised.lzma_pack(literals, nine, _LZMA_MASK)
+    assert body == pure.lzma_pack(literals, nine, _LZMA_MASK)
+    assert body[-1] == 0
+    if needed <= 32:
+        assert pure.lzma_decode(body[:-1], len(data)) == data
+    else:
+        with pytest.raises(CorruptStreamError, match="exhausted"):
+            pure.lzma_decode(body[:-1], len(data))
+    for cut in range(len(body) + 1):
+        _agree_with_pure(vectorised, "lzma_decode", body[:cut], len(data))
+
+
+def test_lzma_pending_run_longer_than_one_write(vectorised, monkeypatch):
+    # Each literal's interval holds the midpoint of the one before (a
+    # greedy search with pure chose them), so no bit is shared and the
+    # underflows pile up: over 100 pending bits, written after the end
+    # token as runs wider than the coder's 56-bit writes.
+    data = bytes.fromhex("c000000000387d0da63b54f9e533")
+    literals, nine = _literal_tokens(data)
+    body, traced = _traced_lzma_pack(monkeypatch, literals, nine)
+    assert traced.longest_pending > 64
+    assert vectorised.lzma_pack(literals, nine, _LZMA_MASK) == body
+    for cut in range(len(body) + 1):
+        _agree_with_pure(vectorised, "lzma_decode", body[:cut], len(data))
+
+
+# -- splices of two valid streams of one codec ------------------------
+# The head of one stream on the tail of another: a well-formed prefix
+# leaves the decoder's state mid-stream where the rest of the body no
+# longer fits it.  The declared length is the head's.
+
+splices = st.tuples(st.integers(min_value=0, max_value=1 << 16),
+                    st.integers(min_value=0, max_value=1 << 16))
+
+
+def _spliced(first, second, head, tail):
+    return first[:head % (len(first) + 1)] + second[tail % (len(second) + 1):]
+
+
+@seed(2012)
+@quick
+@given(payloads, payloads, splices, st.integers(min_value=-2, max_value=2))
+def test_lzma_decode_splice_parity(vectorised, first, second, cuts, slack):
+    body = _spliced(pure.lzma_pack(*_lzma_tokens(first), _LZMA_MASK),
+                    pure.lzma_pack(*_lzma_tokens(second), _LZMA_MASK),
+                    *cuts)
+    _agree_with_pure(vectorised, "lzma_decode", body,
+                     max(0, len(first) + slack))
+
+
+@seed(2012)
+@quick
+@given(payloads, payloads, splices, st.integers(min_value=-2, max_value=2))
+def test_huffman_decode_splice_parity(vectorised, first, second, cuts,
+                                      slack):
+    # The length table travels with the head, as in the codec's stream:
+    # a head shorter than it takes the rest of its table from the tail.
+    def stream(data):
+        codes, lengths = pure.huffman_code_table(data)
+        return bytes(lengths) + pure.huffman_pack(data, codes, lengths)
+
+    spliced = _spliced(stream(first), stream(second), *cuts)
+    _agree_with_pure(vectorised, "huffman_decode", spliced[256:],
+                     max(0, len(first) + slack),
+                     spliced[:256].ljust(256, b"\x00"))
+
+
 # -- mutated streams for the older decoders ---------------------------
 # The same bit-flip, truncation and extension mutations as above, of
 # valid streams from the four mode-ii codecs' encoders.
@@ -1328,6 +1469,22 @@ def test_huffman_decode_every_truncation_parity(vectorised):
         for cut in range(len(body) + 1):
             _agree_with_pure(vectorised, "huffman_decode", body[:cut],
                              len(data), bytes(lengths))
+
+
+def test_huffman_decode_length_ends_inside_a_multi_symbol_entry(
+        vectorised):
+    # 1- and 2-bit codes fill most 12-bit windows with 4 whole
+    # codewords, which the decoder takes in one lookup.  Every declared
+    # length, up to 3 past the body's, ends the output 1 to 3 symbols
+    # into such an entry somewhere, where the decoder must stop short
+    # of it, and lengths past the body's run the stream dry.
+    data = b"\x00\x00\x01\x00\x02" * 40 + bytes(range(3, 12))
+    codes, lengths = pure.huffman_code_table(data)
+    assert sorted(set(lengths) - {0})[:2] == [1, 2]
+    body = pure.huffman_pack(data, codes, lengths)
+    for length in range(len(data) + 4):
+        _agree_with_pure(vectorised, "huffman_decode", body, length,
+                         bytes(lengths))
 
 
 def test_lzbytes_pack_symbol_range_parity(vectorised):

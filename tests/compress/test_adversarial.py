@@ -9,6 +9,7 @@ complement the hypothesis tests with *targeted* stress.
 import struct
 
 import pytest
+from hypothesis import HealthCheck, given, seed, settings, strategies as st
 
 from repro import accel
 from repro.compress import (
@@ -172,6 +173,68 @@ def test_declared_length_does_not_size_the_decoder(codec, declared,
             got = _failure(codec, patched)
     assert got == want
     assert timer.elapsed_s < valid.elapsed_s + 0.050
+
+
+# -- the decoder oracle, on the golden model -------------------------
+# Hostile streams derived from valid ones: a flipped bit, a truncation,
+# trailing bytes, or the head of one stream on the tail of another.
+# Whatever the damage, pure's decoder returns exactly the length its
+# stream declares or raises CorruptStreamError; it never raises
+# anything else.  The native backend is held to pure by the
+# equivalence suite, so this holds for it too.
+
+_payloads = st.one_of(
+    st.binary(max_size=192),
+    st.builds(lambda chunk, repeats: chunk * repeats,
+              st.binary(min_size=1, max_size=16),
+              st.integers(min_value=1, max_value=24)),
+)
+_damage = st.tuples(
+    st.sampled_from(["flip", "truncate", "extend", "splice"]),
+    st.integers(min_value=0, max_value=1 << 16),
+    st.integers(min_value=0, max_value=1 << 16),
+    st.binary(min_size=1, max_size=8),
+)
+
+
+def _damaged(stream, other, damage):
+    kind, position, tail, extra = damage
+    if kind == "flip":
+        index = position % (8 * len(stream))
+        flipped = bytearray(stream)
+        flipped[index >> 3] ^= 0x80 >> (index & 7)
+        return bytes(flipped)
+    if kind == "truncate":
+        return stream[:position % (len(stream) + 1)]
+    if kind == "extend":
+        return stream + extra
+    return (stream[:position % (len(stream) + 1)]
+            + other[tail % (len(other) + 1):])
+
+
+def _declared_length(codec, stream):
+    # Zip's outer Huffman stream wraps the byte-LZ stream, whose header
+    # declares the output.
+    if isinstance(codec, DeflateCodec):
+        stream = HuffmanCodec().decompress(stream)
+    return struct.unpack_from(">I", stream)[0]
+
+
+@pytest.mark.parametrize("codec", ALL, ids=lambda c: c.name)
+@seed(2012)
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(data=_payloads, other=_payloads, damage=_damage)
+def test_pure_decoder_returns_declared_length_or_corrupt(codec, data,
+                                                         other, damage):
+    with accel.using("pure"):
+        stream = _damaged(codec.compress(data), codec.compress(other),
+                          damage)
+        try:
+            out = codec.decompress(stream)
+        except CorruptStreamError:
+            return
+        assert len(out) == _declared_length(codec, stream)
 
 
 class TestDeflateStress:
