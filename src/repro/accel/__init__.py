@@ -19,9 +19,9 @@ interchangeable implementations:
   optional extension is built (``pip install .[native]`` or
   ``python -m repro.accel._native.build``).
 
-The backends are **byte-identical**: every golden digest, cache key
-and compressed stream is the same whichever backend runs, so backend
-choice is purely a speed decision and never enters sweep cache keys.
+The backends are **byte-identical**: every golden digest, sweep
+result and compressed stream is the same whichever backend runs, so
+backend choice is purely a speed decision.
 
 Selection precedence: an explicit :func:`select` (the CLI's
 ``--backend`` flag) wins over the ``REPRO_BACKEND`` environment

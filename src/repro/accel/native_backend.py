@@ -1,10 +1,17 @@
 """Compiled-C backend for the datapath kernels.
 
-Byte-identical to :mod:`repro.accel.pure` by construction — the C
-kernels in ``repro/accel/_native/uparc_kernels.c`` port the reference
-loops statement for statement (same token layouts, same move-to-front
-order, same error detection points, the same MT19937 draws), and the
+Byte-identical to :mod:`repro.accel.pure`: the C kernels in
+``repro/accel/_native/uparc_kernels.c`` emit the same tokens and
+streams (same token layouts, same move-to-front order), fail at the
+same error points and make the same MT19937 draws, and the
 cross-backend digest and hypothesis suites pin the two together.
+Most kernels follow the reference loop step for step; five are
+restructured for speed and match it only in those outputs: 7-zip's
+arithmetic coder (``lzma_pack``/``lzma_decode``) renormalises once
+per symbol rather than once per bit, ``huffman_decode`` decodes up to
+four codewords per 12-bit table lookup, and ``xmatch_decode`` and
+``lz77_decode`` read each token's fields from one 8-byte load of the
+stream (a 57-bit window) rather than field by field.
 This module is the thin ctypes-free wrapper: it shapes arguments into
 C buffers and maps decoder status codes back to the reference
 :class:`~repro.errors.CorruptStreamError` messages.  Every C kernel

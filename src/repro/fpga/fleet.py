@@ -38,9 +38,9 @@ class ModuleImage:
     """One loadable module: its name and generator identity.
 
     ``(size_kb, seed)`` fully determines the bitstream bytes (the
-    generator is seeded and otherwise default-parameterised), so a
-    module image is content-addressable the same way a sweep payload
-    is.
+    generator is seeded and otherwise default-parameterised), so the
+    library generates each image once and memoises it, as a sweep run
+    does with its payloads.
     """
 
     name: str

@@ -16,10 +16,9 @@ file of the ``repro.lint`` package, so editing a rule, the summaries
 or the driver invalidates every entry without a version constant
 anyone has to remember to bump.
 
-Writes are atomic (tmp file + ``os.replace``), identical to the
-sweep artifact cache, so concurrent/crashed runs never leave a
-half-written entry.  Entries are content-addressed and never stale;
-orphans are reclaimed with :meth:`LintCache.clear`.
+Writes are atomic (tmp file + ``os.replace``), so concurrent/crashed
+runs never leave a half-written entry.  Entries are content-addressed
+and never stale; orphans are reclaimed with :meth:`LintCache.clear`.
 """
 
 from __future__ import annotations

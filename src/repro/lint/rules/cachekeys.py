@@ -1,9 +1,9 @@
 """Cache-key purity rule (C502).
 
-Everything hashed into a SHA-256 artifact key must be *canonical*
+Everything hashed into a SHA-256 key or digest must be *canonical*
 (``json.dumps(..., sort_keys=True)``, never ``str()``/``repr()``/
-f-strings of live objects), or cached artifacts are missed: the key
-drifts for equal inputs.  The rule tracks hash inputs locally —
+f-strings of live objects), or cached entries are missed and pinned
+digests drift: the key changes for equal inputs.  The rule tracks hash inputs locally —
 through digest variables — inside each function.
 """
 

@@ -1,9 +1,10 @@
 """Digest-input ordering rule (P403).
 
-``repro.sweep`` promises byte-identical serial/parallel results and
-content-addressed artifacts; both hash their inputs.  This rule
-polices the one way a hash input silently loses that promise:
-unordered iteration feeding cache-key or digest construction (the
+The determinism sanitizer's S903 stream chain, the serve request-stream
+and SLO-report digests, and the lint cache's file keys and project
+signature all hash their inputs and promise equal digests for equal
+inputs.  This rule polices the one way a hash input silently loses
+that promise: unordered iteration feeding digest construction (the
 same logical inputs hash differently across runs).
 """
 
@@ -15,9 +16,9 @@ from typing import Set
 from repro.lint.registry import Checker, register
 from repro.lint.astutils import terminal_name
 
-#: Call names that begin a digest or cache-key computation.
+#: Call names that begin a digest computation.
 DIGEST_CALLS = ("sha256", "sha1", "sha224", "sha384", "sha512", "md5",
-                "blake2b", "blake2s", "artifact_key")
+                "blake2b", "blake2s")
 
 #: Wrappers that impose a deterministic order on any iterable.
 ORDERING_CALLS = ("sorted", "min", "max")
@@ -27,11 +28,11 @@ ORDERING_CALLS = ("sorted", "min", "max")
 class UnorderedDigestInputRule(Checker):
     """P403 — no unordered iteration inside key/digest construction.
 
-    Within any function that computes a digest or cache key, dict
-    views and set-typed values must pass through ``sorted(...)``
-    before they contribute bytes — otherwise the same logical inputs
-    produce different keys across runs and machines, and the artifact
-    cache silently stops deduplicating (or worse, CI hashes drift).
+    Within any function that computes a digest, dict views and
+    set-typed values must pass through ``sorted(...)`` before they
+    contribute bytes — otherwise the same logical inputs produce
+    different digests across runs and machines: the lint cache
+    silently stops hitting, and pinned digests drift.
     """
 
     rule_id = "P403"

@@ -3,7 +3,7 @@
 One registry instruments a bounded scope of work (a CLI command, one
 sweep cell, one worker process).  Instruments are memoised by their
 hierarchical dotted name (``icap.words_written``,
-``sweep.cache.hits``), so hot paths fetch the instrument once and pay
+``sweep.cells``), so hot paths fetch the instrument once and pay
 a single attribute call per update.
 
 Disabled by default: the process-wide registry is

@@ -1,24 +1,22 @@
-"""Experiment sweep engine: grids, artifact cache, process fan-out.
+"""Experiment sweep engine: grids and process fan-out.
 
 The paper's evaluation is a set of parameter sweeps (controller x
 frequency x payload x seed); this package turns them into declarative
-grids executed by a process-parallel engine with a content-addressed
-artifact cache:
+grids executed by a process-parallel engine:
 
 * :mod:`repro.sweep.spec`   — :class:`RunSpec`, :class:`SweepGrid`
   and the named grids (``fig5``, ``table1``, ``smoke``);
-* :mod:`repro.sweep.cache`  — SHA-256 content-addressed store for
-  bitstreams, compressed payloads and finished run records;
 * :mod:`repro.sweep.engine` — :class:`SweepEngine` and the
   module-level :func:`execute_spec` worker;
 * :mod:`repro.sweep.cli`    — ``python -m repro sweep``.
 
-Results are deterministic by construction: cells are sorted by
-canonical key before dispatch and re-sorted after collection, so a
-``-j 8`` run is byte-identical to a serial one.
+A run generates each distinct payload's bitstream once and hands it
+to every cell that uses it; nothing is stored between runs.  Results
+are deterministic by construction: cells are sorted by canonical key
+before dispatch and re-sorted after collection, so a ``-j 8`` run is
+byte-identical to a serial one.
 """
 
-from repro.sweep.cache import ArtifactCache, CacheStats, artifact_key
 from repro.sweep.engine import (
     SweepEngine,
     SweepResult,
@@ -39,9 +37,6 @@ from repro.sweep.spec import (
 )
 
 __all__ = [
-    "ArtifactCache",
-    "CacheStats",
-    "artifact_key",
     "SweepEngine",
     "SweepResult",
     "build_controller",

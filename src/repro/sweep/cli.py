@@ -2,15 +2,13 @@
 
 Usage::
 
-    python -m repro sweep fig5                  # serial, cached
+    python -m repro sweep fig5                  # serial
     python -m repro sweep fig5 -j 4             # four worker processes
-    python -m repro sweep table1 --no-cache     # force recomputation
     python -m repro sweep smoke --json out.json # machine-readable dump
 
-The cache directory defaults to ``.repro-cache`` in the working
-directory (override with ``--cache-dir``); ``--no-cache`` disables
-artifact reuse entirely.  Results are printed sorted by cell key and
-are identical for any ``-j`` — parallelism never changes the output.
+Every run recomputes its grid; nothing is stored between runs.
+Results are printed sorted by cell key and are identical for any
+``-j`` — parallelism never changes the output.
 """
 
 from __future__ import annotations
@@ -23,28 +21,12 @@ from repro.analysis.report import render_table
 from repro.sweep.engine import SweepEngine, SweepResult
 from repro.sweep.spec import GRIDS
 
-DEFAULT_CACHE_DIR = ".repro-cache"
-
-
-def _human_bytes(count: int) -> str:
-    value = float(count)
-    for unit in ("B", "KB", "MB", "GB"):
-        if value < 1024 or unit == "GB":
-            return f"{count} B" if unit == "B" else f"{value:.1f} {unit}"
-        value /= 1024
-    return f"{count} B"
-
 
 def add_sweep_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("grid", choices=sorted(GRIDS),
                         help="named experiment grid to run")
     parser.add_argument("-j", "--jobs", type=int, default=1,
                         help="worker processes (default 1: serial)")
-    parser.add_argument("--cache-dir", default=DEFAULT_CACHE_DIR,
-                        help=f"artifact cache root (default "
-                             f"{DEFAULT_CACHE_DIR})")
-    parser.add_argument("--no-cache", action="store_true",
-                        help="disable the artifact cache")
     parser.add_argument("--json", default=None, metavar="FILE",
                         help="also write results as JSON to FILE")
     parser.add_argument("--metrics", action="store_true",
@@ -52,9 +34,9 @@ def add_sweep_arguments(parser: argparse.ArgumentParser) -> None:
                              "merge them and print the roll-up")
     parser.add_argument("--sanitize", action="store_true",
                         help="re-run the grid under the S903 "
-                             "determinism sanitizer (forces -j 1 and "
-                             "no cache: perturbation is in-process; "
-                             "findings fail the sweep)")
+                             "determinism sanitizer (forces -j 1: "
+                             "perturbation is in-process; findings "
+                             "fail the sweep)")
 
 
 def _result_rows(results: List[SweepResult]) -> List[List[object]]:
@@ -72,16 +54,13 @@ def _result_rows(results: List[SweepResult]) -> List[List[object]]:
 
 def run_sweep(args: argparse.Namespace) -> int:
     grid = GRIDS[args.grid]
-    cache_dir = None if args.no_cache else args.cache_dir
     sanitize = getattr(args, "sanitize", False)
     jobs = args.jobs
     if sanitize:
         # The sanitizer perturbs simulators built in this process;
-        # worker processes would escape it, and a sanitized sweep must
-        # also actually execute every cell rather than replay the cache.
+        # worker processes would escape it.
         jobs = 1
-        cache_dir = None
-    engine = SweepEngine(grid, jobs=jobs, cache_dir=cache_dir,
+    engine = SweepEngine(grid, jobs=jobs,
                          collect_metrics=getattr(args, "metrics", False))
     if sanitize:
         from repro.sanitize import DeterminismSanitizer
@@ -107,14 +86,9 @@ def run_sweep(args: argparse.Namespace) -> int:
         ["cell", value_header, detail_header, "crc"],
         _result_rows(results),
         title=f"sweep {grid.name} -- {grid.description}"))
-    cache_note = ("cache off" if cache_dir is None else
-                  f"cache {cache_dir}: {engine.stats.hits} hits, "
-                  f"{engine.stats.misses} misses, "
-                  f"{_human_bytes(engine.stats.bytes_read)} read, "
-                  f"{_human_bytes(engine.stats.bytes_written)} written")
     print(f"\n{len(results)} cells in {engine.wall_s:.2f} s "
           f"(-j {engine.jobs}, {engine.utilization * 100:.0f}% "
-          f"fan-out utilisation; {cache_note})")
+          f"fan-out utilisation)")
 
     if getattr(args, "metrics", False):
         rows = engine.registry.rows()

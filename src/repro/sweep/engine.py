@@ -16,12 +16,10 @@ fresh-system-per-cell run of the Fig. 5 grid reproduces
 cell, because the simulation kernel is integer-picosecond and every
 result is a Start-to-Finish difference.)
 
-When a cache directory is given, three artifact kinds are reused
-across runs (see :mod:`repro.sweep.cache`): generated bitstreams,
-compressed payloads, and finished run records.  Records are safe to
-cache because the simulation is fully deterministic — a record key
-hashes everything that determines the outcome (generator parameters,
-controller, frequency, codec, format version).
+Cells that share a payload share its bitstream: :meth:`SweepEngine.run`
+generates each distinct :class:`PayloadSpec` once, in the parent
+process, and hands ``(spec, bitstream)`` to every cell that uses it.
+Nothing outlives the run — a second ``run()`` generates again.
 """
 
 from __future__ import annotations
@@ -33,17 +31,16 @@ from typing import Any, Dict, Iterable, List, Optional, Tuple, Union
 
 from repro import accel
 from repro.analysis.bandwidth import BandwidthPoint
+from repro.bitstream.generator import (
+    BitstreamSpec,
+    PartialBitstream,
+    generate_bitstream,
+)
 from repro.errors import ReproError
 from repro.obs import install as obs_install
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.profiling import Timer
-from repro.sweep.cache import (
-    ArtifactCache,
-    CACHE_FORMAT_VERSION,
-    CacheStats,
-    bitstream_params,
-)
-from repro.sweep.spec import COMPRESS_CODECS, RunSpec, SweepGrid
+from repro.sweep.spec import COMPRESS_CODECS, PayloadSpec, RunSpec, SweepGrid
 from repro.units import DataSize, Frequency
 
 
@@ -52,9 +49,7 @@ class SweepResult:
     """Outcome of one sweep cell (picklable, JSON-round-trippable).
 
     Reconfigure cells fill the bandwidth block; compress cells fill
-    the size block.  Unused fields stay ``None``.  Floats survive the
-    cache's JSON round trip exactly (shortest-roundtrip ``repr``), so
-    a cached record compares equal to a freshly computed one.
+    the size block.  Unused fields stay ``None``.
     """
 
     key: str
@@ -77,28 +72,11 @@ class SweepResult:
     def to_record(self) -> Dict[str, Any]:
         return asdict(self)
 
-    @staticmethod
-    def from_record(record: Dict[str, Any]) -> "SweepResult":
-        return SweepResult(**record)
 
-
-def _payload_spec(spec: RunSpec):
-    """The generator spec a sweep payload denotes (defaults + size/seed)."""
-    from repro.bitstream.generator import BitstreamSpec
-    return BitstreamSpec(size=DataSize.from_kb(spec.payload.size_kb),
-                         seed=spec.payload.seed)
-
-
-def _record_params(spec: RunSpec) -> Dict[str, Any]:
-    """Cache identity of a finished run record."""
-    params = bitstream_params(_payload_spec(spec))
-    params["kind"] = "run-record"
-    params["version"] = CACHE_FORMAT_VERSION
-    params["workload"] = spec.workload
-    params["controller"] = spec.controller
-    params["frequency_mhz"] = spec.frequency_mhz
-    params["codec"] = spec.codec
-    return params
+def _generate(payload: PayloadSpec) -> PartialBitstream:
+    """The bitstream a sweep payload denotes (defaults + size/seed)."""
+    return generate_bitstream(BitstreamSpec(
+        size=DataSize.from_kb(payload.size_kb), seed=payload.seed))
 
 
 def fan_out(items: List[Any], worker, jobs: int = 1) -> List[Any]:
@@ -147,26 +125,17 @@ def build_controller(name: str):
     return factory()
 
 
-def execute_spec(spec: RunSpec, cache_root: Optional[str] = None,
-                 ) -> Tuple[SweepResult, CacheStats]:
-    """Run one cell; module-level so worker processes can pickle it."""
-    stats = CacheStats()
-    cache = ArtifactCache(cache_root) if cache_root else None
-    params = _record_params(spec) if cache else None
-    if cache is not None:
-        record = cache.load_record(params, stats)
-        if record is not None:
-            stats.hits += 1
-            return SweepResult.from_record(record), stats
-        stats.misses += 1
+def execute_spec(spec: RunSpec,
+                 bitstream: Optional[PartialBitstream] = None,
+                 ) -> Tuple[SweepResult, PartialBitstream]:
+    """Run one cell on ``bitstream`` and return it with the result.
 
-    generator_spec = _payload_spec(spec)
+    The payload's bitstream is generated only when none is given.
+    Module-level so worker processes can pickle it.
+    """
+    if bitstream is None:
+        bitstream = _generate(spec.payload)
     if spec.workload == "reconfigure":
-        if cache is not None:
-            bitstream = cache.load_bitstream(generator_spec, stats)
-        else:
-            from repro.bitstream.generator import generate_bitstream
-            bitstream = generate_bitstream(generator_spec)
         controller = build_controller(spec.controller)
         outcome = controller.reconfigure(
             bitstream, Frequency.from_mhz(spec.frequency_mhz))
@@ -187,14 +156,8 @@ def execute_spec(spec: RunSpec, cache_root: Optional[str] = None,
             verified=outcome.verified,
         )
     else:
-        if cache is not None:
-            measure = cache.load_compressed(generator_spec, spec.codec,
-                                            stats)
-        else:
-            from repro.bitstream.generator import generate_bitstream
-            from repro.compress.registry import codec_by_name
-            raw = generate_bitstream(generator_spec).raw_bytes
-            measure = codec_by_name(spec.codec).measure(raw)
+        from repro.compress.registry import codec_by_name
+        measure = codec_by_name(spec.codec).measure(bitstream.raw_bytes)
         result = SweepResult(
             key=spec.key,
             workload=spec.workload,
@@ -205,17 +168,13 @@ def execute_spec(spec: RunSpec, cache_root: Optional[str] = None,
             compressed_size=measure.compressed_size,
             ratio_percent=measure.ratio_percent,
         )
-
-    if cache is not None:
-        cache.store_record(params, result.to_record(), stats)
-    return result, stats
+    return result, bitstream
 
 
-def _execute_cell(spec: RunSpec, cache_root: Optional[str] = None,
+def _execute_cell(cell: Tuple[RunSpec, PartialBitstream],
                   collect_metrics: bool = False,
                   backend: Optional[str] = None,
-                  ) -> Tuple[SweepResult, CacheStats,
-                             Optional[Dict[str, Any]], float]:
+                  ) -> Tuple[SweepResult, Optional[Dict[str, Any]], float]:
     """One cell plus its telemetry; module-level for worker pickling.
 
     With ``collect_metrics`` a fresh :class:`MetricsRegistry` is
@@ -228,34 +187,30 @@ def _execute_cell(spec: RunSpec, cache_root: Optional[str] = None,
     ``backend`` pins the :mod:`repro.accel` backend in the worker
     process to the parent's resolved choice (worker processes do not
     inherit a ``--backend`` selection made after parent startup).
-    Backends are byte-identical, so this never affects results or
-    cache keys — only speed.
+    Backends are byte-identical, so this never affects results —
+    only speed.
     """
     if backend is not None:
         accel.select(backend)
+    spec, bitstream = cell
     registry = MetricsRegistry() if collect_metrics else None
     if registry is not None:
         obs_install(registry=registry)
     try:
         with Timer() as timer:
-            result, stats = execute_spec(spec, cache_root=cache_root)
+            result, _ = execute_spec(spec, bitstream)
     finally:
         if registry is not None:
             obs_install()
     snapshot: Optional[Dict[str, Any]] = None
     if registry is not None:
         registry.counter("sweep.cells").inc()
-        registry.counter("sweep.cache.hits").inc(stats.hits)
-        registry.counter("sweep.cache.misses").inc(stats.misses)
-        registry.counter("sweep.cache.bytes_read").inc(stats.bytes_read)
-        registry.counter("sweep.cache.bytes_written").inc(
-            stats.bytes_written)
         snapshot = registry.snapshot()
-    return result, stats, snapshot, timer.elapsed_s
+    return result, snapshot, timer.elapsed_s
 
 
 class SweepEngine:
-    """Expand a grid (or spec list) and execute it, optionally cached.
+    """Expand a grid (or spec list) and execute it.
 
     ``jobs <= 1`` runs inline; ``jobs > 1`` fans out across that many
     worker processes.  Results come back sorted by spec key either
@@ -264,7 +219,6 @@ class SweepEngine:
 
     def __init__(self, grid: Union[SweepGrid, Iterable[RunSpec]],
                  jobs: int = 1,
-                 cache_dir: Optional[str] = None,
                  collect_metrics: bool = False) -> None:
         if isinstance(grid, SweepGrid):
             self._specs = grid.expand()
@@ -276,39 +230,58 @@ class SweepEngine:
             raise ReproError(
                 f"duplicate sweep cells: {', '.join(sorted(duplicates))}")
         self.jobs = max(1, int(jobs))
-        self.cache_dir = cache_dir
         self.collect_metrics = collect_metrics
-        self.stats = CacheStats()
-        #: Merged per-worker metrics from the last :meth:`run`,
-        #: identical for every worker count.
+        #: Payload generation plus the merged per-worker metrics from
+        #: the last :meth:`run`, identical for every worker count.
         self.registry = MetricsRegistry()
         self.wall_s = 0.0
-        #: Fraction of the fan-out's wall-clock capacity spent inside
-        #: cells: sum(cell durations) / (elapsed * jobs).
+        #: Fraction of the run's wall-clock capacity spent generating
+        #: payloads or inside cells:
+        #: (generation + sum(cell durations)) / (elapsed * jobs).
         self.utilization = 0.0
 
     @property
     def specs(self) -> List[RunSpec]:
         return list(self._specs)
 
+    def _generate_payloads(self) -> Dict[PayloadSpec, PartialBitstream]:
+        """Each distinct payload's bitstream, generated once.
+
+        Runs in this process under the run's registry, so ``--metrics``
+        counts generation once per payload for any ``-j``.
+        """
+        if self.collect_metrics:
+            obs_install(registry=self.registry)
+        try:
+            bitstreams: Dict[PayloadSpec, PartialBitstream] = {}
+            for spec in self._specs:
+                if spec.payload not in bitstreams:
+                    bitstreams[spec.payload] = _generate(spec.payload)
+            return bitstreams
+        finally:
+            if self.collect_metrics:
+                obs_install()
+
     def run(self) -> List[SweepResult]:
         """Execute every cell; deterministic result order by key."""
-        worker = partial(_execute_cell, cache_root=self.cache_dir,
+        worker = partial(_execute_cell,
                          collect_metrics=self.collect_metrics,
                          backend=accel.backend_name())
-        self.stats = CacheStats()
         self.registry = MetricsRegistry()
         with Timer() as timer:
-            outcomes = fan_out(self._specs, worker, jobs=self.jobs)
+            with Timer() as generation:
+                bitstreams = self._generate_payloads()
+            cells = [(spec, bitstreams[spec.payload])
+                     for spec in self._specs]
+            outcomes = fan_out(cells, worker, jobs=self.jobs)
         self.wall_s = timer.elapsed_s
         results = []
-        busy_s = 0.0
+        busy_s = generation.elapsed_s
         # `pool.map` preserves spec order, so the merge below folds
         # snapshots in the same (deterministic) order on every run;
         # the merge is commutative anyway, so -jN cannot change it.
-        for result, stats, snapshot, cell_wall_s in outcomes:
+        for result, snapshot, cell_wall_s in outcomes:
             results.append(result)
-            self.stats.merge(stats)
             if snapshot is not None:
                 self.registry.merge_snapshot(snapshot)
             busy_s += cell_wall_s

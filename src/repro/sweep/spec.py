@@ -4,8 +4,8 @@ A :class:`SweepGrid` names the axes of one experiment — which
 controllers (or codecs), which frequencies, which payloads — and
 :meth:`SweepGrid.expand` turns it into a flat list of independent
 :class:`RunSpec` records.  Every spec is self-contained (a worker
-process can execute it with nothing but the spec and a cache
-directory) and carries a canonical ``key`` string that doubles as
+process can execute it with nothing but the spec and its payload's
+bitstream) and carries a canonical ``key`` string that doubles as
 
 * the deterministic sort order of the sweep's results (so a parallel
   run is bit-identical to a serial one), and
@@ -49,8 +49,9 @@ class PayloadSpec:
     """One synthetic bitstream: its size and generator seed.
 
     The pair fully determines the payload bytes (the generator is
-    seeded and otherwise default-parameterised), which is what makes
-    the artifact cache content-addressable.
+    seeded and otherwise default-parameterised), which is what lets a
+    sweep generate each distinct payload once and share it between
+    the cells that name it.
     """
 
     size_kb: float

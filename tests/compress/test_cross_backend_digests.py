@@ -4,10 +4,9 @@ Each codec whose inner loop moved into the accel package must produce
 byte-identical streams under every available backend (pure, and
 native when the compiled extension is built), and the stream itself
 is frozen: these digests pin the on-wire format of a 24 KB generated
-bitstream for every kernelised codec.  A mismatch means previously
-written compressed artifacts no longer decode — if the format changes
-on purpose, update the digest and bump the sweep cache format
-version.
+bitstream for every kernelised codec.  A mismatch means streams
+compressed before the change no longer decode — if the format changes
+on purpose, update the digest.
 
 Native kernels take the C path at every size, so the native digest
 genuinely exercises the C code rather than falling through to pure.

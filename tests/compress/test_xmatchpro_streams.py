@@ -168,8 +168,8 @@ def test_corruption_never_roundtrips_silently(codec):
 
 #: SHA-256 of ``compress()`` output for fixed inputs.  These freeze
 #: the on-wire format (token layout, mask codes, run chunking); a
-#: digest change means old compressed artifacts no longer decode —
-#: bump the sweep cache format version if you change them on purpose.
+#: digest change means streams compressed before it no longer decode,
+#: so change them only with the format, on purpose.
 GOLDEN_DIGESTS = {
     "random4k":
         "350f951d8a038e56ca1aae9c93133b72cecb5abe6e065e91a66b5fcaf598b231",

@@ -68,20 +68,17 @@ class TestTable1:
         assert sorted(measured, key=measured.get) \
             == list(PAPER_TABLE1_RATIOS)
 
-    def test_table1_grid_within_4_pp(self, tmp_path):
+    def test_table1_grid_within_4_pp(self):
         """The sweep's 49/81/156 KB corpus keeps the paper's ranking
-        with every ratio within 4 pp, and a cached parallel rerun of
-        the grid returns the same results."""
-        cache_dir = str(tmp_path / "table1-cache")
-        cold = SweepEngine(TABLE1_GRID, jobs=1, cache_dir=cache_dir).run()
-        ratios = table1_ratios(cold)
+        with every ratio within 4 pp, and a parallel rerun of the grid
+        returns the same results."""
+        serial = SweepEngine(TABLE1_GRID, jobs=1).run()
+        ratios = table1_ratios(serial)
         assert sorted(ratios, key=ratios.get) == list(PAPER_TABLE1_RATIOS)
         for name, paper_value in PAPER_TABLE1_RATIOS.items():
             assert abs(ratios[name] - paper_value) < 4.0, name
 
-        cached = SweepEngine(TABLE1_GRID, jobs=2, cache_dir=cache_dir)
-        assert cached.run() == cold
-        assert cached.stats.misses == 0
+        assert SweepEngine(TABLE1_GRID, jobs=2).run() == serial
 
 
 class TestTable2:

@@ -2,22 +2,23 @@
 
 import json
 
+import pytest
+
 from repro.cli import main
 
 
-def test_sweep_smoke_grid(tmp_path, capsys):
-    cache_dir = str(tmp_path / "cache")
-    assert main(["sweep", "smoke", "--cache-dir", cache_dir]) == 0
+def test_sweep_smoke_grid(capsys):
+    assert main(["sweep", "smoke"]) == 0
     out = capsys.readouterr().out
     assert "sweep smoke" in out
     assert "4 cells" in out
-    assert "misses" in out
+    assert "(-j 1, " in out
+    assert "cache" not in out
 
 
 def test_sweep_json_output(tmp_path, capsys):
-    cache_dir = str(tmp_path / "cache")
     out_file = tmp_path / "results.json"
-    assert main(["sweep", "smoke", "-j", "2", "--cache-dir", cache_dir,
+    assert main(["sweep", "smoke", "-j", "2",
                  "--json", str(out_file)]) == 0
     records = json.loads(out_file.read_text())
     assert len(records) == 4
@@ -26,29 +27,22 @@ def test_sweep_json_output(tmp_path, capsys):
     assert keys == sorted(keys)
 
 
-def test_sweep_no_cache(tmp_path, capsys):
-    assert main(["sweep", "smoke", "--no-cache"]) == 0
-    assert "cache off" in capsys.readouterr().out
+@pytest.mark.parametrize("flag", [["--no-cache"],
+                                  ["--cache-dir", "somewhere"]],
+                         ids=["no-cache", "cache-dir"])
+def test_sweep_cache_options_are_gone(flag, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(["sweep", "smoke", *flag])
+    assert exit_info.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
-def test_cached_rerun_reports_all_hits(tmp_path, capsys):
-    cache_dir = str(tmp_path / "cache")
-    assert main(["sweep", "smoke", "--cache-dir", cache_dir]) == 0
-    capsys.readouterr()
-    assert main(["sweep", "smoke", "--cache-dir", cache_dir]) == 0
-    assert "4 hits, 0 misses" in capsys.readouterr().out
-
-
-def test_sweep_sanitize_forces_serial_uncached_and_passes(tmp_path,
-                                                          capsys):
-    cache_dir = str(tmp_path / "cache")
-    assert main(["sweep", "smoke", "-j", "4", "--cache-dir", cache_dir,
-                 "--sanitize"]) == 0
+def test_sweep_sanitize_forces_serial_uncached_and_passes(capsys):
+    assert main(["sweep", "smoke", "-j", "4", "--sanitize"]) == 0
     out = capsys.readouterr().out
-    # workers would escape perturbation and cache hits would skip
-    # execution entirely, so --sanitize overrides both.
+    # worker processes would escape perturbation, so --sanitize
+    # overrides -j.
     assert "-j 1" in out
-    assert "cache off" in out
     assert "sanitize: 0 unjustified" in out
     assert "3 perturbation seed(s)" in out
 

@@ -1,7 +1,8 @@
-"""Sweep engine: determinism, caching, parallel equivalence.
+"""Sweep engine: determinism, payload reuse, parallel equivalence.
 
 The load-bearing property is that result lists are *equal* — same
-values, same order — across serial, parallel, cold and cached runs.
+values, same order — across serial and parallel runs, and whether a
+cell generates its payload or is handed the run's shared copy.
 """
 
 import pytest
@@ -22,8 +23,8 @@ SMALL_PAYLOAD = PayloadSpec(size_kb=6.5, seed=2012)
 
 @pytest.fixture(scope="module")
 def smoke_serial():
-    """One uncached serial run of the smoke grid (shared reference)."""
-    return SweepEngine(SMOKE_GRID, jobs=1, cache_dir=None).run()
+    """One serial run of the smoke grid (shared reference)."""
+    return SweepEngine(SMOKE_GRID, jobs=1).run()
 
 
 def test_results_sorted_by_key(smoke_serial):
@@ -38,22 +39,34 @@ def test_every_cell_crc_verified(smoke_serial):
 
 
 def test_parallel_equals_serial_uncached(smoke_serial):
-    parallel = SweepEngine(SMOKE_GRID, jobs=2, cache_dir=None).run()
+    parallel = SweepEngine(SMOKE_GRID, jobs=2).run()
     assert parallel == smoke_serial
 
 
-def test_cached_run_is_byte_identical(tmp_path, smoke_serial):
-    cache_dir = str(tmp_path / "cache")
-    cold = SweepEngine(SMOKE_GRID, jobs=1, cache_dir=cache_dir)
-    cold_results = cold.run()
-    assert cold_results == smoke_serial
-    assert cold.stats.misses > 0
+def test_shared_payload_run_is_byte_identical(smoke_serial):
+    """Cells handed the run's shared bitstream equal cells that each
+    generate their own."""
+    alone = [execute_spec(spec)[0] for spec in SMOKE_GRID.expand()]
+    assert alone == smoke_serial
 
-    warm = SweepEngine(SMOKE_GRID, jobs=2, cache_dir=cache_dir)
-    warm_results = warm.run()
-    assert warm_results == smoke_serial
-    assert warm.stats.misses == 0
-    assert warm.stats.hits == len(SMOKE_GRID)
+
+def test_run_generates_each_payload_once(monkeypatch):
+    from repro.sweep import engine
+
+    calls = []
+    real_generate = engine.generate_bitstream
+
+    def counting_generate(*args, **kwargs):
+        calls.append(args)
+        return real_generate(*args, **kwargs)
+
+    monkeypatch.setattr(engine, "generate_bitstream", counting_generate)
+    sweep = SweepEngine(SMOKE_GRID)
+    sweep.run()
+    # 2 payloads x 2 frequencies: one generation per payload.
+    assert len(calls) == len(SMOKE_GRID.payloads) == 2
+    sweep.run()
+    assert len(calls) == 4  # nothing outlives a run
 
 
 def test_matches_bandwidth_surface(smoke_serial):
@@ -77,7 +90,7 @@ def test_execute_spec_compress_matches_direct_codec():
     from repro.units import DataSize
     spec = RunSpec(workload="compress", codec="RLE",
                    payload=SMALL_PAYLOAD)
-    result, _stats = execute_spec(spec)
+    result, _bitstream = execute_spec(spec)
     raw = generate_bitstream(size=DataSize.from_kb(6.5),
                              seed=2012).raw_bytes
     direct = codec_by_name("RLE").measure(raw)
@@ -86,15 +99,15 @@ def test_execute_spec_compress_matches_direct_codec():
     assert result.ratio_percent == direct.ratio_percent
 
 
-def test_record_cache_round_trips_results(tmp_path):
+def test_execute_spec_runs_on_the_given_bitstream():
+    """``execute_spec(spec)`` generates the payload and returns it;
+    handing that bitstream back in gives the same result."""
     spec = RunSpec(workload="reconfigure", controller="UPaRC_i",
                    frequency_mhz=100.0, payload=SMALL_PAYLOAD)
-    cache_root = str(tmp_path / "cache")
-    cold, cold_stats = execute_spec(spec, cache_root)
-    warm, warm_stats = execute_spec(spec, cache_root)
-    assert warm == cold
-    assert cold_stats.misses > 0
-    assert (warm_stats.hits, warm_stats.misses) == (1, 0)
+    generated, bitstream = execute_spec(spec)
+    given, returned = execute_spec(spec, bitstream)
+    assert given == generated
+    assert returned is bitstream
 
 
 def test_duplicate_cells_rejected():
@@ -127,11 +140,11 @@ def test_table1_ratios_orders_like_the_paper():
     assert ratios["X-MatchPRO"] > ratios["RLE"]
 
 
-def test_baseline_controller_cell_runs(tmp_path):
+def test_baseline_controller_cell_runs():
     """The controller axis covers the Table III baselines too."""
     spec = RunSpec(workload="reconfigure", controller="FaRM",
                    frequency_mhz=100.0, payload=SMALL_PAYLOAD)
-    result, _stats = execute_spec(spec, str(tmp_path / "cache"))
+    result, _bitstream = execute_spec(spec)
     assert result.verified
     assert 0 < result.effective_mbps < result.theoretical_mbps
 

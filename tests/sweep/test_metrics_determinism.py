@@ -1,5 +1,5 @@
 """Sweep metrics: worker registries merge to the same numbers for any
-``-j``, and the cache's byte accounting shows up in them."""
+``-j``, and payload generation shows up in them once per payload."""
 
 import pytest
 
@@ -45,25 +45,13 @@ def test_metrics_off_by_default():
         "histograms": {}}
 
 
-def test_cache_byte_accounting_flows_into_metrics(tmp_path):
-    cache_dir = str(tmp_path / "cache")
-    cold = SweepEngine(SMOKE_GRID, jobs=1, cache_dir=cache_dir,
-                       collect_metrics=True)
-    cold.run()
-    cold_counters = cold.registry.snapshot()["counters"]
-    # Record misses for every cell, plus bitstream-cache misses for
-    # each unique payload (later cells may hit the bitstream cache).
-    assert cold_counters["sweep.cache.misses"] >= len(SMOKE_GRID)
-    assert cold_counters["sweep.cache.bytes_written"] > 0
-    assert cold.stats.bytes_written \
-        == cold_counters["sweep.cache.bytes_written"]
-
-    warm = SweepEngine(SMOKE_GRID, jobs=2, cache_dir=cache_dir,
-                       collect_metrics=True)
-    warm.run()
-    warm_counters = warm.registry.snapshot()["counters"]
-    assert warm_counters["sweep.cache.hits"] == len(SMOKE_GRID)
-    assert warm_counters["sweep.cache.misses"] == 0
-    assert warm_counters["sweep.cache.bytes_read"] > 0
-    assert warm.stats.bytes_read \
-        == warm_counters["sweep.cache.bytes_read"]
+def test_metrics_count_generation_once_per_payload(serial_engine):
+    """Payloads are generated in the parent under the run's registry:
+    one synthesis per distinct payload, not per cell, for any ``-j``."""
+    from repro import accel
+    prefix = f"accel.{accel.backend_name()}.synthesize_payload"
+    counters = serial_engine.registry.snapshot()["counters"]
+    assert counters[prefix + ".calls"] == len(SMOKE_GRID.payloads)
+    assert counters["sweep.cells"] == len(SMOKE_GRID)
+    assert not [name for name in counters
+                if name.startswith("sweep.cache.")]
