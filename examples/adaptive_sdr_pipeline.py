@@ -22,8 +22,8 @@ Run:  python examples/adaptive_sdr_pipeline.py
 
 from repro import FrequencyPolicy, PowerModel, UPaRCSystem, \
     generate_bitstream
-from repro.analysis.report import render_table
 from repro.errors import PolicyError
+from repro.report import render_table
 from repro.units import DataSize, us
 
 DEMODULATOR_KB = 156.0  # one demodulator partial bitstream

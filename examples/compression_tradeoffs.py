@@ -15,11 +15,11 @@ implementations.
 Run:  python examples/compression_tradeoffs.py
 """
 
-from repro.analysis.report import render_table
 from repro.bitstream.generator import generate_bitstream
 from repro.compress import PAPER_TABLE1_RATIOS, all_codecs
 from repro.fpga.area import PACKERS, ResourceInventory
 from repro.fpga.decompressor import DECOMPRESSOR_LIBRARY
+from repro.report import render_table
 from repro.units import DataSize
 
 BRAM_KB = 256.0

@@ -15,10 +15,10 @@ Table III.
 Run:  python examples/fault_tolerant_recovery.py
 """
 
-from repro.analysis.comparison import table3_controllers
 from repro.analysis.reliability import controller_reliability
-from repro.analysis.report import render_table
 from repro.bitstream.generator import generate_bitstream
+from repro.controllers import CONTROLLERS
+from repro.report import render_table
 from repro.units import DataSize
 
 LANE_BITSTREAM_KB = 216.5
@@ -31,8 +31,8 @@ def main() -> None:
         size=DataSize.from_kb(LANE_BITSTREAM_KB))
 
     rows = []
-    for controller in table3_controllers():
-        result = controller.best_result(bitstream)
+    for factory in CONTROLLERS.values():
+        result = factory().best_result(bitstream)
         scrub_us = result.duration_ps / 1e6
         degraded_s = (UPSETS_PER_HOUR * MISSION_HOURS
                       * result.duration_ps / 1e12)
@@ -62,8 +62,8 @@ def main() -> None:
     # the optimal scrub period itself depends on repair speed.
     print()
     scrub_rows = []
-    for controller in table3_controllers():
-        result = controller.best_result(bitstream)
+    for factory in CONTROLLERS.values():
+        result = factory().best_result(bitstream)
         repair_s = result.duration_ps / 1e12
         report = controller_reliability(
             result.controller, repair_s,

@@ -12,10 +12,10 @@ Run:  python examples/multi_region_system.py
 """
 
 from repro import Floorplan, Region, UPaRCSystem, generate_bitstream
-from repro.analysis.report import render_table
 from repro.bitstream.device import VIRTEX5_SX50T
 from repro.bitstream.frames import BlockType, FrameAddress
 from repro.errors import CapacityError
+from repro.report import render_table
 from repro.units import DataSize, Frequency
 
 

@@ -21,7 +21,7 @@ Perfetto (https://ui.perfetto.dev).  Summarise from the terminal with
 import argparse
 
 from repro import PrefetchScheduler, Task, generate_bitstream, obs
-from repro.analysis.report import render_table
+from repro.report import render_table
 from repro.units import DataSize, Frequency, ms
 
 PIPELINE = [

@@ -11,7 +11,7 @@ Run:  python examples/task_graph_application.py
 """
 
 from repro import DagScheduler, DagTask, generate_bitstream
-from repro.analysis.report import render_table
+from repro.report import render_table
 from repro.units import DataSize, Frequency, us
 
 MODULES = {

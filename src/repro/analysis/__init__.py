@@ -1,22 +1,23 @@
 """Experiment harnesses: one module per paper table/figure family.
 
-* :mod:`repro.analysis.bandwidth`  — Fig. 5's bandwidth-vs-frequency-
-  vs-size surface.
+Fig. 5 and Table I have no harness here: their cells run only through
+:class:`repro.sweep.SweepEngine` (``FIG5_GRID``, ``TABLE1_GRID``), and
+this package's markdown report, validation and campaign modules call
+it.  The plain-text table/plot renderers live in :mod:`repro.report`
+(re-exported here), beside the CLI commands that print them.
+
 * :mod:`repro.analysis.comparison` — Table III's controller shoot-out.
 * :mod:`repro.analysis.powersweep` — Fig. 7's power traces and the
   Section V energy figures.
-* :mod:`repro.analysis.report`     — plain-text table/plot rendering
-  shared by the CLI commands.
 """
 
-from repro.analysis.bandwidth import BandwidthPoint, bandwidth_surface
 from repro.analysis.comparison import ComparisonRow, compare_controllers
 from repro.analysis.powersweep import (
     PowerSweepPoint,
     fig7_power_sweep,
     energy_comparison,
 )
-from repro.analysis.report import render_table, render_series
+from repro.report import render_table, render_series
 from repro.analysis.reliability import (
     ControllerReliability,
     ScrubPolicy,
@@ -41,8 +42,6 @@ from repro.analysis.export import (
 )
 
 __all__ = [
-    "BandwidthPoint",
-    "bandwidth_surface",
     "ComparisonRow",
     "compare_controllers",
     "PowerSweepPoint",

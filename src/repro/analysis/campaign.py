@@ -9,12 +9,15 @@ content *regime*, not of one lucky sample" is itself tested.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Sequence
 
 from repro.bitstream.generator import generate_bitstream
-from repro.compress import PAPER_TABLE1_RATIOS, all_codecs
+from repro.compress import PAPER_TABLE1_RATIOS
+from repro.controllers import CONTROLLERS
+from repro.sweep import TABLE1_GRID, PayloadSpec, SweepEngine
 from repro.units import DataSize
 
 
@@ -77,23 +80,20 @@ class Table1Campaign:
 
 def table1_campaign(seeds: Iterable[int] = range(1, 9),
                     size_kb: float = 48.0) -> Table1Campaign:
-    """Table I across generator seeds."""
-    per_codec: Dict[str, List[float]] = {codec.name: []
-                                         for codec in all_codecs()}
-    rankings: List[List[str]] = []
-    for seed in seeds:
-        bitstream = generate_bitstream(size=DataSize.from_kb(size_kb),
-                                       seed=seed)
-        measured = {}
-        for codec in all_codecs():
-            ratio = codec.measure(bitstream.raw_bytes).ratio_percent
-            per_codec[codec.name].append(ratio)
-            measured[codec.name] = ratio
-        rankings.append(sorted(measured, key=measured.get))
+    """Table I across generator seeds: one sweep of the Table I grid
+    over ``size_kb`` x ``seeds``."""
+    payloads = tuple(PayloadSpec(size_kb=size_kb, seed=seed)
+                     for seed in seeds)
+    grid = dataclasses.replace(TABLE1_GRID, payloads=payloads)
+    ratio = {(result.codec, result.seed): result.ratio_percent
+             for result in SweepEngine(grid).run()}
     return Table1Campaign(
-        spreads={name: Spread.of(values)
-                 for name, values in per_codec.items()},
-        rankings=rankings,
+        spreads={name: Spread.of([ratio[name, payload.seed]
+                                  for payload in payloads])
+                 for name in PAPER_TABLE1_RATIOS},
+        rankings=[sorted(PAPER_TABLE1_RATIOS,
+                         key=lambda name: ratio[name, payload.seed])
+                  for payload in payloads],
     )
 
 
@@ -117,13 +117,12 @@ def table3_campaign(seeds: Iterable[int] = range(1, 6),
     ratios enter (staging capacity, not bandwidth) — a useful sanity
     property.
     """
-    from repro.analysis.comparison import table3_controllers
     per_controller: Dict[str, List[float]] = {}
     for seed in seeds:
         bitstream = generate_bitstream(size=DataSize.from_kb(size_kb),
                                        seed=seed)
-        for controller in table3_controllers():
-            result = controller.best_result(bitstream)
+        for factory in CONTROLLERS.values():
+            result = factory().best_result(bitstream)
             per_controller.setdefault(result.controller, []).append(
                 result.bandwidth_decimal_mbps)
     return Table3Campaign(

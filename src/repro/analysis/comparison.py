@@ -8,18 +8,10 @@ frequency next to the paper's published row.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import List
 
-from repro.bitstream.generator import BitstreamSpec, generate_bitstream
-from repro.controllers import (
-    BramHwicap,
-    Farm,
-    FlashCap,
-    MstIcap,
-    ReconfigurationController,
-    UparcController,
-    XpsHwicap,
-)
+from repro.bitstream.generator import generate_bitstream
+from repro.controllers import CONTROLLERS
 from repro.units import DataSize
 
 # The published Table III, keyed by our controller display names.
@@ -53,33 +45,14 @@ class ComparisonRow:
             / self.paper_mbps * 100.0
 
 
-def table3_controllers() -> List[ReconfigurationController]:
-    """The seven Table III contenders in the paper's row order."""
-    return [
-        XpsHwicap(profile="cached"),
-        MstIcap(),
-        FlashCap(),
-        BramHwicap(),
-        Farm(),
-        UparcController("ii"),
-        UparcController("i"),
-    ]
-
-
-def compare_controllers(size_kb: float = 216.5,
-                        spec: Optional[BitstreamSpec] = None,
-                        controllers: Optional[
-                            List[ReconfigurationController]] = None,
-                        ) -> List[ComparisonRow]:
+def compare_controllers(size_kb: float = 216.5) -> List[ComparisonRow]:
     """Run the shoot-out and pair each row with the paper's number."""
-    bitstream = generate_bitstream(spec, size=DataSize.from_kb(size_kb))
+    bitstream = generate_bitstream(size=DataSize.from_kb(size_kb))
     rows: List[ComparisonRow] = []
-    for controller in (controllers if controllers is not None
-                       else table3_controllers()):
+    for factory in CONTROLLERS.values():
+        controller = factory()
         result = controller.best_result(bitstream)
-        reference: Dict[str, float] = PAPER_TABLE3.get(
-            result.controller, {"bandwidth": float("nan"),
-                                "grade": "?", "fmax": float("nan")})
+        reference = PAPER_TABLE3[result.controller]
         rows.append(ComparisonRow(
             controller=result.controller,
             measured_mbps=result.bandwidth_decimal_mbps,

@@ -13,9 +13,9 @@ import csv
 import os
 from typing import Iterable, List, Sequence, Union
 
-from repro.analysis.bandwidth import BandwidthPoint
 from repro.analysis.comparison import ComparisonRow
 from repro.analysis.powersweep import PowerSweepPoint
+from repro.sweep.engine import SweepResult
 
 PathLike = Union[str, "os.PathLike[str]"]
 
@@ -33,17 +33,19 @@ def write_csv(path: PathLike, headers: Sequence[str],
     return count
 
 
-def export_bandwidth_surface(points: List[BandwidthPoint],
+def export_bandwidth_surface(results: Iterable[SweepResult],
                              path: PathLike) -> int:
-    """Fig. 5 surface: one row per (size, frequency) cell."""
+    """Fig. 5 surface: one row per reconfigure cell, by size then
+    frequency (the order the figure reads in)."""
+    cells = sorted(results, key=lambda r: (r.size_kb, r.frequency_mhz))
     return write_csv(
         path,
         ["size_kb", "frequency_mhz", "effective_mbps",
          "theoretical_mbps", "efficiency_percent", "duration_us"],
-        ([point.size.kb, point.frequency.mhz, point.effective_mbps,
-          point.theoretical_mbps, point.efficiency_percent,
-          point.duration_ps / 1e6]
-         for point in points),
+        ([cell.size_kb, cell.frequency_mhz, cell.effective_mbps,
+          cell.theoretical_mbps, cell.efficiency_percent,
+          cell.duration_ps / 1e6]
+         for cell in cells),
     )
 
 

@@ -8,19 +8,24 @@ so the document can never drift from the code.
 
 from __future__ import annotations
 
+import dataclasses
 from typing import List, Sequence
 
-from repro.analysis.bandwidth import anchor_points, bandwidth_surface
 from repro.analysis.comparison import compare_controllers
 from repro.analysis.powersweep import (
     PAPER_FIG7,
     energy_comparison,
     fig7_power_sweep,
 )
-from repro.bitstream.generator import generate_bitstream
-from repro.compress import PAPER_TABLE1_RATIOS, all_codecs
+from repro.compress import PAPER_TABLE1_RATIOS
 from repro.fpga.area import slices_for
-from repro.units import DataSize
+from repro.sweep import (
+    FIG5_GRID,
+    TABLE1_GRID,
+    SweepEngine,
+    anchor_points,
+    table1_ratios,
+)
 
 
 def _md_table(headers: Sequence[str],
@@ -38,21 +43,14 @@ def _md_table(headers: Sequence[str],
 
 
 def _section_table1() -> List[str]:
-    corpus = [generate_bitstream(size=DataSize.from_kb(kb), seed=seed)
-              for kb, seed in ((49, 101), (81, 202), (156, 303))]
-    rows = []
-    for codec in all_codecs():
-        values = [codec.measure(bs.raw_bytes).ratio_percent
-                  for bs in corpus]
-        measured = sum(values) / len(values)
-        paper = PAPER_TABLE1_RATIOS[codec.name]
-        rows.append([codec.name, paper, measured, measured - paper])
+    measured = table1_ratios(SweepEngine(TABLE1_GRID).run())
+    rows = [[name, PAPER_TABLE1_RATIOS[name], ratio,
+             ratio - PAPER_TABLE1_RATIOS[name]]
+            for name, ratio in measured.items()]
     lines = ["## Table I — compression ratios", ""]
     lines += _md_table(["algorithm", "paper %", "measured %", "delta"],
                        rows)
-    measured_order = sorted(
-        (row[0] for row in rows),
-        key=lambda name: next(r[2] for r in rows if r[0] == name))
+    measured_order = sorted(measured, key=measured.get)
     verdict = ("identical to the paper's"
                if measured_order == list(PAPER_TABLE1_RATIOS)
                else f"DIFFERS: {measured_order}")
@@ -95,14 +93,19 @@ def _section_table3() -> List[str]:
 
 
 def _section_fig5() -> List[str]:
-    points = bandwidth_surface(sizes_kb=(6.5, 49.0, 247.0),
-                               frequencies_mhz=(100.0, 250.0, 362.5))
-    rows = [[point.size.kb, point.frequency.mhz, point.effective_mbps,
-             point.efficiency_percent] for point in points]
+    excerpt = dataclasses.replace(
+        FIG5_GRID, frequencies_mhz=(100.0, 250.0, 362.5),
+        payloads=tuple(payload for payload in FIG5_GRID.payloads
+                       if payload.size_kb in (6.5, 49.0, 247.0)))
+    cells = SweepEngine(excerpt).run()
+    rows = [[cell.size_kb, cell.frequency_mhz, cell.effective_mbps,
+             cell.efficiency_percent]
+            for cell in sorted(cells, key=lambda cell: (
+                cell.size_kb, cell.frequency_mhz))]
     lines = ["## Fig. 5 — bandwidth vs frequency vs size (excerpt)", ""]
     lines += _md_table(["size KB", "MHz", "effective MB/s",
                         "efficiency %"], rows)
-    anchors = anchor_points(points)
+    anchors = anchor_points(cells)
     lines += ["", f"Anchors at 362.5 MHz: 6.5 KB → "
               f"{anchors['small']:.1f}% (paper 78.8%), 247 KB → "
               f"{anchors['large']:.1f}% (paper 99%).", ""]

@@ -9,20 +9,26 @@ paper is reproduced" is a program output, not prose.
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
-from typing import Callable, List
+from typing import List
 
-from repro.analysis.bandwidth import anchor_points, bandwidth_surface
 from repro.analysis.comparison import compare_controllers
 from repro.analysis.powersweep import (
     PAPER_FIG7,
     energy_comparison,
     fig7_power_sweep,
 )
-from repro.bitstream.generator import generate_bitstream
-from repro.compress import PAPER_TABLE1_RATIOS, all_codecs
+from repro.compress import PAPER_TABLE1_RATIOS
 from repro.fpga.area import slices_for
-from repro.units import DataSize
+from repro.sweep import (
+    FIG5_GRID,
+    TABLE1_GRID,
+    PayloadSpec,
+    SweepEngine,
+    anchor_points,
+    table1_ratios,
+)
 
 
 @dataclass(frozen=True)
@@ -69,14 +75,10 @@ def validate_reproduction(quick: bool = False) -> ValidationReport:
 
     # ---- Table I ------------------------------------------------------
     corpus_kb = (32.0,) if quick else (49.0, 81.0, 156.0)
-    corpus = [generate_bitstream(size=DataSize.from_kb(kb),
-                                 seed=int(kb) * 2 + 37)
-              for kb in corpus_kb]
-    measured = {}
-    for codec in all_codecs():
-        values = [codec.measure(bs.raw_bytes).ratio_percent
-                  for bs in corpus]
-        measured[codec.name] = sum(values) / len(values)
+    corpus = dataclasses.replace(TABLE1_GRID, payloads=tuple(
+        PayloadSpec(size_kb=kb, seed=int(kb) * 2 + 37)
+        for kb in corpus_kb))
+    measured = table1_ratios(SweepEngine(corpus).run())
     ranking = sorted(measured, key=measured.get)
     claims.append(_claim(
         "Table I", "codec ranking matches the paper",
@@ -120,10 +122,12 @@ def validate_reproduction(quick: bool = False) -> ValidationReport:
         1.7 < factor < 1.9, detail=f"{factor:.2f}x"))
 
     # ---- Fig. 5 ------------------------------------------------------------
-    surface = bandwidth_surface(
-        sizes_kb=(6.5, 247.0),
-        frequencies_mhz=(362.5,) if quick else (100.0, 362.5))
-    anchors = anchor_points(surface)
+    corners = dataclasses.replace(
+        FIG5_GRID,
+        frequencies_mhz=(362.5,) if quick else (100.0, 362.5),
+        payloads=tuple(payload for payload in FIG5_GRID.payloads
+                       if payload.size_kb in (6.5, 247.0)))
+    anchors = anchor_points(SweepEngine(corners).run())
     claims.append(_claim(
         "Fig. 5", "6.5 KB anchor near 78.8 % of theoretical",
         abs(anchors["small"] - 78.8) < 1.5,

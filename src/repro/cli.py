@@ -22,35 +22,32 @@ import argparse
 import sys
 from typing import List, Optional
 
-from repro.analysis.bandwidth import (
-    FIG5_FREQUENCIES_MHZ,
-    FIG5_SIZES_KB,
-    anchor_points,
-    bandwidth_surface,
-)
 from repro.analysis.comparison import compare_controllers
 from repro.analysis.powersweep import (
     PAPER_FIG7,
     energy_comparison,
     fig7_power_sweep,
 )
-from repro.analysis.report import render_heatmap, render_series, render_table
 from repro.bitstream.generator import generate_bitstream
-from repro.compress import PAPER_TABLE1_RATIOS, all_codecs
+from repro.compress import PAPER_TABLE1_RATIOS
 from repro.fpga.area import slices_for
+from repro.report import render_heatmap, render_series, render_table
+from repro.sweep import (
+    FIG5_GRID,
+    TABLE1_GRID,
+    SweepEngine,
+    anchor_points,
+    table1_ratios,
+)
+from repro.sweep.spec import FIG5_FREQUENCIES_MHZ, FIG5_SIZES_KB
 from repro.units import DataSize
 
 
 def _cmd_table1(args: argparse.Namespace) -> None:
-    corpus = [generate_bitstream(size=DataSize.from_kb(kb), seed=seed)
-              for kb, seed in ((49, 101), (81, 202), (156, 303))]
-    rows = []
-    for codec in all_codecs():
-        values = [codec.measure(bs.raw_bytes).ratio_percent
-                  for bs in corpus]
-        measured = sum(values) / len(values)
-        paper = PAPER_TABLE1_RATIOS[codec.name]
-        rows.append([codec.name, measured, paper, measured - paper])
+    measured = table1_ratios(SweepEngine(TABLE1_GRID).run())
+    rows = [[name, ratio, PAPER_TABLE1_RATIOS[name],
+             ratio - PAPER_TABLE1_RATIOS[name]]
+            for name, ratio in measured.items()]
     print(render_table(["Algorithm", "measured %", "paper %", "delta"],
                        rows, title="Table I -- compression ratios"))
 
@@ -79,24 +76,22 @@ def _cmd_table3(args: argparse.Namespace) -> None:
 
 
 def _cmd_fig5(args: argparse.Namespace) -> None:
-    points = bandwidth_surface()
-    by_cell = {(p.size.kb, p.frequency.mhz): p for p in points}
+    cells = SweepEngine(FIG5_GRID).run()
+    mbps = {(cell.size_kb, cell.frequency_mhz): cell.effective_mbps
+            for cell in cells}
+    surface = [[mbps[(kb, mhz)] for mhz in FIG5_FREQUENCIES_MHZ]
+               for kb in FIG5_SIZES_KB]
     headers = ["KB \\ MHz"] + [f"{mhz:g}" for mhz in FIG5_FREQUENCIES_MHZ]
-    rows = []
-    for size_kb in FIG5_SIZES_KB:
-        rows.append([f"{size_kb:g}"]
-                    + [by_cell[(size_kb, mhz)].effective_mbps
-                       for mhz in FIG5_FREQUENCIES_MHZ])
+    rows = [[f"{kb:g}"] + row for kb, row in zip(FIG5_SIZES_KB, surface)]
     print(render_table(headers, rows,
                        title="Fig. 5 -- effective bandwidth (MB/s)"))
     print()
     print(render_heatmap(
         [f"{kb:g} KB" for kb in FIG5_SIZES_KB],
         [f"{mhz:g}" for mhz in FIG5_FREQUENCIES_MHZ],
-        [[by_cell[(kb, mhz)].effective_mbps
-          for mhz in FIG5_FREQUENCIES_MHZ] for kb in FIG5_SIZES_KB],
+        surface,
         title="surface shape (darker = faster)", corner="KB \\ MHz"))
-    anchors = anchor_points(points)
+    anchors = anchor_points(cells)
     print(f"\nanchors at 362.5 MHz: 6.5 KB -> {anchors['small']:.1f}% "
           f"(paper 78.8%), 247 KB -> {anchors['large']:.1f}% (paper 99%)")
 
@@ -266,8 +261,7 @@ def build_parser() -> argparse.ArgumentParser:
             continue
         if name == "sweep":
             sub = subparsers.add_parser(
-                name, help="run an experiment grid (process-parallel, "
-                           "artifact-cached)")
+                name, help="run an experiment grid (process-parallel)")
             from repro.sweep.cli import add_sweep_arguments
             add_sweep_arguments(sub)
             continue
@@ -352,7 +346,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         and args.command in _OBSERVABLE
     if trace_file or want_metrics:
         from repro import obs
-        from repro.analysis.report import render_table
+        from repro.report import render_table
         with obs.observed(trace=bool(trace_file),
                           metrics=want_metrics) as observation:
             result = command(args)

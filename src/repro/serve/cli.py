@@ -25,8 +25,8 @@ import sys
 from typing import TYPE_CHECKING, Optional, Tuple
 
 from repro import accel
-from repro.analysis.report import render_table
 from repro.errors import ServeError
+from repro.report import render_table
 from repro.serve.spec import ARRIVAL_MODELS, ServeSpec
 
 if TYPE_CHECKING:

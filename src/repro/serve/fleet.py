@@ -19,10 +19,10 @@ from __future__ import annotations
 
 from typing import Dict, List, Tuple
 
+from repro.controllers import build_controller
 from repro.errors import ServeError
 from repro.fpga.fleet import BitstreamLibrary, FleetBoard
 from repro.serve.spec import ServeSpec
-from repro.sweep.engine import build_controller
 from repro.units import Frequency
 
 __all__ = ["ServiceTimeTable", "build_fleet"]

@@ -18,9 +18,9 @@ import hashlib
 from dataclasses import dataclass, field, replace
 from typing import Iterable, Tuple
 
+from repro.controllers import CONTROLLERS
 from repro.errors import ServeError
 from repro.fpga.fleet import ModuleImage
-from repro.sweep.spec import RECONFIGURE_CONTROLLERS
 
 __all__ = [
     "ARRIVAL_MODELS",
@@ -196,10 +196,10 @@ class ServeSpec:
     def __post_init__(self) -> None:
         if self.boards < 1:
             raise ServeError(f"fleet needs >= 1 board, got {self.boards}")
-        if self.controller not in RECONFIGURE_CONTROLLERS:
+        if self.controller not in CONTROLLERS:
             raise ServeError(
                 f"unknown controller {self.controller!r}; known: "
-                f"{', '.join(RECONFIGURE_CONTROLLERS)}")
+                f"{', '.join(CONTROLLERS)}")
         if self.frequency_mhz <= 0:
             raise ServeError(f"frequency must be positive, got "
                              f"{self.frequency_mhz} MHz")

@@ -17,7 +17,7 @@ import argparse
 import json
 from typing import List
 
-from repro.analysis.report import render_table
+from repro.report import render_table
 from repro.sweep.engine import SweepEngine, SweepResult
 from repro.sweep.spec import GRIDS
 

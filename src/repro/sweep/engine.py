@@ -10,11 +10,11 @@ Determinism is structural, not accidental:
   between cells regardless of which worker ran them.
 
 A parallel sweep therefore returns the byte-identical result list of
-a serial one — same values, same order.  (Verified empirically: a
-fresh-system-per-cell run of the Fig. 5 grid reproduces
-``repro.analysis.bandwidth.bandwidth_surface`` exactly, cell for
+a serial one — same values, same order.  A fresh system per cell also
+equals one system preloaded once and retuned per frequency, cell for
 cell, because the simulation kernel is integer-picosecond and every
-result is a Start-to-Finish difference.)
+result is a Start-to-Finish difference
+(``tests/sweep/test_engine.py`` pins it).
 
 Cells that share a payload share its bitstream: :meth:`SweepEngine.run`
 generates each distinct :class:`PayloadSpec` once, in the parent
@@ -24,18 +24,17 @@ Nothing outlives the run — a second ``run()`` generates again.
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
 from functools import partial
 from typing import Any, Dict, Iterable, List, Optional, Tuple, Union
 
 from repro import accel
-from repro.analysis.bandwidth import BandwidthPoint
 from repro.bitstream.generator import (
     BitstreamSpec,
     PartialBitstream,
     generate_bitstream,
 )
+from repro.controllers import build_controller
 from repro.errors import ReproError
 from repro.obs import install as obs_install
 from repro.obs.metrics import MetricsRegistry
@@ -72,6 +71,11 @@ class SweepResult:
     def to_record(self) -> Dict[str, Any]:
         return asdict(self)
 
+    @property
+    def efficiency_percent(self) -> float:
+        """A reconfigure cell's share of the theoretical bandwidth."""
+        return self.effective_mbps / self.theoretical_mbps * 100.0
+
 
 def _generate(payload: PayloadSpec) -> PartialBitstream:
     """The bitstream a sweep payload denotes (defaults + size/seed)."""
@@ -93,36 +97,11 @@ def fan_out(items: List[Any], worker, jobs: int = 1) -> List[Any]:
     jobs = max(1, int(jobs))
     if jobs == 1 or len(items) <= 1:
         return [worker(item) for item in items]
+    # Imported here: it loads multiprocessing (about 10 ms), which the
+    # inline runs of `repro table1`/`fig5`/`report` never use.
+    from concurrent.futures import ProcessPoolExecutor
     with ProcessPoolExecutor(max_workers=jobs) as pool:
         return list(pool.map(worker, items))
-
-
-def build_controller(name: str):
-    """A fresh controller instance for a sweep/serve controller name."""
-    from repro.controllers import (
-        BramHwicap,
-        Farm,
-        FlashCap,
-        MstIcap,
-        UparcController,
-        XpsHwicap,
-    )
-    factories = {
-        "UPaRC_i": lambda: UparcController("i"),
-        "UPaRC_ii": lambda: UparcController("ii"),
-        "xps_hwicap[cached]": lambda: XpsHwicap(profile="cached"),
-        "MST_ICAP": MstIcap,
-        "FlashCAP_i": FlashCap,
-        "BRAM_HWICAP": BramHwicap,
-        "FaRM": Farm,
-    }
-    try:
-        factory = factories[name]
-    except KeyError:
-        raise ReproError(
-            f"unknown controller {name!r}; known: "
-            f"{', '.join(sorted(factories))}") from None
-    return factory()
 
 
 def execute_spec(spec: RunSpec,
@@ -291,27 +270,33 @@ class SweepEngine:
         return results
 
 
-def to_bandwidth_points(results: Iterable[SweepResult],
-                        ) -> List[BandwidthPoint]:
-    """Reconfigure results as Fig. 5 surface points."""
-    points = []
+def anchor_points(results: Iterable[SweepResult]) -> Dict[str, float]:
+    """The two calibration anchors the paper quotes for Fig. 5.
+
+    Efficiency percentages at (6.5 KB, 362.5 MHz) as ``"small"`` and
+    (247 KB, 362.5 MHz) as ``"large"``; the paper reports 78.8 % and
+    99 %.  Cells outside the two anchors are ignored.
+    """
+    anchors = {}
     for result in results:
-        if result.workload != "reconfigure":
+        if result.frequency_mhz != 362.5:
             continue
-        points.append(BandwidthPoint(
-            size=DataSize.from_kb(result.size_kb),
-            frequency=Frequency.from_mhz(result.frequency_mhz),
-            effective_mbps=result.effective_mbps,
-            theoretical_mbps=result.theoretical_mbps,
-            duration_ps=result.duration_ps,
-        ))
-    return points
+        if result.size_kb == 6.5:
+            anchors["small"] = result.efficiency_percent
+        elif result.size_kb == 247.0:
+            anchors["large"] = result.efficiency_percent
+    return anchors
 
 
 def table1_ratios(results: Iterable[SweepResult]) -> Dict[str, float]:
-    """Mean compression ratio per codec, in Table I row order."""
+    """Mean compression ratio per codec, in Table I row order.
+
+    Each mean sums its cells in ``(size_kb, seed)`` payload order, not
+    in key order (which is lexical: 156 KB sorts before 49 KB), so it
+    equals a plain loop over the corpus to the last bit.
+    """
     by_codec: Dict[str, List[float]] = {}
-    for result in results:
+    for result in sorted(results, key=lambda r: (r.size_kb, r.seed)):
         if result.workload != "compress":
             continue
         by_codec.setdefault(result.codec, []).append(

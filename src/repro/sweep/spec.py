@@ -13,7 +13,10 @@ bitstream) and carries a canonical ``key`` string that doubles as
 
 The named grids at the bottom are the paper's experiments: the Fig. 5
 bandwidth surface and the Table I compression corpus, plus a small
-smoke grid for quick checks and tests.
+smoke grid for quick checks and tests.  Every command that prints a
+Fig. 5 or Table I number runs one of them, or a
+``dataclasses.replace`` of one, through
+:class:`repro.sweep.engine.SweepEngine`.
 """
 
 from __future__ import annotations
@@ -21,22 +24,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from repro.analysis.bandwidth import FIG5_FREQUENCIES_MHZ, FIG5_SIZES_KB
 from repro.compress.registry import PAPER_TABLE1_RATIOS
+from repro.controllers import CONTROLLERS
 from repro.errors import ReproError
-
-#: Controllers a reconfigure sweep may name (Table III rows).  Kept as
-#: an explicit tuple so a typo fails at grid build time, not inside a
-#: worker process.
-RECONFIGURE_CONTROLLERS: Tuple[str, ...] = (
-    "UPaRC_i",
-    "UPaRC_ii",
-    "xps_hwicap[cached]",
-    "MST_ICAP",
-    "FlashCAP_i",
-    "BRAM_HWICAP",
-    "FaRM",
-)
 
 #: Codecs a compress sweep may name (Table I rows).
 COMPRESS_CODECS: Tuple[str, ...] = tuple(PAPER_TABLE1_RATIOS)
@@ -90,10 +80,12 @@ class RunSpec:
             raise ReproError(f"unknown workload {self.workload!r}; "
                              f"expected one of {_WORKLOADS}")
         if self.workload == "reconfigure":
-            if self.controller not in RECONFIGURE_CONTROLLERS:
+            # Checked here so a typo fails at grid build time, not
+            # inside a worker process.
+            if self.controller not in CONTROLLERS:
                 raise ReproError(
                     f"unknown controller {self.controller!r}; known: "
-                    f"{', '.join(RECONFIGURE_CONTROLLERS)}")
+                    f"{', '.join(CONTROLLERS)}")
             if self.frequency_mhz is None or self.frequency_mhz <= 0:
                 raise ReproError(
                     f"reconfigure spec needs a positive frequency, "
@@ -174,14 +166,21 @@ class SweepGrid:
         return len(self.codecs) * len(self.payloads)
 
 
-#: Fig. 5: UPaRC_i over the full size x frequency surface.  Every
-#: payload uses the library's default seed (2012) so the cells match
-#: ``repro.analysis.bandwidth.bandwidth_surface`` exactly.
+#: The axes Fig. 5 plots (sizes in KB, frequencies in MHz).
+FIG5_SIZES_KB = (6.5, 12.0, 30.0, 49.0, 81.0, 156.0, 247.0)
+FIG5_FREQUENCIES_MHZ = (50.0, 100.0, 150.0, 200.0, 250.0, 300.0, 362.5)
+
+#: Fig. 5: UPaRC_i (preloading without compression) over the full
+#: size x frequency surface, every payload at the library's default
+#: seed (2012).  Small bitstreams amortise the constant manager and
+#: control overhead poorly (78.8 % of theoretical at 6.5 KB and
+#: 362.5 MHz in the paper), large ones approach the theoretical plane
+#: (99 % at 247 KB).
 FIG5_GRID = SweepGrid(
     name="fig5",
     workload="reconfigure",
     controllers=("UPaRC_i",),
-    frequencies_mhz=tuple(FIG5_FREQUENCIES_MHZ),
+    frequencies_mhz=FIG5_FREQUENCIES_MHZ,
     payloads=tuple(PayloadSpec(size_kb=kb, seed=2012)
                    for kb in FIG5_SIZES_KB),
     description="Fig. 5 bandwidth surface (7 sizes x 7 frequencies)",

@@ -1,31 +1,32 @@
 """Analysis harnesses: bandwidth surface, comparison, power sweep."""
 
+import dataclasses
+
 import pytest
 
-from repro.analysis.bandwidth import (
-    FIG5_FREQUENCIES_MHZ,
-    FIG5_SIZES_KB,
-    anchor_points,
-    bandwidth_surface,
-)
-from repro.analysis.comparison import (
-    PAPER_TABLE3,
-    compare_controllers,
-    table3_controllers,
-)
+from repro.analysis.comparison import PAPER_TABLE3, compare_controllers
 from repro.analysis.powersweep import (
     PAPER_FIG7,
     energy_comparison,
     fig7_power_sweep,
 )
-from repro.analysis.report import render_series, render_table
+from repro.report import render_series, render_table
+from repro.sweep import FIG5_GRID, PayloadSpec, SweepEngine, anchor_points
+from repro.sweep.spec import FIG5_FREQUENCIES_MHZ, FIG5_SIZES_KB
+
+
+def fig5_cells(sizes_kb, frequencies_mhz):
+    """A sub-grid of Fig. 5, run through the sweep engine."""
+    return SweepEngine(dataclasses.replace(
+        FIG5_GRID, frequencies_mhz=tuple(frequencies_mhz),
+        payloads=tuple(payload for payload in FIG5_GRID.payloads
+                       if payload.size_kb in sizes_kb))).run()
 
 
 class TestBandwidthSurface:
     @pytest.fixture(scope="class")
     def mini_surface(self):
-        return bandwidth_surface(sizes_kb=(6.5, 247.0),
-                                 frequencies_mhz=(100.0, 362.5))
+        return fig5_cells((6.5, 247.0), (100.0, 362.5))
 
     def test_grid_complete(self, mini_surface):
         assert len(mini_surface) == 4
@@ -37,8 +38,8 @@ class TestBandwidthSurface:
     def test_larger_bitstreams_more_efficient(self, mini_surface):
         by_size = {}
         for point in mini_surface:
-            if abs(point.frequency.mhz - 362.5) < 1e-6:
-                by_size[point.size.kb] = point.efficiency_percent
+            if point.frequency_mhz == 362.5:
+                by_size[point.size_kb] = point.efficiency_percent
         assert by_size[247.0] > by_size[6.5]
 
     def test_anchor_points_match_paper(self, mini_surface):
@@ -54,8 +55,8 @@ class TestBandwidthSurface:
         """Every size gains bandwidth with frequency, every frequency
         gains efficiency with size, and no cell of the paper's grid
         reaches the theoretical plane."""
-        points = bandwidth_surface()
-        by_cell = {(p.size.kb, p.frequency.mhz): p for p in points}
+        points = SweepEngine(FIG5_GRID).run()
+        by_cell = {(p.size_kb, p.frequency_mhz): p for p in points}
         for size_kb in FIG5_SIZES_KB:
             series = [by_cell[(size_kb, mhz)].effective_mbps
                       for mhz in FIG5_FREQUENCIES_MHZ]
@@ -103,9 +104,6 @@ class TestComparison:
     def test_uparc_vs_cached_xps_hwicap_factor(self, rows):
         by_name = {row.controller: row.measured_mbps for row in rows}
         assert by_name["UPaRC_i"] / by_name["xps_hwicap[cached]"] > 90
-
-    def test_controller_list_is_fresh(self):
-        assert table3_controllers()[0] is not table3_controllers()[0]
 
 
 class TestPowerSweep:
@@ -183,7 +181,7 @@ class TestReport:
 
 class TestHeatmap:
     def test_shape_and_shading(self):
-        from repro.analysis.report import render_heatmap
+        from repro.report import render_heatmap
         text = render_heatmap(["a", "b"], ["x", "y"],
                               [[0.0, 50.0], [50.0, 100.0]],
                               title="t", corner="c")
@@ -193,7 +191,7 @@ class TestHeatmap:
         assert "  " in lines[2]    # the zero cell stays blank
 
     def test_dimension_mismatch_rejected(self):
-        from repro.analysis.report import render_heatmap
+        from repro.report import render_heatmap
         with pytest.raises(ValueError):
             render_heatmap(["a"], ["x", "y"], [[1.0]])
 
@@ -235,20 +233,32 @@ class TestFig7TraceShape:
 
 
 class TestModeIiSweep:
+    """UPaRC_ii over Fig. 5's sizes at 255 MHz: the ceiling is the
+    decompressor's output rate (~1 GB/s for the 64-bit X-MatchPRO),
+    not the CLK_2 plane, with the same control overhead at small
+    sizes."""
+
     @pytest.fixture(scope="class")
     def sweep(self):
-        from repro.analysis.bandwidth import mode_ii_bandwidth_sweep
-        return mode_ii_bandwidth_sweep(sizes_kb=(6.5, 49.0, 216.5))
+        return SweepEngine(dataclasses.replace(
+            FIG5_GRID, controllers=("UPaRC_ii",), frequencies_mhz=(255.0,),
+            payloads=tuple(PayloadSpec(size_kb=kb, seed=2012)
+                           for kb in (6.5, 49.0, 216.5)))).run()
 
-    def test_saturates_at_decompressor_ceiling(self, sweep):
-        largest = max(sweep, key=lambda p: p.size.bytes)
+    @pytest.fixture(scope="class")
+    def ceiling_mbps(self):
+        from repro.core.system import UPaRCSystem
+        return UPaRCSystem().decompressor.output_bandwidth_mbps() * 1.048576
+
+    def test_saturates_at_decompressor_ceiling(self, sweep, ceiling_mbps):
+        largest = max(sweep, key=lambda cell: cell.size_kb)
         assert largest.effective_mbps \
-            == pytest.approx(largest.theoretical_mbps, rel=0.02)
+            == pytest.approx(ceiling_mbps, rel=0.02)
         assert largest.effective_mbps == pytest.approx(1000, rel=0.02)
 
-    def test_small_sizes_pay_control_overhead(self, sweep):
-        efficiencies = [p.efficiency_percent
-                        for p in sorted(sweep,
-                                        key=lambda p: p.size.bytes)]
+    def test_small_sizes_pay_control_overhead(self, sweep, ceiling_mbps):
+        efficiencies = [cell.effective_mbps / ceiling_mbps
+                        for cell in sorted(sweep,
+                                           key=lambda cell: cell.size_kb)]
         assert efficiencies == sorted(efficiencies)
         assert efficiencies[0] < efficiencies[-1]

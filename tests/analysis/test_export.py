@@ -4,7 +4,6 @@ import csv
 
 import pytest
 
-from repro.analysis.bandwidth import bandwidth_surface
 from repro.analysis.comparison import compare_controllers
 from repro.analysis.export import (
     export_bandwidth_surface,
@@ -13,6 +12,7 @@ from repro.analysis.export import (
     write_csv,
 )
 from repro.analysis.powersweep import fig7_power_sweep
+from repro.sweep import PayloadSpec, RunSpec, execute_spec
 
 
 def read_csv(path):
@@ -30,9 +30,11 @@ def test_write_csv_counts_rows(tmp_path):
 
 
 def test_export_bandwidth_surface(tmp_path):
-    points = bandwidth_surface(sizes_kb=(6.5,), frequencies_mhz=(100.0,))
+    cell, _ = execute_spec(RunSpec(
+        workload="reconfigure", controller="UPaRC_i", frequency_mhz=100.0,
+        payload=PayloadSpec(size_kb=6.5, seed=2012)))
     path = tmp_path / "fig5.csv"
-    count = export_bandwidth_surface(points, path)
+    count = export_bandwidth_surface([cell], path)
     assert count == 1
     rows = read_csv(path)
     assert rows[0][0] == "size_kb"

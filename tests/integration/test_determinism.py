@@ -6,10 +6,10 @@ same traces, bit for bit.  These tests run complete experiments twice
 and require identity — not approximate equality.
 """
 
-from repro.analysis.bandwidth import bandwidth_surface
 from repro.analysis.powersweep import fig7_power_sweep
 from repro.bitstream.generator import generate_bitstream
 from repro.core.system import UPaRCSystem
+from repro.sweep import PayloadSpec, RunSpec, execute_spec
 from repro.units import DataSize, Frequency
 
 
@@ -35,11 +35,13 @@ def test_full_run_identical(small_bitstream):
 
 
 def test_fig5_cell_identical():
-    first = bandwidth_surface(sizes_kb=(12.0,), frequencies_mhz=(200.0,))
-    second = bandwidth_surface(sizes_kb=(12.0,),
-                               frequencies_mhz=(200.0,))
-    assert first[0].duration_ps == second[0].duration_ps
-    assert first[0].effective_mbps == second[0].effective_mbps
+    spec = RunSpec(workload="reconfigure", controller="UPaRC_i",
+                   frequency_mhz=200.0,
+                   payload=PayloadSpec(size_kb=12.0, seed=2012))
+    first, _ = execute_spec(spec)
+    second, _ = execute_spec(spec)
+    assert first.duration_ps == second.duration_ps
+    assert first.effective_mbps == second.effective_mbps
 
 
 def test_fig7_point_identical():

@@ -11,30 +11,36 @@ the kernel actually guarantees.
 import pytest
 
 from repro import accel
-from repro.analysis.bandwidth import (
-    bandwidth_surface,
-    mode_ii_bandwidth_sweep,
-)
 from repro.sanitize import DeterminismSanitizer
+from repro.sweep import PayloadSpec, RunSpec, execute_spec
 
 BACKENDS = accel.available_backends()
 
 SEEDS = (1, 2, 3)
 
 
+SMALLEST = PayloadSpec(size_kb=6.5, seed=2012)
+
+
+def _cells(controller, frequencies_mhz):
+    """``controller`` on the smallest Fig. 5 payload, one cell per
+    frequency, as (size, MHz, MB/s, duration) tuples."""
+    cells = [execute_spec(RunSpec(workload="reconfigure",
+                                  controller=controller,
+                                  frequency_mhz=mhz, payload=SMALLEST))[0]
+             for mhz in frequencies_mhz]
+    return [(cell.size_kb, cell.frequency_mhz, cell.effective_mbps,
+             cell.duration_ps) for cell in cells]
+
+
 def fig5_corner():
     """One small + one fast cell of the Fig. 5 surface (mode i)."""
-    points = bandwidth_surface(sizes_kb=(6.5,),
-                               frequencies_mhz=(50.0, 362.5))
-    return [(p.size.kb, p.frequency.mhz, p.effective_mbps,
-             p.duration_ps) for p in points]
+    return _cells("UPaRC_i", (50.0, 362.5))
 
 
 def mode_ii_corner():
     """The smallest mode-ii (compressed) sweep cell."""
-    points = mode_ii_bandwidth_sweep(sizes_kb=(6.5,))
-    return [(p.size.kb, p.frequency.mhz, p.effective_mbps,
-             p.duration_ps) for p in points]
+    return _cells("UPaRC_ii", (255.0,))
 
 
 @pytest.mark.parametrize("backend", BACKENDS)

@@ -10,12 +10,13 @@ import pytest
 from repro.errors import ReproError
 from repro.sweep import (
     SMOKE_GRID,
+    TABLE1_GRID,
     PayloadSpec,
     RunSpec,
     SweepEngine,
+    anchor_points,
     execute_spec,
     table1_ratios,
-    to_bandwidth_points,
 )
 
 SMALL_PAYLOAD = PayloadSpec(size_kb=6.5, seed=2012)
@@ -70,18 +71,26 @@ def test_run_generates_each_payload_once(monkeypatch):
 
 
 def test_matches_bandwidth_surface(smoke_serial):
-    """The engine's cells equal the analysis-module measurement."""
-    from repro.analysis.bandwidth import bandwidth_surface
-    reference = bandwidth_surface(sizes_kb=[6.5],
-                                  frequencies_mhz=[100.0, 362.5])
-    by_cell = {(p.size.kb, p.frequency.mhz): p for p in reference}
+    """A fresh system per cell equals one system per size, preloaded
+    once and retuned per frequency (how the board would measure it)."""
+    from repro.bitstream.generator import generate_bitstream
+    from repro.core.system import UPaRCSystem
+    from repro.units import DataSize, Frequency
+    reference = {}
+    for payload in SMOKE_GRID.payloads:
+        system = UPaRCSystem(decompressor=None)
+        system.preload(generate_bitstream(
+            size=DataSize.from_kb(payload.size_kb), seed=payload.seed))
+        for mhz in SMOKE_GRID.frequencies_mhz:
+            system.set_frequency(Frequency.from_mhz(mhz))
+            reference[payload.size_kb, mhz] = system.reconfigure()
+    assert len(smoke_serial) == len(reference)
     for result in smoke_serial:
-        point = by_cell.get((result.size_kb, result.frequency_mhz))
-        if point is None or result.seed != 2012:
-            continue
-        assert result.effective_mbps == point.effective_mbps
-        assert result.theoretical_mbps == point.theoretical_mbps
-        assert result.duration_ps == point.duration_ps
+        cell = reference[result.size_kb, result.frequency_mhz]
+        assert result.effective_mbps == cell.bandwidth_decimal_mbps
+        assert result.theoretical_mbps \
+            == Frequency.from_mhz(result.frequency_mhz).hertz * 4 / 1e6
+        assert result.duration_ps == cell.duration_ps
 
 
 def test_execute_spec_compress_matches_direct_codec():
@@ -117,14 +126,15 @@ def test_duplicate_cells_rejected():
         SweepEngine([spec, spec])
 
 
-def test_to_bandwidth_points(smoke_serial):
-    points = to_bandwidth_points(smoke_serial)
-    assert len(points) == len(smoke_serial)
-    for point, result in zip(points, smoke_serial):
-        assert point.size.kb == result.size_kb
-        assert point.frequency.mhz == result.frequency_mhz
-        assert point.effective_mbps == result.effective_mbps
-        assert point.efficiency_percent < 100.0
+def test_anchor_points_read_the_362_5_mhz_corners(smoke_serial):
+    """Only the 6.5 KB cell at 362.5 MHz is an anchor of the smoke
+    grid; its efficiency is effective over theoretical bandwidth."""
+    corner, = [result for result in smoke_serial
+               if (result.size_kb, result.frequency_mhz) == (6.5, 362.5)]
+    assert anchor_points(smoke_serial) == {
+        "small": corner.effective_mbps / corner.theoretical_mbps * 100}
+    assert all(result.efficiency_percent < 100.0
+               for result in smoke_serial)
 
 
 def test_table1_ratios_orders_like_the_paper():
@@ -138,6 +148,23 @@ def test_table1_ratios_orders_like_the_paper():
     assert list(ratios) == [name for name in PAPER_TABLE1_RATIOS
                             if name in ("RLE", "X-MatchPRO")]
     assert ratios["X-MatchPRO"] > ratios["RLE"]
+
+
+def test_table1_ratios_equal_a_corpus_loop():
+    """Each codec's mean sums the corpus in (size, seed) order, so it
+    equals a plain loop over TABLE1_PAYLOADS exactly — not to 1 ulp."""
+    from repro.bitstream.generator import generate_bitstream
+    from repro.compress import all_codecs
+    from repro.sweep.spec import TABLE1_PAYLOADS
+    from repro.units import DataSize
+    corpus = [generate_bitstream(size=DataSize.from_kb(payload.size_kb),
+                                 seed=payload.seed).raw_bytes
+              for payload in TABLE1_PAYLOADS]
+    expected = {}
+    for codec in all_codecs():
+        values = [codec.measure(raw).ratio_percent for raw in corpus]
+        expected[codec.name] = sum(values) / len(values)
+    assert table1_ratios(SweepEngine(TABLE1_GRID).run()) == expected
 
 
 def test_baseline_controller_cell_runs():
@@ -173,7 +200,7 @@ def test_fan_out_single_item_runs_inline():
 
 
 def test_build_controller_names():
-    from repro.sweep import build_controller
+    from repro.controllers import build_controller
     assert build_controller("UPaRC_i").name == "UPaRC_i"
     with pytest.raises(ReproError):
         build_controller("bogus")
