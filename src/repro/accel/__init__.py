@@ -1,7 +1,7 @@
 """repro.accel: swappable datapath backends for the hot kernels.
 
 The simulation's datapath cost is concentrated in a handful of
-operations: planning and synthesising frame payloads, bulk
+operations: seeding, planning and synthesising frame payloads, bulk
 word<->byte packing, CRC-32C folding (plain bytes, and the
 configuration CRC's word-plus-address fold ``crc32c_words``),
 splitting FDRI payloads into frames, and the compression codecs'
@@ -38,10 +38,10 @@ below or through :func:`active` for per-call-site inner loops.
 from __future__ import annotations
 
 import os
+from array import array
 from contextlib import contextmanager
-from random import Random
 from types import ModuleType
-from typing import Iterator, List, Optional, Sequence, Tuple
+from typing import Iterator, List, Optional, Sequence, Tuple, Union
 
 from repro.accel import pure
 from repro.accel.plan import FrameMixture, SynthesisPlan
@@ -80,6 +80,7 @@ __all__ = [
     "record",
     "rle_decode",
     "rle_records",
+    "seed_mixture",
     "select",
     "synthesize_payload",
     "using",
@@ -287,14 +288,27 @@ def bytes_to_words(data: bytes) -> List[int]:
     return backend.bytes_to_words(data)
 
 
-def plan_frames(rng: Random, mixture: FrameMixture, frame_count: int,
+def seed_mixture(seed: Union[int, float, str, bytes, bytearray],
+                 motif_pool: int,
+                 pool_size: int) -> Tuple[array, Tuple[int, ...],
+                                          Tuple[int, ...]]:
+    """Seeded generator state, motifs and byte pool (see the pure reference)."""
+    backend = _active
+    if backend is None:
+        backend = _resolve()
+    record("seed_mixture", 4 * (pure.STATE_WORDS + max(0, motif_pool))
+           + max(0, pool_size))
+    return backend.seed_mixture(seed, motif_pool, pool_size)
+
+
+def plan_frames(state: array, mixture: FrameMixture, frame_count: int,
                 have_previous: bool) -> SynthesisPlan:
-    """Plan frames of payload ops from ``rng`` (see the pure reference)."""
+    """Plan frames of payload ops, advancing ``state`` in place."""
     backend = _active
     if backend is None:
         backend = _resolve()
     record("plan_frames", 4 * max(0, frame_count) * mixture.frame_words)
-    return backend.plan_frames(rng, mixture, frame_count, have_previous)
+    return backend.plan_frames(state, mixture, frame_count, have_previous)
 
 
 def synthesize_payload(plan: SynthesisPlan) -> bytes:

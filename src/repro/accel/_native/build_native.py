@@ -71,6 +71,10 @@ int64_t uparc_lz77_tokens(const uint8_t *data, size_t len,
                           int min_match, int max_chain,
                           uint64_t *values, uint8_t *widths,
                           int32_t *head, int32_t *prev);
+void uparc_seed_mixture(const uint8_t *key_bytes, size_t key_words,
+                        uint32_t *state, size_t motif_count,
+                        uint32_t *motifs, size_t pool_size,
+                        uint8_t *byte_pool);
 int64_t uparc_plan_frames(uint32_t *state, const uparc_mixture *mix,
                           size_t frame_count, uint32_t frame_words,
                           int have_previous, const uint32_t *motifs,

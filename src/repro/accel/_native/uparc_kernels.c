@@ -906,16 +906,19 @@ int64_t uparc_lz77_tokens(const uint8_t *data, size_t len,
 }
 
 /* ------------------------------------------------------------------ */
-/* Frame planning: the generator's run-mixture planner, drawing from  */
-/* CPython's MT19937 exactly as random.Random does.  key[0..623] is   */
-/* the generator's key and key[624] its index, as getstate() lays     */
-/* them out; the wrapper writes the advanced state back with          */
-/* setstate().  mt_next, mt_random and mt_below are CPython 3.11's    */
-/* genrand_uint32, random() and choice()'s _randbelow (mt_next reads  */
-/* a pre-tempered copy of the key: the same values, in the same       */
-/* order).  Every draw and every float comparison is the pure         */
-/* planner's, in its order; the build disables FP contraction so no   */
-/* comparison sees a fused multiply-add.                              */
+/* Generator seeding and frame planning, drawing from CPython's       */
+/* MT19937 exactly as random.Random does.  A state is 625 words:      */
+/* key[0..623] is the generator's key and key[624] its index, as      */
+/* getstate() lays them out.  The generator owns one such array; the  */
+/* seeding kernel fills it and the planner advances it in place, so   */
+/* no call converts it to or from a Python tuple.  mt_seed is         */
+/* CPython's init_by_array; mt_next, mt_random and mt_below are       */
+/* CPython 3.11's genrand_uint32, random() and the _randbelow behind  */
+/* choice(), randint() and randrange() (mt_next reads a pre-tempered  */
+/* copy of the key: the same values, in the same order).  Every draw  */
+/* and every float comparison is the pure reference's, in its order; */
+/* the build disables FP contraction so no comparison sees a fused    */
+/* multiply-add.                                                      */
 
 #define MT_N 624
 #define MT_M 397
@@ -1064,14 +1067,80 @@ static inline uint32_t texture_byte(mt_state *mt, const uint8_t *byte_pool,
     return byte_pool[count_not_below(cum, hi, mt_random(mt) * total)];
 }
 
+/* CPython's init_by_array over key_words 32-bit words, read little-  */
+/* endian from key_bytes: random_seed's split of abs(seed), least     */
+/* significant word first (key_words >= 1; seed 0 is one zero word).  */
+/* Leaves the index at MT_N, so the first draw regenerates the key.   */
+static void mt_seed(uint32_t *key, const uint8_t *key_bytes,
+                    size_t key_words)
+{
+    key[0] = 19650218u;   /* init_genrand(19650218) */
+    for (uint32_t i = 1; i < MT_N; i++)
+        key[i] = 1812433253u * (key[i - 1] ^ (key[i - 1] >> 30)) + i;
+    size_t i = 1, j = 0;
+    for (size_t k = MT_N > key_words ? MT_N : key_words; k; k--) {
+        const uint8_t *b = key_bytes + 4 * j;
+        uint32_t word = (uint32_t)b[0] | (uint32_t)b[1] << 8
+            | (uint32_t)b[2] << 16 | (uint32_t)b[3] << 24;
+        key[i] = (key[i] ^ ((key[i - 1] ^ (key[i - 1] >> 30)) * 1664525u))
+            + word + (uint32_t)j;
+        i++;
+        j++;
+        if (i >= MT_N) {
+            key[0] = key[MT_N - 1];
+            i = 1;
+        }
+        if (j >= key_words)
+            j = 0;
+    }
+    for (size_t k = MT_N - 1; k; k--) {
+        key[i] = (key[i] ^ ((key[i - 1] ^ (key[i - 1] >> 30)) * 1566083941u))
+            - (uint32_t)i;
+        i++;
+        if (i >= MT_N) {
+            key[0] = key[MT_N - 1];
+            i = 1;
+        }
+    }
+    key[0] = 0x80000000u;
+    key[MT_N] = MT_N;
+}
+
+/* The generator's seeded state and vocabulary: Random(seed), then    */
+/* motif_count routing motifs (randint(2, 10) bits, each set at       */
+/* randrange(32)) and pool_size texture bytes (randrange(1, 256)),    */
+/* drawn in the reference's order.  state receives all 625 words.     */
+
+void uparc_seed_mixture(const uint8_t *key_bytes, size_t key_words,
+                        uint32_t *state, size_t motif_count,
+                        uint32_t *motifs, size_t pool_size,
+                        uint8_t *byte_pool)
+{
+    mt_state mt;
+    mt_seed(state, key_bytes, key_words);
+    mt.key = state;
+    mt.index = MT_N;
+    for (size_t m = 0; m < motif_count; m++) {
+        uint32_t bits = 2 + mt_below(&mt, 9);
+        uint32_t word = 0;
+        for (uint32_t bit = 0; bit < bits; bit++)
+            word |= 1u << mt_below(&mt, 32);
+        motifs[m] = word;
+    }
+    for (size_t p = 0; p < pool_size; p++)
+        byte_pool[p] = (uint8_t)(1 + mt_below(&mt, 255));
+    state[MT_N] = mt.index;
+}
+
 /* Plans frame_count frames into kinds/values/lengths (capacity cap,  */
 /* which frame_count * frame_words always covers: every op holds at   */
-/* least one word).  motifs must be non-empty and cum_weights must    */
-/* hold hi ascending entries, hi = len(byte_pool) - 1.  Returns the   */
-/* op count, or -1 on overflow (the wrapper then discards the state   */
-/* and runs pure).                                                    */
+/* least one word).  state[624] must be at most 624, motifs must be   */
+/* non-empty and cum_weights must hold hi ascending entries,          */
+/* hi = len(byte_pool) - 1.  The loop draws from a copy of the key,   */
+/* so state advances only on success.  Returns the op count, or -1    */
+/* on overflow (state untouched; the wrapper then runs pure).         */
 
-int64_t uparc_plan_frames(uint32_t *key, const uparc_mixture *mix,
+int64_t uparc_plan_frames(uint32_t *state, const uparc_mixture *mix,
                           size_t frame_count, uint32_t frame_words,
                           int have_previous, const uint32_t *motifs,
                           uint32_t motif_count, const uint8_t *byte_pool,
@@ -1079,9 +1148,11 @@ int64_t uparc_plan_frames(uint32_t *key, const uparc_mixture *mix,
                           uint8_t *kinds, uint32_t *values,
                           uint32_t *lengths, size_t cap)
 {
+    uint32_t key[MT_N];
     mt_state mt;
+    memcpy(key, state, sizeof key);
     mt.key = key;
-    mt.index = key[MT_N];
+    mt.index = state[MT_N];
     mt_temper(mt.key, mt.out);
     size_t n = 0;
     for (size_t frame = 0; frame < frame_count; frame++) {
@@ -1135,7 +1206,8 @@ int64_t uparc_plan_frames(uint32_t *key, const uparc_mixture *mix,
         }
         have_previous = 1;
     }
-    key[MT_N] = mt.index;
+    memcpy(state, key, sizeof key);
+    state[MT_N] = mt.index;
     return (int64_t)n;
 }
 

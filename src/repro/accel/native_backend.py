@@ -24,8 +24,11 @@ Importing this module requires the compiled extension
 extra); :func:`repro.accel.native_available` probes for it and the
 selection logic falls back to pure when it is missing.
 
-Kernels in C: ``plan_frames`` (the generator's frame planner, drawing
-from the caller's ``random.Random`` state), ``synthesize_payload``,
+Kernels in C: ``seed_mixture`` (the generator's setup: CPython's
+``init_by_array`` seeding of MT19937 and the motif and byte-pool
+draws), ``plan_frames`` (the generator's frame planner, drawing from
+and advancing the generator's 625-word state array in place, with no
+``getstate``/``setstate`` round trip), ``synthesize_payload``,
 ``crc32c``, ``crc32c_words`` (the configuration CRC's
 word-plus-address fold), ``rle_records``, ``xmatch_tokens``,
 ``lz77_tokens``, ``bitpack``, ``huffman_code_table`` (histogram and
@@ -37,8 +40,9 @@ coder ``lzma_pack``/``lzma_decode``).
 
 A kernel still hands a call to pure when the input leaves the C
 types' domain (token widths past 64 bits, a capacity outside 2..64,
-a word count past the data, a ``Random`` subclass, ...): these guards
-keep the backend total over pure's input domain, whatever the size.
+a word count past the data, a seed that is not exactly an ``int``, a
+state that is not a 625-word ``array("I")``, ...): these guards keep
+the backend total over pure's input domain, whatever the size.
 
 Kernels with no C form forward to pure: ``words_to_bytes``,
 ``bytes_to_words``, ``chunk_words``, ``equal_word_runs`` and
@@ -50,19 +54,19 @@ Every decoder reserves at most 1 MiB before it reads its body and
 grows the buffer as the body decodes, so a header that declares a
 huge length costs no more memory than the body really yields.
 
-``plan_frames`` carries one more guard: importing this module plans a
-short stream both ways and compares the ops and the final RNG state.
-The C planner follows CPython 3.11's ``random`` algorithms; if the
-running interpreter draws differently, the planner forwards to pure
-for the whole process while every other kernel stays native.
+``seed_mixture`` and ``plan_frames`` carry one more guard: importing
+this module seeds a few seeds and plans a short stream both ways, and
+compares the states, vocabularies and ops.  The C kernels follow
+CPython 3.11's ``random`` algorithms; if the running interpreter draws
+differently, both forward to pure for the whole process while every
+other kernel stays native.
 """
 
 from __future__ import annotations
 
 from array import array
 from itertools import accumulate
-from random import Random
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple, Union
 
 from repro.accel import pure
 from repro.accel._native import _uparc_native
@@ -75,9 +79,18 @@ ffi = _uparc_native.ffi
 _lib = _uparc_native.lib
 _lib.uparc_init()
 
-# The C synthesis kernel reads the plan's array("I") values and
-# lengths as uint32_t, which only holds where that typecode is 4 bytes.
+# The C seeding, planning and synthesis kernels read array("I")
+# states, values and lengths as uint32_t, which only holds where that
+# typecode is 4 bytes.
 _PLAN_ITEMS_ARE_32_BIT = array("I").itemsize == 4
+
+# A state's last word is the MT19937 index, at most the key length.
+_MT_N = pure.STATE_WORDS - 1
+_STATE_ZEROS = bytes(4 * pure.STATE_WORDS)
+# Vocabulary sizes the seeding kernel takes: exact ints below 2**32.
+# Pure answers the rest (an empty range for a negative count, its own
+# TypeError for a float).
+_SIZE_LIMIT = 1 << 32
 
 # Decoder status codes, mirroring uparc_kernels.c.
 _OK = 0
@@ -226,15 +239,38 @@ def chunk_words(block: Sequence[int], offset: int,
 # -- word streams -------------------------------------------------------
 
 
-def _native_plan(rng: Random, mixture: FrameMixture, frame_count: int,
-                 have_previous: bool) -> Optional[SynthesisPlan]:
-    """The C planner, or None when ``mixture`` does not fit its types.
+def _native_seed(seed: int, motif_pool: int, pool_size: int
+                 ) -> Tuple[array, Tuple[int, ...], Tuple[int, ...]]:
+    """The C seeding kernel for an exact ``int`` seed and sizes >= 0."""
+    magnitude = abs(seed)
+    # random_seed splits abs(seed) into 32-bit words, least
+    # significant first; zero is one zero word.
+    key_words = max(1, (magnitude.bit_length() + 31) // 32)
+    key = magnitude.to_bytes(4 * key_words, "little")
+    state = array("I", _STATE_ZEROS)
+    motifs = _new_unzeroed("uint32_t[]", motif_pool)
+    byte_pool = _new_unzeroed("uint8_t[]", pool_size)
+    _lib.uparc_seed_mixture(
+        ffi.from_buffer("uint8_t[]", key), key_words,
+        ffi.from_buffer("uint32_t[]", state), motif_pool, motifs,
+        pool_size, byte_pool)
+    return (state, tuple(ffi.unpack(motifs, motif_pool)),
+            tuple(ffi.buffer(byte_pool, pool_size)[:]))
 
-    Every check runs before the RNG is read, and ``rng`` only advances
-    (one ``setstate``) once the C loop has succeeded, so a ``None``
+
+def _native_plan(state: array, mixture: FrameMixture, frame_count: int,
+                 have_previous: bool) -> Optional[SynthesisPlan]:
+    """The C planner, or None when the inputs do not fit its types.
+
+    Every check runs before the state is read, and C advances
+    ``state`` in place only once its loop has succeeded, so a ``None``
     leaves it exactly where pure will start.
     """
     plan = SynthesisPlan(mixture.frame_words)  # raises as pure's does
+    if not (isinstance(state, array) and state.typecode == "I"
+            and len(state) == pure.STATE_WORDS
+            and state[-1] <= _MT_N):
+        return None  # pure's setstate accepts or rejects it
     pool = mixture.byte_pool
     hi = len(pool) - 1
     motifs = mixture.motifs
@@ -265,14 +301,13 @@ def _native_plan(rng: Random, mixture: FrameMixture, frame_count: int,
         })
     except (OverflowError, TypeError):
         return None  # motifs past 32 bits, pool bytes past 8: pure's ints
-    version, internal, gauss_next = rng.getstate()
-    state = array("I", internal)
     frame_words = mixture.frame_words
     cap = frame_count * frame_words
-    # Every op covers at least one word, so cap ops always fit.
-    kinds = ffi.new("uint8_t[]", cap)
-    values = ffi.new("uint32_t[]", cap)
-    lengths = ffi.new("uint32_t[]", cap)
+    # Every op covers at least one word, so cap ops always fit; C
+    # writes the first count before anything reads them.
+    kinds = _new_unzeroed("uint8_t[]", cap)
+    values = _new_unzeroed("uint32_t[]", cap)
+    lengths = _new_unzeroed("uint32_t[]", cap)
     count = _lib.uparc_plan_frames(
         ffi.from_buffer("uint32_t[]", state), mix, frame_count,
         frame_words, have_previous,
@@ -282,7 +317,6 @@ def _native_plan(rng: Random, mixture: FrameMixture, frame_count: int,
         kinds, values, lengths, cap)
     if count < 0:
         return None
-    rng.setstate((version, tuple(state), gauss_next))
     plan.kinds.frombytes(ffi.buffer(kinds, count))
     plan.values.frombytes(ffi.buffer(values, 4 * count))
     plan.lengths.frombytes(ffi.buffer(lengths, 4 * count))
@@ -291,15 +325,19 @@ def _native_plan(rng: Random, mixture: FrameMixture, frame_count: int,
 
 
 def _planner_matches_pure() -> bool:
-    """Plan a short stream both ways; True when C reproduces pure.
+    """Seed and plan short streams both ways; True when C reproduces pure.
 
-    CPython's ``_randbelow`` (behind ``choice``) has changed between
-    versions, and the C planner follows 3.11's.  The probe runs two
-    successive plans (the second carries the previous frame) over a
-    five-motif mixture, so ``_randbelow`` rejects and every op kind
-    and draw type occurs; the ops and the final RNG state must both
-    match.
+    CPython's ``_randbelow`` (behind ``choice``, ``randint`` and
+    ``randrange``) has changed between versions, and the C kernels
+    follow 3.11's.  Seeds of one, two and three key words, positive
+    and negative, must give pure's state, motifs and byte pool.  Then
+    two successive plans (the second carries the previous frame) run
+    over a five-motif mixture, so ``_randbelow`` rejects and every op
+    kind and draw type occurs; the ops and the final state must match.
     """
+    for seed in (0, 2012, -2012, 2**32 + 5, 2**70 + 12345):
+        if _native_seed(seed, 5, 20) != pure.seed_mixture(seed, 5, 20):
+            return False
     weights = [1.0 / (rank + 1) for rank in range(20)]
     cum_weights = tuple(accumulate(weights))
     mixture = FrameMixture(
@@ -310,8 +348,8 @@ def _planner_matches_pure() -> bool:
         motifs=(0x00010200, 0x40000001, 0x00300000, 0x08000080, 0x2),
         byte_pool=tuple(range(7, 247, 12)), cum_weights=cum_weights,
         cum_total=cum_weights[-1])
-    reference = Random(2012)
-    candidate = Random(2012)
+    reference = pure.seed_mixture(2012, 0, 0)[0]
+    candidate = array("I", reference)
     for have_previous in (False, True):
         want = pure.plan_frames(reference, mixture, 12, have_previous)
         got = _native_plan(candidate, mixture, 12, have_previous)
@@ -319,30 +357,44 @@ def _planner_matches_pure() -> bool:
                            got.total_words) != (
                 want.kinds, want.values, want.lengths, want.total_words):
             return False
-    return candidate.getstate() == reference.getstate()
+    return candidate == reference
 
 
-# Checked once per process; on a mismatch plan_frames forwards to pure.
+# Checked once per process; on a mismatch seed_mixture and
+# plan_frames forward to pure.
 _PLANNER_MATCHES_PURE = _planner_matches_pure()
 
 
-def plan_frames(rng: Random, mixture: FrameMixture, frame_count: int,
+def seed_mixture(seed: Union[int, float, str, bytes, bytearray],
+                 motif_pool: int,
+                 pool_size: int) -> Tuple[array, Tuple[int, ...],
+                                          Tuple[int, ...]]:
+    # Only an exact int seeds through its words: Random hashes a
+    # float, str or bytes seed (and a bool or int subclass takes its
+    # own path), which pure's Random does for them.
+    if (type(seed) is not int or type(motif_pool) is not int
+            or type(pool_size) is not int
+            or not 0 <= motif_pool < _SIZE_LIMIT
+            or not 0 <= pool_size < _SIZE_LIMIT
+            or not _PLANNER_MATCHES_PURE or not _PLAN_ITEMS_ARE_32_BIT):
+        return pure.seed_mixture(seed, motif_pool, pool_size)
+    return _native_seed(seed, motif_pool, pool_size)
+
+
+def plan_frames(state: array, mixture: FrameMixture, frame_count: int,
                 have_previous: bool) -> SynthesisPlan:
-    # type() is exact on purpose: a Random subclass may override the
-    # draws, which only calling its methods honours.
-    if (type(rng) is not Random or not _PLANNER_MATCHES_PURE
-            or not _PLAN_ITEMS_ARE_32_BIT):
-        return pure.plan_frames(rng, mixture, frame_count, have_previous)
-    plan = _native_plan(rng, mixture, frame_count, have_previous)
+    if not _PLANNER_MATCHES_PURE or not _PLAN_ITEMS_ARE_32_BIT:
+        return pure.plan_frames(state, mixture, frame_count, have_previous)
+    plan = _native_plan(state, mixture, frame_count, have_previous)
     if plan is None:
-        return pure.plan_frames(rng, mixture, frame_count, have_previous)
+        return pure.plan_frames(state, mixture, frame_count, have_previous)
     return plan
 
 
 def synthesize_payload(plan: SynthesisPlan) -> bytes:
     if not _PLAN_ITEMS_ARE_32_BIT:
         return pure.synthesize_payload(plan)
-    out = ffi.new("uint8_t[]", 4 * plan.total_words)
+    out = _new_unzeroed("uint8_t[]", 4 * plan.total_words)
     written = _lib.uparc_synthesize_payload(
         ffi.from_buffer("uint8_t[]", plan.kinds),
         ffi.from_buffer("uint32_t[]", plan.values),

@@ -26,7 +26,9 @@ frame's start.
 
 The planner itself is a kernel too (``accel.plan_frames``): it reads
 its fixed inputs from a :class:`FrameMixture` and draws from the
-generator's seeded ``random.Random``.
+generator's MT19937 state, a 625-word ``array("I")`` that
+``accel.seed_mixture`` seeds exactly as ``random.Random(seed)`` does
+and the planner advances in place.
 """
 
 from __future__ import annotations

@@ -22,7 +22,7 @@ from array import array
 from bisect import bisect
 from collections import Counter, defaultdict, deque
 from random import Random
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.errors import BitstreamFormatError, CorruptStreamError
 
@@ -145,17 +145,51 @@ def bytes_to_words(data: bytes) -> List[int]:
     return list(struct.unpack(">%dI" % (len(data) // 4), data))
 
 
-def plan_frames(rng: Random, mixture: FrameMixture, frame_count: int,
-                have_previous: bool) -> SynthesisPlan:
-    """Plan ``frame_count`` frames of payload ops from ``rng``'s draws.
+#: Words in a generator state: MT19937's 624-word key, then its index.
+STATE_WORDS = 625
 
+
+def seed_mixture(seed: Union[int, float, str, bytes, bytearray],
+                 motif_pool: int,
+                 pool_size: int) -> Tuple["array", Tuple[int, ...],
+                                          Tuple[int, ...]]:
+    """The generator's seeded state, routing motifs and texture bytes.
+
+    ``Random(seed)``, then ``motif_pool`` motifs (each ``randint(2,
+    10)`` bits, set at ``randrange(32)``) and ``pool_size`` texture
+    bytes (``randrange(1, 256)``), in that order.  Returns the
+    :data:`STATE_WORDS`-word ``array("I")`` state that
+    :func:`plan_frames` continues from (``getstate()``'s key and
+    index), the motifs and the byte pool.
+    """
+    rng = Random(seed)
+    randrange = rng.randrange
+    motifs = []
+    for _ in range(motif_pool):
+        word = 0
+        for _bit in range(rng.randint(2, 10)):
+            word |= 1 << randrange(32)
+        motifs.append(word)
+    byte_pool = tuple(randrange(1, 256) for _ in range(pool_size))
+    return array("I", rng.getstate()[1]), tuple(motifs), byte_pool
+
+
+def plan_frames(state: "array", mixture: FrameMixture, frame_count: int,
+                have_previous: bool) -> SynthesisPlan:
+    """Plan ``frame_count`` frames of payload ops, advancing ``state``.
+
+    ``state`` is a :func:`seed_mixture` state (the MT19937 key and
+    index); the draws continue from it and it is updated in place.
     One blank-frame gate per frame, then category draws until the
     frame is full.  The RNG draw *sequence* is the contract: every
     branch consumes exactly the draws the historical per-method
     generator did, so all seeded payloads stay bit-identical, and
-    ``rng`` ends where that generator left it.  ``have_previous``
+    ``state`` ends where that generator left it.  ``have_previous``
     says whether a frame was already planned (a COPY needs one).
     """
+    # Seeded only to construct; setstate replaces the whole state.
+    rng = Random(0)
+    rng.setstate((3, tuple(state), None))
     random = rng.random
     choice = rng.choice
     getrandbits = rng.getrandbits
@@ -255,6 +289,7 @@ def plan_frames(rng: Random, mixture: FrameMixture, frame_count: int,
     # Every frame sums to exactly frame_words (runs are clipped at
     # the boundary), so the total is closed-form.
     plan.total_words = frame_count * target
+    state[:] = array("I", rng.getstate()[1])
     return plan
 
 

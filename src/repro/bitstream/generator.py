@@ -25,7 +25,6 @@ The mixture weights below were calibrated so the from-scratch codecs in
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass, field
 from itertools import accumulate
 from typing import List, Optional
@@ -99,6 +98,12 @@ class BitstreamSpec:
                 raise BitstreamError("run-length means must be >= 1")
         if self.size.bytes <= 0:
             raise BitstreamError("bitstream size must be positive")
+        if self.motif_pool < 0:
+            raise BitstreamError(
+                f"motif_pool must be >= 0, got {self.motif_pool}")
+        if self.motif_pool == 0 and self.motif_run_weight > 0:
+            raise BitstreamError(
+                "motif_run_weight > 0 needs a motif_pool of at least 1")
 
 
 @dataclass
@@ -190,22 +195,17 @@ class _FrameSynthesizer:
 
     def __init__(self, spec: BitstreamSpec) -> None:
         self._spec = spec
-        self._rng = random.Random(spec.seed)
+        # One kernel seeds the MT19937 state (self._state, which
+        # plan() advances in place) and draws the vocabulary from it.
         # Motifs are sparse-ish words themselves (routing bits are a
         # minority of each word), keeping the byte histogram skewed.
-        motifs = [self._sparse_word(bits=self._rng.randint(2, 10))
-                  for _ in range(spec.motif_pool)]
-        # Byte vocabulary for "configuration texture" words: words that
-        # rarely repeat exactly (little for dictionary coders to grab)
-        # but whose bytes follow a heavily skewed, zipf-like histogram
-        # (what byte-level Huffman exploits).
-        pool_size = 20
-        byte_pool = [self._rng.randrange(1, 256) for _ in range(pool_size)]
-        byte_weights = [1.0 / (rank + 1) for rank in range(pool_size)]
-        # random.choices() computes cumulative weights on every call;
-        # precomputing them and sampling via bisect draws the same
-        # single random() per word, so the sequence is unchanged.
-        cum_weights = list(accumulate(byte_weights))
+        # The byte pool is the vocabulary of "configuration texture"
+        # words: words that rarely repeat exactly (little for
+        # dictionary coders to grab) but whose bytes follow a heavily
+        # skewed, zipf-like histogram (what byte-level Huffman
+        # exploits).
+        self._state, motifs, byte_pool = accel.seed_mixture(
+            spec.seed, spec.motif_pool, _BYTE_POOL_SIZE)
         # Cumulative category thresholds, accumulated in the historical
         # order so the float comparisons are bit-for-bit unchanged.
         zero_threshold = spec.zero_run_weight
@@ -222,10 +222,10 @@ class _FrameSynthesizer:
             zero_success=_geometric_success(spec.zero_run_mean),
             motif_success=_geometric_success(spec.motif_run_mean),
             copy_success=_geometric_success(spec.copy_run_mean),
-            motifs=tuple(motifs),
-            byte_pool=tuple(byte_pool),
-            cum_weights=tuple(cum_weights),
-            cum_total=cum_weights[-1] + 0.0,
+            motifs=motifs,
+            byte_pool=byte_pool,
+            cum_weights=_CUM_WEIGHTS,
+            cum_total=_CUM_WEIGHTS[-1] + 0.0,
         )
         self._have_previous = False
 
@@ -235,20 +235,22 @@ class _FrameSynthesizer:
         The planning loop is the ``accel.plan_frames`` kernel: the
         pure backend's loop is the reference, and the native backend
         runs the same draws in C over this synthesizer's MT19937
-        state.  Successive calls continue one stream: the RNG carries
-        over, and so does the previous frame a COPY reads from.
+        state array.  Successive calls continue one stream: the state
+        carries over, and so does the previous frame a COPY reads from.
         """
-        plan = accel.plan_frames(self._rng, self._mixture, frame_count,
+        plan = accel.plan_frames(self._state, self._mixture, frame_count,
                                  self._have_previous)
         if frame_count > 0:
             self._have_previous = True
         return plan
 
-    def _sparse_word(self, bits: int) -> int:
-        word = 0
-        for _ in range(bits):
-            word |= 1 << self._rng.randrange(32)
-        return word
+
+_BYTE_POOL_SIZE = 20
+# Zipf weights of the texture byte pool, accumulated once: sampling
+# by bisect over them draws the same single random() per byte that
+# random.choices() with the plain weights did.
+_CUM_WEIGHTS = tuple(accumulate(1.0 / (rank + 1)
+                                for rank in range(_BYTE_POOL_SIZE)))
 
 
 def _geometric_success(mean: float) -> Optional[float]:

@@ -4,13 +4,18 @@ Everything hashed into a SHA-256 key or digest must be *canonical*
 (``json.dumps(..., sort_keys=True)``, never ``str()``/``repr()``/
 f-strings of live objects), or cached entries are missed and pinned
 digests drift: the key changes for equal inputs.  The rule tracks hash inputs locally —
-through digest variables — inside each function.
+through digest variables — inside each function, and follows an input
+back through ``str`` method chains (``repr(x).lower().encode()``) and
+through locals bound exactly once in the same scope (``text =
+repr(x)`` hashed later).  A ``repr`` passed through any other call,
+such as a regex substitution, is not followed.
 """
 
 from __future__ import annotations
 
 import ast
-from typing import Iterator, Set
+from collections import Counter
+from typing import Dict, Iterator, List, Optional, Set
 
 from repro.lint.registry import Checker, register
 from repro.lint.astutils import terminal_name
@@ -37,14 +42,14 @@ def _scope_nodes(node: ast.AST) -> Iterator[ast.AST]:
             stack.extend(ast.iter_child_nodes(child))
 
 
-def _hash_inputs(node: ast.AST) -> Iterator[ast.AST]:
-    """Expressions that contribute bytes to a digest inside ``node``.
+def _hash_inputs(nodes: List[ast.AST]) -> Iterator[ast.AST]:
+    """Expressions that contribute bytes to a digest in one scope.
 
     Yields the arguments of ``hashlib.sha256(...)`` constructor calls
     and of ``<digest>.update(...)`` calls where the receiver was
-    assigned from a hashlib constructor in the same scope.
+    assigned from a hashlib constructor in the same scope (``nodes``,
+    from :func:`_scope_nodes`).
     """
-    nodes = list(_scope_nodes(node))
     digest_vars: Set[str] = set()
     for child in nodes:
         if isinstance(child, ast.Assign) \
@@ -65,13 +70,68 @@ def _hash_inputs(node: ast.AST) -> Iterator[ast.AST]:
             yield from child.args
 
 
-def _strip_encode(node: ast.AST) -> ast.AST:
-    """``x.encode(...)`` contributes ``x``'s bytes."""
-    if isinstance(node, ast.Call) \
-            and isinstance(node.func, ast.Attribute) \
-            and node.func.attr == "encode":
-        return node.func.value
-    return node
+#: Methods that return a transformed copy of their ``str`` receiver
+#: (or its bytes): hashing ``repr(x).lower()`` still hashes the
+#: formatting of ``repr(x)``.
+STR_METHODS = frozenset({
+    "encode", "lower", "upper", "casefold", "strip", "lstrip", "rstrip",
+    "replace", "title", "capitalize", "swapcase", "expandtabs", "center",
+    "ljust", "rjust", "zfill", "removeprefix", "removesuffix",
+    "translate"})
+
+
+def _single_assignments(nodes: List[ast.AST]) -> Dict[str, ast.AST]:
+    """Names bound exactly once in the scope, by a plain ``name = value``.
+
+    Every other binding form (parameters, augmented or unpacking
+    assignment, loop and ``with`` targets, imports, ``global``) counts
+    against the name, so a local that can hold two values is never
+    followed.
+    """
+    bindings: Counter = Counter()
+    values: Dict[str, ast.AST] = {}
+    for child in nodes:
+        if isinstance(child, ast.Name) \
+                and not isinstance(child.ctx, ast.Load):
+            bindings[child.id] += 1
+        elif isinstance(child, ast.arg):
+            bindings[child.arg] += 1
+        elif isinstance(child, (ast.Global, ast.Nonlocal)):
+            bindings.update({name: 2 for name in child.names})
+        elif isinstance(child, ast.alias):
+            bindings[(child.asname or child.name).split(".")[0]] += 1
+        elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                ast.ClassDef)):
+            bindings[child.name] += 1
+        elif isinstance(child, ast.ExceptHandler) and child.name:
+            bindings[child.name] += 1
+        if isinstance(child, ast.Assign) and len(child.targets) == 1 \
+                and isinstance(child.targets[0], ast.Name):
+            values[child.targets[0].id] = child.value
+    return {name: value for name, value in values.items()
+            if bindings[name] == 1}
+
+
+def _hashed_value(node: ast.AST,
+                  locals_: Dict[str, ast.AST]) -> ast.AST:
+    """What a hash input's bytes come from.
+
+    Steps from ``x.encode()``, ``x.lower()`` and the like to ``x``,
+    and from a single-assignment local to its value, until neither
+    applies.
+    """
+    seen: Set[str] = set()
+    while True:
+        if isinstance(node, ast.Call) \
+                and isinstance(node.func, ast.Attribute) \
+                and node.func.attr in STR_METHODS:
+            node = node.func.value
+        elif isinstance(node, ast.Name) and node.id in locals_ \
+                and node.id not in seen:
+            seen.add(node.id)
+            node = locals_[node.id]
+        else:
+            return node
 
 
 @register
@@ -100,17 +160,27 @@ class ReprDigestInputRule(Checker):
         self.generic_visit(node)
 
     def check_function(self, node: ast.AST) -> None:
-        for raw in _hash_inputs(node):
-            value = _strip_encode(raw)
+        nodes = list(_scope_nodes(node))
+        locals_: Optional[Dict[str, ast.AST]] = None
+        reported: Set[int] = set()
+        for raw in _hash_inputs(nodes):
+            if locals_ is None:
+                # Bindings are collected only for scopes that hash.
+                locals_ = _single_assignments(nodes)
+            value = _hashed_value(raw, locals_)
+            if id(value) in reported:
+                continue  # one local hashed at several sites
             if isinstance(value, ast.Call) \
                     and terminal_name(value.func) in ("str", "repr") \
                     and value.args \
                     and not isinstance(value.args[0], ast.Constant):
+                reported.add(id(value))
                 self.report(value, f"{terminal_name(value.func)}() of "
                                    f"a live object hashed into a "
                                    f"digest; serialize canonically "
                                    f"(sorted JSON) instead")
             elif isinstance(value, ast.JoinedStr):
+                reported.add(id(value))
                 self.report(value, "f-string hashed into a digest; "
                                    "its formatting is not canonical "
                                    "— serialize canonically instead")

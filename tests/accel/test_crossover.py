@@ -9,10 +9,11 @@ recorders and pin the dispatch decision:
   size crossover it used to carry (pure untouched), and its output
   equals pure's;
 * the domain guards (wide token layouts, a COPY before the first
-  frame, a word count past the data, a ``Random`` subclass, an
-  unsorted texture table) hand the call to pure whatever the size;
-* the C frame planner hands over when its import-time self-check
-  finds the interpreter drawing differently;
+  frame, a word count past the data, a generator state C cannot
+  take, a seed ``Random`` hashes, an unsorted texture table) hand the
+  call to pure whatever the size;
+* the C seeding and frame planner hand over when their import-time
+  self-check finds the interpreter drawing differently;
 * the permanent forwarders (``chunk_words``, ``words_to_bytes``)
   hand over at *every* size on every available backend;
 * ``huffman_code_table``, the configuration CRC's word fold
@@ -27,6 +28,7 @@ The native section skips cleanly when the extension is not built.
 # repro-lint: disable=B804
 
 import struct
+from array import array
 from random import Random
 
 import pytest
@@ -148,16 +150,18 @@ _SIZED_CASES = [
                           _RLE_RECORDS[:n])),
     ("synthesize_payload", 16, lambda n: (_plan(n),)),
     ("rle_records", 2, lambda n: (_XM_WORDS[:4 * n], n)),
-    ("plan_frames", 4, lambda n: (Random(7), _MIXTURE, n, True)),
+    ("plan_frames", 4, lambda n: (pure.seed_mixture(7, 0, 0)[0], _MIXTURE,
+                                  n, True)),
+    ("seed_mixture", 1, lambda n: (2012 + n, n, n)),
 ]
 
 
 def _comparable(result, args):
     """A kernel's result as a value ``==`` can compare across backends."""
     if isinstance(result, SynthesisPlan):
-        # The planner's contract includes where it leaves the RNG.
+        # The planner's contract includes where it leaves the state.
         return (result.kinds, result.values, result.lengths,
-                result.total_words, args[0].getstate())
+                result.total_words, args[0])
     return result
 
 
@@ -181,27 +185,49 @@ def test_native_kernel_takes_c_at_every_size(native_backend, monkeypatch,
 def test_planner_self_check_mismatch_forwards_to_pure(native_backend,
                                                       monkeypatch):
     # An interpreter whose random module draws differently from the
-    # C planner: simulated by a C planner that leaves the RNG one
-    # draw off.  The import-time self-check must catch it, and the
-    # planner must then forward to pure while the backend stays native.
+    # C planner: simulated by a C planner that leaves the state one
+    # draw off.  The import-time self-check must catch it, and both
+    # generator kernels must then forward to pure while the backend
+    # stays native.
     c_planner = native_backend._native_plan
 
-    def drifting(rng, mixture, frame_count, have_previous):
-        plan = c_planner(rng, mixture, frame_count, have_previous)
-        rng.random()
+    def drifting(state, mixture, frame_count, have_previous):
+        plan = c_planner(state, mixture, frame_count, have_previous)
+        state[-1] -= 1
         return plan
 
     monkeypatch.setattr(native_backend, "_native_plan", drifting)
+    _assert_self_check_routes_to_pure(native_backend, monkeypatch)
+
+
+@requires_native
+def test_seeding_self_check_mismatch_forwards_to_pure(native_backend,
+                                                      monkeypatch):
+    # The same for the seeding kernel: a C seeding that draws one
+    # texture byte differently from Random must fail the self-check.
+    c_seed = native_backend._native_seed
+
+    def drifting(seed, motif_pool, pool_size):
+        state, motifs, byte_pool = c_seed(seed, motif_pool, pool_size)
+        return state, motifs, byte_pool[:-1] + (1,)
+
+    monkeypatch.setattr(native_backend, "_native_seed", drifting)
+    _assert_self_check_routes_to_pure(native_backend, monkeypatch)
+
+
+def _assert_self_check_routes_to_pure(native_backend, monkeypatch):
     monkeypatch.setattr(native_backend, "_PLANNER_MATCHES_PURE",
                         native_backend._planner_matches_pure())
     assert native_backend._PLANNER_MATCHES_PURE is False
 
-    calls = _sentinel(monkeypatch, "plan_frames")
+    seeded = _sentinel(monkeypatch, "seed_mixture")
+    planned = _sentinel(monkeypatch, "plan_frames")
     with accel.using("native"):
         blob = generate_bitstream(size=DataSize.from_kb(16),
                                   seed=2012).file_bytes
         assert accel.backend_name() == "native"
-    assert calls, "a failed self-check must route plan_frames to pure"
+    assert seeded, "a failed self-check must route seed_mixture to pure"
+    assert planned, "a failed self-check must route plan_frames to pure"
     with accel.using("pure"):
         assert blob == generate_bitstream(size=DataSize.from_kb(16),
                                           seed=2012).file_bytes
@@ -245,26 +271,46 @@ def test_native_guard_delegations(native_backend, monkeypatch):
     native_backend.rle_records(b"\x11\x22\x33\x44" * 4, 8)
     assert calls
 
-    # A Random subclass may override the draws, an unsorted byte
+    # A state C cannot take (not a 625-word array("I"), or an index
+    # past the key) is pure's to accept or reject, an unsorted byte
     # table needs bisect's own probes, and an empty motif vocabulary
-    # raises from choice(): all three are pure's.
-    class Subclassed(Random):
-        pass
-
+    # raises from choice(): all are pure's.
     calls = _sentinel(monkeypatch, "plan_frames")
-    native_backend.plan_frames(Subclassed(1), _MIXTURE, 8, True)
+    state = pure.seed_mixture(1, 0, 0)[0]
+    as_list = list(state)
+    native_backend.plan_frames(as_list, _MIXTURE, 8, True)
     assert calls
     calls.clear()
+    for bad_state in (state[:-1], array("L", state),
+                      state[:-1] + array("I", [625])):
+        with pytest.raises((TypeError, ValueError)):
+            native_backend.plan_frames(bad_state, _MIXTURE, 8, True)
+        assert calls
+        calls.clear()
     native_backend.plan_frames(
-        Random(1), _MIXTURE._replace(
+        state, _MIXTURE._replace(
             cum_weights=tuple(reversed(_MIXTURE.cum_weights))), 8, True)
     assert calls
     calls.clear()
     with pytest.raises(IndexError):
         native_backend.plan_frames(
-            Random(1), _MIXTURE._replace(motifs=(), utilization=1.0,
-                                         zero_threshold=0.0,
-                                         motif_threshold=1.0), 8, True)
+            state, _MIXTURE._replace(motifs=(), utilization=1.0,
+                                     zero_threshold=0.0,
+                                     motif_threshold=1.0), 8, True)
+    assert calls
+
+    # Random hashes a float, str or bytes seed and abs()es a bool
+    # through int's own path; a negative or float vocabulary size is
+    # pure's empty range or TypeError.  Only pure's Random does those.
+    calls = _sentinel(monkeypatch, "seed_mixture")
+    for args in ((True, 8, 20), (2012.0, 8, 20), ("abc", 8, 20),
+                 (b"abc", 8, 20), (2012, -3, 20), (2012, 8, -1)):
+        assert native_backend.seed_mixture(*args) == \
+            pure.seed_mixture(*args)
+        assert calls
+        calls.clear()
+    with pytest.raises(TypeError):
+        native_backend.seed_mixture(2012, 8.0, 20)
     assert calls
 
 

@@ -274,13 +274,13 @@ def _assert_same_plans(vectorised, spec, frame_counts):
     candidate = _FrameSynthesizer(spec)
     have_previous = False
     for frame_count in frame_counts:
-        want = pure.plan_frames(reference._rng, reference._mixture,
+        want = pure.plan_frames(reference._state, reference._mixture,
                                 frame_count, have_previous)
-        got = vectorised.plan_frames(candidate._rng, candidate._mixture,
+        got = vectorised.plan_frames(candidate._state, candidate._mixture,
                                      frame_count, have_previous)
         assert (got.kinds, got.values, got.lengths, got.total_words) == \
             (want.kinds, want.values, want.lengths, want.total_words)
-        assert candidate._rng.getstate() == reference._rng.getstate()
+        assert candidate._state == reference._state
         have_previous = have_previous or frame_count > 0
 
 
@@ -288,9 +288,70 @@ def _assert_same_plans(vectorised, spec, frame_counts):
 @given(planner_specs(), st.integers(min_value=1, max_value=12),
        st.integers(min_value=0, max_value=6))
 def test_plan_frames_matches(vectorised, spec, first, second):
-    # Two calls on one synthesizer: the second carries the RNG and
+    # Two calls on one synthesizer: the second carries the state and
     # the previous frame a COPY reads from.
     _assert_same_plans(vectorised, spec, (first, second))
+
+
+def test_plan_frames_continues_one_stream(vectorised):
+    # Two native plan() calls continue one stream: together they plan
+    # what one pure call over all their frames plans, and leave the
+    # state where it leaves it.
+    spec = BitstreamSpec(seed=2012)
+    split = _FrameSynthesizer(spec)
+    whole = _FrameSynthesizer(spec)
+    with accel.using("native"):
+        first = split.plan(3)
+        second = split.plan(5)
+    with accel.using("pure"):
+        both = whole.plan(8)
+    assert first.kinds + second.kinds == both.kinds
+    assert first.values + second.values == both.values
+    assert first.lengths + second.lengths == both.lengths
+    assert split._state == whole._state
+
+
+# Seeds of one, two and seven key words, both signs, and the edges of
+# a 32-bit word: CPython seeds from the words of abs(seed).
+SEEDS = (0, 1, 2012, -2012, 2**32 - 1, 2**32, 2**64 + 5, 2**200 + 12345)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize("motif_pool,pool_size",
+                         [(0, 0), (0, 20), (1, 20), (8, 20), (64, 20)])
+def test_seed_mixture_matches(vectorised, seed, motif_pool, pool_size):
+    got = vectorised.seed_mixture(seed, motif_pool, pool_size)
+    assert got == pure.seed_mixture(seed, motif_pool, pool_size)
+    # The state is exactly the seeded Random's, past the vocabulary.
+    rng = Random(seed)
+    for _ in range(motif_pool):
+        for _bit in range(rng.randint(2, 10)):
+            rng.randrange(32)
+    for _ in range(pool_size):
+        rng.randrange(1, 256)
+    assert got[0] == array("I", rng.getstate()[1])
+    assert (len(got[1]), len(got[2])) == (motif_pool, pool_size)
+
+
+@quick
+@given(st.integers(min_value=-2**300, max_value=2**300),
+       st.integers(min_value=0, max_value=70),
+       st.integers(min_value=0, max_value=40))
+def test_seed_mixture_matches_any_seed(vectorised, seed, motif_pool,
+                                       pool_size):
+    assert vectorised.seed_mixture(seed, motif_pool, pool_size) == \
+        pure.seed_mixture(seed, motif_pool, pool_size)
+
+
+@pytest.mark.parametrize("seed", [True, 2012.0, "abc", b"abc"])
+def test_generate_bitstream_non_int_seeds_match(vectorised, seed):
+    # Random seeds these through its own paths (hash, sha512, int's
+    # abs for a bool); the native generator must still equal pure's.
+    size = DataSize.from_kb(6.5)
+    with accel.using("pure"):
+        want = generate_bitstream(size=size, seed=seed).file_bytes
+    with accel.using("native"):
+        assert generate_bitstream(size=size, seed=seed).file_bytes == want
 
 
 @pytest.mark.parametrize("motif_pool", [1, 3, 5, 7])
@@ -331,12 +392,13 @@ def _texture_only(byte_pool, cum_weights, cum_total):
 
 
 def _assert_same_texture(vectorised, mixture, seed):
-    reference, candidate = Random(seed), Random(seed)
+    reference = pure.seed_mixture(seed, 0, 0)[0]
+    candidate = array("I", reference)
     for have_previous in (False, True):
         want = pure.plan_frames(reference, mixture, 2, have_previous)
         got = vectorised.plan_frames(candidate, mixture, 2, have_previous)
         assert got.values == want.values
-        assert candidate.getstate() == reference.getstate()
+        assert candidate == reference
 
 
 @pytest.mark.parametrize("pool", [(11, 22, 33, 44), (11, 22, 33, 44, 55)])

@@ -9,8 +9,8 @@ side.  Together the four codecs cover all ten compressor-stack
 kernels, so a kernel silently bypassing the dispatch facade (and its
 ``record`` call) fails here.  The Table I-only codecs, LZ78, Zip and
 7-zip, never run in mode ii, so a plain round trip checks theirs.
-Generating a bitstream likewise ticks the frame planner's counter
-once per generated payload, and the FDRI configuration CRC's word
+Generating a bitstream likewise ticks the seeding kernel's and the
+frame planner's counters once per generated payload, and the FDRI configuration CRC's word
 fold ticks ``crc32c_words`` on both sides of the stream: once in the
 generator, again in the configuration logic that absorbs it.
 """
@@ -88,6 +88,8 @@ def test_generate_bitstream_ticks_plan_frames(backend):
         with obs.observed(metrics=True) as observation:
             bitstream = _bitstream()
     counters = observation.registry.snapshot()["counters"]
+    # One seeding (state and vocabulary) and one plan per bitstream.
+    assert counters.get(f"accel.{backend}.seed_mixture.calls", 0) == 1
     assert counters.get(f"accel.{backend}.plan_frames.calls", 0) == 1
     # One plan covers the whole FDRI payload.
     assert counters.get(f"accel.{backend}.plan_frames.bytes", 0) == \

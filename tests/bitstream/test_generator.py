@@ -104,6 +104,29 @@ def test_zero_size_rejected():
         BitstreamSpec(size=DataSize(0))
 
 
+@pytest.mark.parametrize("overrides", [
+    {"motif_pool": -3},
+    {"motif_pool": 0},
+    {"motif_pool": -1, "motif_run_weight": 0.0, "sparse_weight": 0.6025},
+], ids=["negative", "empty-with-motif-weight", "negative-no-weight"])
+def test_unusable_motif_pool_rejected(overrides):
+    # Before the check these failed deep in the planner, with
+    # IndexError: Cannot choose from an empty sequence.
+    with pytest.raises(BitstreamError, match="motif_pool"):
+        generate_bitstream(size=DataSize.from_kb(8), **overrides)
+
+
+def test_empty_motif_pool_without_motif_weight_generates():
+    # No motif draw ever happens, so an empty vocabulary is fine.
+    bitstream = generate_bitstream(size=DataSize.from_kb(8), motif_pool=0,
+                                   motif_run_weight=0.0,
+                                   sparse_weight=0.6025)
+    assert bitstream.frame_count > 0
+    assert bitstream == generate_bitstream(
+        size=DataSize.from_kb(8), motif_pool=0, motif_run_weight=0.0,
+        sparse_weight=0.6025)
+
+
 def test_header_declares_payload_length(small_bitstream):
     assert small_bitstream.header.payload_length \
         == len(small_bitstream.raw_bytes)

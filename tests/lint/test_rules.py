@@ -22,7 +22,7 @@ RULE_CASES = [
     ("e201_loop_capture.py", "E201", [6]),
     ("f301_float_equality.py", "F301", [5, 7]),
     ("p403_unordered_digest.py", "P403", [8, 10]),
-    ("c502_repr_digest_input.py", "C502", [7, 8]),
+    ("c502_repr_digest_input.py", "C502", [7, 8, 15, 16]),
 ]
 
 # Whole-program rules need the cross-module index, so their fixtures
